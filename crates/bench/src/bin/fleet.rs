@@ -20,7 +20,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use xferopt_orchestrator::{
-    FleetConfig, FleetSim, HistoryStore, JobSpec, Policy, ShardedFleetSim, Workload,
+    FleetConfig, FleetSim, HistoryStore, Policy, ShardedFleetSim, Workload,
 };
 
 fn cfg() -> FleetConfig {
@@ -107,61 +107,6 @@ fn bench_size(jobs: usize, warmup: u64, measure: u64) -> Row {
     }
 }
 
-struct QuietRow {
-    jobs: usize,
-    dense_tps: f64,
-    fast_tps: f64,
-    speedup: f64,
-    skipped_ticks: u64,
-}
-
-/// Quiet-scenario sweep: `n` jobs arriving one per minute (12 ticks), each
-/// finishing in a few ticks — most of the fleet's lifetime is idle gaps.
-/// Dense stepping grinds through every gap tick; the skip-ahead path
-/// collapses each to a clock jump, and `FleetSim::fast_ticks` counts how
-/// many epochs it skipped. The deep pending queue (only ~`measure/12` jobs
-/// ever start inside the window) is deliberate: arrival lookahead must stay
-/// O(1) in fleet size for the skip gate to pay off at 100k jobs.
-fn bench_quiet(jobs: usize, warmup: u64, measure: u64) -> QuietRow {
-    let workload = Workload::new(
-        (0..jobs)
-            .map(|i| JobSpec::new(i as u64, i as f64 * 60.0, 2000.0))
-            .collect(),
-    );
-
-    let mut dense_tps = 0f64;
-    for _ in 0..REPS {
-        let config = FleetConfig {
-            dense_stepping: true,
-            ..cfg()
-        };
-        let mut history = HistoryStore::in_memory();
-        let mut sim = FleetSim::new(&workload, &config, &mut history);
-        dense_tps = dense_tps.max(drive(|| sim.tick(), warmup, measure));
-    }
-
-    let mut fast_tps = 0f64;
-    let mut skipped_ticks = 0u64;
-    for _ in 0..REPS {
-        let config = cfg();
-        let mut history = HistoryStore::in_memory();
-        let mut sim = FleetSim::new(&workload, &config, &mut history);
-        let tps = drive(|| sim.tick(), warmup, measure);
-        if tps > fast_tps {
-            fast_tps = tps;
-            skipped_ticks = sim.fast_ticks();
-        }
-    }
-
-    QuietRow {
-        jobs,
-        dense_tps,
-        fast_tps,
-        speedup: fast_tps / dense_tps,
-        skipped_ticks,
-    }
-}
-
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let mode = if quick { "quick" } else { "full" };
@@ -189,23 +134,6 @@ fn main() {
         .map(|r| r.speedup)
         .expect("10k point always measured");
 
-    let quiet_sizes: &[usize] = if quick { &[10_000] } else { &[10_000, 100_000] };
-    let mut quiet_rows = Vec::new();
-    for &jobs in quiet_sizes {
-        let q = bench_quiet(jobs, warmup, measure);
-        eprintln!(
-            "  quiet {} jobs: dense {:.0} ticks/s, skip-ahead {:.0} ticks/s \
-             ({:.2}x, {} ticks skipped)",
-            q.jobs, q.dense_tps, q.fast_tps, q.speedup, q.skipped_ticks
-        );
-        quiet_rows.push(q);
-    }
-    let quiet_10k_skipped = quiet_rows
-        .iter()
-        .find(|q| q.jobs == 10_000)
-        .map(|q| q.skipped_ticks)
-        .expect("10k quiet point always measured");
-
     let mut json = String::new();
     json.push_str("{\n");
     let _ = writeln!(json, "  \"bench\": \"fleet\",");
@@ -228,23 +156,6 @@ fn main() {
         );
     }
     json.push_str("  ],\n");
-    json.push_str("  \"quiet\": [\n");
-    for (i, q) in quiet_rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"jobs\": {}, \"dense_ticks_per_s\": {:.1}, \
-             \"skip_ticks_per_s\": {:.1}, \"speedup\": {:.2}, \
-             \"skipped_ticks\": {}}}{}",
-            q.jobs,
-            q.dense_tps,
-            q.fast_tps,
-            q.speedup,
-            q.skipped_ticks,
-            if i + 1 < quiet_rows.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(json, "  \"quiet_10k_skipped_ticks\": {quiet_10k_skipped},");
     let _ = writeln!(json, "  \"fleet_10k_shard8_speedup\": {speedup_10k:.2}");
     json.push_str("}\n");
     std::fs::write("BENCH_fleet.json", &json).expect("cannot write BENCH_fleet.json");
@@ -253,9 +164,5 @@ fn main() {
     assert!(
         speedup_10k >= 2.0,
         "scaling regression: 10k-job 8-shard speedup {speedup_10k:.2}x < 2x"
-    );
-    assert!(
-        quiet_10k_skipped > 0,
-        "skip-ahead regression: quiet 10k-job sweep collapsed no ticks"
     );
 }

@@ -30,13 +30,11 @@
 
 pub mod client;
 pub mod cpuload;
-pub mod persistent;
 pub mod server;
 pub mod shaper;
 
 pub use client::{measure_epoch, measure_epoch_with_stream_cap};
 pub use cpuload::CpuHogs;
-pub use persistent::StreamPool;
 pub use server::SinkServer;
 pub use shaper::{ShaperConfig, TokenBucket};
 

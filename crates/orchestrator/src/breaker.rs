@@ -344,15 +344,6 @@ impl BreakerBoard {
             .collect()
     }
 
-    /// True when every breaker is closed: no cooldown can expire, nothing
-    /// is shed-eligible, and `tick` is a guaranteed no-op. The fleet's
-    /// skip-ahead gate uses this to prove a tick's breaker phase inert.
-    pub fn all_closed(&self) -> bool {
-        self.breakers
-            .iter()
-            .all(|b| b.state() == BreakerState::Closed)
-    }
-
     /// Total trips across all links.
     pub fn trips(&self) -> u64 {
         self.breakers.iter().map(|b| b.trips()).sum()

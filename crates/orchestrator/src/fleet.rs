@@ -152,11 +152,6 @@ pub struct FleetConfig {
     /// `topo.selfheal`). Like `health` and `breaker`, not serialized into
     /// checkpoints: resume rebuilds the same governor from the same config.
     pub govern: crate::govern::GovernConfig,
-    /// Disable the quiet-tick skip-ahead fast path, forcing dense stepping
-    /// through every tick. The two modes are byte-identical on every output
-    /// surface (enforced in CI); this switch exists for that comparison and
-    /// for debugging, not for normal use.
-    pub dense_stepping: bool,
 }
 
 impl Default for FleetConfig {
@@ -178,7 +173,6 @@ impl Default for FleetConfig {
             shed_after_s: 300.0,
             topo: None,
             govern: crate::govern::GovernConfig::default(),
-            dense_stepping: false,
         }
     }
 }
@@ -701,10 +695,6 @@ pub struct FleetSim<'h> {
     tick: u64,
     t: f64,
     done: bool,
-    /// Ticks collapsed by the quiet skip-ahead fast path. Observability
-    /// only: deliberately absent from metrics, digests, and checkpoints so
-    /// fast and dense runs stay byte-identical on every output surface.
-    fast_ticks: u64,
 }
 
 /// Per-site world seed: site 0 keeps the configured seed verbatim (so the
@@ -841,14 +831,7 @@ impl<'h> FleetSim<'h> {
             tick: 0,
             t: 0.0,
             done: false,
-            fast_ticks: 0,
         }
-    }
-
-    /// Ticks collapsed by the quiet skip-ahead fast path so far (0 with
-    /// `dense_stepping`). Observability only — never part of any digest.
-    pub fn fast_ticks(&self) -> u64 {
-        self.fast_ticks
     }
 
     /// Ticks completed so far.
@@ -927,86 +910,11 @@ impl<'h> FleetSim<'h> {
         });
     }
 
-    /// True when every orchestrator phase of the next tick is provably a
-    /// no-op from pure reads alone: no arrival or requeue due, breakers all
-    /// closed (so breaker ticks, shedding, and reroutes cannot fire), the
-    /// admission picture unchanged, no epoch boundary reachable within the
-    /// tick, the governor idle, and the run neither finished nor at its
-    /// horizon. The world itself still gets the final say via
-    /// [`World::quiet_for`].
-    fn fleet_quiet(&self) -> bool {
-        if self.config.dense_stepping {
-            return false;
-        }
-        if self
-            .pending
-            .front()
-            .is_some_and(|j| j.arrival_s <= self.t + 1e-9)
-        {
-            return false;
-        }
-        if self
-            .quarantined
-            .values()
-            .any(|q| q.resume_at_s <= self.t + 1e-9)
-        {
-            return false;
-        }
-        if !self.breakers.all_closed() || self.config.shed_after_s <= 0.0 {
-            return false;
-        }
-        if self.admission_dirty {
-            return false;
-        }
-        let all_done = self.pending.is_empty()
-            && self.queued.is_empty()
-            && self.running.is_empty()
-            && self.quarantined.is_empty();
-        if all_done || self.t >= self.config.horizon_s - 1e-9 {
-            return false; // let the dense path retire the run
-        }
-        if self
-            .running
-            .values()
-            .any(|j| self.t + self.config.tick_s + 1e-9 >= j.next_epoch_end_s)
-        {
-            return false;
-        }
-        match &self.governor {
-            None => true,
-            Some(g) => g.slo.degraded_links().is_empty(),
-        }
-    }
-
     /// Advance one tick. Returns `false` once the run is finished (call
     /// [`FleetSim::finish`] to collect the outcome).
     pub fn tick(&mut self) -> bool {
         if self.done {
             return false;
-        }
-        // Quiet skip-ahead: when no orchestrator phase can fire this tick
-        // AND the world cannot move a byte or cross a fault boundary inside
-        // it, collapse the tick to a clock jump. The per-tick retry budget
-        // still replenishes (it is clocked on ticks, not on events).
-        // `quiet_for` runs the same fault/stream sync a dense step would
-        // open with, so a `false` falls through with no state divergence.
-        if self.fleet_quiet()
-            && self
-                .world
-                .world_mut()
-                .quiet_for(SimDuration::from_secs_f64(self.config.tick_s))
-        {
-            self.tick_appends.clear();
-            if let Some(g) = &mut self.governor {
-                g.budget.tick();
-            }
-            self.world
-                .world_mut()
-                .skip(SimDuration::from_secs_f64(self.config.tick_s));
-            self.t += self.config.tick_s;
-            self.tick += 1;
-            self.fast_ticks += 1;
-            return true;
         }
         self.tick_appends.clear();
         // 0. The retry budget replenishes deterministically per tick.

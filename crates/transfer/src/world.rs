@@ -25,7 +25,7 @@ use xferopt_host::{AppId, AppLoad, Host, HostSpec};
 use xferopt_net::dynamic::DynamicSim;
 use xferopt_net::{CongestionControl, FlowId, LinkId, Network, PathId};
 use xferopt_simcore::rng::SeedStream;
-use xferopt_simcore::{EventQueue, FaultKind, FaultPlan, SimDuration, SimTime, Tracer};
+use xferopt_simcore::{FaultKind, FaultPlan, SimDuration, SimTime, Tracer};
 
 /// Identifier of a host within a [`World`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -189,13 +189,6 @@ pub struct World {
     fidelity: Fidelity,
     faults: Option<FaultState>,
     telemetry: Option<WorldTelemetry>,
-    /// Pending startup/backoff deadlines (`ready_at` instants), used by
-    /// [`World::quiet_for`] to prove nothing can wake inside a span without
-    /// scanning every transfer. Lazily pruned: deadlines already reached are
-    /// popped on the next query (entries are never deleted eagerly).
-    wake: EventQueue<u64>,
-    /// Count of transfers not yet done; zero means nothing can move bytes.
-    undone: usize,
 }
 
 impl World {
@@ -212,8 +205,6 @@ impl World {
             fidelity: Fidelity::QuasiStatic,
             faults: None,
             telemetry: None,
-            wake: EventQueue::new(),
-            undone: 0,
         }
     }
 
@@ -362,8 +353,6 @@ impl World {
         let tid = TransferId(self.next_tid);
         self.next_tid += 1;
         let ready_at = self.now + SimDuration::from_secs_f64(startup);
-        self.wake.push(ready_at, tid.0);
-        self.undone += 1;
         self.transfers.insert(
             tid,
             Entry {
@@ -421,7 +410,6 @@ impl World {
         let startup_s = if restart && !e.done {
             let s = host.startup_time_s(e.app);
             e.ready_at = self.now + SimDuration::from_secs_f64(s);
-            self.wake.push(e.ready_at, tid.0);
             self.tracer.emit(
                 self.now,
                 "transfer",
@@ -594,7 +582,6 @@ impl World {
                         let backoff = st.policy.delay_s(e.attempts, &mut st.rng);
                         let startup = self.hosts[e.host.0].startup_time_s(e.app);
                         e.ready_at = now + SimDuration::from_secs_f64(backoff + startup);
-                        self.wake.push(e.ready_at, tid.0);
                         self.tracer.emit(
                             now,
                             "fault",
@@ -703,60 +690,12 @@ impl World {
                     }
                 }
             }
-            self.undone -= done_tids.len();
             for tid in done_tids {
                 self.tracer
                     .emit(self.now, "transfer", format!("t{} complete", tid.0));
             }
             self.now = boundary;
         }
-        self.apply_faults();
-        self.sync_flow_streams();
-    }
-
-    /// True when advancing by `dt` is provably inert: quasi-static fidelity,
-    /// no fault-plan boundary inside the span, no transfer wake-up
-    /// (startup/backoff expiry) inside the span, and no transfer currently
-    /// moving bytes. Under these conditions [`World::step`] would integrate
-    /// exactly zero flow over the whole span, so [`World::skip`] reproduces
-    /// it bit-for-bit without the dense sub-step loop.
-    ///
-    /// Brings fault state and stream counts up to `self.now` first — the
-    /// same prologue a dense step would run, so probing is free of drift.
-    /// Conservative by design: a `false` only costs a dense step.
-    pub fn quiet_for(&mut self, dt: SimDuration) -> bool {
-        assert!(dt.is_positive(), "span must be positive");
-        if matches!(self.fidelity, Fidelity::Dynamic { .. }) {
-            return false;
-        }
-        self.apply_faults();
-        self.sync_flow_streams();
-        let now = self.now;
-        let end = now + dt;
-        if let Some(st) = &self.faults {
-            if st.plan.next_boundary_after(now, end).is_some() {
-                return false;
-            }
-        }
-        // Drop wake deadlines already reached — those transfers are live
-        // (or stalled/done, which the checks below and the fault plan
-        // cover). What remains is the earliest future wake-up.
-        while self.wake.peek_time().is_some_and(|t| t <= now) {
-            self.wake.pop();
-        }
-        if self.wake.peek_time().is_some_and(|t| t < end) {
-            return false;
-        }
-        self.undone == 0 || !self.transfers.values().any(|e| e.active_at(now))
-    }
-
-    /// Collapse an inert span into a single clock jump. Only valid directly
-    /// after [`World::quiet_for`] returned `true` for the same `dt`; the
-    /// trailing fault/stream sync mirrors the dense step's epilogue so the
-    /// post-state is bit-identical to having called [`World::step`].
-    pub fn skip(&mut self, dt: SimDuration) {
-        assert!(dt.is_positive(), "span must be positive");
-        self.now += dt;
         self.apply_faults();
         self.sync_flow_streams();
     }

@@ -469,7 +469,6 @@ fn cmd_fleet_run(args: &Args) -> Result<(), String> {
         warm_start: !args.has_flag("cold"),
         faults,
         topo,
-        dense_stepping: args.has_flag("dense"),
         ..FleetConfig::default()
     };
     let checkpoint_out = args.get("checkpoint-out").map(str::to_string);
@@ -866,7 +865,6 @@ fn usage() -> &'static str {
      \u{20}            --topo mesh|hub-spoke|asymmetric --topo-k K\n\
      \u{20}            --outage-region R[,R...] --campaign NAME --multipath M\n\
      \u{20}            --no-reroute --selfheal   (self-healing control plane)\n\
-     \u{20}            --dense   (disable quiet-tick skip-ahead; byte-identical)\n\
      fleet resume: --checkpoint PATH [--shards N] [--history DIR + fleet-run output flags]\n\
      fleet report: --history DIR\n\
      routes search: --preset mesh|hub-spoke|asymmetric | --dat FILE\n\

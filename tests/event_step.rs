@@ -1,36 +1,19 @@
-//! Event-step equivalence harness (DESIGN.md §18): the quiet-tick
-//! skip-ahead fast path must be a *byte-level* no-op relative to dense
-//! stepping, across every output surface.
-//!
-//! Layers of defence:
-//!
-//! 1. property tests — random workloads × policies × fault tapes × site
-//!    counts: `dense_stepping: true` and `false` must produce identical
-//!    bytes on the report, CSV, decision audit, telemetry, supervision
-//!    events, and metrics snapshot;
-//! 2. a lockstep run on a sparse (mostly-quiet) workload comparing
-//!    `state_digest` and checkpoint bytes *every tick*, and asserting the
-//!    fast path actually fires (`fast_ticks > 0`) so the suite cannot rot
-//!    into vacuity;
-//! 3. kill/resume mid-skip — a checkpoint taken inside a quiet span must
-//!    resume to the same bytes as the uninterrupted dense reference;
-//! 4. the `--shards 4` cross-check: sharded fast vs monolithic dense.
+//! Stepping across idle gaps (DESIGN.md §18): a checkpoint taken while the
+//! fleet is idle between arrivals — no transfer live, the next job still in
+//! the future — must resume to the same bytes as the uninterrupted run, on
+//! every output surface.
 
-use proptest::prelude::*;
 use xferopt::orchestrator::{
-    resume_fleet, run_fleet, run_fleet_sharded, Checkpoint, FleetConfig, FleetOutcome, FleetSim,
-    HistoryStore, JobSpec, Policy, ShardedFleetSim, Workload,
+    resume_fleet, run_fleet, Checkpoint, FleetConfig, FleetOutcome, FleetSim, HistoryStore,
+    JobSpec, Policy, Workload,
 };
-use xferopt::scenarios::FaultProfile;
 
-fn cfg(policy: Policy, seed: u64, faults: Option<FaultProfile>, dense: bool) -> FleetConfig {
+fn cfg(policy: Policy, seed: u64) -> FleetConfig {
     FleetConfig {
         policy,
         seed,
         horizon_s: 3600.0,
-        faults,
         audit: true,
-        dense_stepping: dense,
         ..FleetConfig::default()
     }
 }
@@ -55,8 +38,7 @@ fn assert_identical(a: &FleetOutcome, b: &FleetOutcome, what: &str) {
     );
 }
 
-/// A workload whose arrivals are separated by long idle gaps — most ticks
-/// are quiet, so the skip-ahead path dominates the run.
+/// A workload whose arrivals are separated by long idle gaps.
 fn sparse_workload(jobs: usize, gap_s: f64) -> Workload {
     Workload::new(
         (0..jobs)
@@ -65,155 +47,31 @@ fn sparse_workload(jobs: usize, gap_s: f64) -> Workload {
     )
 }
 
-fn policy_strategy() -> impl Strategy<Value = Policy> {
-    prop_oneof![
-        Just(Policy::Fifo),
-        Just(Policy::Sjf),
-        Just(Policy::WeightedFair),
-    ]
-}
-
-fn fault_strategy() -> impl Strategy<Value = Option<FaultProfile>> {
-    prop_oneof![
-        Just(None),
-        Just(Some(FaultProfile::FlakyLink)),
-        Just(Some(FaultProfile::DegradedWan)),
-        Just(Some(FaultProfile::LossyTacc)),
-    ]
-}
-
-proptest! {
-    /// The headline harness: random workload + policy + fault tape + site
-    /// count; skip-ahead and dense stepping must produce the same bytes on
-    /// every output surface.
-    #[test]
-    fn event_step_is_byte_identical_to_dense(
-        jobs in 4usize..10,
-        seed in 0u64..1000,
-        sites in 1u32..4,
-        policy in policy_strategy(),
-        faults in fault_strategy(),
-    ) {
-        let wl = Workload::synthetic_sites(jobs, seed, sites);
-        let mut h_dense = HistoryStore::in_memory();
-        let dense = run_fleet_sharded(&wl, &cfg(policy, seed, faults, true), &mut h_dense, 1);
-        let mut h_fast = HistoryStore::in_memory();
-        let fast = run_fleet_sharded(&wl, &cfg(policy, seed, faults, false), &mut h_fast, 1);
-        assert_identical(&dense, &fast, "dense vs fast");
-        prop_assert_eq!(
-            h_dense.records().iter().map(|r| r.to_json()).collect::<Vec<_>>(),
-            h_fast.records().iter().map(|r| r.to_json()).collect::<Vec<_>>(),
-            "history record order"
-        );
-    }
-}
-
-/// Lockstep dense-vs-fast on a mostly-quiet workload: state digests and
-/// checkpoint bytes must match at *every* tick, the two runs must end on
-/// the same tick, and the fast path must actually have collapsed ticks.
-#[test]
-fn lockstep_digests_match_every_tick_and_fast_path_fires() {
-    let wl = sparse_workload(4, 400.0);
-    let mut h_dense = HistoryStore::in_memory();
-    let mut h_fast = HistoryStore::in_memory();
-    let cfg_d = cfg(Policy::Fifo, 11, None, true);
-    let cfg_f = cfg(Policy::Fifo, 11, None, false);
-    let mut dense = FleetSim::new(&wl, &cfg_d, &mut h_dense);
-    let mut fast = FleetSim::new(&wl, &cfg_f, &mut h_fast);
-    loop {
-        let a = dense.tick();
-        let b = fast.tick();
-        assert_eq!(
-            a,
-            b,
-            "runs diverged in length at tick {}",
-            dense.tick_index()
-        );
-        assert_eq!(
-            dense.state_digest(),
-            fast.state_digest(),
-            "state digest diverged at tick {}",
-            dense.tick_index()
-        );
-        if !a {
-            break;
-        }
-        if dense.tick_index().is_multiple_of(16) {
-            // Checkpoints (which embed the config) must not leak the
-            // stepping mode: a fast checkpoint is a dense checkpoint.
-            assert_eq!(
-                dense.checkpoint(),
-                fast.checkpoint(),
-                "checkpoint bytes diverged at tick {}",
-                dense.tick_index()
-            );
-        }
-    }
-    assert_eq!(
-        dense.fast_ticks(),
-        0,
-        "dense_stepping must disable the skip"
-    );
-    assert!(
-        fast.fast_ticks() > 0,
-        "sparse workload must exercise the skip-ahead path"
-    );
-    let (d, f) = (dense.finish(), fast.finish());
-    assert_identical(&d, &f, "lockstep finish");
-}
-
-/// The skip-ahead path must also fire (and stay byte-identical) under a
-/// fleet-scoped chaos plan, where fault boundaries interleave quiet spans.
-#[test]
-fn fast_path_fires_under_faults_and_matches_dense() {
-    let wl = sparse_workload(3, 500.0);
-    let mut h_dense = HistoryStore::in_memory();
-    let mut h_fast = HistoryStore::in_memory();
-    let cfg_d = cfg(Policy::Fifo, 5, Some(FaultProfile::FlakyLink), true);
-    let cfg_f = cfg(Policy::Fifo, 5, Some(FaultProfile::FlakyLink), false);
-    let dense = run_fleet(&wl, &cfg_d, &mut h_dense);
-    let mut fast = FleetSim::new(&wl, &cfg_f, &mut h_fast);
-    while fast.tick() {}
-    assert!(fast.fast_ticks() > 0, "quiet spans exist between faults");
-    assert_identical(&dense, &fast.finish(), "faulted dense vs fast");
-}
-
-/// Kill the fast run mid-skip (a checkpoint tick deep inside an idle gap),
-/// resume it, and compare against the uninterrupted dense reference.
+/// Kill the run inside an idle gap between arrivals, resume it, and compare
+/// against the uninterrupted run.
 #[test]
 fn kill_and_resume_mid_skip_is_byte_identical() {
     let wl = sparse_workload(4, 400.0);
     let mut h_full = HistoryStore::in_memory();
-    let full = run_fleet(&wl, &cfg(Policy::Sjf, 9, None, true), &mut h_full);
+    let full = run_fleet(&wl, &cfg(Policy::Sjf, 9), &mut h_full);
 
     // Tick 40 is t = 200 s: job 0 (arrival 0) is long done, job 1 arrives
-    // at 400 s — the checkpoint lands inside a pure skip-ahead span.
+    // at 400 s — the checkpoint lands while no transfer is live.
     let mut h = HistoryStore::in_memory();
     let ck_text = {
-        let mut sim = FleetSim::new(&wl, &cfg(Policy::Sjf, 9, None, false), &mut h);
+        let mut sim = FleetSim::new(&wl, &cfg(Policy::Sjf, 9), &mut h);
         while sim.tick_index() < 40 {
             assert!(sim.tick(), "run ended before the kill point");
         }
-        assert!(sim.fast_ticks() > 0, "kill point must follow skipped ticks");
+        assert_eq!(
+            sim.world().active_transfer_count(),
+            0,
+            "kill point must fall inside an idle gap"
+        );
         sim.checkpoint()
     };
     let ck = Checkpoint::parse(&ck_text).expect("checkpoint parses");
     assert_eq!(ck.tick, 40);
     let resumed = resume_fleet(&ck, &mut h).expect("digest verifies");
-    assert_identical(&full, &resumed, "resume mid-skip");
-}
-
-/// Cross-check with the component-sharded runner: sharded fast execution
-/// must reproduce the monolithic dense reference byte-for-byte (the same
-/// invariant CI asserts through the CLI with `--shards 4`).
-#[test]
-fn sharded_fast_matches_monolithic_dense() {
-    let wl = Workload::synthetic_sites(10, 3, 4);
-    let mut h_dense = HistoryStore::in_memory();
-    let dense = run_fleet_sharded(&wl, &cfg(Policy::Fifo, 3, None, true), &mut h_dense, 1);
-    let mut h_fast = HistoryStore::in_memory();
-    let cfg_f = cfg(Policy::Fifo, 3, None, false);
-    let mut sim = ShardedFleetSim::new(&wl, &cfg_f, &mut h_fast, 4);
-    while sim.run_ticks(64) > 0 {}
-    assert_identical(&dense, &sim.finish(), "shards=4 fast vs shards=1 dense");
+    assert_identical(&full, &resumed, "resume in idle gap");
 }
