@@ -6,12 +6,17 @@
 //! deep for the whole measured window — the regime where the monolith's
 //! per-tick cost is dominated by re-scanning one giant queue. The sharded
 //! run spreads the same `n` jobs over 8 independent sites and ticks the 8
-//! link-sharing components on a worker pool (`--shards 8`): each arrival
+//! link-sharing components on scoped worker threads (`--shards 8`): each arrival
 //! dirties only its own component's admission pass, so per-tick work drops
 //! to roughly `1/sites` of the monolith's even on a single core.
 //!
-//! Both runs are driven tick-by-tick with a warmup prefix excluded from
-//! timing. Writes `BENCH_fleet.json` into the current directory.
+//! The like-for-like thread row runs that same 8-site workload, batched, on
+//! 1 worker and on 2 workers: the only difference is the thread count, so it
+//! isolates what the scoped shard threads buy on this machine (the core
+//! count is recorded beside it).
+//!
+//! Every run has a warmup prefix excluded from timing. Writes
+//! `BENCH_fleet.json` into the current directory.
 //!
 //! Usage: `fleet [--quick]` — `--quick` shrinks sizes and windows for the
 //! CI smoke gate (both modes measure the gated 10k-job point).
@@ -70,6 +75,23 @@ struct Row {
     monolith_tps: f64,
     sharded_tps: f64,
     speedup: f64,
+    /// The 8-site workload, batched, on 1 and on 2 worker threads.
+    workers1_tps: f64,
+    workers2_tps: f64,
+}
+
+/// Best-of-[`REPS`] ticks/s of the 8-site workload, batched, on `shards`
+/// worker threads.
+fn sharded_tps(jobs: usize, shards: usize, warmup: u64, measure: u64) -> f64 {
+    let config = cfg();
+    let mut best = 0f64;
+    for _ in 0..REPS {
+        let workload = Workload::fleet_scale(jobs, 8);
+        let mut history = HistoryStore::in_memory();
+        let mut sim = ShardedFleetSim::new(&workload, &config, &mut history, shards);
+        best = best.max(drive_batched(&mut sim, warmup, measure));
+    }
+    best
 }
 
 /// Best-of-N repetitions, each on a fresh sim: scheduler noise only ever
@@ -89,21 +111,17 @@ fn bench_size(jobs: usize, warmup: u64, measure: u64) -> Row {
     }
 
     // Sharded: same jobs over 8 sites, 8 worker threads, batched ticks (one
-    // pool round trip per 64 ticks — coordination amortized, bytes
+    // set of scoped threads per 64 ticks — start-up amortized, bytes
     // unchanged).
-    let mut sharded_tps = 0f64;
-    for _ in 0..REPS {
-        let workload = Workload::fleet_scale(jobs, 8);
-        let mut history = HistoryStore::in_memory();
-        let mut sim = ShardedFleetSim::new(&workload, &config, &mut history, 8);
-        sharded_tps = sharded_tps.max(drive_batched(&mut sim, warmup, measure));
-    }
+    let sharded = sharded_tps(jobs, 8, warmup, measure);
 
     Row {
         jobs,
         monolith_tps,
-        sharded_tps,
-        speedup: sharded_tps / monolith_tps,
+        sharded_tps: sharded,
+        speedup: sharded / monolith_tps,
+        workers1_tps: sharded_tps(jobs, 1, warmup, measure),
+        workers2_tps: sharded_tps(jobs, 2, warmup, measure),
     }
 }
 
@@ -123,8 +141,9 @@ fn main() {
     for &jobs in sizes {
         let r = bench_size(jobs, warmup, measure);
         eprintln!(
-            "  {} jobs: monolith {:.0} ticks/s, sharded {:.0} ticks/s, speedup {:.2}x",
-            r.jobs, r.monolith_tps, r.sharded_tps, r.speedup
+            "  {} jobs: monolith {:.0} ticks/s, sharded {:.0} ticks/s, speedup {:.2}x; \
+             8 sites on 1/2 workers {:.0}/{:.0} ticks/s",
+            r.jobs, r.monolith_tps, r.sharded_tps, r.speedup, r.workers1_tps, r.workers2_tps
         );
         rows.push(r);
     }
@@ -134,12 +153,14 @@ fn main() {
         .map(|r| r.speedup)
         .expect("10k point always measured");
 
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let mut json = String::new();
     json.push_str("{\n");
     let _ = writeln!(json, "  \"bench\": \"fleet\",");
     let _ = writeln!(json, "  \"mode\": \"{mode}\",");
     let _ = writeln!(json, "  \"sites\": 8,");
     let _ = writeln!(json, "  \"shards\": 8,");
+    let _ = writeln!(json, "  \"cores\": {cores},");
     let _ = writeln!(json, "  \"warmup_ticks\": {warmup},");
     let _ = writeln!(json, "  \"measure_ticks\": {measure},");
     json.push_str("  \"sizes\": [\n");
@@ -147,11 +168,16 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"jobs\": {}, \"monolith_ticks_per_s\": {:.1}, \
-             \"sharded8_ticks_per_s\": {:.1}, \"speedup\": {:.2}}}{}",
+             \"sharded8_ticks_per_s\": {:.1}, \"speedup\": {:.2}, \
+             \"workers1_ticks_per_s\": {:.1}, \"workers2_ticks_per_s\": {:.1}, \
+             \"workers2_speedup\": {:.2}}}{}",
             r.jobs,
             r.monolith_tps,
             r.sharded_tps,
             r.speedup,
+            r.workers1_tps,
+            r.workers2_tps,
+            r.workers2_tps / r.workers1_tps,
             if i + 1 < rows.len() { "," } else { "" }
         );
     }

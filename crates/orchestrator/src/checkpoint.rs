@@ -19,6 +19,9 @@
 //! persistence, and runs to completion. The result is byte-identical to the
 //! uninterrupted run — reports, decision logs, telemetry, and the history
 //! file (enforced by `tests/supervision.rs` and the CI crash/resume gate).
+//! A checkpoint written after the run finished carries `"done":true` in its
+//! header, and the replay then also runs the closing tick, which admits and
+//! requeues before it ends the run.
 //!
 //! Watchdog/breaker thresholds are not serialized: they are compile-time
 //! defaults the CLI cannot override, so the rebuilt [`FleetConfig`] always
@@ -165,6 +168,10 @@ pub struct Checkpoint {
     /// FNV-1a hash of the killed run's state digest at `tick`; replay must
     /// reproduce it exactly or resume refuses to continue.
     pub digest: u64,
+    /// Whether the run had finished when the checkpoint was written. Its
+    /// closing tick still ran arrivals, requeues and admission, so replay
+    /// runs that tick too before checking the digest.
+    pub done: bool,
 }
 
 impl Checkpoint {
@@ -191,11 +198,14 @@ impl Checkpoint {
                 .parse::<f64>()
                 .map_err(|e| format!("bad '{key}' in checkpoint header: {e}"))
         };
-        let flag = |key: &str| -> Result<bool, String> {
-            req(key)?
-                .parse::<bool>()
+        let parse_flag = |key: &str, v: &str| {
+            v.parse::<bool>()
                 .map_err(|e| format!("bad '{key}' in checkpoint header: {e}"))
         };
+        let flag = |key: &str| parse_flag(key, req(key)?);
+        // Optional flags are written only when true.
+        let opt_flag =
+            |key: &str| json_field(header, key).map_or(Ok(false), |v| parse_flag(key, v));
         let policy: Policy = req("policy")?.parse()?;
         let faults: Option<FaultProfile> = match json_field(header, "faults") {
             Some(name) => Some(name.parse()?),
@@ -229,12 +239,7 @@ impl Checkpoint {
                     campaign: json_field(header, "campaign").map(str::to_string),
                     multipath: num("multipath")? as u32,
                     reroute: flag("reroute")?,
-                    selfheal: match json_field(header, "selfheal") {
-                        Some(v) => v
-                            .parse::<bool>()
-                            .map_err(|e| format!("bad 'selfheal' in checkpoint header: {e}"))?,
-                        None => false,
-                    },
+                    selfheal: opt_flag("selfheal")?,
                 })
             }
             None => None,
@@ -260,6 +265,7 @@ impl Checkpoint {
         let njobs = num("jobs")? as usize;
         let history_start_len = num("history_start_len")? as usize;
         let history_appended = num("history_appended")? as usize;
+        let done = opt_flag("done")?;
 
         let mut jobs = Vec::with_capacity(njobs);
         let mut digest: Option<u64> = None;
@@ -312,6 +318,7 @@ impl Checkpoint {
             history_start_len,
             history_appended,
             digest,
+            done,
         })
     }
 }
@@ -384,9 +391,40 @@ pub fn parse_journal(text: &str) -> Result<JournalRead, String> {
     ))
 }
 
-/// Resume a killed fleet run from `ck`: replay ticks `0..ck.tick` with
-/// history persistence off, verify the state digest, then run to completion
-/// with persistence back on. Byte-identical to the uninterrupted run.
+/// Check a replay against the checkpoint it replayed: it must have reached
+/// the checkpoint tick with the same state digest and the same number of
+/// history appends.
+pub(crate) fn verify_replay(
+    ck: &Checkpoint,
+    reached: u64,
+    digest: u64,
+    history_appended: usize,
+) -> Result<(), String> {
+    if reached < ck.tick {
+        return Err(format!(
+            "replay ended at tick {reached} before reaching checkpoint tick {}",
+            ck.tick
+        ));
+    }
+    if digest != ck.digest {
+        return Err(format!(
+            "checkpoint digest mismatch at tick {}: expected {:016x}, replay produced {digest:016x}",
+            ck.tick, ck.digest
+        ));
+    }
+    if history_appended != ck.history_appended {
+        return Err(format!(
+            "checkpoint recorded {} history appends, replay produced {history_appended}",
+            ck.history_appended
+        ));
+    }
+    Ok(())
+}
+
+/// Resume a killed fleet run from `ck`: replay ticks `0..ck.tick` (plus the
+/// closing tick of a finished run) with history persistence off, verify the
+/// state digest, then run to completion with persistence back on.
+/// Byte-identical to the uninterrupted run.
 ///
 /// # Errors
 /// Returns an error when the replay finishes early (checkpoint from a
@@ -399,29 +437,16 @@ pub fn resume_fleet(ck: &Checkpoint, history: &mut HistoryStore) -> Result<Fleet
     history.truncate(ck.history_start_len);
     let mut sim = FleetSim::new(&ck.workload, &ck.config, history);
     sim.set_history_persist(false);
-    while sim.tick_index() < ck.tick {
-        if !sim.tick() {
-            return Err(format!(
-                "replay ended at tick {} before reaching checkpoint tick {}",
-                sim.tick_index(),
-                ck.tick
-            ));
-        }
+    while sim.tick_index() < ck.tick && sim.tick() {}
+    if ck.done {
+        sim.tick();
     }
-    let got = sim.digest_hash();
-    if got != ck.digest {
-        return Err(format!(
-            "checkpoint digest mismatch at tick {}: expected {:016x}, replay produced {:016x}",
-            ck.tick, ck.digest, got
-        ));
-    }
-    if sim.history_appended() != ck.history_appended {
-        return Err(format!(
-            "checkpoint recorded {} history appends, replay produced {}",
-            ck.history_appended,
-            sim.history_appended()
-        ));
-    }
+    verify_replay(
+        ck,
+        sim.tick_index(),
+        sim.digest_hash(),
+        sim.history_appended(),
+    )?;
     sim.set_history_persist(true);
     while sim.tick() {}
     Ok(sim.finish())

@@ -716,8 +716,8 @@ impl<'h> FleetSim<'h> {
         Self::build(workload, config, HistoryHandle::Borrowed(history))
     }
 
-    /// Build a simulation that owns its history store (shard component sims
-    /// are moved onto worker threads, so they cannot borrow).
+    /// Build a simulation that owns its history store (each shard component
+    /// works on its own snapshot of the backing store).
     pub(crate) fn new_owned(
         workload: &Workload,
         config: &FleetConfig,
@@ -1893,6 +1893,7 @@ impl<'h> FleetSim<'h> {
             &self.config,
             self.tick,
             self.t,
+            self.done,
             &self.workload_jobs,
             self.history_start_len,
             self.history_appended,
@@ -2046,11 +2047,15 @@ impl FleetParts {
 
 /// Render a fleet checkpoint (JSONL: header, one line per workload job, one
 /// digest line) — shared by [`FleetSim::checkpoint`] and the sharded runner,
-/// so the wire format cannot drift between the two paths.
+/// so the wire format cannot drift between the two paths. `done` marks a
+/// finished run and is written only when true, so mid-run checkpoints keep
+/// their bytes.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn render_checkpoint(
     config: &FleetConfig,
     tick: u64,
     t: f64,
+    done: bool,
     jobs: &[JobSpec],
     history_start_len: usize,
     history_appended: usize,
@@ -2100,6 +2105,9 @@ pub(crate) fn render_checkpoint(
                     .join(";")
             )),
         }
+    }
+    if done {
+        out.push_str(",\"done\":true");
     }
     out.push_str(&format!(
         ",\"jobs\":{},\"history_start_len\":{},\"history_appended\":{}}}\n",

@@ -294,11 +294,6 @@ impl Workload {
         )
     }
 
-    /// Highest site index any job uses (0 for classic single-site fleets).
-    pub fn max_site(&self) -> u32 {
-        self.jobs.iter().map(|j| j.site).max().unwrap_or(0)
-    }
-
     /// The golden contention scenario: `n` identical compass-search jobs on
     /// the shared UChicago route, arriving 60 s apart, 600 GB each (several
     /// minutes of transfer, so every job lives through many control epochs).

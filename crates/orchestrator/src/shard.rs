@@ -6,8 +6,7 @@
 //! the link-sharing graph (union-find over each job's `(site, link)` keys,
 //! via [`xferopt_net::connected_groups`]); every component becomes its own
 //! [`FleetSim`] with a site-derived world seed, and [`ShardedFleetSim`]
-//! ticks the components — inline for `--shards 1`, on a persistent worker
-//! pool for `--shards N` — then merges their outputs with deterministic
+//! steps the components and merges their outputs with deterministic
 //! ordering keys:
 //!
 //! * outcomes and decision logs sort by job id;
@@ -28,15 +27,16 @@
 //! checkpointed under `--shards 4` can resume under any other shard count
 //! ([`resume_fleet_sharded`]).
 //!
-//! The worker pool is plain `std::thread` + `std::sync::mpsc` in strict
-//! lockstep: the runner broadcasts one command per tick and waits for every
-//! worker's response before advancing, so parallelism never reorders
-//! anything observable.
+//! Execution is one function. A single tick, or a one-worker budget, steps
+//! the components inline in component order. A batch of ticks
+//! ([`ShardedFleetSim::run_ticks`]) splits the components into contiguous
+//! chunks, one per `std::thread::scope` thread, and each thread runs its
+//! chunk through the whole batch. Results are collected in component order,
+//! so parallelism never reorders anything observable.
 
-use std::sync::mpsc;
-use std::thread;
+use std::{panic, thread};
 
-use crate::checkpoint::{fnv1a, Checkpoint};
+use crate::checkpoint::{fnv1a, verify_replay, Checkpoint};
 use crate::fleet::{render_checkpoint, FleetConfig, FleetOutcome, FleetParts, FleetSim};
 use crate::history::{HistoryRecord, HistoryStore};
 use crate::job::{JobId, JobSpec, Workload};
@@ -114,27 +114,11 @@ impl ShardPlan {
 /// global `(tick, job id)` order.
 type TickAppends = Vec<(u64, JobId, HistoryRecord)>;
 
-/// One component's batch result: `(component index, ticks advanced,
-/// tick-tagged history appends)`.
-type BatchOut = (usize, u64, TickAppends);
-
-enum Cmd {
-    Run(u64),
-    Digest,
-    Finish,
-}
-
-enum Rsp {
-    Run(Vec<BatchOut>),
-    Digest(Vec<(usize, String)>),
-    Finish(Vec<(usize, FleetParts)>),
-}
-
 /// Tick one component up to `max` times (stopping early when it finishes).
 /// Returns the ticks advanced and every history append tagged with the tick
 /// it happened on, so the runner can flush the global per-tick job-id order
 /// regardless of batch size.
-fn run_comp(idx: usize, sim: &mut FleetSim<'static>, max: u64) -> BatchOut {
+fn run_comp(sim: &mut FleetSim<'static>, max: u64) -> (u64, TickAppends) {
     let mut appends = Vec::new();
     let mut advanced = 0;
     while advanced < max {
@@ -146,158 +130,42 @@ fn run_comp(idx: usize, sim: &mut FleetSim<'static>, max: u64) -> BatchOut {
             appends.push((advanced, id, rec));
         }
     }
-    (idx, advanced, appends)
+    (advanced, appends)
 }
 
-/// Persistent worker threads, each owning a slice of the component sims.
-/// Commands broadcast in lockstep; responses are re-sorted by component
-/// index so thread scheduling never reorders anything.
-struct WorkerPool {
-    cmd_txs: Vec<mpsc::Sender<Cmd>>,
-    rsp_rx: mpsc::Receiver<Rsp>,
-    handles: Vec<thread::JoinHandle<()>>,
+/// Run every component up to `max` ticks and return the results in
+/// component order. A single worker or a single tick steps inline; a batch
+/// fans out over `workers` scoped threads, each owning a contiguous chunk of
+/// components for the whole batch. A panicking worker re-raises its own
+/// payload on the caller's thread.
+fn run_all(sims: &mut [FleetSim<'static>], workers: usize, max: u64) -> Vec<(u64, TickAppends)> {
+    if workers <= 1 || max == 1 {
+        return sims.iter_mut().map(|s| run_comp(s, max)).collect();
+    }
+    let chunk = sims.len().div_ceil(workers);
+    thread::scope(|scope| {
+        let handles: Vec<_> = sims
+            .chunks_mut(chunk)
+            .map(|c| {
+                scope.spawn(move || c.iter_mut().map(|s| run_comp(s, max)).collect::<Vec<_>>())
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| panic::resume_unwind(p)))
+            .collect()
+    })
 }
 
-fn worker_loop(
-    mut sims: Vec<(usize, FleetSim<'static>)>,
-    cmd_rx: &mpsc::Receiver<Cmd>,
-    rsp_tx: &mpsc::Sender<Rsp>,
-) {
-    while let Ok(cmd) = cmd_rx.recv() {
-        let rsp = match cmd {
-            Cmd::Run(max) => Rsp::Run(sims.iter_mut().map(|(i, s)| run_comp(*i, s, max)).collect()),
-            Cmd::Digest => Rsp::Digest(sims.iter().map(|(i, s)| (*i, s.state_digest())).collect()),
-            Cmd::Finish => {
-                let parts = sims.drain(..).map(|(i, s)| (i, s.finish_parts())).collect();
-                let _ = rsp_tx.send(Rsp::Finish(parts));
-                return;
-            }
-        };
-        if rsp_tx.send(rsp).is_err() {
-            return;
-        }
-    }
-}
-
-impl WorkerPool {
-    fn new(sims: Vec<FleetSim<'static>>, shards: usize) -> WorkerPool {
-        let n = shards.min(sims.len()).max(1);
-        let mut buckets: Vec<Vec<(usize, FleetSim<'static>)>> =
-            (0..n).map(|_| Vec::new()).collect();
-        for (i, sim) in sims.into_iter().enumerate() {
-            buckets[i % n].push((i, sim));
-        }
-        let (rsp_tx, rsp_rx) = mpsc::channel();
-        let mut cmd_txs = Vec::with_capacity(n);
-        let mut handles = Vec::with_capacity(n);
-        for bucket in buckets {
-            let (cmd_tx, cmd_rx) = mpsc::channel();
-            let tx = rsp_tx.clone();
-            handles.push(thread::spawn(move || worker_loop(bucket, &cmd_rx, &tx)));
-            cmd_txs.push(cmd_tx);
-        }
-        WorkerPool {
-            cmd_txs,
-            rsp_rx,
-            handles,
-        }
-    }
-
-    fn broadcast(&self, cmd: impl Fn() -> Cmd) {
-        for tx in &self.cmd_txs {
-            tx.send(cmd()).expect("shard worker alive");
-        }
-    }
-
-    fn run_all(&mut self, max: u64) -> Vec<(u64, TickAppends)> {
-        self.broadcast(|| Cmd::Run(max));
-        let mut out: Vec<BatchOut> = Vec::new();
-        for _ in 0..self.cmd_txs.len() {
-            match self.rsp_rx.recv().expect("shard worker alive") {
-                Rsp::Run(v) => out.extend(v),
-                _ => unreachable!("lockstep protocol: run response expected"),
-            }
-        }
-        out.sort_by_key(|(i, _, _)| *i);
-        out.into_iter().map(|(_, a, ap)| (a, ap)).collect()
-    }
-
-    fn digests(&mut self) -> Vec<String> {
-        self.broadcast(|| Cmd::Digest);
-        let mut out: Vec<(usize, String)> = Vec::new();
-        for _ in 0..self.cmd_txs.len() {
-            match self.rsp_rx.recv().expect("shard worker alive") {
-                Rsp::Digest(v) => out.extend(v),
-                _ => unreachable!("lockstep protocol: digest response expected"),
-            }
-        }
-        out.sort_by_key(|(i, _)| *i);
-        out.into_iter().map(|(_, d)| d).collect()
-    }
-
-    fn finish_all(mut self) -> Vec<FleetParts> {
-        self.broadcast(|| Cmd::Finish);
-        let mut out: Vec<(usize, FleetParts)> = Vec::new();
-        for _ in 0..self.cmd_txs.len() {
-            match self.rsp_rx.recv().expect("shard worker alive") {
-                Rsp::Finish(v) => out.extend(v),
-                _ => unreachable!("lockstep protocol: finish response expected"),
-            }
-        }
-        for h in self.handles.drain(..) {
-            h.join().expect("shard worker exits cleanly");
-        }
-        out.sort_by_key(|(i, _)| *i);
-        out.into_iter().map(|(_, p)| p).collect()
-    }
-}
-
-/// How the component sims execute: inline on the caller's thread (the
-/// retained reference path, `--shards 1`) or on the worker pool. Both paths
-/// run the identical per-component code and the identical merge.
-enum Exec {
-    Inline(Vec<FleetSim<'static>>),
-    Pool(WorkerPool),
-}
-
-impl Exec {
-    fn run_all(&mut self, max: u64) -> Vec<(u64, TickAppends)> {
-        match self {
-            Exec::Inline(sims) => sims
-                .iter_mut()
-                .enumerate()
-                .map(|(i, s)| {
-                    let (_, a, ap) = run_comp(i, s, max);
-                    (a, ap)
-                })
-                .collect(),
-            Exec::Pool(pool) => pool.run_all(max),
-        }
-    }
-
-    fn digests(&mut self) -> Vec<String> {
-        match self {
-            Exec::Inline(sims) => sims.iter().map(FleetSim::state_digest).collect(),
-            Exec::Pool(pool) => pool.digests(),
-        }
-    }
-
-    fn finish_all(self) -> Vec<FleetParts> {
-        match self {
-            Exec::Inline(sims) => sims.into_iter().map(FleetSim::finish_parts).collect(),
-            Exec::Pool(pool) => pool.finish_all(),
-        }
-    }
-}
-
-/// A fleet run sharded by link-sharing component, stepped one global tick at
-/// a time (the CLI's checkpoint loop drives this exactly like a plain
-/// [`FleetSim`]). See the module docs for the determinism argument.
+/// A fleet run sharded by link-sharing component. It steps one global tick
+/// at a time or in batches ([`ShardedFleetSim::run_ticks`]); see the module
+/// docs for the determinism argument.
 pub struct ShardedFleetSim<'h> {
     config: FleetConfig,
     workload_jobs: Vec<JobSpec>,
     history: &'h mut HistoryStore,
-    exec: Exec,
+    sims: Vec<FleetSim<'static>>,
+    workers: usize,
     tick: u64,
     t: f64,
     done: bool,
@@ -307,9 +175,10 @@ pub struct ShardedFleetSim<'h> {
 
 impl<'h> ShardedFleetSim<'h> {
     /// Build the sharded simulation at tick 0. `shards` is the worker-thread
-    /// budget: `<= 1` runs every component inline (the reference path);
-    /// `>= 2` spreads components round-robin over `min(shards, components)`
-    /// persistent workers. The byte output is the same either way.
+    /// budget for batched runs: a batch of ticks runs on
+    /// `min(shards, components)` scoped threads, while single ticks and
+    /// `shards <= 1` step every component inline. The byte output is the
+    /// same either way.
     ///
     /// # Panics
     /// Panics when the config fails [`FleetConfig::validate`].
@@ -333,16 +202,12 @@ impl<'h> ShardedFleetSim<'h> {
             .iter()
             .map(|w| FleetSim::new_owned(w, config, history.shard_snapshot()))
             .collect();
-        let exec = if shards >= 2 && sims.len() >= 2 {
-            Exec::Pool(WorkerPool::new(sims, shards))
-        } else {
-            Exec::Inline(sims)
-        };
         ShardedFleetSim {
             config: config.clone(),
             workload_jobs: workload.jobs().to_vec(),
             history,
-            exec,
+            workers: shards.min(sims.len()),
+            sims,
             tick: 0,
             t: 0.0,
             done: false,
@@ -350,7 +215,6 @@ impl<'h> ShardedFleetSim<'h> {
             history_appended: 0,
         }
     }
-
     /// Global ticks completed so far.
     #[must_use]
     pub fn tick_index(&self) -> u64 {
@@ -381,26 +245,25 @@ impl<'h> ShardedFleetSim<'h> {
         self.history.set_persist(persist);
     }
 
-    /// Advance every live component one tick, then flush their history
-    /// appends to the backing store in job-id order (the byte-stability fix
-    /// for concurrent shards). Returns `false` once all components are done;
+    /// Advance every live component one tick on the caller's thread, then
+    /// flush their history appends to the backing store in job-id order. Returns `false` once all components are done;
     /// the final call advances nothing, exactly like [`FleetSim::tick`].
     pub fn tick(&mut self) -> bool {
         self.run_ticks(1) == 1
     }
 
-    /// Advance up to `max` global ticks in one worker-pool round trip and
-    /// return the ticks actually advanced (0 once done). Components are
-    /// independent, so each runs its slice of the batch without
-    /// synchronizing; the runner then flushes history appends in
+    /// Advance up to `max` global ticks and return the ticks actually
+    /// advanced (0 once done). Components are independent, so each runs the
+    /// whole batch without synchronizing (on its worker thread when
+    /// `max > 1`); the runner then flushes history appends in
     /// `(tick, job id)` order — byte-identical to ticking one at a time.
-    /// Batching only amortizes coordination; digests and checkpoints are
+    /// Batching only amortizes thread start-up; digests and checkpoints are
     /// taken at batch boundaries.
     pub fn run_ticks(&mut self, max: u64) -> u64 {
         if self.done || max == 0 {
             return 0;
         }
-        let results = self.exec.run_all(max);
+        let results = run_all(&mut self.sims, self.workers, max);
         let advanced = results.iter().map(|(a, _)| *a).max().unwrap_or(0);
         if advanced == 0 {
             self.done = true;
@@ -429,35 +292,39 @@ impl<'h> ShardedFleetSim<'h> {
     /// Deterministic digest of the live state: the per-component digests
     /// joined with `\n` in component order (for one component this is the
     /// plain [`FleetSim::state_digest`] verbatim).
-    pub fn state_digest(&mut self) -> String {
-        self.exec.digests().join("\n")
+    pub fn state_digest(&self) -> String {
+        self.sims
+            .iter()
+            .map(FleetSim::state_digest)
+            .collect::<Vec<_>>()
+            .join("\n")
     }
 
     /// FNV-1a hash of [`ShardedFleetSim::state_digest`]. Shard-count
     /// independent, so a checkpoint resumes under any `--shards`.
-    pub fn digest_hash(&mut self) -> u64 {
+    pub fn digest_hash(&self) -> u64 {
         fnv1a(&self.state_digest())
     }
 
     /// Serialize a checkpoint at the current global tick — same wire format
     /// as [`FleetSim::checkpoint`] (the full workload is recorded; resume
     /// recomputes the shard plan from it).
-    pub fn checkpoint(&mut self) -> String {
-        let digest = self.digest_hash();
+    pub fn checkpoint(&self) -> String {
         render_checkpoint(
             &self.config,
             self.tick,
             self.t,
+            self.done,
             &self.workload_jobs,
             self.history_start_len,
             self.history_appended,
-            digest,
+            self.digest_hash(),
         )
     }
 
     /// Close out all components and merge their parts into one outcome.
     pub fn finish(self) -> FleetOutcome {
-        let parts = self.exec.finish_all();
+        let parts = self.sims.into_iter().map(FleetSim::finish_parts).collect();
         merge_parts(self.workload_jobs.len(), self.history_appended, parts).into_outcome()
     }
 }
@@ -503,9 +370,12 @@ fn merge_parts(submitted: usize, history_appended: usize, parts: Vec<FleetParts>
     merged
 }
 
-/// Run `workload` sharded by link-sharing component on up to `shards` worker
-/// threads. Byte-identical output for every `shards` value; `shards <= 1`
-/// is the retained single-threaded reference path.
+/// Ticks per [`ShardedFleetSim::run_ticks`] batch when nothing needs the
+/// run to stop in between.
+const BATCH: u64 = 1024;
+
+/// Run `workload` sharded by link-sharing component, in batches on up to
+/// `shards` worker threads. Byte-identical output for every `shards` value.
 pub fn run_fleet_sharded(
     workload: &Workload,
     config: &FleetConfig,
@@ -513,13 +383,14 @@ pub fn run_fleet_sharded(
     shards: usize,
 ) -> FleetOutcome {
     let mut sim = ShardedFleetSim::new(workload, config, history, shards);
-    while sim.tick() {}
+    while sim.run_ticks(BATCH) > 0 {}
     sim.finish()
 }
 
 /// Resume a killed sharded run from `ck` — the sharded mirror of
 /// [`crate::resume_fleet`], and because the checkpoint format and digest are
-/// shard-count independent, `shards` may differ from the killed run's.
+/// shard-count independent, `shards` may differ from the killed run's. The
+/// replay to `ck.tick` is one batch, then the run continues in batches.
 ///
 /// # Errors
 /// Returns an error when the replay finishes early or the digest or append
@@ -532,31 +403,18 @@ pub fn resume_fleet_sharded(
     history.truncate(ck.history_start_len);
     let mut sim = ShardedFleetSim::new(&ck.workload, &ck.config, history, shards);
     sim.set_history_persist(false);
-    while sim.tick_index() < ck.tick {
-        if !sim.tick() {
-            return Err(format!(
-                "replay ended at tick {} before reaching checkpoint tick {}",
-                sim.tick_index(),
-                ck.tick
-            ));
-        }
+    sim.run_ticks(ck.tick);
+    if ck.done {
+        sim.run_ticks(1);
     }
-    let got = sim.digest_hash();
-    if got != ck.digest {
-        return Err(format!(
-            "checkpoint digest mismatch at tick {}: expected {:016x}, replay produced {:016x}",
-            ck.tick, ck.digest, got
-        ));
-    }
-    if sim.history_appended() != ck.history_appended {
-        return Err(format!(
-            "checkpoint recorded {} history appends, replay produced {}",
-            ck.history_appended,
-            sim.history_appended()
-        ));
-    }
+    verify_replay(
+        ck,
+        sim.tick_index(),
+        sim.digest_hash(),
+        sim.history_appended(),
+    )?;
     sim.set_history_persist(true);
-    while sim.tick() {}
+    while sim.run_ticks(BATCH) > 0 {}
     Ok(sim.finish())
 }
 

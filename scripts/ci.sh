@@ -117,6 +117,40 @@ diff "$FLEET_TMP/full.txt" "$FLEET_TMP/resumed.txt" \
 diff "$FLEET_TMP/hist-crash/history.jsonl" "$FLEET_TMP/hist-full/history.jsonl" \
   || { echo "resume diverged in the history file"; exit 1; }
 
+echo "==> multi-site crash/resume gate (kill under --shards 2, resume under --shards 1)"
+./target/release/xferopt fleet run --jobs 12 --seed 7 --sites 3 --shards 2 \
+  --horizon 7200 --history "$FLEET_TMP/hist-ms-crash" \
+  --checkpoint-out "$FLEET_TMP/ck-ms.jsonl" --checkpoint-every 20 \
+  --stop-at-tick 70
+./target/release/xferopt fleet resume --checkpoint "$FLEET_TMP/ck-ms.jsonl" \
+  --shards 1 --history "$FLEET_TMP/hist-ms-crash" \
+  --report-out "$FLEET_TMP/ms-resumed.txt"
+./target/release/xferopt fleet run --jobs 12 --seed 7 --sites 3 \
+  --horizon 7200 --history "$FLEET_TMP/hist-ms-full" \
+  --report-out "$FLEET_TMP/ms-full.txt"
+diff "$FLEET_TMP/ms-full.txt" "$FLEET_TMP/ms-resumed.txt" \
+  || { echo "multi-site resume diverged from the uninterrupted run"; exit 1; }
+diff "$FLEET_TMP/hist-ms-crash/history.jsonl" "$FLEET_TMP/hist-ms-full/history.jsonl" \
+  || { echo "multi-site resume diverged in the history file"; exit 1; }
+
+echo "==> end-of-run checkpoint gate (a checkpoint of a finished run resumes)"
+./target/release/xferopt fleet run --jobs 40 --seed 7 --horizon 300 \
+  --checkpoint-out "$FLEET_TMP/ck-end.jsonl" --stop-at-tick 100000
+./target/release/xferopt fleet resume --checkpoint "$FLEET_TMP/ck-end.jsonl" \
+  --report-out "$FLEET_TMP/end-resumed.txt"
+./target/release/xferopt fleet run --jobs 40 --seed 7 --horizon 300 \
+  --report-out "$FLEET_TMP/end-full.txt"
+diff "$FLEET_TMP/end-full.txt" "$FLEET_TMP/end-resumed.txt" \
+  || { echo "end-of-run checkpoint resume diverged"; exit 1; }
+./target/release/xferopt fleet run --topo mesh --jobs 2 --campaign rolling-outage \
+  --selfheal --checkpoint-out "$FLEET_TMP/ck-end-mesh.jsonl" --stop-at-tick 100
+./target/release/xferopt fleet resume --checkpoint "$FLEET_TMP/ck-end-mesh.jsonl" \
+  --shards 2 --report-out "$FLEET_TMP/end-mesh-resumed.txt"
+./target/release/xferopt fleet run --topo mesh --jobs 2 --campaign rolling-outage \
+  --selfheal --report-out "$FLEET_TMP/end-mesh-full.txt"
+diff "$FLEET_TMP/end-mesh-full.txt" "$FLEET_TMP/end-mesh-resumed.txt" \
+  || { echo "end-of-run planet checkpoint resume diverged"; exit 1; }
+
 echo "==> tournament smoke (quick matrix, golden leaderboard diff)"
 cargo test -q --test tournament
 # Quick-mode matrix (capped epochs for the CI budget) must reproduce the

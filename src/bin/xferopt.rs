@@ -354,7 +354,9 @@ fn append_checkpoint(path: &str, block: &str, first: &mut bool) -> Result<(), St
 /// `xferopt fleet run`: drive a multi-job fleet through the orchestrator,
 /// optionally under a chaos profile and/or writing periodic checkpoints.
 fn cmd_fleet_run(args: &Args) -> Result<(), String> {
-    use xferopt::orchestrator::{topo_workload, FleetConfig, FleetSim, TopoFleetConfig, Workload};
+    use xferopt::orchestrator::{
+        topo_workload, FleetConfig, ShardedFleetSim, TopoFleetConfig, Workload,
+    };
     use xferopt::topo::{search_routes, Planet, RouteCatalog, SearchConfig};
 
     let jobs = args.get_parsed("jobs", 10usize)?;
@@ -486,49 +488,25 @@ fn cmd_fleet_run(args: &Args) -> Result<(), String> {
 
     let mut history = open_history(args)?;
     let mut first_ckpt = true;
-    if shards > 1 || sites > 1 {
-        // Sharded path: same stepwise checkpoint loop over the component
-        // runner (byte-identical output for every --shards value).
-        let mut sim =
-            xferopt::orchestrator::ShardedFleetSim::new(&workload, &config, &mut history, shards);
-        if checkpoint_every == 0 && stop_at_tick.is_none() {
-            // No per-tick obligations: batch ticks through the worker pool
-            // (one round trip per batch, byte-identical output).
-            while sim.run_ticks(1024) > 0 {}
-        } else {
-            while sim.tick() {
-                let k = sim.tick_index();
-                if let Some(stop) = stop_at_tick {
-                    if k >= stop {
-                        break;
-                    }
-                }
-                if checkpoint_every > 0 && k.is_multiple_of(checkpoint_every) {
-                    let path = checkpoint_out.as_deref().expect("checked above");
-                    append_checkpoint(path, &sim.checkpoint(), &mut first_ckpt)?;
-                    eprintln!("fleet: checkpoint at tick {k} -> {path}");
-                }
-            }
-        }
-        if let Some(stop) = stop_at_tick {
-            let path = checkpoint_out.as_deref().expect("checked above");
-            append_checkpoint(path, &sim.checkpoint(), &mut first_ckpt)?;
-            eprintln!(
-                "fleet: stopped at tick {} (requested {stop}); checkpoint -> {path}",
-                sim.tick_index()
-            );
-            return Ok(());
-        }
-        let out = sim.finish();
-        return write_fleet_outputs(args, &out, &history);
-    }
-    let mut sim = FleetSim::new(&workload, &config, &mut history);
-    while sim.tick() {
+    // One stepping path for every fleet: batches end at the next checkpoint
+    // or stop tick, and the output is byte-identical for every --shards
+    // value and batch size.
+    let mut sim = ShardedFleetSim::new(&workload, &config, &mut history, shards);
+    loop {
         let k = sim.tick_index();
+        let mut batch = 1024;
+        if checkpoint_every > 0 {
+            batch = batch.min(checkpoint_every - k % checkpoint_every);
+        }
         if let Some(stop) = stop_at_tick {
-            if k >= stop {
-                break;
-            }
+            batch = batch.min(stop.saturating_sub(k).max(1));
+        }
+        if sim.run_ticks(batch) < batch {
+            break;
+        }
+        let k = sim.tick_index();
+        if stop_at_tick.is_some_and(|stop| k >= stop) {
+            break;
         }
         if checkpoint_every > 0 && k.is_multiple_of(checkpoint_every) {
             let path = checkpoint_out.as_deref().expect("checked above");
@@ -555,7 +533,7 @@ fn cmd_fleet_run(args: &Args) -> Result<(), String> {
 /// replayed portion re-derives the killed run's state (verified by digest),
 /// so the final report is byte-identical to an uninterrupted run.
 fn cmd_fleet_resume(args: &Args) -> Result<(), String> {
-    use xferopt::orchestrator::{parse_journal, resume_fleet, resume_fleet_sharded};
+    use xferopt::orchestrator::{parse_journal, resume_fleet_sharded};
 
     let path = args
         .get("checkpoint")
@@ -582,14 +560,9 @@ fn cmd_fleet_resume(args: &Args) -> Result<(), String> {
         ck.workload.len()
     );
     let mut history = open_history(args)?;
-    // Multi-site checkpoints must resume through the sharded runner (a plain
-    // FleetSim simulates one site); the shard count is free to differ from
-    // the killed run's because the checkpoint format is shard-independent.
-    let out = if shards > 1 || ck.workload.max_site() > 0 {
-        resume_fleet_sharded(&ck, &mut history, shards)?
-    } else {
-        resume_fleet(&ck, &mut history)?
-    };
+    // The shard count is free to differ from the killed run's because the
+    // checkpoint format is shard-independent.
+    let out = resume_fleet_sharded(&ck, &mut history, shards)?;
     write_fleet_outputs(args, &out, &history)
 }
 
@@ -855,7 +828,9 @@ fn usage() -> &'static str {
      telemetry summarize: --in PATH\n\
      fleet run:    --jobs N --policy fifo|sjf|wfair --seed N\n\
      \u{20}            --workload synthetic|contended --horizon S --epoch S --tick S\n\
-     \u{20}            --sites K --shards N   (component-sharded parallel run)\n\
+     \u{20}            --sites K   (independent sites, one shard component each)\n\
+     \u{20}            --shards N  (worker threads for batched runs; output is identical\n\
+     \u{20}                         for every value)\n\
      \u{20}            --budget STREAMS --history DIR --cold --csv\n\
      \u{20}            --faults flaky-link|degraded-wan|lossy-tacc\n\
      \u{20}            --report-out PATH --decisions-out PATH --telemetry-out PATH\n\

@@ -15,14 +15,19 @@
 //! 3. kill-and-resume across shard counts — checkpoint under `--shards 4`,
 //!    resume under a different count, byte-identical final outputs;
 //! 4. the on-disk history file must be byte-stable across shard counts
-//!    (appends buffered per tick and flushed in job-id order).
+//!    (appends buffered per tick and flushed in job-id order);
+//! 5. planet fleets (which `xferopt fleet run --topo` steps through the
+//!    sharded runner) match the plain path on every preset, and a
+//!    checkpoint written after the run finished resumes on every path.
 
 use proptest::prelude::*;
 use xferopt::orchestrator::{
-    resume_fleet_sharded, run_fleet, run_fleet_sharded, Checkpoint, FleetConfig, FleetOutcome,
-    HistoryStore, Policy, ShardedFleetSim, Workload,
+    resume_fleet, resume_fleet_sharded, run_fleet, run_fleet_sharded, topo_workload, Checkpoint,
+    FleetConfig, FleetOutcome, FleetSim, HistoryStore, Policy, ShardedFleetSim, TopoFleetConfig,
+    Workload,
 };
 use xferopt::scenarios::FaultProfile;
+use xferopt::topo::{search_routes, RouteCatalog, SearchConfig};
 
 fn cfg(policy: Policy, seed: u64, faults: Option<FaultProfile>) -> FleetConfig {
     FleetConfig {
@@ -202,4 +207,89 @@ fn on_disk_history_file_is_byte_stable_across_shard_counts() {
     }
     assert_eq!(files[0], files[1], "on-disk history bytes diverged");
     std::fs::remove_dir_all(&base).ok();
+}
+
+/// A planet fleet under the rolling-outage campaign with self-healing on,
+/// built the way `xferopt fleet run --topo PRESET --campaign rolling-outage
+/// --selfheal` builds it.
+fn planet_fleet(preset: &str, jobs: usize) -> (Workload, FleetConfig) {
+    let mut tc = TopoFleetConfig::preset(preset);
+    tc.campaign = Some("rolling-outage".to_string());
+    tc.selfheal = true;
+    let planet = tc.planet();
+    let search = SearchConfig {
+        k: tc.k,
+        ..SearchConfig::default()
+    };
+    let placement = search_routes(&planet, &search).expect("preset planets search cleanly");
+    let catalog = RouteCatalog::enumerate(&planet, tc.k).expect("preset planets enumerate");
+    let config = FleetConfig {
+        seed: 7,
+        topo: Some(tc),
+        ..FleetConfig::default()
+    };
+    (topo_workload(&placement, &catalog, jobs), config)
+}
+
+/// Planet fleets take the sharded path from the CLI, so the sharded
+/// runner on two workers must reproduce the plain `run_fleet` bytes on
+/// every preset. Every preset's routes share links, so each planet fleet is
+/// one component and this pins the single-component passthrough.
+#[test]
+fn planet_fleets_sharded_match_plain_run_fleet() {
+    for preset in ["mesh", "hub-spoke", "asymmetric"] {
+        let (wl, config) = planet_fleet(preset, 5);
+        let plain = run_fleet(&wl, &config, &mut HistoryStore::in_memory());
+        let sharded = run_fleet_sharded(&wl, &config, &mut HistoryStore::in_memory(), 2);
+        assert_identical(&plain, &sharded, &format!("{preset}: plain vs shards=2"));
+    }
+}
+
+/// Regression: a checkpoint written after the run finished (a
+/// `--stop-at-tick` beyond the end) must resume. The closing tick still
+/// admits, requeues and re-routes before it ends the run, so the replay has
+/// to run it too or the digest cannot match.
+#[test]
+fn checkpoint_after_the_run_finished_resumes_on_every_path() {
+    let classic = (
+        Workload::synthetic(40, 7),
+        FleetConfig {
+            seed: 7,
+            horizon_s: 300.0,
+            ..FleetConfig::default()
+        },
+    );
+    for (what, (wl, config)) in [("classic", classic), ("mesh", planet_fleet("mesh", 2))] {
+        let full = run_fleet(&wl, &config, &mut HistoryStore::in_memory());
+        let mut h = HistoryStore::in_memory();
+        let plain_ck = {
+            let mut sim = FleetSim::new(&wl, &config, &mut h);
+            while sim.tick() {}
+            sim.checkpoint()
+        };
+        for writer_shards in [1usize, 2] {
+            let mut h = HistoryStore::in_memory();
+            let mut sim = ShardedFleetSim::new(&wl, &config, &mut h, writer_shards);
+            while sim.run_ticks(1024) > 0 {}
+            let text = sim.checkpoint();
+            assert_eq!(
+                plain_ck, text,
+                "{what}: checkpoint bytes, shards={writer_shards}"
+            );
+        }
+        assert!(
+            plain_ck.contains("\"done\":true"),
+            "{what}: finished run not marked"
+        );
+        let ck = Checkpoint::parse(&plain_ck).expect("checkpoint parses");
+        assert!(ck.done);
+        let resumed = resume_fleet(&ck, &mut HistoryStore::in_memory())
+            .unwrap_or_else(|e| panic!("{what}: plain resume: {e}"));
+        assert_identical(&full, &resumed, &format!("{what}: plain resume"));
+        for shards in [1usize, 2] {
+            let resumed = resume_fleet_sharded(&ck, &mut HistoryStore::in_memory(), shards)
+                .unwrap_or_else(|e| panic!("{what}: sharded resume: {e}"));
+            assert_identical(&full, &resumed, &format!("{what}: resume shards={shards}"));
+        }
+    }
 }
