@@ -251,6 +251,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignOutcome, String> {
                 topo: Some(tc),
                 ..FleetConfig::default()
             };
+            fleet_cfg.validate()?;
             let out = run_fleet_sharded(
                 &workload,
                 &fleet_cfg,

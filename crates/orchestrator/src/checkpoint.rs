@@ -260,6 +260,9 @@ impl Checkpoint {
             topo,
             ..FleetConfig::default()
         };
+        config
+            .validate()
+            .map_err(|e| format!("invalid config in checkpoint header: {e}"))?;
         let tick = num("tick")? as u64;
         let t_s = num("t_s")?;
         let njobs = num("jobs")? as usize;
@@ -630,5 +633,29 @@ mod tests {
         assert!(Checkpoint::parse(missing_digest)
             .unwrap_err()
             .contains("fleet-digest"));
+        // A pre-journal checkpoint (no content hash) whose config no fleet
+        // can run is refused at parse time, not by a panic in the replay.
+        let digest = "\n{\"kind\":\"fleet-digest\",\"fnv\":\"0000000000000000\"}";
+        for (from, to, want) in [
+            ("\"tick_s\":5", "\"tick_s\":0", "tick must be positive"),
+            ("\"budget\":512", "\"budget\":0", "budget must admit"),
+            (
+                "\"shed_after_s\":300",
+                "\"shed_after_s\":300,\"topo\":\"atlantis\",\"topo_k\":3,\"multipath\":1,\"reroute\":true",
+                "unknown preset",
+            ),
+            (
+                "\"shed_after_s\":300",
+                "\"shed_after_s\":300,\"topo\":\"mesh\",\"topo_k\":3,\"multipath\":1,\"reroute\":true,\"outage_region\":99",
+                "out of range",
+            ),
+        ] {
+            let text = missing_digest.replace(from, to) + digest;
+            let err = Checkpoint::parse(&text).unwrap_err();
+            assert!(
+                err.contains("invalid config") && err.contains(want),
+                "{err}"
+            );
+        }
     }
 }

@@ -54,7 +54,7 @@ use xferopt_simcore::metrics::{json_f64, MetricsRegistry};
 use xferopt_simcore::SimDuration;
 use xferopt_topo::{
     campaign_plan, outage_plan_multi, refine_placement, search_routes, PlacementTable, Planet,
-    PlanetWorld, RouteCatalog, SearchConfig,
+    PlanetWorld, RouteCatalog, SearchConfig, CAMPAIGNS,
 };
 use xferopt_transfer::{EpochReport, EpochStart, StreamParams, TransferId, World};
 use xferopt_tuners::{Domain, OnlineTuner, Point, WarmStart};
@@ -178,21 +178,64 @@ impl Default for FleetConfig {
 }
 
 impl FleetConfig {
-    /// Validate tick/epoch/horizon alignment.
+    /// Check that a fleet can run under this config: positive tick, epoch
+    /// and horizon with the tick dividing the epoch, a link budget of at
+    /// least one stream, and a planet topology that builds (known preset
+    /// and campaign, `k >= 1`, outage regions on the planet, no classic
+    /// fault profile, and no campaign mixed with outage regions).
     ///
-    /// # Panics
-    /// Panics when `tick_s` is non-positive or does not divide `epoch_s`.
-    pub fn validate(&self) {
-        assert!(self.tick_s > 0.0, "tick must be positive");
-        assert!(self.epoch_s > 0.0, "epoch must be positive");
-        assert!(self.horizon_s > 0.0, "horizon must be positive");
+    /// # Errors
+    /// Describes the first invalid value.
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, v) in [
+            ("tick", self.tick_s),
+            ("epoch", self.epoch_s),
+            ("horizon", self.horizon_s),
+        ] {
+            if v.is_nan() || v <= 0.0 {
+                return Err(format!("{name} must be positive, got {v}"));
+            }
+        }
         let ratio = self.epoch_s / self.tick_s;
-        assert!(
-            (ratio - ratio.round()).abs() < 1e-9 && ratio >= 1.0,
-            "tick {} must divide epoch {}",
-            self.tick_s,
-            self.epoch_s
-        );
+        if !((ratio - ratio.round()).abs() < 1e-9 && ratio >= 1.0) {
+            return Err(format!(
+                "tick {} must divide epoch {}",
+                self.tick_s, self.epoch_s
+            ));
+        }
+        if self.link_budget == 0 {
+            return Err("budget must admit at least one stream".into());
+        }
+        let Some(tc) = &self.topo else { return Ok(()) };
+        let planet = Planet::preset(&tc.preset).map_err(|e| e.to_string())?;
+        if tc.k == 0 {
+            return Err("topo k must be >= 1".into());
+        }
+        if self.faults.is_some() {
+            return Err("classic fault profiles target the 3-link paper world; \
+                        planet fleets take outage regions or a campaign"
+                .into());
+        }
+        if let Some(r) = tc
+            .outage_regions
+            .iter()
+            .find(|&&r| r >= planet.regions.len())
+        {
+            return Err(format!(
+                "outage region {r} out of range ({} has {} regions)",
+                planet.name,
+                planet.regions.len()
+            ));
+        }
+        if let Some(name) = &tc.campaign {
+            if !CAMPAIGNS.contains(&name.as_str()) {
+                return Err(format!("unknown campaign: {name}"));
+            }
+            if !tc.outage_regions.is_empty() {
+                return Err("a campaign scripts its own faults; drop the outage regions".into());
+            }
+        }
+        Ok(())
     }
 }
 
@@ -589,68 +632,88 @@ impl FleetWorld {
     }
 }
 
-/// One admitted job's live state.
-struct RunningJob {
-    spec: JobSpec,
+/// A job's progress across admissions: its transfers and the statistics
+/// that survive a quarantine, requeue, re-route or migration. A running job
+/// embeds it; the `quarantined` and `carry` maps hold it while the job is
+/// off the wire (its transfer kept alive but idle, so `moved_mb` is
+/// conserved).
+struct JobProgress {
     tid: TransferId,
     /// Extra multipath transfers riding fallback routes (fixed params, no
-    /// tuner). Always empty on the classic world.
+    /// tuner). Always empty on the classic world and once parked.
     extra_tids: Vec<TransferId>,
     /// Megabytes moved by transfers this job abandoned on earlier routes
-    /// (breaker-aware re-routes conserve bytes through this). Always 0 on
-    /// the classic world, so `moved_base + moved_mb(tid)` is bit-identical
-    /// to the old readout there.
+    /// (re-routes, migrations and multipath folds conserve bytes through
+    /// this). Always 0 on the classic world, so `moved_mb` is bit-identical
+    /// to the plain transfer readout there.
     moved_base: f64,
-    tuner: Box<dyn OnlineTuner + Send>,
-    epoch: Option<EpochStart>,
-    current: Point,
+    /// Route name the live transfer was created on; a differing spec route
+    /// at re-admission means the job was re-routed while queued and needs a
+    /// fresh transfer for the remainder.
+    route_name: String,
+    /// First admission time (fleet seconds).
     admitted_s: f64,
-    next_epoch_end_s: f64,
+    /// Quarantines suffered so far (0 on a first admission).
+    attempts: u32,
+    /// Streams of the current (or last) grant.
     granted_streams: u32,
-    ext_streams: f64,
     warm_distance: Option<f64>,
     best_mbs: f64,
     best_params: StreamParams,
     epochs_done: u32,
     /// `(epoch_end_s_rel_admission, observed_mbs)` per epoch.
     trace: Vec<(f64, f64)>,
+}
+
+impl JobProgress {
+    /// Total megabytes moved: bytes abandoned on earlier routes plus every
+    /// live transfer's counter. On the classic world this is exactly
+    /// `moved_mb(tid)` (additive identities), preserving golden bytes.
+    fn moved_mb(&self, world: &World) -> f64 {
+        self.moved_base
+            + world.moved_mb(self.tid)
+            + self
+                .extra_tids
+                .iter()
+                .map(|&e| world.moved_mb(e))
+                .sum::<f64>()
+    }
+
+    /// Fold one closed epoch into the running statistics.
+    fn record_epoch(&mut self, t: f64, report: &EpochReport) {
+        self.epochs_done += 1;
+        self.trace.push((t - self.admitted_s, report.observed_mbs));
+        if report.observed_mbs > self.best_mbs {
+            self.best_mbs = report.observed_mbs;
+            self.best_params = report.params;
+        }
+    }
+}
+
+/// One admitted job's live state.
+struct RunningJob {
+    spec: JobSpec,
+    progress: JobProgress,
+    tuner: Box<dyn OnlineTuner + Send>,
+    epoch: Option<EpochStart>,
+    current: Point,
+    next_epoch_end_s: f64,
+    ext_streams: f64,
     monitor: HealthMonitor,
-    /// Quarantines suffered so far (0 on a first admission).
-    attempts: u32,
     degraded: bool,
 }
 
 impl RunningJob {
     fn params_for(&self, x: &Point) -> StreamParams {
         StreamParams::new(x[0].max(1) as u32, self.spec.np)
-            .clamp_streams(self.granted_streams.max(1))
+            .clamp_streams(self.progress.granted_streams.max(1))
     }
-}
-
-/// Stats carried across quarantine/requeue attempts (the transfer itself is
-/// kept alive but idle, so `moved_mb` is conserved).
-struct JobCarry {
-    tid: TransferId,
-    /// Bytes abandoned on earlier routes (see `RunningJob::moved_base`).
-    moved_base: f64,
-    /// Route name the live transfer was created on; a differing spec route
-    /// at re-admission means the job was re-routed while queued and needs a
-    /// fresh transfer for the remainder.
-    route_name: String,
-    first_admitted_s: f64,
-    attempts: u32,
-    best_mbs: f64,
-    best_params: StreamParams,
-    epochs_done: u32,
-    trace: Vec<(f64, f64)>,
-    warm_distance: Option<f64>,
-    granted_streams: u32,
 }
 
 /// A quarantined job waiting out its requeue backoff.
 struct QuarantinedJob {
     spec: JobSpec,
-    carry: JobCarry,
+    progress: JobProgress,
     resume_at_s: f64,
 }
 
@@ -665,8 +728,8 @@ pub struct FleetSim<'h> {
     queued: Vec<JobSpec>,
     running: BTreeMap<JobId, RunningJob>,
     quarantined: BTreeMap<JobId, QuarantinedJob>,
-    /// Stats of requeued jobs currently back in the queue.
-    carry: BTreeMap<JobId, JobCarry>,
+    /// Progress of requeued (or migrated) jobs currently back in the queue.
+    carry: BTreeMap<JobId, JobProgress>,
     admission: AdmissionController,
     breakers: BreakerBoard,
     admitted_by_class: Vec<(u32, u32)>,
@@ -727,7 +790,9 @@ impl<'h> FleetSim<'h> {
     }
 
     fn build(workload: &Workload, config: &FleetConfig, history: HistoryHandle<'h>) -> Self {
-        config.validate();
+        if let Err(e) = config.validate() {
+            panic!("invalid fleet config: {e}");
+        }
         let site = workload.jobs().first().map_or(0, |j| j.site);
         assert!(
             workload.jobs().iter().all(|j| j.site == site),
@@ -752,11 +817,6 @@ impl<'h> FleetSim<'h> {
                 FleetWorld::Classic(Box::new(pw))
             }
             Some(tc) => {
-                assert!(
-                    config.faults.is_none(),
-                    "classic fault profiles target the 3-link paper world; \
-                     planet fleets take an outage_region instead"
-                );
                 let planet = tc.planet();
                 let placement = search_routes(
                     &planet,
@@ -770,12 +830,8 @@ impl<'h> FleetSim<'h> {
                     PlanetWorld::new(&planet, tc.k, world_seed).expect("preset planets compile");
                 pw.world.enable_telemetry();
                 if let Some(name) = &tc.campaign {
-                    assert!(
-                        tc.outage_regions.is_empty(),
-                        "a campaign scripts its own faults; drop --outage-region"
-                    );
                     let plan = campaign_plan(&planet, name, world_seed, config.horizon_s)
-                        .expect("campaign validated at CLI parse time");
+                        .expect("validate checked the campaign name");
                     pw.world
                         .enable_faults_with_policy(plan, config.health.retry);
                 } else if !tc.outage_regions.is_empty() {
@@ -953,9 +1009,9 @@ impl<'h> FleetSim<'h> {
                 "requeue",
                 Some(id.to_string()),
                 None,
-                format!("attempt={}", q.carry.attempts),
+                format!("attempt={}", q.progress.attempts),
             );
-            self.carry.insert(id, q.carry);
+            self.carry.insert(id, q.progress);
             self.queued.push(q.spec);
             self.admission_dirty = true;
         }
@@ -1061,46 +1117,40 @@ impl<'h> FleetSim<'h> {
             let w = self.world.world();
             self.running
                 .iter()
-                .filter(|(_, j)| w.is_done(j.tid) && j.extra_tids.iter().all(|&e| w.is_done(e)))
+                .filter(|(_, j)| {
+                    let p = &j.progress;
+                    w.is_done(p.tid) && p.extra_tids.iter().all(|&e| w.is_done(e))
+                })
                 .map(|(&id, _)| id)
                 .collect()
         };
         for id in finished {
-            let mut job = self.running.remove(&id).expect("job is running");
-            if let Some(es) = job.epoch.take() {
-                let report = self.world.world_mut().end_epoch(es);
-                record_epoch(&mut job, self.t, &report);
-            }
-            self.admission.release(id);
-            self.admission_dirty = true;
+            let job = self.unwire(id);
             for &l in job.spec.route.links() {
                 if let Some(tr) = self.breakers.on_success(l, self.t) {
                     self.push_event(tr, None, Some(l), String::new());
                 }
             }
-            let moved = moved_total(self.world.world(), &job);
-            let elapsed = (self.t - job.admitted_s).max(self.config.tick_s);
-            if job.best_mbs > 0.0 {
+            let p = &job.progress;
+            if p.best_mbs > 0.0 {
                 let record = HistoryRecord {
                     route: job.spec.route.name().to_string(),
                     tuner: job.spec.tuner,
                     ext_streams: job.ext_streams,
                     cmp_jobs: 0.0,
-                    best: vec![job.best_params.nc as i64],
-                    achieved_mbs: job.best_mbs,
+                    best: vec![p.best_params.nc as i64],
+                    achieved_mbs: p.best_mbs,
                     scenario: "fleet".to_string(),
                 };
                 self.tick_appends.push((id, record.clone()));
                 self.history.append(record).expect("history append");
                 self.history_appended += 1;
             }
-            let o = retire(
-                job,
+            let o = self.outcome(
+                job.spec,
+                Some(&job.progress),
                 JobState::Completed,
                 Some(self.t),
-                moved,
-                elapsed,
-                &mut self.decisions,
             );
             self.outcomes.push(o);
         }
@@ -1117,7 +1167,7 @@ impl<'h> FleetSim<'h> {
                 let job = self.running.get_mut(&id).expect("job is running");
                 let es = job.epoch.take().expect("running job has an open epoch");
                 let report = self.world.world_mut().end_epoch(es);
-                record_epoch(job, self.t, &report);
+                job.progress.record_epoch(self.t, &report);
                 let v = job.monitor.observe(report.observed_mbs);
                 (v, job.degraded, job.spec.route.clone(), report.observed_mbs)
             };
@@ -1310,67 +1360,20 @@ impl<'h> FleetSim<'h> {
     }
 
     /// Pull a running job off its degraded route and requeue it on `next`:
-    /// the transfer is idled (bytes stay counted), the grant released, and
-    /// the carried stats re-admitted through the same route-change fold a
+    /// the job is parked (bytes stay counted, grant released) and its
+    /// progress re-admitted through the same route-change fold a
     /// breaker-aware re-route uses — byte conservation for free.
     fn migrate(&mut self, id: JobId, next: JobRoute) {
-        let mut job = self.running.remove(&id).expect("job is running");
-        if let Some(es) = job.epoch.take() {
-            let report = self.world.world_mut().end_epoch(es);
-            record_epoch(&mut job, self.t, &report);
-        }
-        self.admission.release(id);
-        self.admission_dirty = true;
-        self.world
-            .world_mut()
-            .set_params(job.tid, StreamParams::new(0, 1), false);
-        let extras = std::mem::take(&mut job.extra_tids);
-        if !extras.is_empty() {
-            for e in extras {
-                self.world
-                    .world_mut()
-                    .set_params(e, StreamParams::new(0, 1), false);
-                job.moved_base += self.world.world().moved_mb(e);
-            }
-            // See `quarantine`: fold the sliced primary too and re-issue the
-            // whole remainder so abandoned slices are not stranded.
-            job.moved_base += self.world.world().moved_mb(job.tid);
-            job.tid = self.world.start_sized_transfer(
-                &job.spec.route,
-                StreamParams::new(0, 1),
-                (job.spec.size_mb - job.moved_base).max(0.0),
-                self.config.noise_sigma,
-            );
-            self.world.world_mut().set_transfer_tag(job.tid, Some(id.0));
-        }
-        if let Some(log) = job.tuner.audit_log() {
-            if !log.is_empty() {
-                self.decisions.push((id, log.to_jsonl()));
-            }
-        }
+        let (mut spec, progress) = self.park(id);
         self.supervision.replans += 1;
         self.push_event(
             "replan",
             Some(id.to_string()),
             None,
-            format!("{}=>{}", job.spec.route.name(), next.name()),
+            format!("{}=>{}", spec.route.name(), next.name()),
         );
-        let mut spec = job.spec;
-        let carry = JobCarry {
-            tid: job.tid,
-            moved_base: job.moved_base,
-            route_name: spec.route.name().to_string(),
-            first_admitted_s: job.admitted_s,
-            attempts: job.attempts,
-            best_mbs: job.best_mbs,
-            best_params: job.best_params,
-            epochs_done: job.epochs_done,
-            trace: std::mem::take(&mut job.trace),
-            warm_distance: job.warm_distance,
-            granted_streams: job.granted_streams,
-        };
         spec.route = next;
-        self.carry.insert(id, carry);
+        self.carry.insert(id, progress);
         self.queued.push(spec);
     }
 
@@ -1378,39 +1381,45 @@ impl<'h> FleetSim<'h> {
     /// lowest-priority queued job crossing a degraded link is dropped (the
     /// same victim rule as `shed`, cooldown-gated per the governor config).
     fn brownout(&mut self, degraded: &std::collections::BTreeSet<usize>) {
+        let hit = |j: &JobSpec| j.route.links().iter().any(|l| degraded.contains(l));
+        if self.drop_queued("brownout", None, hit) {
+            self.supervision.brownouts += 1;
+            self.governor
+                .as_mut()
+                .expect("governor present")
+                .last_brownout_s = self.t;
+        }
+    }
+
+    /// Drop the lowest-priority (then highest-id) queued job that `hit`
+    /// selects as `Failed`, emitting a `kind` event. Returns whether a job
+    /// was dropped.
+    fn drop_queued(
+        &mut self,
+        kind: &'static str,
+        link: Option<usize>,
+        hit: impl Fn(&JobSpec) -> bool,
+    ) -> bool {
         let victim = self
             .queued
             .iter()
             .enumerate()
-            .filter(|(_, j)| j.route.links().iter().any(|l| degraded.contains(l)))
+            .filter(|(_, j)| hit(j))
             .min_by_key(|(_, j)| (j.priority, std::cmp::Reverse(j.id)))
             .map(|(i, _)| i);
-        let Some(pos) = victim else { return };
+        let Some(pos) = victim else { return false };
         let spec = self.queued.remove(pos);
         self.admission_dirty = true;
-        self.supervision.brownouts += 1;
         self.push_event(
-            "brownout",
+            kind,
             Some(spec.id.to_string()),
-            None,
+            link,
             format!("priority={}", spec.priority),
         );
-        let o = match self.carry.remove(&spec.id) {
-            Some(c) => outcome_from_carry(
-                spec,
-                c,
-                JobState::Failed,
-                self.t,
-                self.config.tick_s,
-                self.world.world(),
-            ),
-            None => never_ran(spec, JobState::Failed),
-        };
+        let progress = self.carry.remove(&spec.id);
+        let o = self.outcome(spec, progress.as_ref(), JobState::Failed, None);
         self.outcomes.push(o);
-        self.governor
-            .as_mut()
-            .expect("governor present")
-            .last_brownout_s = self.t;
+        true
     }
 
     /// Feed the closed epoch to the tuner and open the next one.
@@ -1419,7 +1428,8 @@ impl<'h> FleetSim<'h> {
         let next = job.tuner.observe(&job.current.clone(), observed_mbs);
         job.current = next;
         let params = job.params_for(&job.current.clone());
-        job.epoch = Some(self.world.world_mut().begin_epoch(job.tid, params, false));
+        let w = self.world.world_mut();
+        job.epoch = Some(w.begin_epoch(job.progress.tid, params, false));
         job.next_epoch_end_s = self.t + self.config.epoch_s;
     }
 
@@ -1479,44 +1489,23 @@ impl<'h> FleetSim<'h> {
         }
         let x0 = tuner.initial();
         let restart = carried.is_some();
-        #[allow(clippy::type_complexity)]
-        let (
-            tid,
-            extra_tids,
-            moved_base,
-            admitted_s,
-            attempts,
-            warm_distance,
-            best_mbs,
-            best_params,
-            epochs_done,
-            trace,
-        ) = match carried {
-            Some(mut c) => {
-                if c.route_name != spec.route.name() {
+        let progress = match carried {
+            Some(mut p) => {
+                if p.route_name != spec.route.name() {
                     // Re-routed while queued: fold the abandoned
                     // transfer's bytes into moved_base and run only the
                     // remainder on the new route — bytes conserved.
-                    c.moved_base += self.world.world().moved_mb(c.tid);
-                    c.tid = self.world.start_sized_transfer(
+                    p.moved_base += self.world.world().moved_mb(p.tid);
+                    p.tid = self.world.start_sized_transfer(
                         &spec.route,
                         StreamParams::new(1, 1),
-                        (spec.size_mb - c.moved_base).max(0.0),
+                        (spec.size_mb - p.moved_base).max(0.0),
                         self.config.noise_sigma,
                     );
+                    p.route_name = spec.route.name().to_string();
                 }
-                (
-                    c.tid,
-                    Vec::new(),
-                    c.moved_base,
-                    c.first_admitted_s,
-                    c.attempts,
-                    c.warm_distance,
-                    c.best_mbs,
-                    c.best_params,
-                    c.epochs_done,
-                    c.trace,
-                )
+                p.granted_streams = grant.streams;
+                p
             }
             None => {
                 let (extra_tids, extra_mb) = self.start_multipath_extras(&spec, multipath, share);
@@ -1526,48 +1515,41 @@ impl<'h> FleetSim<'h> {
                     spec.size_mb - extra_mb,
                     self.config.noise_sigma,
                 );
-                (
+                JobProgress {
                     tid,
                     extra_tids,
-                    0.0,
-                    self.t,
-                    0,
-                    seed.distance(),
-                    0.0,
-                    spec.cold_start(),
-                    0,
-                    Vec::new(),
-                )
+                    moved_base: 0.0,
+                    route_name: spec.route.name().to_string(),
+                    admitted_s: self.t,
+                    attempts: 0,
+                    granted_streams: grant.streams,
+                    warm_distance: seed.distance(),
+                    best_mbs: 0.0,
+                    best_params: spec.cold_start(),
+                    epochs_done: 0,
+                    trace: Vec::new(),
+                }
             }
         };
         let mut job = RunningJob {
-            tid,
-            extra_tids,
-            moved_base,
+            progress,
             tuner,
             epoch: None,
             current: x0,
-            admitted_s,
             next_epoch_end_s: self.t + self.config.epoch_s,
-            granted_streams: grant.streams,
             ext_streams,
-            warm_distance,
-            best_mbs,
-            best_params,
-            epochs_done,
-            trace,
             monitor: HealthMonitor::new(self.config.health),
-            attempts,
             degraded: false,
             spec,
         };
         let w = self.world.world_mut();
-        w.set_transfer_tag(job.tid, Some(job.spec.id.0));
-        for &e in &job.extra_tids {
-            w.set_transfer_tag(e, Some(job.spec.id.0));
+        let tag = Some(job.spec.id.0);
+        w.set_transfer_tag(job.progress.tid, tag);
+        for &e in &job.progress.extra_tids {
+            w.set_transfer_tag(e, tag);
         }
         let params = job.params_for(&job.current.clone());
-        job.epoch = Some(w.begin_epoch(job.tid, params, restart));
+        job.epoch = Some(w.begin_epoch(job.progress.tid, params, restart));
         self.running.insert(job.spec.id, job);
     }
 
@@ -1647,54 +1629,77 @@ impl<'h> FleetSim<'h> {
         (tids, extra_mb)
     }
 
-    /// Pull a job off the wire: release its grant, feed the route's breakers
-    /// a failure, and either schedule a requeue after the shared
-    /// [`xferopt_transfer::RetryPolicy`] backoff or fail it when the attempt
-    /// budget is spent. The transfer is idled (`nc = 0`), not destroyed, so
-    /// `moved_mb` is conserved across the requeue.
-    fn quarantine(&mut self, id: JobId) {
+    /// Take a running job off the wire: close its open epoch, release its
+    /// grant, and flush this attempt's audit log (a fresh tuner, and log, is
+    /// built on any re-admission).
+    fn unwire(&mut self, id: JobId) -> RunningJob {
         let mut job = self.running.remove(&id).expect("job is running");
+        if let Some(es) = job.epoch.take() {
+            let report = self.world.world_mut().end_epoch(es);
+            job.progress.record_epoch(self.t, &report);
+        }
         self.admission.release(id);
         self.admission_dirty = true;
-        // Idle the transfer: zero streams move nothing but keep the byte
-        // counter alive for the resumed attempt. Multipath extras are folded
-        // into moved_base and abandoned — a retried job runs single-path.
-        self.world
-            .world_mut()
-            .set_params(job.tid, StreamParams::new(0, 1), false);
-        let extras = std::mem::take(&mut job.extra_tids);
+        if let Some(log) = job.tuner.audit_log() {
+            if !log.is_empty() {
+                self.decisions.push((id, log.to_jsonl()));
+            }
+        }
+        job
+    }
+
+    /// Unwire a job and keep its progress for a later re-admission (shared
+    /// by `quarantine` and `migrate`). The transfer is idled (`nc = 0`), not
+    /// destroyed, so `moved_mb` is conserved. Multipath extras are folded
+    /// into `moved_base` and abandoned, and the primary, sized to its slice
+    /// only, is folded too and replaced by one idle transfer for the whole
+    /// remainder, so the abandoned slices' unmoved bytes are not stranded:
+    /// a re-admitted job runs single-path.
+    fn park(&mut self, id: JobId) -> (JobSpec, JobProgress) {
+        let RunningJob {
+            spec, mut progress, ..
+        } = self.unwire(id);
+        let p = &mut progress;
+        let idle = StreamParams::new(0, 1);
+        self.world.world_mut().set_params(p.tid, idle, false);
+        let extras = std::mem::take(&mut p.extra_tids);
         if !extras.is_empty() {
             for e in extras {
-                self.world
-                    .world_mut()
-                    .set_params(e, StreamParams::new(0, 1), false);
-                job.moved_base += self.world.world().moved_mb(e);
+                self.world.world_mut().set_params(e, idle, false);
+                p.moved_base += self.world.world().moved_mb(e);
             }
-            // The primary transfer was sized to its slice only; fold it too
-            // and re-issue the whole remainder so the abandoned slices'
-            // unmoved bytes are not stranded (byte conservation).
-            job.moved_base += self.world.world().moved_mb(job.tid);
-            job.tid = self.world.start_sized_transfer(
-                &job.spec.route,
-                StreamParams::new(0, 1),
-                (job.spec.size_mb - job.moved_base).max(0.0),
+            p.moved_base += self.world.world().moved_mb(p.tid);
+            p.tid = self.world.start_sized_transfer(
+                &spec.route,
+                idle,
+                (spec.size_mb - p.moved_base).max(0.0),
                 self.config.noise_sigma,
             );
-            self.world.world_mut().set_transfer_tag(job.tid, Some(id.0));
+            self.world.world_mut().set_transfer_tag(p.tid, Some(id.0));
         }
-        let attempts = job.attempts + 1;
+        (spec, progress)
+    }
+
+    /// Park a job whose watchdog tripped, feed the route's breakers a
+    /// failure, and either schedule a requeue after the shared
+    /// [`xferopt_transfer::RetryPolicy`] backoff or fail it when the attempt
+    /// budget is spent.
+    fn quarantine(&mut self, id: JobId) {
+        let (zr, cr) = {
+            let m = &self.running[&id].monitor;
+            (m.zero_run(), m.collapse_run())
+        };
+        let (spec, mut progress) = self.park(id);
+        progress.attempts += 1;
+        let attempts = progress.attempts;
         self.supervision.quarantines += 1;
         self.push_event(
             "quarantine",
             Some(id.to_string()),
             None,
-            format!(
-                "attempt={attempts} zero_run={} collapse_run={}",
-                job.monitor.zero_run(),
-                job.monitor.collapse_run()
-            ),
+            format!("attempt={attempts} zero_run={zr} collapse_run={cr}"),
         );
-        for &l in job.spec.route.links() {
+        for &l in spec.route.links() {
             if let Some(tr) = self.breakers.on_failure(l, self.t) {
                 if tr == "breaker-open" {
                     self.supervision.breaker_trips += 1;
@@ -1710,57 +1715,28 @@ impl<'h> FleetSim<'h> {
                 None,
                 "attempts_exhausted".into(),
             );
-            let moved = moved_total(self.world.world(), &job);
-            let elapsed = (self.t - job.admitted_s).max(self.config.tick_s);
-            job.attempts = attempts;
-            let o = retire(
-                job,
-                JobState::Failed,
-                None,
-                moved,
-                elapsed,
-                &mut self.decisions,
-            );
+            let o = self.outcome(spec, Some(&progress), JobState::Failed, None);
             self.outcomes.push(o);
-        } else {
-            // Flush this attempt's audit log now; a fresh tuner (and log) is
-            // built on re-admission.
-            if let Some(log) = job.tuner.audit_log() {
-                if !log.is_empty() {
-                    self.decisions.push((id, log.to_jsonl()));
-                }
-            }
-            // Shared backoff policy — the same RetryPolicy the transfer layer
-            // uses for abort retries (see xferopt_transfer::retry).
-            let mut rng = SmallRng::seed_from_u64(
-                self.config.seed
-                    ^ 0x7265_7175_6575_7565 // "requeuue"
-                    ^ id.0.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                    ^ ((attempts as u64) << 32),
-            );
-            let delay = self.config.health.retry.delay_s(attempts, &mut rng);
-            let resume_at_s = self.t + delay;
-            self.quarantined.insert(
-                id,
-                QuarantinedJob {
-                    carry: JobCarry {
-                        tid: job.tid,
-                        moved_base: job.moved_base,
-                        route_name: job.spec.route.name().to_string(),
-                        first_admitted_s: job.admitted_s,
-                        attempts,
-                        best_mbs: job.best_mbs,
-                        best_params: job.best_params,
-                        epochs_done: job.epochs_done,
-                        trace: std::mem::take(&mut job.trace),
-                        warm_distance: job.warm_distance,
-                        granted_streams: job.granted_streams,
-                    },
-                    spec: job.spec,
-                    resume_at_s,
-                },
-            );
+            return;
         }
+        // Shared backoff policy — the same RetryPolicy the transfer layer
+        // uses for abort retries (see xferopt_transfer::retry).
+        let mut rng = SmallRng::seed_from_u64(
+            self.config.seed
+                ^ 0x7265_7175_6575_7565 // "requeuue"
+                ^ id.0.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                ^ ((attempts as u64) << 32),
+        );
+        let delay = self.config.health.retry.delay_s(attempts, &mut rng);
+        let resume_at_s = self.t + delay;
+        self.quarantined.insert(
+            id,
+            QuarantinedJob {
+                spec,
+                progress,
+                resume_at_s,
+            },
+        );
     }
 
     /// Shed the lowest-priority queued job crossing a link whose breaker has
@@ -1774,36 +1750,68 @@ impl<'h> FleetSim<'h> {
             if self.t - self.last_shed_s[link] < self.config.shed_after_s {
                 continue;
             }
-            let victim = self
-                .queued
-                .iter()
-                .enumerate()
-                .filter(|(_, j)| j.route.links().contains(&link))
-                .min_by_key(|(_, j)| (j.priority, std::cmp::Reverse(j.id)))
-                .map(|(i, _)| i);
-            let Some(pos) = victim else { continue };
-            let spec = self.queued.remove(pos);
-            self.admission_dirty = true;
-            self.supervision.shed += 1;
-            self.push_event(
-                "shed",
-                Some(spec.id.to_string()),
-                Some(link),
-                format!("priority={}", spec.priority),
-            );
-            let o = match self.carry.remove(&spec.id) {
-                Some(c) => outcome_from_carry(
-                    spec,
-                    c,
-                    JobState::Failed,
-                    self.t,
-                    self.config.tick_s,
-                    self.world.world(),
-                ),
-                None => never_ran(spec, JobState::Failed),
+            let hit = |j: &JobSpec| j.route.links().contains(&link);
+            if self.drop_queued("shed", Some(link), hit) {
+                self.supervision.shed += 1;
+                self.last_shed_s[link] = self.t;
+            }
+        }
+    }
+
+    /// The terminal record for `spec` in `state`. `progress` is `None` for
+    /// a job that never ran (caught by the horizon, or dropped while queued
+    /// before its first admission).
+    fn outcome(
+        &self,
+        spec: JobSpec,
+        progress: Option<&JobProgress>,
+        state: JobState,
+        finished_s: Option<f64>,
+    ) -> JobOutcome {
+        let deadline_met = spec
+            .deadline_s
+            .map(|d| state == JobState::Completed && finished_s.is_some_and(|f| f <= d + 1e-9));
+        let Some(p) = progress else {
+            return JobOutcome {
+                id: spec.id,
+                state,
+                admitted_s: None,
+                finished_s,
+                granted_streams: 0,
+                moved_mb: 0.0,
+                mean_mbs: 0.0,
+                best_mbs: 0.0,
+                best_params: spec.cold_start(),
+                epochs: 0,
+                warm_distance: None,
+                time_to_90_s: None,
+                deadline_met,
+                spec,
             };
-            self.outcomes.push(o);
-            self.last_shed_s[link] = self.t;
+        };
+        let moved_mb = p.moved_mb(self.world.world());
+        let elapsed_s = (self.t - p.admitted_s).max(self.config.tick_s);
+        let threshold = 0.9 * p.best_mbs;
+        let time_to_90_s = p
+            .trace
+            .iter()
+            .find(|(_, mbs)| *mbs >= threshold && *mbs > 0.0)
+            .map(|(dt, _)| *dt);
+        JobOutcome {
+            id: spec.id,
+            state,
+            admitted_s: Some(p.admitted_s),
+            finished_s,
+            granted_streams: p.granted_streams,
+            moved_mb,
+            mean_mbs: moved_mb / elapsed_s,
+            best_mbs: p.best_mbs,
+            best_params: p.best_params,
+            epochs: p.epochs_done,
+            warm_distance: p.warm_distance,
+            time_to_90_s,
+            deadline_met,
+            spec,
         }
     }
 
@@ -1829,21 +1837,21 @@ impl<'h> FleetSim<'h> {
             s.push_str(&format!(
                 "r{}:e{}:m{}:x{}:g{};",
                 id.0,
-                j.epochs_done,
-                json_f64(moved_total(self.world.world(), j)),
+                j.progress.epochs_done,
+                json_f64(j.progress.moved_mb(self.world.world())),
                 j.current
                     .iter()
                     .map(|v| v.to_string())
                     .collect::<Vec<_>>()
                     .join("/"),
-                j.granted_streams,
+                j.progress.granted_streams,
             ));
         }
         for (id, q) in &self.quarantined {
             s.push_str(&format!(
                 "q{}:a{}:u{};",
                 id.0,
-                q.carry.attempts,
+                q.progress.attempts,
                 json_f64(q.resume_at_s)
             ));
         }
@@ -1916,52 +1924,27 @@ impl<'h> FleetSim<'h> {
     pub(crate) fn finish_parts(mut self) -> FleetParts {
         let ids: Vec<JobId> = self.running.keys().copied().collect();
         for id in ids {
-            let mut job = self.running.remove(&id).expect("job is running");
-            if let Some(es) = job.epoch.take() {
-                let report = self.world.world_mut().end_epoch(es);
-                record_epoch(&mut job, self.t, &report);
-            }
-            self.admission.release(id);
-            let moved = moved_total(self.world.world(), &job);
-            let elapsed = (self.t - job.admitted_s).max(self.config.tick_s);
-            let o = retire(
-                job,
-                JobState::Unfinished,
-                None,
-                moved,
-                elapsed,
-                &mut self.decisions,
-            );
+            let job = self.unwire(id);
+            let o = self.outcome(job.spec, Some(&job.progress), JobState::Unfinished, None);
             self.outcomes.push(o);
         }
-        let qids: Vec<JobId> = self.quarantined.keys().copied().collect();
-        for id in qids {
-            let q = self.quarantined.remove(&id).expect("job is quarantined");
-            self.outcomes.push(outcome_from_carry(
-                q.spec,
-                q.carry,
-                JobState::Unfinished,
-                self.t,
-                self.config.tick_s,
-                self.world.world(),
-            ));
+        for q in std::mem::take(&mut self.quarantined).into_values() {
+            let o = self.outcome(q.spec, Some(&q.progress), JobState::Unfinished, None);
+            self.outcomes.push(o);
         }
         for spec in std::mem::take(&mut self.queued) {
-            let o = match self.carry.remove(&spec.id) {
-                Some(c) => outcome_from_carry(
-                    spec,
-                    c,
-                    JobState::Unfinished,
-                    self.t,
-                    self.config.tick_s,
-                    self.world.world(),
-                ),
-                None => never_ran(spec, JobState::Queued),
+            let progress = self.carry.remove(&spec.id);
+            let state = if progress.is_some() {
+                JobState::Unfinished
+            } else {
+                JobState::Queued
             };
+            let o = self.outcome(spec, progress.as_ref(), state, None);
             self.outcomes.push(o);
         }
         for spec in std::mem::take(&mut self.pending) {
-            self.outcomes.push(never_ran(spec, JobState::Pending));
+            let o = self.outcome(spec, None, JobState::Pending, None);
+            self.outcomes.push(o);
         }
         self.outcomes.sort_by_key(|o| o.id);
         self.decisions.sort_by_key(|(id, _)| *id);
@@ -2169,127 +2152,6 @@ pub fn run_fleet(
     let mut sim = FleetSim::new(workload, config, history);
     while sim.tick() {}
     sim.finish()
-}
-
-/// Total megabytes a job has moved: bytes abandoned on earlier routes plus
-/// every live transfer's counter. On the classic world this is exactly
-/// `moved_mb(tid)` (additive identities), preserving golden bytes.
-fn moved_total(world: &World, job: &RunningJob) -> f64 {
-    job.moved_base
-        + world.moved_mb(job.tid)
-        + job
-            .extra_tids
-            .iter()
-            .map(|&e| world.moved_mb(e))
-            .sum::<f64>()
-}
-
-/// Fold one closed epoch into the job's running statistics.
-fn record_epoch(job: &mut RunningJob, t: f64, report: &EpochReport) {
-    job.epochs_done += 1;
-    job.trace.push((t - job.admitted_s, report.observed_mbs));
-    if report.observed_mbs > job.best_mbs {
-        job.best_mbs = report.observed_mbs;
-        job.best_params = report.params;
-    }
-}
-
-/// Build the outcome for a job that ran (completed, unfinished, or failed).
-fn retire(
-    job: RunningJob,
-    state: JobState,
-    finished_s: Option<f64>,
-    moved_mb: f64,
-    elapsed_s: f64,
-    decisions: &mut Vec<(JobId, String)>,
-) -> JobOutcome {
-    if let Some(log) = job.tuner.audit_log() {
-        if !log.is_empty() {
-            decisions.push((job.spec.id, log.to_jsonl()));
-        }
-    }
-    let threshold = 0.9 * job.best_mbs;
-    let time_to_90_s = job
-        .trace
-        .iter()
-        .find(|(_, mbs)| *mbs >= threshold && *mbs > 0.0)
-        .map(|(dt, _)| *dt);
-    let deadline_met = job
-        .spec
-        .deadline_s
-        .map(|d| state == JobState::Completed && finished_s.is_some_and(|f| f <= d + 1e-9));
-    JobOutcome {
-        id: job.spec.id,
-        state,
-        admitted_s: Some(job.admitted_s),
-        finished_s,
-        granted_streams: job.granted_streams,
-        moved_mb,
-        mean_mbs: moved_mb / elapsed_s,
-        best_mbs: job.best_mbs,
-        best_params: job.best_params,
-        epochs: job.epochs_done,
-        warm_distance: job.warm_distance,
-        time_to_90_s,
-        deadline_met,
-        spec: job.spec,
-    }
-}
-
-/// Outcome for a job that ran at least once but sits off the wire (carried
-/// quarantine/requeue statistics).
-fn outcome_from_carry(
-    spec: JobSpec,
-    c: JobCarry,
-    state: JobState,
-    t: f64,
-    tick_s: f64,
-    world: &World,
-) -> JobOutcome {
-    let moved = c.moved_base + world.moved_mb(c.tid);
-    let elapsed = (t - c.first_admitted_s).max(tick_s);
-    let threshold = 0.9 * c.best_mbs;
-    let time_to_90_s = c
-        .trace
-        .iter()
-        .find(|(_, mbs)| *mbs >= threshold && *mbs > 0.0)
-        .map(|(dt, _)| *dt);
-    JobOutcome {
-        id: spec.id,
-        state,
-        admitted_s: Some(c.first_admitted_s),
-        finished_s: None,
-        granted_streams: c.granted_streams,
-        moved_mb: moved,
-        mean_mbs: moved / elapsed,
-        best_mbs: c.best_mbs,
-        best_params: c.best_params,
-        epochs: c.epochs_done,
-        warm_distance: c.warm_distance,
-        time_to_90_s,
-        deadline_met: spec.deadline_s.map(|_| false),
-        spec,
-    }
-}
-
-/// Outcome for a job the horizon (or shedding) caught before admission.
-fn never_ran(spec: JobSpec, state: JobState) -> JobOutcome {
-    JobOutcome {
-        id: spec.id,
-        state,
-        admitted_s: None,
-        finished_s: None,
-        granted_streams: 0,
-        moved_mb: 0.0,
-        mean_mbs: 0.0,
-        best_mbs: 0.0,
-        best_params: spec.cold_start(),
-        epochs: 0,
-        warm_distance: None,
-        time_to_90_s: None,
-        deadline_met: spec.deadline_s.map(|_| false),
-        spec,
-    }
 }
 
 #[cfg(test)]

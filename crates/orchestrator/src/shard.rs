@@ -188,7 +188,9 @@ impl<'h> ShardedFleetSim<'h> {
         history: &'h mut HistoryStore,
         shards: usize,
     ) -> Self {
-        config.validate();
+        if let Err(e) = config.validate() {
+            panic!("invalid fleet config: {e}");
+        }
         let plan = ShardPlan::compute(workload);
         let mut components = plan.components;
         if components.is_empty() {

@@ -9,6 +9,7 @@
 #   UPDATE_GOLDEN=1 cargo test --test determinism golden_fault_trace
 #   UPDATE_GOLDEN=1 cargo test --test telemetry
 #   UPDATE_GOLDEN=1 cargo test --test tournament
+#   UPDATE_GOLDEN=1 cargo test --test supervision golden_lifecycle_paths_match_snapshot
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -132,6 +133,20 @@ diff "$FLEET_TMP/ms-full.txt" "$FLEET_TMP/ms-resumed.txt" \
   || { echo "multi-site resume diverged from the uninterrupted run"; exit 1; }
 diff "$FLEET_TMP/hist-ms-crash/history.jsonl" "$FLEET_TMP/hist-ms-full/history.jsonl" \
   || { echo "multi-site resume diverged in the history file"; exit 1; }
+
+echo "==> multipath self-healing crash/resume gate (quarantine, migrate, shed under resume)"
+LIFECYCLE=(--topo mesh --jobs 120 --seed 7 --horizon 7200 --campaign flapping-links
+  --selfheal --multipath 2)
+./target/release/xferopt fleet run "${LIFECYCLE[@]}" --history "$FLEET_TMP/hist-mp-crash" \
+  --checkpoint-out "$FLEET_TMP/ck-mp.jsonl" --checkpoint-every 40 --stop-at-tick 150
+./target/release/xferopt fleet resume --checkpoint "$FLEET_TMP/ck-mp.jsonl" \
+  --shards 2 --history "$FLEET_TMP/hist-mp-crash" --report-out "$FLEET_TMP/mp-resumed.txt"
+./target/release/xferopt fleet run "${LIFECYCLE[@]}" --history "$FLEET_TMP/hist-mp-full" \
+  --report-out "$FLEET_TMP/mp-full.txt"
+diff "$FLEET_TMP/mp-full.txt" "$FLEET_TMP/mp-resumed.txt" \
+  || { echo "multipath self-healing resume diverged from the uninterrupted run"; exit 1; }
+diff "$FLEET_TMP/hist-mp-crash/history.jsonl" "$FLEET_TMP/hist-mp-full/history.jsonl" \
+  || { echo "multipath self-healing resume diverged in the history file"; exit 1; }
 
 echo "==> end-of-run checkpoint gate (a checkpoint of a finished run resumes)"
 ./target/release/xferopt fleet run --jobs 40 --seed 7 --horizon 300 \

@@ -90,6 +90,18 @@ impl Args {
     fn has_flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
     }
+
+    /// A finite, strictly positive number of seconds for `--key`.
+    fn get_secs(&self, key: &str, default: f64) -> Result<f64, String> {
+        let v = self.get_parsed(key, default)?;
+        if v.is_finite() && v > 0.0 {
+            Ok(v)
+        } else {
+            Err(format!(
+                "--{key} must be a positive number of seconds, got {v}"
+            ))
+        }
+    }
 }
 
 fn parse_route(s: &str) -> Result<Route, String> {
@@ -115,12 +127,18 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         other => return Err(format!("unknown dims: {other} (use nc|ncnp)")),
     };
     let load = ExternalLoad::new(args.get_parsed("tfr", 0u32)?, args.get_parsed("cmp", 0u32)?);
-    let duration = args.get_parsed("duration", 1800.0f64)?;
+    let duration = args.get_secs("duration", 1800.0)?;
     let seed = args.get_parsed("seed", 0u64)?;
     let mut cfg = DriveConfig::paper(route, tuner, dims, LoadSchedule::constant(load))
         .with_duration_s(duration)
         .with_seed(seed);
-    cfg.epoch_s = args.get_parsed("epoch", 30.0f64)?;
+    cfg.epoch_s = args.get_secs("epoch", 30.0)?;
+    if (duration / cfg.epoch_s).round() < 1.0 {
+        return Err(format!(
+            "--epoch {} leaves no control epoch in --duration {duration}",
+            cfg.epoch_s
+        ));
+    }
     let faults = match args.get("faults") {
         None => None,
         Some(v) => {
@@ -192,7 +210,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     let route = parse_route(args.get("route").unwrap_or("uc"))?;
     let load = ExternalLoad::new(args.get_parsed("tfr", 0u32)?, args.get_parsed("cmp", 0u32)?);
     let np = args.get_parsed("np", 8u32)?;
-    let duration = args.get_parsed("duration", 120.0f64)?;
+    let duration = args.get_secs("duration", 120.0)?;
     let seed = args.get_parsed("seed", 0u64)?;
 
     let ncs = [1u32, 2, 4, 8, 16, 32, 64, 128, 256];
@@ -218,7 +236,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_compare(args: &Args) -> Result<(), String> {
-    let duration = args.get_parsed("duration", 900.0f64)?;
+    let duration = args.get_secs("duration", 900.0)?;
     let seed = args.get_parsed("seed", 0u64)?;
     let route = parse_route(args.get("route").unwrap_or("uc"))?;
     let runs = fig5(route, duration, seed);
@@ -473,6 +491,7 @@ fn cmd_fleet_run(args: &Args) -> Result<(), String> {
         topo,
         ..FleetConfig::default()
     };
+    config.validate()?;
     let checkpoint_out = args.get("checkpoint-out").map(str::to_string);
     let checkpoint_every = args.get_parsed("checkpoint-every", 0u64)?;
     let stop_at_tick = match args.get("stop-at-tick") {

@@ -1,0 +1,103 @@
+//! Bad input never reaches a panic or a hang: every invalid flag value and
+//! checkpoint below must make the `xferopt` binary exit 1 with one `error:`
+//! line on stderr, promptly.
+
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
+
+/// Generous: every case fails during argument or config checking.
+const TIMEOUT: Duration = Duration::from_secs(60);
+
+/// Run the binary with `args`, killing it at [`TIMEOUT`]; returns the exit
+/// code and stderr.
+fn run(args: &[&str]) -> (Option<i32>, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_xferopt"))
+        .args(args)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn xferopt");
+    let start = Instant::now();
+    while child.try_wait().expect("poll xferopt").is_none() {
+        if start.elapsed() > TIMEOUT {
+            child.kill().expect("kill xferopt");
+            child.wait().expect("reap xferopt");
+            panic!("`xferopt {}` ran past {TIMEOUT:?}", args.join(" "));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("collect xferopt output");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+fn assert_rejected(args: &[&str]) {
+    let (code, stderr) = run(args);
+    let what = format!("`xferopt {}`", args.join(" "));
+    assert!(!stderr.contains("panicked"), "{what} panicked:\n{stderr}");
+    assert_eq!(code, Some(1), "{what} exit code; stderr:\n{stderr}");
+    let errors = stderr.lines().filter(|l| l.starts_with("error:")).count();
+    assert_eq!(errors, 1, "{what} must print one error line:\n{stderr}");
+}
+
+#[test]
+fn bad_flag_values_exit_1_with_an_error_line() {
+    let cases: &[&[&str]] = &[
+        &["fleet", "run", "--tick", "0"],
+        &["fleet", "run", "--tick", "7"],
+        &["fleet", "run", "--epoch", "-5"],
+        &["fleet", "run", "--horizon", "-5"],
+        &["fleet", "run", "--budget", "0"],
+        &["run", "--duration", "0"],
+        &["run", "--duration", "-1"],
+        &["run", "--epoch", "0"],
+        &["run", "--epoch", "-3"],
+        &["run", "--epoch", "5000", "--duration", "100"],
+        &["sweep", "--duration", "0"],
+        &["sweep", "--duration", "-1"],
+        &["compare", "--duration", "0"],
+        &["compare", "--duration", "-1"],
+        &[
+            "chaos",
+            "run",
+            "--campaign",
+            "rolling-outage",
+            "--horizon",
+            "0",
+        ],
+    ];
+    for args in cases {
+        assert_rejected(args);
+    }
+}
+
+#[test]
+fn checkpoints_with_an_invalid_config_exit_1() {
+    // Pre-journal form (no `text_fnv`), which the parser still accepts, so
+    // only config validation stands between these files and the replay.
+    let header = "{\"kind\":\"fleet-checkpoint\",\"version\":1,\"tick\":0,\"t_s\":0,\
+                  \"policy\":\"fifo\",\"seed\":7,\"horizon_s\":100,\"tick_s\":5,\"epoch_s\":30,\
+                  \"budget\":512,\"warm\":true,\"max_match_distance\":2,\"noise_sigma\":0.05,\
+                  \"audit\":true,\"shed_after_s\":300,\"jobs\":0,\"history_start_len\":0,\
+                  \"history_appended\":0}\n\
+                  {\"kind\":\"fleet-digest\",\"fnv\":\"0000000000000000\"}\n";
+    let dir = std::env::temp_dir().join(format!("xferopt-cli-errors-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let cases = [
+        ("tick0.ckpt", header.replace("\"tick_s\":5", "\"tick_s\":0")),
+        (
+            "budget0.ckpt",
+            header.replace("\"budget\":512", "\"budget\":0"),
+        ),
+        ("garbage.ckpt", "not a checkpoint\n".to_string()),
+    ];
+    for (name, text) in &cases {
+        let path = dir.join(name);
+        std::fs::write(&path, text).expect("write checkpoint");
+        let path = path.to_str().expect("temp path is UTF-8");
+        assert_rejected(&["fleet", "resume", "--checkpoint", path]);
+    }
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}

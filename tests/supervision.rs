@@ -345,3 +345,93 @@ fn shard_plan_is_stable_under_supervision_events() {
         assert_eq!(aj, bj, "component membership drifted");
     }
 }
+
+/// The self-healing mesh fleet behind the lifecycle goldens: 120 jobs under
+/// the `flapping-links` campaign with multipath 2 and the governor on, built
+/// exactly as `xferopt fleet run --topo mesh --jobs 120 --seed 7 --campaign
+/// flapping-links --selfheal --multipath 2 --horizon H` builds it.
+fn lifecycle_fleet(horizon_s: f64) -> (Workload, FleetConfig) {
+    use xferopt::orchestrator::{topo_workload, TopoFleetConfig};
+    use xferopt::topo::{search_routes, RouteCatalog, SearchConfig};
+
+    let mut tc = TopoFleetConfig::preset("mesh");
+    tc.campaign = Some("flapping-links".to_string());
+    tc.multipath = 2;
+    tc.selfheal = true;
+    let planet = tc.planet();
+    let search = SearchConfig {
+        k: tc.k,
+        ..SearchConfig::default()
+    };
+    let placement = search_routes(&planet, &search).expect("mesh searches cleanly");
+    let catalog = RouteCatalog::enumerate(&planet, tc.k).expect("mesh catalog");
+    let workload = topo_workload(&placement, &catalog, 120);
+    let cfg = FleetConfig {
+        seed: 7,
+        horizon_s,
+        topo: Some(tc),
+        ..FleetConfig::default()
+    };
+    (workload, cfg)
+}
+
+/// Pins every job-lifecycle path a quiet or classic fleet never takes:
+/// quarantine and requeue of multipath jobs, breaker-aware re-routes, replan
+/// migrations, sheds, brownouts, attempt exhaustion, and (at the shorter
+/// horizon) unfinished, quarantined and requeued jobs at the cut-off. The
+/// golden holds the report and supervision JSONL verbatim, FNV hashes of the
+/// decisions, telemetry and metrics JSONL, and the state digest hash every
+/// 100 ticks (the value a checkpoint at that tick records).
+#[test]
+fn golden_lifecycle_paths_match_snapshot() {
+    use xferopt::orchestrator::checkpoint::fnv1a;
+    use xferopt::orchestrator::ShardedFleetSim;
+
+    for (horizon_s, name) in [(7200.0, "lifecycle_7200"), (1800.0, "lifecycle_1800")] {
+        let (workload, cfg) = lifecycle_fleet(horizon_s);
+        let mut h = HistoryStore::in_memory();
+        let mut sim = ShardedFleetSim::new(&workload, &cfg, &mut h, 1);
+        let mut digests = String::new();
+        while sim.tick() {
+            if sim.tick_index().is_multiple_of(100) {
+                digests.push_str(&format!(
+                    "tick {} digest {:016x}\n",
+                    sim.tick_index(),
+                    sim.digest_hash()
+                ));
+            }
+        }
+        let out = sim.finish();
+        // The long run drains (attempt exhaustion shows up); the short one
+        // leaves running and queued jobs at the horizon.
+        let s = out.report.supervision;
+        let ends = if horizon_s > 7000.0 {
+            s.failed > 0
+        } else {
+            out.report.count(JobState::Unfinished) > 0 && out.report.count(JobState::Queued) > 0
+        };
+        assert!(
+            ends && s.quarantines > 0
+                && s.requeues > 0
+                && s.reroutes > 0
+                && s.replans > 0
+                && s.shed > 0
+                && s.brownouts > 0,
+            "{name}: every lifecycle path must be exercised:\n{}",
+            out.report.render()
+        );
+        let snapshot = format!(
+            "{}decisions_fnv {:016x}\ntelemetry_fnv {:016x}\nmetrics_fnv {:016x}\n{digests}--- supervision\n{}",
+            out.report.render(),
+            fnv1a(&out.decisions_jsonl),
+            fnv1a(&out.telemetry_jsonl),
+            fnv1a(&out.metrics_jsonl),
+            out.supervision_jsonl,
+        );
+        check_golden(
+            &format!("tests/golden/fleet/{name}.txt"),
+            &snapshot,
+            "lifecycle fleet snapshot",
+        );
+    }
+}
