@@ -1,14 +1,21 @@
-//! Fleet-scaling benchmark: component-sharded execution vs the single-site
-//! monolith (DESIGN.md §15, ROADMAP item 1).
+//! Fleet-scaling benchmark: the single-site monolith at growing queue
+//! depth, and component-sharded execution beside it (DESIGN.md §11, §15).
 //!
-//! The workload is [`Workload::fleet_scale`]: `n` long-running jobs, half
-//! preloaded and half arriving one per tick, so the admission queue stays
-//! deep for the whole measured window — the regime where the monolith's
-//! per-tick cost is dominated by re-scanning one giant queue. The sharded
-//! run spreads the same `n` jobs over 8 independent sites and ticks the 8
-//! link-sharing components on scoped worker threads (`--shards 8`): each arrival
-//! dirties only its own component's admission pass, so per-tick work drops
-//! to roughly `1/sites` of the monolith's even on a single core.
+//! The workload is [`Workload::fleet_scale`]: `n` long-running jobs, 90 %
+//! preloaded and the rest arriving one per tick, so the admission queue
+//! stays deep for the whole measured window. Each arrival dirties the
+//! admission pass, so every measured tick runs one policy pick. The
+//! indexed admission queue makes that pick `O(log n)`, so the monolith's
+//! tick rate should barely depend on `n`: the gated figure
+//! `monolith_10k_vs_1k` (10k-job ticks/s over 1k-job ticks/s) must stay at
+//! least 0.5, and it falls far below that if admission goes back to a scan
+//! of the whole queue.
+//!
+//! The sharded row spreads the same `n` jobs over 8 independent sites and
+//! ticks the 8 link-sharing components on scoped worker threads
+//! (`--shards 8`); `speedup` is its ticks/s over the monolith's. That
+//! divides two different workloads (eight shallow queues against one deep
+//! one), so it is reported, not gated.
 //!
 //! The like-for-like thread row runs that same 8-site workload, batched, on
 //! 1 worker and on 2 workers: the only difference is the thread count, so it
@@ -18,8 +25,8 @@
 //! Every run has a warmup prefix excluded from timing. Writes
 //! `BENCH_fleet.json` into the current directory.
 //!
-//! Usage: `fleet [--quick]` — `--quick` shrinks sizes and windows for the
-//! CI smoke gate (both modes measure the gated 10k-job point).
+//! Usage: `fleet [--quick]` — `--quick` drops the 100k-job size for the CI
+//! smoke gate (both modes measure the gated 1k- and 10k-job points).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -98,18 +105,29 @@ fn sharded_tps(jobs: usize, shards: usize, warmup: u64, measure: u64) -> f64 {
 /// slows a rep down, so the max is the stable estimate of real capacity.
 const REPS: usize = 3;
 
-fn bench_size(jobs: usize, warmup: u64, measure: u64) -> Row {
+/// Best-of-[`MONOLITH_REPS`] ticks/s of the single-site monolith (every job
+/// on one site, plain single-threaded path) at each size. Each repetition
+/// runs every size in turn, so a burst of machine noise cannot land on one
+/// side of the gated ratio alone.
+fn monolith_tps(sizes: &[usize], warmup: u64, measure: u64) -> Vec<f64> {
     let config = cfg();
-
-    // Monolith reference: every job on one site, plain single-threaded path.
-    let mut monolith_tps = 0f64;
-    for _ in 0..REPS {
-        let workload = Workload::fleet_scale(jobs, 1);
-        let mut history = HistoryStore::in_memory();
-        let mut sim = FleetSim::new(&workload, &config, &mut history);
-        monolith_tps = monolith_tps.max(drive(|| sim.tick(), warmup, measure));
+    let mut best = vec![0f64; sizes.len()];
+    for _ in 0..MONOLITH_REPS {
+        for (b, &jobs) in best.iter_mut().zip(sizes) {
+            let workload = Workload::fleet_scale(jobs, 1);
+            let mut history = HistoryStore::in_memory();
+            let mut sim = FleetSim::new(&workload, &config, &mut history);
+            *b = b.max(drive(|| sim.tick(), warmup, measure));
+        }
     }
+    best
+}
 
+/// The gated monolith runs take milliseconds each, so they afford more
+/// repetitions than the sharded rows.
+const MONOLITH_REPS: usize = 7;
+
+fn bench_size(jobs: usize, monolith_tps: f64, warmup: u64, measure: u64) -> Row {
     // Sharded: same jobs over 8 sites, 8 worker threads, batched ticks (one
     // set of scoped threads per 64 ticks — start-up amortized, bytes
     // unchanged).
@@ -128,18 +146,21 @@ fn bench_size(jobs: usize, warmup: u64, measure: u64) -> Row {
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let mode = if quick { "quick" } else { "full" };
-    eprintln!("fleet bench ({mode}): sharded (8 sites x 8 shards) vs single-site monolith");
+    eprintln!("fleet bench ({mode}): single-site monolith by queue depth, and 8 sites x 8 shards");
 
     let sizes: &[usize] = if quick {
         &[1_000, 10_000]
     } else {
         &[1_000, 10_000, 100_000]
     };
-    let (warmup, measure) = if quick { (20, 120) } else { (50, 400) };
+    // A window of a few milliseconds: shorter ones put the gated ratio at
+    // the mercy of scheduler noise on a shared machine.
+    let (warmup, measure) = (50, 2000);
 
+    let monolith = monolith_tps(sizes, warmup, measure);
     let mut rows = Vec::new();
-    for &jobs in sizes {
-        let r = bench_size(jobs, warmup, measure);
+    for (&jobs, &tps) in sizes.iter().zip(&monolith) {
+        let r = bench_size(jobs, tps, warmup, measure);
         eprintln!(
             "  {} jobs: monolith {:.0} ticks/s, sharded {:.0} ticks/s, speedup {:.2}x; \
              8 sites on 1/2 workers {:.0}/{:.0} ticks/s",
@@ -147,11 +168,13 @@ fn main() {
         );
         rows.push(r);
     }
-    let speedup_10k = rows
-        .iter()
-        .find(|r| r.jobs == 10_000)
-        .map(|r| r.speedup)
-        .expect("10k point always measured");
+    let monolith_tps = |jobs: usize| {
+        rows.iter()
+            .find(|r| r.jobs == jobs)
+            .map(|r| r.monolith_tps)
+            .expect("1k and 10k points always measured")
+    };
+    let depth_ratio = monolith_tps(10_000) / monolith_tps(1_000);
 
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let mut json = String::new();
@@ -182,13 +205,14 @@ fn main() {
         );
     }
     json.push_str("  ],\n");
-    let _ = writeln!(json, "  \"fleet_10k_shard8_speedup\": {speedup_10k:.2}");
+    let _ = writeln!(json, "  \"monolith_10k_vs_1k\": {depth_ratio:.2}");
     json.push_str("}\n");
     std::fs::write("BENCH_fleet.json", &json).expect("cannot write BENCH_fleet.json");
-    println!("wrote BENCH_fleet.json (10k-job sharded speedup: {speedup_10k:.1}x)");
+    println!("wrote BENCH_fleet.json (10k-job vs 1k-job monolith ticks/s: {depth_ratio:.2})");
 
     assert!(
-        speedup_10k >= 2.0,
-        "scaling regression: 10k-job 8-shard speedup {speedup_10k:.2}x < 2x"
+        depth_ratio >= 0.5,
+        "admission scales with queue depth again: 10k-job monolith runs at \
+         {depth_ratio:.2}x the 1k-job tick rate (< 0.5)"
     );
 }

@@ -36,6 +36,7 @@
 //! `checkpoint.rs`).
 
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt::Write as _;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -48,6 +49,7 @@ use crate::health::{
 use crate::history::{HistoryRecord, HistoryStore};
 use crate::job::{JobId, JobSpec, JobState, Workload};
 use crate::policy::Policy;
+use crate::queue::JobQueue;
 use crate::route::JobRoute;
 use xferopt_scenarios::{FaultProfile, PaperWorld, Route};
 use xferopt_simcore::metrics::{json_f64, MetricsRegistry};
@@ -179,10 +181,11 @@ impl Default for FleetConfig {
 
 impl FleetConfig {
     /// Check that a fleet can run under this config: positive tick, epoch
-    /// and horizon with the tick dividing the epoch, a link budget of at
-    /// least one stream, and a planet topology that builds (known preset
-    /// and campaign, `k >= 1`, outage regions on the planet, no classic
-    /// fault profile, and no campaign mixed with outage regions).
+    /// and horizon (tick and epoch at least the clock's 1 ns resolution)
+    /// with the tick dividing the epoch, a link budget of at least one
+    /// stream, and a planet topology that builds (known preset and
+    /// campaign, `k >= 1`, outage regions on the planet, no classic fault
+    /// profile, and no campaign mixed with outage regions).
     ///
     /// # Errors
     /// Describes the first invalid value.
@@ -194,6 +197,13 @@ impl FleetConfig {
         ] {
             if v.is_nan() || v <= 0.0 {
                 return Err(format!("{name} must be positive, got {v}"));
+            }
+        }
+        for (name, v) in [("tick", self.tick_s), ("epoch", self.epoch_s)] {
+            if !SimDuration::from_secs_f64(v).is_positive() {
+                return Err(format!(
+                    "{name} {v:?} rounds to 0 ns, below the simulation clock's 1 ns resolution"
+                ));
             }
         }
         let ratio = self.epoch_s / self.tick_s;
@@ -278,21 +288,16 @@ pub struct JobOutcome {
 impl JobOutcome {
     /// Render as one fixed-format report line.
     pub fn render(&self) -> String {
-        let opt = |v: Option<f64>| match v {
-            Some(x) => format!("{x:.1}"),
-            None => "-".to_string(),
-        };
-        let warm = match self.warm_distance {
-            Some(d) => format!("warm:{d:.3}"),
-            None => "cold".to_string(),
-        };
-        let deadline = match self.deadline_met {
-            Some(true) => "met",
-            Some(false) => "missed",
-            None => "-",
-        };
-        format!(
-            "{} state={} route={} tuner={} size_mb={:.0} prio={} arrival_s={:.0} admitted_s={} finished_s={} granted={} start={} best={} best_mbs={:.1} mean_mbs={:.1} moved_mb={:.1} epochs={} t90_s={} deadline={}",
+        let mut line = String::new();
+        self.write_line(&mut line);
+        line
+    }
+
+    /// Append the [`JobOutcome::render`] line to `out`.
+    fn write_line(&self, out: &mut String) {
+        let _ = write!(
+            out,
+            "{} state={} route={} tuner={} size_mb={:.0} prio={} arrival_s={:.0} admitted_s={} finished_s={} granted={} start=",
             self.id,
             self.state.name(),
             self.spec.route.name(),
@@ -300,18 +305,46 @@ impl JobOutcome {
             self.spec.size_mb,
             self.spec.priority,
             self.spec.arrival_s,
-            opt(self.admitted_s),
-            opt(self.finished_s),
+            OptNum(self.admitted_s, 1, "-"),
+            OptNum(self.finished_s, 1, "-"),
             self.granted_streams,
-            warm,
-            self.best_params.compact(),
+        );
+        match self.warm_distance {
+            Some(d) => {
+                let _ = write!(out, "warm:{d:.3}");
+            }
+            None => out.push_str("cold"),
+        }
+        let deadline = match self.deadline_met {
+            Some(true) => "met",
+            Some(false) => "missed",
+            None => "-",
+        };
+        let _ = write!(
+            out,
+            " best={}x{} best_mbs={:.1} mean_mbs={:.1} moved_mb={:.1} epochs={} t90_s={} deadline={}",
+            self.best_params.nc,
+            self.best_params.np,
             self.best_mbs,
             self.mean_mbs,
             self.moved_mb,
             self.epochs,
-            opt(self.time_to_90_s),
+            OptNum(self.time_to_90_s, 1, "-"),
             deadline,
-        )
+        );
+    }
+}
+
+/// An optional report number: `Some(x)` with the given decimals, `None` as
+/// the given placeholder.
+struct OptNum(Option<f64>, usize, &'static str);
+
+impl std::fmt::Display for OptNum {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.0 {
+            Some(x) => write!(f, "{x:.*}", self.1),
+            None => f.write_str(self.2),
+        }
     }
 }
 
@@ -369,8 +402,9 @@ impl FleetReport {
     /// profile is configured): quiet runs are byte-identical to
     /// pre-supervision reports.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
+        let mut out = String::with_capacity(256 * (self.outcomes.len() + 2));
+        let _ = write!(
+            out,
             "fleet policy={} seed={} jobs={} horizon_s={:.0} tick_s={:.0} epoch_s={:.0} budget={} warm={} audit={}",
             self.config.policy,
             self.config.seed,
@@ -381,63 +415,61 @@ impl FleetReport {
             self.config.link_budget,
             self.config.warm_start,
             self.config.audit,
-        ));
+        );
         if let Some(p) = self.config.faults {
-            out.push_str(&format!(" faults={}", p.name()));
+            let _ = write!(out, " faults={}", p.name());
         }
         if let Some(tc) = &self.config.topo {
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 " topo={} k={} multipath={} reroute={}",
                 tc.preset, tc.k, tc.multipath, tc.reroute
-            ));
+            );
             if tc.selfheal {
                 out.push_str(" selfheal=true");
             }
             if let Some(c) = &tc.campaign {
-                out.push_str(&format!(" campaign={c}"));
+                let _ = write!(out, " campaign={c}");
             }
             // A single outage region keeps the historical `outage_region=`
             // bytes (golden snapshots); only multi-region runs use the
             // plural form.
             match tc.outage_regions.as_slice() {
                 [] => {}
-                [r] => out.push_str(&format!(" outage_region={r}")),
-                rs => out.push_str(&format!(
-                    " outage_regions={}",
-                    rs.iter()
-                        .map(|r| r.to_string())
-                        .collect::<Vec<_>>()
-                        .join(",")
-                )),
+                [r] => {
+                    let _ = write!(out, " outage_region={r}");
+                }
+                rs => {
+                    let rs: Vec<String> = rs.iter().map(|r| r.to_string()).collect();
+                    let _ = write!(out, " outage_regions={}", rs.join(","));
+                }
             }
         }
         out.push('\n');
         for o in &self.outcomes {
-            out.push_str(&o.render());
+            o.write_line(&mut out);
             out.push('\n');
         }
-        let opt = |v: Option<f64>| match v {
-            Some(x) => format!("{x:.1}"),
-            None => "-".to_string(),
-        };
-        let failed = self.count(JobState::Failed);
-        let failed_part = if failed > 0 {
-            format!(" failed={failed}")
-        } else {
-            String::new()
-        };
-        out.push_str(&format!(
-            "summary completed={} unfinished={}{} queued={} pending={} moved_mb={:.1} makespan_s={} t90_cold_s={} t90_warm_s={}\n",
+        let _ = write!(
+            out,
+            "summary completed={} unfinished={}",
             self.count(JobState::Completed),
             self.count(JobState::Unfinished),
-            failed_part,
+        );
+        let failed = self.count(JobState::Failed);
+        if failed > 0 {
+            let _ = write!(out, " failed={failed}");
+        }
+        let _ = writeln!(
+            out,
+            " queued={} pending={} moved_mb={:.1} makespan_s={} t90_cold_s={} t90_warm_s={}",
             self.count(JobState::Queued),
             self.count(JobState::Pending),
             self.total_moved_mb(),
-            opt(self.makespan_s()),
-            opt(self.mean_time_to_90_s(false)),
-            opt(self.mean_time_to_90_s(true)),
-        ));
+            OptNum(self.makespan_s(), 1, "-"),
+            OptNum(self.mean_time_to_90_s(false), 1, "-"),
+            OptNum(self.mean_time_to_90_s(true), 1, "-"),
+        );
         if self.config.faults.is_some() || !self.supervision.is_quiet() {
             out.push_str(&self.supervision.render());
             out.push('\n');
@@ -447,16 +479,14 @@ impl FleetReport {
 
     /// Render per-job outcomes as CSV (header + one row per job).
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(
+        let mut out = String::with_capacity(128 * (self.outcomes.len() + 1));
+        out.push_str(
             "job,state,route,tuner,size_mb,priority,arrival_s,admitted_s,finished_s,granted,warm_distance,best,best_mbs,mean_mbs,moved_mb,epochs,t90_s,deadline_met\n",
         );
-        let opt = |v: Option<f64>| match v {
-            Some(x) => format!("{x:.3}"),
-            None => String::new(),
-        };
         for o in &self.outcomes {
-            out.push_str(&format!(
-                "{},{},{},{},{:.0},{},{:.0},{},{},{},{},{},{:.3},{:.3},{:.3},{},{},{}\n",
+            let _ = write!(
+                out,
+                "{},{},{},{},{:.0},{},{:.0},{},{},{},{},{}x{},{:.3},{:.3},{:.3},{},{},",
                 o.id.0,
                 o.state.name(),
                 o.spec.route.name(),
@@ -464,18 +494,22 @@ impl FleetReport {
                 o.spec.size_mb,
                 o.spec.priority,
                 o.spec.arrival_s,
-                opt(o.admitted_s),
-                opt(o.finished_s),
+                OptNum(o.admitted_s, 3, ""),
+                OptNum(o.finished_s, 3, ""),
                 o.granted_streams,
-                opt(o.warm_distance),
-                o.best_params.compact(),
+                OptNum(o.warm_distance, 3, ""),
+                o.best_params.nc,
+                o.best_params.np,
                 o.best_mbs,
                 o.mean_mbs,
                 o.moved_mb,
                 o.epochs,
-                opt(o.time_to_90_s),
-                o.deadline_met.map(|b| b.to_string()).unwrap_or_default(),
-            ));
+                OptNum(o.time_to_90_s, 3, ""),
+            );
+            if let Some(met) = o.deadline_met {
+                let _ = write!(out, "{met}");
+            }
+            out.push('\n');
         }
         out
     }
@@ -725,7 +759,7 @@ pub struct FleetSim<'h> {
     workload_jobs: Vec<JobSpec>,
     world: FleetWorld,
     pending: VecDeque<JobSpec>,
-    queued: Vec<JobSpec>,
+    queued: JobQueue,
     running: BTreeMap<JobId, RunningJob>,
     quarantined: BTreeMap<JobId, QuarantinedJob>,
     /// Progress of requeued (or migrated) jobs currently back in the queue.
@@ -745,7 +779,7 @@ pub struct FleetSim<'h> {
     /// runner (which re-serializes them into the real store in job-id order).
     tick_appends: Vec<(JobId, HistoryRecord)>,
     /// False while the admission picture is unchanged since the last blocked
-    /// admission pass; the next tick then skips the O(queue) policy scan
+    /// admission pass; the next tick then skips the admission pick
     /// entirely. Any queue mutation, reservation release, or breaker state
     /// transition sets it (the admission loop itself has no side effects on
     /// a blocked attempt, so skipping it is byte-exact — enforced by the
@@ -865,7 +899,7 @@ impl<'h> FleetSim<'h> {
             workload_jobs: workload.jobs().to_vec(),
             world,
             pending: workload.jobs().iter().cloned().collect(),
-            queued: Vec::new(),
+            queued: JobQueue::new(config.policy),
             running: BTreeMap::new(),
             quarantined: BTreeMap::new(),
             carry: BTreeMap::new(),
@@ -1027,12 +1061,11 @@ impl<'h> FleetSim<'h> {
         // its bytes are conserved (re-admission folds the old transfer's
         // progress into `moved_base` and runs the remainder).
         if self.config.topo.as_ref().is_some_and(|t| t.reroute) {
-            let moves: Vec<(usize, JobRoute)> = match &self.world {
+            let moves: Vec<(u64, JobRoute)> = match &self.world {
                 FleetWorld::Classic(_) => Vec::new(),
                 FleetWorld::Planet(pf) => self
                     .queued
                     .iter()
-                    .enumerate()
                     .filter(|(_, j)| {
                         self.carry.contains_key(&j.id)
                             && !self.breakers.route_admits(j.route.links())
@@ -1043,7 +1076,7 @@ impl<'h> FleetSim<'h> {
                     })
                     .collect(),
             };
-            for (i, next) in moves {
+            for (seq, next) in moves {
                 // Re-routes are retry-budget actions too: an unpayable hop
                 // waits (the job keeps its blocked route and retries later).
                 if let Some(g) = &mut self.governor {
@@ -1051,47 +1084,39 @@ impl<'h> FleetSim<'h> {
                         break;
                     }
                 }
-                let id = self.queued[i].id;
-                let detail = format!("{}=>{}", self.queued[i].route.name(), next.name());
+                let j = self.queued.get(seq);
+                let id = j.id;
+                let detail = format!("{}=>{}", j.route.name(), next.name());
                 self.supervision.reroutes += 1;
                 self.push_event("reroute", Some(id.to_string()), None, detail);
-                self.queued[i].route = next;
+                self.queued.set_route(seq, next);
                 self.admission_dirty = true;
             }
         }
 
-        // 2. Admission: policy pick over breaker-admissible jobs, with
-        // head-of-line blocking on link capacity. Skipped outright while
-        // nothing that feeds the pick (queue, reservations, breaker states,
-        // admitted-by-class counters) has changed since the last blocked
-        // pass: a re-run would rebuild the same view, pick the same job, and
-        // block the same way, with zero side effects.
+        // 2. Admission: the policy's pick among breaker-admissible jobs
+        // (walked in the queue's policy order), with head-of-line blocking
+        // on link capacity. Skipped outright while nothing that feeds the
+        // pick (queue, reservations, breaker states, admitted-by-class
+        // counters) has changed since the last blocked pass: a re-run would
+        // pick the same job and block the same way, with zero side effects.
         while self.admission_dirty {
-            let mask: Vec<usize> = self
-                .queued
-                .iter()
-                .enumerate()
-                .filter(|(_, j)| self.breakers.route_admits(j.route.links()))
-                .map(|(i, _)| i)
-                .collect();
-            if mask.is_empty() {
-                self.admission_dirty = false;
-                break;
-            }
-            let view: Vec<JobSpec> = mask.iter().map(|&i| self.queued[i].clone()).collect();
-            let Some(vidx) = self.config.policy.pick_next(&view, &self.admitted_by_class) else {
+            let breakers = &self.breakers;
+            let Some(seq) = self.queued.pick(
+                |j| breakers.route_admits(j.route.links()),
+                &self.admitted_by_class,
+            ) else {
                 self.admission_dirty = false;
                 break;
             };
-            let qidx = mask[vidx];
             let Some(grant) = self
                 .admission
-                .try_admit_gated(&self.queued[qidx], &mut self.breakers)
+                .try_admit_gated(self.queued.get(seq), &mut self.breakers)
             else {
                 self.admission_dirty = false;
                 break; // head-of-line blocked until a reservation frees up
             };
-            let spec = self.queued.remove(qidx);
+            let spec = self.queued.remove(seq);
             self.admit(spec, grant);
         }
 
@@ -1316,19 +1341,18 @@ impl<'h> FleetSim<'h> {
         // Queued jobs have no live transfer yet: steering them onto the
         // refreshed chosen routes is free (carried bytes are conserved by
         // the re-admission fold).
-        let updates: Vec<(usize, JobRoute)> = {
+        let updates: Vec<(u64, JobRoute)> = {
             let FleetWorld::Planet(pf) = &self.world else {
                 unreachable!("checked above")
             };
             self.queued
                 .iter()
-                .enumerate()
                 .filter(|(_, j)| j.route.links().iter().any(|l| dead.contains(l)))
-                .filter_map(|(i, j)| refreshed_route(pf, j.route.name()).map(|r| (i, r)))
+                .filter_map(|(seq, j)| refreshed_route(pf, j.route.name()).map(|r| (seq, r)))
                 .collect()
         };
-        for (i, next) in updates {
-            self.queued[i].route = next;
+        for (seq, next) in updates {
+            self.queued.set_route(seq, next);
             self.admission_dirty = true;
         }
 
@@ -1403,12 +1427,11 @@ impl<'h> FleetSim<'h> {
         let victim = self
             .queued
             .iter()
-            .enumerate()
             .filter(|(_, j)| hit(j))
             .min_by_key(|(_, j)| (j.priority, std::cmp::Reverse(j.id)))
-            .map(|(i, _)| i);
-        let Some(pos) = victim else { return false };
-        let spec = self.queued.remove(pos);
+            .map(|(seq, _)| seq);
+        let Some(seq) = victim else { return false };
+        let spec = self.queued.remove(seq);
         self.admission_dirty = true;
         self.push_event(
             kind,
@@ -1831,7 +1854,7 @@ impl<'h> FleetSim<'h> {
         s.push_str(&format!(
             "pending={};queued={};",
             ids(self.pending.iter()),
-            ids(self.queued.iter())
+            ids(self.queued.iter().map(|(_, j)| j))
         ));
         for (id, j) in &self.running {
             s.push_str(&format!(
@@ -1932,7 +1955,8 @@ impl<'h> FleetSim<'h> {
             let o = self.outcome(q.spec, Some(&q.progress), JobState::Unfinished, None);
             self.outcomes.push(o);
         }
-        for spec in std::mem::take(&mut self.queued) {
+        let queued = std::mem::replace(&mut self.queued, JobQueue::new(self.config.policy));
+        for spec in queued.into_jobs() {
             let progress = self.carry.remove(&spec.id);
             let state = if progress.is_some() {
                 JobState::Unfinished

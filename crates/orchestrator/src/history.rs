@@ -31,6 +31,7 @@
 //! ([`HistoryRecord::context_key`]), then insertion order (earliest record
 //! wins).
 
+use std::collections::{BTreeMap, HashMap};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -148,10 +149,65 @@ impl HistoryRecord {
     }
 }
 
+/// One `(route, tuner)` context's records, reduced to the earliest record of
+/// each distinct `(ext_streams, cmp_jobs, scenario)`. Records that share all
+/// of those are equidistant from every query and share a context key, so
+/// only the earliest of them can be the nearest.
+#[derive(Debug, Clone)]
+struct Bucket {
+    tuner: TunerKind,
+    /// Those earliest record indices, ascending.
+    firsts: Vec<usize>,
+    /// The same indices, by the bits of `(ext_streams, cmp_jobs)`.
+    by_load: HashMap<(u64, u64), Vec<usize>>,
+}
+
+impl Bucket {
+    fn new(tuner: TunerKind) -> Self {
+        Bucket {
+            tuner,
+            firsts: Vec::new(),
+            by_load: HashMap::new(),
+        }
+    }
+
+    fn load_key(r: &HistoryRecord) -> (u64, u64) {
+        (r.ext_streams.to_bits(), r.cmp_jobs.to_bits())
+    }
+
+    /// Index record `i` (`r`, not yet in `records`) unless an earlier
+    /// record has its load and scenario.
+    fn add(&mut self, records: &[HistoryRecord], i: usize, r: &HistoryRecord) {
+        let same = self.by_load.entry(Self::load_key(r)).or_default();
+        if !same.iter().any(|&j| records[j].scenario == r.scenario) {
+            same.push(i);
+            self.firsts.push(i);
+        }
+    }
+
+    /// Forget the records at index `len` and beyond (still in `records`).
+    fn truncate(&mut self, records: &[HistoryRecord], len: usize) {
+        while let Some(&i) = self.firsts.last().filter(|&&i| i >= len) {
+            self.firsts.pop();
+            let key = Self::load_key(&records[i]);
+            if let Some(same) = self.by_load.get_mut(&key) {
+                same.retain(|&j| j != i);
+                if same.is_empty() {
+                    self.by_load.remove(&key);
+                }
+            }
+        }
+    }
+}
+
 /// Append-only store of [`HistoryRecord`]s, optionally backed by a JSONL file.
 #[derive(Debug)]
 pub struct HistoryStore {
     records: Vec<HistoryRecord>,
+    /// Per route, one bucket per tuner seen on it: [`HistoryStore::nearest`]
+    /// scans the query's own context first and skips whole buckets whose
+    /// fixed route/tuner penalty already exceeds the best distance found.
+    buckets: BTreeMap<String, Vec<Bucket>>,
     path: Option<PathBuf>,
     /// Malformed / foreign lines skipped while loading the backing file.
     skipped: usize,
@@ -164,6 +220,7 @@ impl Default for HistoryStore {
     fn default() -> Self {
         HistoryStore {
             records: Vec::new(),
+            buckets: BTreeMap::new(),
             path: None,
             skipped: 0,
             persist: true,
@@ -187,8 +244,7 @@ impl HistoryStore {
     pub fn open(dir: &Path) -> std::io::Result<Self> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(HISTORY_FILE);
-        let mut records = Vec::new();
-        let mut skipped = 0usize;
+        let mut store = HistoryStore::in_memory();
         if path.exists() {
             for line in std::fs::read_to_string(&path)?.lines() {
                 let line = line.trim();
@@ -196,17 +252,13 @@ impl HistoryStore {
                     continue;
                 }
                 match HistoryRecord::from_json(line) {
-                    Some(r) => records.push(r),
-                    None => skipped += 1,
+                    Some(r) => store.push(r),
+                    None => store.skipped += 1,
                 }
             }
         }
-        Ok(HistoryStore {
-            records,
-            path: Some(path),
-            skipped,
-            persist: true,
-        })
+        store.path = Some(path);
+        Ok(store)
     }
 
     /// Malformed lines skipped when the backing file was loaded.
@@ -224,6 +276,7 @@ impl HistoryStore {
     pub fn shard_snapshot(&self) -> HistoryStore {
         HistoryStore {
             records: self.records.clone(),
+            buckets: self.buckets.clone(),
             path: None,
             skipped: self.skipped,
             persist: true,
@@ -245,6 +298,9 @@ impl HistoryStore {
     /// Drop in-memory records beyond `len` (checkpoint replay rewinds the
     /// store to its state at run start). The backing file is untouched.
     pub fn truncate(&mut self, len: usize) {
+        for b in self.buckets.values_mut().flatten() {
+            b.truncate(&self.records, len);
+        }
         self.records.truncate(len);
     }
 
@@ -268,19 +324,33 @@ impl HistoryStore {
     /// # Errors
     /// Returns any I/O error from appending to the backing file.
     pub fn append(&mut self, record: HistoryRecord) -> std::io::Result<()> {
-        if !self.persist {
-            self.records.push(record);
-            return Ok(());
-        }
-        if let Some(path) = &self.path {
+        if let (true, Some(path)) = (self.persist, &self.path) {
             let mut f = std::fs::OpenOptions::new()
                 .create(true)
                 .append(true)
                 .open(path)?;
             writeln!(f, "{}", record.to_json())?;
         }
-        self.records.push(record);
+        self.push(record);
         Ok(())
+    }
+
+    /// Add a record to memory and to its `(route, tuner)` bucket.
+    fn push(&mut self, record: HistoryRecord) {
+        let i = self.records.len();
+        let route = match self.buckets.get_mut(record.route.as_str()) {
+            Some(route) => route,
+            None => self.buckets.entry(record.route.clone()).or_default(),
+        };
+        let bucket = match route.iter().position(|b| b.tuner == record.tuner) {
+            Some(k) => &mut route[k],
+            None => {
+                route.push(Bucket::new(record.tuner));
+                route.last_mut().expect("just pushed")
+            }
+        };
+        bucket.add(&self.records, i, &record);
+        self.records.push(record);
     }
 
     /// The nearest record to a query context, with its distance. Distance
@@ -288,6 +358,15 @@ impl HistoryStore {
     /// query names one), then the lexicographically smallest
     /// [`HistoryRecord::context_key`], then insertion order (earliest wins).
     /// `None` when the store is empty.
+    ///
+    /// Only the earliest record of each distinct context is scanned (see
+    /// `Bucket`), so the cost follows the number of distinct contexts, not
+    /// the store's length. Every record's distance is at least its bucket's
+    /// fixed penalty (0, 0.5, 1000 or 1000.5), so the query's own bucket is
+    /// scanned first and any bucket whose penalty exceeds the best distance
+    /// so far is skipped: it holds no record that could win or tie. Because
+    /// the tiebreak is a total order, the scan order cannot change the
+    /// winner.
     pub fn nearest(
         &self,
         route: &str,
@@ -296,30 +375,58 @@ impl HistoryStore {
         cmp_jobs: f64,
         scenario: &str,
     ) -> Option<(&HistoryRecord, f64)> {
-        let mut best: Option<(&HistoryRecord, f64, bool, String)> = None;
-        for r in &self.records {
-            let d = r.distance(route, tuner, ext_streams, cmp_jobs);
-            let mismatch = !scenario.is_empty() && r.scenario != scenario;
-            let better = match &best {
-                None => true,
-                Some((_, bd, bmis, bkey)) => {
-                    if d != *bd {
-                        d < *bd
-                    } else if mismatch != *bmis {
-                        // Same distance: prefer the same-scenario record.
-                        !mismatch
-                    } else {
-                        // Same distance and scenario class: lexicographic
-                        // context key; equal keys keep the earliest record.
-                        r.context_key() < *bkey
+        // (record index, distance, scenario mismatch)
+        let mut best: Option<(usize, f64, bool)> = None;
+        let scan = |bucket: &Bucket, best: &mut Option<(usize, f64, bool)>| {
+            for &i in &bucket.firsts {
+                let r = &self.records[i];
+                let d = r.distance(route, tuner, ext_streams, cmp_jobs);
+                let mismatch = !scenario.is_empty() && r.scenario != scenario;
+                let better = match *best {
+                    None => true,
+                    Some((bi, bd, bmis)) => {
+                        if d != bd {
+                            d < bd
+                        } else if mismatch != bmis {
+                            // Same distance: prefer the same-scenario record.
+                            !mismatch
+                        } else {
+                            // Same distance and scenario class: lexicographic
+                            // context key, then the earliest record.
+                            context_key_cmp(r, &self.records[bi])
+                                .then(i.cmp(&bi))
+                                .is_lt()
+                        }
+                    }
+                };
+                if better {
+                    *best = Some((i, d, mismatch));
+                }
+            }
+        };
+        // A bucket is scanned only while the penalty all its records pay
+        // could still win or tie: (query's route?, query's tuner?, penalty).
+        let passes = [
+            (true, true, 0.0),
+            (true, false, 0.5),
+            (false, true, 1000.0),
+            (false, false, 1000.5),
+        ];
+        for (same_route, same_tuner, penalty) in passes {
+            let routes = self
+                .buckets
+                .iter()
+                .filter(|(name, _)| (*name == route) == same_route);
+            for (_, buckets) in routes {
+                for b in buckets.iter().filter(|b| (b.tuner == tuner) == same_tuner) {
+                    let may_win = best.is_none_or(|(_, bd, _)| penalty <= bd);
+                    if may_win {
+                        scan(b, &mut best);
                     }
                 }
-            };
-            if better {
-                best = Some((r, d, mismatch, r.context_key()));
             }
         }
-        best.map(|(r, d, _, _)| (r, d))
+        best.map(|(i, d, _)| (&self.records[i], d))
     }
 
     /// A [`WarmStart`] seed for a new job: the nearest record's optimum when
@@ -343,6 +450,20 @@ impl HistoryStore {
             }
             _ => WarmStart::cold(cold_x0),
         }
+    }
+}
+
+/// Order two records by [`HistoryRecord::context_key`] without building the
+/// keys when the contexts match up to the scenario (the common tie).
+fn context_key_cmp(a: &HistoryRecord, b: &HistoryRecord) -> std::cmp::Ordering {
+    let same_prefix = a.route == b.route
+        && a.tuner == b.tuner
+        && a.ext_streams.to_bits() == b.ext_streams.to_bits()
+        && a.cmp_jobs.to_bits() == b.cmp_jobs.to_bits();
+    if same_prefix {
+        a.scenario.cmp(&b.scenario)
+    } else {
+        a.context_key().cmp(&b.context_key())
     }
 }
 
@@ -372,6 +493,7 @@ pub(crate) fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const UC: &str = "anl->uchicago";
     const TACC: &str = "anl->tacc";
@@ -492,6 +614,110 @@ mod tests {
         s2.append(rec_in("fleet", 3.0, vec![8])).unwrap();
         let (r, _) = s2.nearest(UC, TunerKind::Cs, 3.0, 0.0, "fleet").unwrap();
         assert_eq!(r.best, vec![5]);
+    }
+
+    /// The linear scan `nearest` replaced: every record in insertion order,
+    /// keeping the first strictly better one.
+    fn linear_nearest<'a>(
+        records: &'a [HistoryRecord],
+        route: &str,
+        tuner: TunerKind,
+        ext_streams: f64,
+        cmp_jobs: f64,
+        scenario: &str,
+    ) -> Option<(&'a HistoryRecord, f64)> {
+        let mut best: Option<(&HistoryRecord, f64, bool, String)> = None;
+        for r in records {
+            let d = r.distance(route, tuner, ext_streams, cmp_jobs);
+            let mismatch = !scenario.is_empty() && r.scenario != scenario;
+            let better = match &best {
+                None => true,
+                Some((_, bd, bmis, bkey)) => {
+                    if d != *bd {
+                        d < *bd
+                    } else if mismatch != *bmis {
+                        !mismatch
+                    } else {
+                        r.context_key() < *bkey
+                    }
+                }
+            };
+            if better {
+                best = Some((r, d, mismatch, r.context_key()));
+            }
+        }
+        best.map(|(r, d, _, _)| (r, d))
+    }
+
+    const ROUTES: [&str; 3] = [UC, TACC, "use->euw:0"];
+    const TUNERS: [TunerKind; 3] = [TunerKind::Cs, TunerKind::Nm, TunerKind::Cd];
+    const SCENARIOS: [&str; 3] = ["", "fleet", "uc-contended"];
+
+    /// Load on a coarse grid (exact ties), or near 1e300: a log term then
+    /// reaches ~690, so the two load terms together exceed the 1000 route
+    /// penalty.
+    fn load() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            (0u32..6).prop_map(|v| v as f64 * 4.0),
+            (1u32..9).prop_map(|v| v as f64 * 1e299),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn bucketed_nearest_equals_the_linear_scan(
+            records in prop::collection::vec(
+                (0usize..3, 0usize..3, load(), load(), 0usize..3, 1i64..64), 0..40),
+            queries in prop::collection::vec(
+                (0usize..3, 0usize..3, load(), load(), 0usize..3), 8),
+            keep in 0usize..48,
+        ) {
+            let mut s = HistoryStore::in_memory();
+            for &(r, t, ext, cmp, sc, best) in &records {
+                s.append(HistoryRecord {
+                    cmp_jobs: cmp,
+                    scenario: SCENARIOS[sc].to_string(),
+                    ..rec(ROUTES[r], TUNERS[t], ext, vec![best], 1000.0)
+                })
+                .unwrap();
+            }
+            let snapshot = s.shard_snapshot();
+            let mut cut = s.shard_snapshot();
+            cut.truncate(keep);
+            // Rewind and replay, as checkpoint resume does.
+            let mut replayed = s.shard_snapshot();
+            replayed.truncate(keep);
+            for r in &s.records()[replayed.len()..] {
+                replayed.append(r.clone()).unwrap();
+            }
+            for &(r, t, ext, cmp, sc) in &queries {
+                let q = (ROUTES[r], TUNERS[t], ext, cmp, SCENARIOS[sc]);
+                for store in [&s, &snapshot, &cut, &replayed] {
+                    let got = store.nearest(q.0, q.1, q.2, q.3, q.4);
+                    let want = linear_nearest(store.records(), q.0, q.1, q.2, q.3, q.4);
+                    prop_assert_eq!(
+                        got.map(|(r, d)| (r as *const HistoryRecord, d.to_bits())),
+                        want.map(|(r, d)| (r as *const HistoryRecord, d.to_bits())),
+                        "query {:?}", q
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nearest_looks_past_the_route_penalty_when_the_load_term_is_larger() {
+        let mut s = HistoryStore::in_memory();
+        s.append(HistoryRecord {
+            cmp_jobs: 1e300,
+            ..rec(UC, TunerKind::Cs, 1e300, vec![5], 3000.0)
+        })
+        .unwrap();
+        s.append(rec(TACC, TunerKind::Cs, 0.0, vec![7], 3000.0))
+            .unwrap();
+        let (r, d) = s.nearest(UC, TunerKind::Cs, 0.0, 0.0, "").unwrap();
+        assert_eq!(r.best, vec![7], "the other route is nearer: {d}");
+        assert_eq!(d, 1000.0);
     }
 
     #[test]

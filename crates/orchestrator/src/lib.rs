@@ -30,6 +30,7 @@ pub mod health;
 pub mod history;
 pub mod job;
 pub mod policy;
+mod queue;
 pub mod route;
 pub mod shard;
 pub mod tournament;

@@ -12,7 +12,8 @@ use crate::job::JobSpec;
 /// How the orchestrator orders queued jobs for admission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Policy {
-    /// First-in first-out by `(arrival, id)`.
+    /// First-in first-out: queue order (arrivals by `(arrival, id)`, then
+    /// requeued and migrated jobs at the back as they rejoin).
     Fifo,
     /// Shortest job first by `(size, arrival, id)`.
     Sjf,
@@ -44,7 +45,7 @@ impl Policy {
             return None;
         }
         let idx = match self {
-            // Queue is kept in (arrival, id) order already.
+            // The queue is kept in insertion order already.
             Policy::Fifo => 0,
             Policy::Sjf => queue
                 .iter()

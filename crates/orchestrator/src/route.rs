@@ -6,6 +6,11 @@
 //! route crosses (in network construction order), and the simulation path the
 //! route's transfers run on. Classic fleets build it [`From<Route>`]; topo
 //! fleets build it from a [`xferopt_topo::BuiltRoute`].
+//!
+//! The name and link list are shared (`Arc`), so cloning a route — and so a
+//! [`crate::JobSpec`] — never allocates.
+
+use std::sync::{Arc, OnceLock};
 
 use xferopt_scenarios::Route;
 
@@ -14,12 +19,12 @@ use xferopt_scenarios::Route;
 pub struct JobRoute {
     /// Stable route name ("anl->uchicago" for the classic enum routes,
     /// "src->dst:rank" for catalog routes).
-    pub name: String,
+    name: Arc<str>,
     /// Raw link indices the route crosses, in network construction order.
     /// Admission reserves streams on every one; breakers gate on every one.
-    pub links: Vec<usize>,
+    links: Arc<[usize]>,
     /// Index of the route's [`xferopt_net::Path`] in the simulation world.
-    pub path: usize,
+    path: usize,
 }
 
 impl JobRoute {
@@ -27,8 +32,8 @@ impl JobRoute {
     pub fn new(name: impl Into<String>, links: Vec<usize>, path: usize) -> Self {
         assert!(!links.is_empty(), "a route must cross at least one link");
         JobRoute {
-            name: name.into(),
-            links,
+            name: Arc::from(name.into()),
+            links: Arc::from(links),
             path,
         }
     }
@@ -57,18 +62,23 @@ impl JobRoute {
 }
 
 impl From<Route> for JobRoute {
+    /// A clone of the route's one shared instance.
     fn from(route: Route) -> Self {
-        JobRoute {
-            name: route.name().to_string(),
-            links: vec![0, route.wan_link_index()],
-            path: route.path_index(),
+        static CLASSIC: OnceLock<[JobRoute; 2]> = OnceLock::new();
+        let classic = CLASSIC.get_or_init(|| {
+            [Route::UChicago, Route::Tacc]
+                .map(|r| JobRoute::new(r.name(), vec![0, r.wan_link_index()], r.path_index()))
+        });
+        match route {
+            Route::UChicago => classic[0].clone(),
+            Route::Tacc => classic[1].clone(),
         }
     }
 }
 
 impl PartialEq<Route> for JobRoute {
     fn eq(&self, other: &Route) -> bool {
-        self.name == other.name()
+        &*self.name == other.name()
     }
 }
 

@@ -5,11 +5,11 @@
 #
 # Usage: scripts/bench.sh [--quick]
 #
-#   --quick   shrink sizes and windows (the CI smoke gate uses this mode)
+#   --quick   shrink sizes (the CI smoke gate uses this mode)
 #
 # Each benchmark asserts its own headline gates (alloc: repeated-read
 # speedup >= 5x, churn speedup >= 5x with < 1 component solve per
-# mutation; fleet: 10k-job sharded speedup >= 2x; routes: outage re-route
+# mutation; fleet: 10k-job monolith >= 0.5x the 1k-job tick rate; routes: outage re-route
 # gain > 1x), so a perf regression makes this script fail.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -22,7 +22,7 @@ cargo build --release -p xferopt-bench
 echo "==> alloc benchmark (cached vs uncached max-min solves + mutation churn)"
 ./target/release/alloc "$@"
 
-echo "==> fleet benchmark (sharded scaling)"
+echo "==> fleet benchmark (admission vs queue depth, sharded scaling)"
 ./target/release/fleet "$@"
 
 echo "==> routes benchmark (planet route search + outage re-route)"
@@ -30,5 +30,5 @@ echo "==> routes benchmark (planet route search + outage re-route)"
 
 echo "==> headline numbers"
 grep -E '"(repeated_read_100_flow_speedup|solves_per_tick|churn_speedup_1000x64|churn_solves_per_mutation_1000x64)"' BENCH_alloc.json
-grep -E '"fleet_10k_shard8_speedup"' BENCH_fleet.json
+grep -E '"monolith_10k_vs_1k"' BENCH_fleet.json
 grep -E '"outage_reroute_gain"' BENCH_routes.json

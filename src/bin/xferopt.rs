@@ -41,43 +41,55 @@
 //! Everything runs the calibrated fluid testbed (see DESIGN.md); use the
 //! `fig*` binaries in `xferopt-bench` to regenerate the paper's figures.
 
+use std::cell::RefCell;
 use std::process::ExitCode;
 use xferopt::prelude::*;
 use xferopt::scenarios::experiments::{fig5, summarize};
 use xferopt::scenarios::report::Table;
 use xferopt::scenarios::telemetry::{drive_transfer_with_telemetry, summarize_telemetry};
 
-/// Minimal flag parser: `--key value` pairs after the subcommand.
+/// Minimal flag parser: `--key value` pairs and bare `--flag`s after the
+/// subcommand. Every lookup is recorded, so a subcommand can refuse the
+/// flags it never read ([`Args::reject_unread`]) instead of ignoring them.
 struct Args {
-    pairs: Vec<(String, String)>,
-    flags: Vec<String>,
+    /// `(key, value)` in command-line order; `None` for a bare flag.
+    items: Vec<(String, Option<String>)>,
+    /// Keys looked up so far, and whether as `--key value` (true) or as a
+    /// bare flag (false).
+    read: RefCell<Vec<(String, bool)>>,
 }
 
 impl Args {
     fn parse(raw: &[String]) -> Result<Args, String> {
-        let mut pairs = Vec::new();
-        let mut flags = Vec::new();
+        let mut items = Vec::new();
         let mut it = raw.iter().peekable();
         while let Some(a) = it.next() {
             let Some(key) = a.strip_prefix("--") else {
                 return Err(format!("unexpected argument: {a}"));
             };
-            match it.peek() {
-                Some(v) if !v.starts_with("--") => {
-                    pairs.push((key.to_string(), it.next().unwrap().clone()));
-                }
-                _ => flags.push(key.to_string()),
-            }
+            let value = it.next_if(|v| !v.starts_with("--")).cloned();
+            items.push((key.to_string(), value));
         }
-        Ok(Args { pairs, flags })
+        Ok(Args {
+            items,
+            read: RefCell::new(Vec::new()),
+        })
+    }
+
+    fn mark(&self, key: &str, valued: bool) {
+        let mut read = self.read.borrow_mut();
+        if !read.iter().any(|(k, v)| k == key && *v == valued) {
+            read.push((key.to_string(), valued));
+        }
     }
 
     fn get(&self, key: &str) -> Option<&str> {
-        self.pairs
+        self.mark(key, true);
+        self.items
             .iter()
             .rev()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
+            .find(|(k, v)| k == key && v.is_some())
+            .and_then(|(_, v)| v.as_deref())
     }
 
     fn get_parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
@@ -88,17 +100,36 @@ impl Args {
     }
 
     fn has_flag(&self, key: &str) -> bool {
-        self.flags.iter().any(|f| f == key)
+        self.mark(key, false);
+        self.items.iter().any(|(k, v)| k == key && v.is_none())
     }
 
-    /// A finite, strictly positive number of seconds for `--key`.
+    /// Refuse the first flag, in command-line order, that the subcommand
+    /// never looked up in the form it was given: a misspelt flag, one this
+    /// subcommand does not take, or one that needs another flag it lacks.
+    /// Call once every flag is read, before the work starts.
+    fn reject_unread(&self) -> Result<(), String> {
+        let read = self.read.borrow();
+        let was_read = |key: &str, valued: bool| read.iter().any(|(k, v)| k == key && *v == valued);
+        match self.items.iter().find(|(k, v)| !was_read(k, v.is_some())) {
+            None => Ok(()),
+            Some((key, Some(v))) if was_read(key, false) => {
+                Err(format!("--{key} takes no value, got {v}"))
+            }
+            Some((key, None)) if was_read(key, true) => Err(format!("--{key} needs a value")),
+            Some((key, _)) => Err(format!("unexpected flag --{key}")),
+        }
+    }
+
+    /// A finite number of seconds for `--key`, at least the simulation
+    /// clock's 1 ns resolution (a shorter step would round to zero).
     fn get_secs(&self, key: &str, default: f64) -> Result<f64, String> {
         let v = self.get_parsed(key, default)?;
-        if v.is_finite() && v > 0.0 {
+        if v.is_finite() && SimDuration::from_secs_f64(v).is_positive() {
             Ok(v)
         } else {
             Err(format!(
-                "--{key} must be a positive number of seconds, got {v}"
+                "--{key} must be a positive number of seconds (1 ns or more), got {v:?}"
             ))
         }
     }
@@ -151,6 +182,8 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     }
 
     let telemetry_out = args.get("telemetry-out").map(str::to_string);
+    let csv = args.has_flag("csv");
+    args.reject_unread()?;
     let log = if let Some(path) = &telemetry_out {
         // Flight recorder on: identical transfer, plus JSONL + Prometheus.
         let (log, tel) = drive_transfer_with_telemetry(&cfg);
@@ -163,7 +196,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     } else {
         drive_transfer(&cfg)
     };
-    if args.has_flag("csv") {
+    if csv {
         println!("t_s,observed_mbs,bestcase_mbs,nc,np,startup_s");
         for e in &log.epochs {
             println!(
@@ -212,6 +245,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     let np = args.get_parsed("np", 8u32)?;
     let duration = args.get_secs("duration", 120.0)?;
     let seed = args.get_parsed("seed", 0u64)?;
+    args.reject_unread()?;
 
     let ncs = [1u32, 2, 4, 8, 16, 32, 64, 128, 256];
     let surface = xferopt::scenarios::throughput_surface(route, load, &ncs, &[np], duration, seed);
@@ -239,6 +273,7 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
     let duration = args.get_secs("duration", 900.0)?;
     let seed = args.get_parsed("seed", 0u64)?;
     let route = parse_route(args.get("route").unwrap_or("uc"))?;
+    args.reject_unread()?;
     let runs = fig5(route, duration, seed);
     let mut table = Table::new(vec![
         "load",
@@ -271,6 +306,7 @@ fn cmd_telemetry(sub: &str, args: &Args) -> Result<(), String> {
             let path = args
                 .get("in")
                 .ok_or_else(|| "telemetry summarize needs --in PATH".to_string())?;
+            args.reject_unread()?;
             let doc =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
             let s = summarize_telemetry(&doc);
@@ -304,47 +340,72 @@ fn open_history(args: &Args) -> Result<xferopt::orchestrator::HistoryStore, Stri
     Ok(store)
 }
 
-/// Write a fleet outcome's report and optional JSONL side-channels.
-fn write_fleet_outputs(
-    args: &Args,
-    out: &xferopt::orchestrator::FleetOutcome,
-    history: &xferopt::orchestrator::HistoryStore,
-) -> Result<(), String> {
-    let report = if args.has_flag("csv") {
-        out.report.to_csv()
-    } else {
-        out.report.render()
-    };
-    match args.get("report-out") {
-        Some(path) => {
-            std::fs::write(path, &report).map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!("fleet: wrote report to {path}");
+/// Where a fleet run writes its report and optional JSONL side-channels.
+/// Read before the run, so every flag is checked before any work starts.
+struct FleetOutputs {
+    csv: bool,
+    report: Option<String>,
+    decisions: Option<String>,
+    telemetry: Option<String>,
+    supervision: Option<String>,
+    history: bool,
+}
+
+impl FleetOutputs {
+    fn from_args(args: &Args) -> Self {
+        let path = |key: &str| args.get(key).map(str::to_string);
+        FleetOutputs {
+            csv: args.has_flag("csv"),
+            report: path("report-out"),
+            decisions: path("decisions-out"),
+            telemetry: path("telemetry-out"),
+            supervision: path("supervision-out"),
+            history: args.get("history").is_some(),
         }
-        None => print!("{report}"),
     }
-    if let Some(path) = args.get("decisions-out") {
-        std::fs::write(path, &out.decisions_jsonl)
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("fleet: wrote per-job tuner decisions to {path}");
+
+    /// Write a fleet outcome's report and side-channels.
+    fn write(
+        &self,
+        out: &xferopt::orchestrator::FleetOutcome,
+        history: &xferopt::orchestrator::HistoryStore,
+    ) -> Result<(), String> {
+        let report = if self.csv {
+            out.report.to_csv()
+        } else {
+            out.report.render()
+        };
+        match &self.report {
+            Some(path) => {
+                std::fs::write(path, &report).map_err(|e| format!("cannot write {path}: {e}"))?;
+                eprintln!("fleet: wrote report to {path}");
+            }
+            None => print!("{report}"),
+        }
+        if let Some(path) = &self.decisions {
+            std::fs::write(path, &out.decisions_jsonl)
+                .map_err(|e| format!("cannot write {path}: {e}"))?;
+            eprintln!("fleet: wrote per-job tuner decisions to {path}");
+        }
+        if let Some(path) = &self.telemetry {
+            std::fs::write(path, &out.telemetry_jsonl)
+                .map_err(|e| format!("cannot write {path}: {e}"))?;
+            eprintln!("fleet: wrote epoch telemetry to {path}");
+        }
+        if let Some(path) = &self.supervision {
+            let doc = format!("{}{}", out.supervision_jsonl, out.metrics_jsonl);
+            std::fs::write(path, doc).map_err(|e| format!("cannot write {path}: {e}"))?;
+            eprintln!("fleet: wrote supervision events + metrics to {path}");
+        }
+        if self.history {
+            eprintln!(
+                "fleet: appended {} history record(s) ({} total)",
+                out.history_appended,
+                history.len()
+            );
+        }
+        Ok(())
     }
-    if let Some(path) = args.get("telemetry-out") {
-        std::fs::write(path, &out.telemetry_jsonl)
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("fleet: wrote epoch telemetry to {path}");
-    }
-    if let Some(path) = args.get("supervision-out") {
-        let doc = format!("{}{}", out.supervision_jsonl, out.metrics_jsonl);
-        std::fs::write(path, doc).map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("fleet: wrote supervision events + metrics to {path}");
-    }
-    if args.get("history").is_some() {
-        eprintln!(
-            "fleet: appended {} history record(s) ({} total)",
-            out.history_appended,
-            history.len()
-        );
-    }
-    Ok(())
 }
 
 /// Append one checkpoint block to the journal at `path`. The run's first
@@ -504,8 +565,9 @@ fn cmd_fleet_run(args: &Args) -> Result<(), String> {
     if (checkpoint_every > 0 || stop_at_tick.is_some()) && checkpoint_out.is_none() {
         return Err("--checkpoint-every/--stop-at-tick need --checkpoint-out PATH".into());
     }
-
+    let outputs = FleetOutputs::from_args(args);
     let mut history = open_history(args)?;
+    args.reject_unread()?;
     let mut first_ckpt = true;
     // One stepping path for every fleet: batches end at the next checkpoint
     // or stop tick, and the output is byte-identical for every --shards
@@ -545,7 +607,7 @@ fn cmd_fleet_run(args: &Args) -> Result<(), String> {
         return Ok(());
     }
     let out = sim.finish();
-    write_fleet_outputs(args, &out, &history)
+    outputs.write(&out, &history)
 }
 
 /// `xferopt fleet resume`: continue a killed run from its checkpoint. The
@@ -561,6 +623,8 @@ fn cmd_fleet_resume(args: &Args) -> Result<(), String> {
     if shards == 0 {
         return Err("--shards must be >= 1".into());
     }
+    let outputs = FleetOutputs::from_args(args);
+    args.reject_unread()?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     // The checkpoint file is a journal of appended blocks; a torn tail
     // (crash mid-write) falls back to the newest intact block.
@@ -582,7 +646,7 @@ fn cmd_fleet_resume(args: &Args) -> Result<(), String> {
     // The shard count is free to differ from the killed run's because the
     // checkpoint format is shard-independent.
     let out = resume_fleet_sharded(&ck, &mut history, shards)?;
-    write_fleet_outputs(args, &out, &history)
+    outputs.write(&out, &history)
 }
 
 /// `xferopt fleet report`: digest a history store directory.
@@ -592,6 +656,7 @@ fn cmd_fleet_report(args: &Args) -> Result<(), String> {
     let dir = args
         .get("history")
         .ok_or_else(|| "fleet report needs --history DIR".to_string())?;
+    args.reject_unread()?;
     let store = HistoryStore::open(std::path::Path::new(dir))
         .map_err(|e| format!("cannot open history store {dir}: {e}"))?;
     if store.skipped() > 0 {
@@ -637,12 +702,9 @@ fn cmd_tournament_run(args: &Args) -> Result<(), String> {
     };
     cfg.seed = args.get_parsed("seed", cfg.seed)?;
     cfg.epochs = args.get_parsed("epochs", cfg.epochs)?;
-    cfg.epoch_s = args.get_parsed("epoch", cfg.epoch_s)?;
+    cfg.epoch_s = args.get_secs("epoch", cfg.epoch_s)?;
     if cfg.epochs == 0 {
         return Err("tournament needs --epochs >= 1".to_string());
-    }
-    if cfg.epoch_s <= 0.0 || cfg.epoch_s.is_nan() {
-        return Err("tournament needs --epoch > 0".to_string());
     }
     if let Some(list) = args.get("tuners") {
         cfg.tuners = list
@@ -657,9 +719,15 @@ fn cmd_tournament_run(args: &Args) -> Result<(), String> {
             .collect::<Result<_, _>>()?;
     }
     let mut history = open_history(args)?;
+    let report_out = args.get("report-out");
+    let csv_out = args.get("csv-out");
+    let jsonl_out = args.get("jsonl-out");
+    let decisions_out = args.get("decisions-out");
+    let history_dir = args.get("history");
+    args.reject_unread()?;
     let out = run_tournament(&cfg, &mut history);
 
-    match args.get("report-out") {
+    match report_out {
         Some(path) => {
             std::fs::write(path, out.leaderboard.render())
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -667,22 +735,22 @@ fn cmd_tournament_run(args: &Args) -> Result<(), String> {
         }
         None => print!("{}", out.leaderboard.render()),
     }
-    if let Some(path) = args.get("csv-out") {
+    if let Some(path) = csv_out {
         std::fs::write(path, out.leaderboard.to_csv())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("tournament: wrote CSV to {path}");
     }
-    if let Some(path) = args.get("jsonl-out") {
+    if let Some(path) = jsonl_out {
         std::fs::write(path, out.leaderboard.to_jsonl())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("tournament: wrote JSONL to {path}");
     }
-    if let Some(path) = args.get("decisions-out") {
+    if let Some(path) = decisions_out {
         std::fs::write(path, &out.decisions_jsonl)
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("tournament: wrote tuner decisions to {path}");
     }
-    if args.get("history").is_some() {
+    if history_dir.is_some() {
         eprintln!(
             "tournament: appended {} history record(s) ({} total)",
             out.history_appended,
@@ -700,9 +768,11 @@ fn cmd_tournament_report(args: &Args) -> Result<(), String> {
     let path = args
         .get("in")
         .ok_or_else(|| "tournament report needs --in PATH".to_string())?;
+    let csv = args.has_flag("csv");
+    args.reject_unread()?;
     let doc = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let board = Leaderboard::from_jsonl(&doc).map_err(|e| format!("{path}: {e}"))?;
-    if args.has_flag("csv") {
+    if csv {
         print!("{}", board.to_csv());
     } else {
         print!("{}", board.render());
@@ -772,9 +842,11 @@ fn cmd_routes_search(args: &Args) -> Result<(), String> {
     if cfg.k == 0 {
         return Err("--k must be >= 1".into());
     }
+    let out = args.get("out");
+    args.reject_unread()?;
     let table = search_routes(&planet, &cfg).map_err(|e| e.to_string())?;
     print!("{}", table.render());
-    if let Some(out) = args.get("out") {
+    if let Some(out) = out {
         std::fs::write(out, table.to_jsonl()).map_err(|e| format!("cannot write {out}: {e}"))?;
         eprintln!("routes: placement table -> {out}");
     }
@@ -817,8 +889,10 @@ fn cmd_chaos_run(args: &Args) -> Result<(), String> {
     if cfg.shards == 0 {
         return Err("--shards must be >= 1".into());
     }
+    let out_path = args.get("out");
+    args.reject_unread()?;
     let out = run_campaign(&cfg)?;
-    match args.get("out") {
+    match out_path {
         Some(path) => {
             std::fs::write(path, &out.scorecard)
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -951,6 +1025,26 @@ mod tests {
     fn rejects_bad_values() {
         let a = args(&["--seed", "xyz"]);
         assert!(a.get_parsed("seed", 0u64).is_err());
+    }
+
+    #[test]
+    fn unread_flags_are_rejected_by_name() {
+        let a = args(&["--jobs", "3", "--polcy", "fifo", "--cold"]);
+        assert_eq!(a.get("jobs"), Some("3"));
+        assert!(a.has_flag("cold"));
+        assert_eq!(a.reject_unread().unwrap_err(), "unexpected flag --polcy");
+        assert_eq!(a.get("polcy"), Some("fifo"));
+        assert!(a.reject_unread().is_ok());
+        // A known key in the wrong form is named as such.
+        let a = args(&["--csv", "x", "--seed"]);
+        assert!(!a.has_flag("csv"));
+        assert_eq!(
+            a.reject_unread().unwrap_err(),
+            "--csv takes no value, got x"
+        );
+        assert_eq!(a.get("csv"), Some("x"));
+        assert_eq!(a.get("seed"), None);
+        assert_eq!(a.reject_unread().unwrap_err(), "--seed needs a value");
     }
 
     #[test]

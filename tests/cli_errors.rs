@@ -33,13 +33,14 @@ fn run(args: &[&str]) -> (Option<i32>, String) {
     )
 }
 
-fn assert_rejected(args: &[&str]) {
+fn assert_rejected(args: &[&str]) -> String {
     let (code, stderr) = run(args);
     let what = format!("`xferopt {}`", args.join(" "));
     assert!(!stderr.contains("panicked"), "{what} panicked:\n{stderr}");
     assert_eq!(code, Some(1), "{what} exit code; stderr:\n{stderr}");
     let errors = stderr.lines().filter(|l| l.starts_with("error:")).count();
     assert_eq!(errors, 1, "{what} must print one error line:\n{stderr}");
+    stderr
 }
 
 #[test]
@@ -50,13 +51,17 @@ fn bad_flag_values_exit_1_with_an_error_line() {
         &["fleet", "run", "--epoch", "-5"],
         &["fleet", "run", "--horizon", "-5"],
         &["fleet", "run", "--budget", "0"],
+        &["fleet", "run", "--tick", "1e-300", "--jobs", "1"],
         &["run", "--duration", "0"],
         &["run", "--duration", "-1"],
         &["run", "--epoch", "0"],
         &["run", "--epoch", "-3"],
         &["run", "--epoch", "5000", "--duration", "100"],
+        &["run", "--epoch", "1e-300", "--duration", "1"],
         &["sweep", "--duration", "0"],
         &["sweep", "--duration", "-1"],
+        &["sweep", "--duration", "1e-300"],
+        &["tournament", "run", "--quick", "--epoch", "1e-300"],
         &["compare", "--duration", "0"],
         &["compare", "--duration", "-1"],
         &[
@@ -70,6 +75,27 @@ fn bad_flag_values_exit_1_with_an_error_line() {
     ];
     for args in cases {
         assert_rejected(args);
+    }
+}
+
+#[test]
+fn unknown_flags_exit_1_naming_the_flag() {
+    let cases: &[(&[&str], &str)] = &[
+        (
+            &["fleet", "run", "--jobs", "3", "--polcy", "fifo"],
+            "--polcy",
+        ),
+        (&["fleet", "run", "--jobs", "3", "--dense"], "--dense"),
+        (&["fleet", "run", "--jobs", "3", "--selfheal"], "--selfheal"),
+        (&["sweep", "--duration", "10", "--csv"], "--csv"),
+        (&["run", "--duration", "30", "--csv", "yes"], "--csv"),
+    ];
+    for (args, flag) in cases {
+        let stderr = assert_rejected(args);
+        assert!(
+            stderr.contains(flag),
+            "{args:?} must name {flag}:\n{stderr}"
+        );
     }
 }
 
