@@ -12,7 +12,7 @@
 //! We keep the real wire layout (1 + 8 + 8 byte header, big-endian) and the
 //! EOD flag that closes a channel.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
 
 /// Header flag: end of data on this channel (for the current transfer; the
 /// channel itself may be cached and reused by the next transfer).
@@ -81,12 +81,21 @@ impl Block {
     /// Encode into a fresh buffer (header + payload).
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(HEADER_LEN + self.payload.len());
-        buf.put_u8(self.flags);
-        buf.put_u64(self.payload.len() as u64);
-        buf.put_u64(self.offset);
+        buf.extend_from_slice(&header(self.flags, self.payload.len() as u64, self.offset));
         buf.extend_from_slice(&self.payload);
         buf.freeze()
     }
+}
+
+/// The fixed EBLOCK header of a frame: flags, then the payload length and
+/// the offset, both big-endian. The one writer of the wire layout, shared by
+/// [`Block::encode`] and the sender's in-place frames.
+pub(crate) fn header(flags: u8, len: u64, offset: u64) -> [u8; HEADER_LEN] {
+    let mut h = [0; HEADER_LEN];
+    h[0] = flags;
+    h[1..9].copy_from_slice(&len.to_be_bytes());
+    h[9..].copy_from_slice(&offset.to_be_bytes());
+    h
 }
 
 /// Error from the streaming decoder.

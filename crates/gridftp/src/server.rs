@@ -375,7 +375,8 @@ fn send_stripes(
     size: u64,
     stop: &Arc<AtomicBool>,
 ) -> std::io::Result<(Vec<TcpStream>, StripeDigest, u64)> {
-    use crate::block::Block;
+    use crate::block::{Block, HEADER_LEN};
+    use crate::client::payload_frame;
     use std::sync::atomic::AtomicU64;
     const BLOCK: usize = 256 * 1024;
     let n_blocks = size.div_ceil(BLOCK as u64);
@@ -390,6 +391,7 @@ fn send_stripes(
             handles.push(
                 scope.spawn(move |_| -> std::io::Result<(TcpStream, StripeDigest)> {
                     let mut local_digest = StripeDigest::new();
+                    let mut frame = Vec::new();
                     loop {
                         if stop.load(Ordering::Relaxed) {
                             break;
@@ -400,9 +402,9 @@ fn send_stripes(
                         }
                         let offset = idx * BLOCK as u64;
                         let len = ((size - offset) as usize).min(BLOCK);
-                        let payload = crate::client::payload_block(offset, len);
-                        local_digest.add_block(offset, &payload);
-                        conn.write_all(&Block::data(offset, payload).encode())?;
+                        payload_frame(&mut frame, offset, len);
+                        local_digest.add_block(offset, &frame[HEADER_LEN..]);
+                        conn.write_all(&frame)?;
                         sent.fetch_add(len as u64, Ordering::Relaxed);
                     }
                     conn.write_all(&Block::eod().encode())?;

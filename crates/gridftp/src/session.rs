@@ -14,7 +14,7 @@
 //! overhead on real sockets.
 
 use crate::block::Block;
-use crate::client::{expected_digest, payload_block, PutError, PutReport};
+use crate::client::{expected_digest, payload_frame, PutError, PutReport};
 use crate::proto::{Command, Reply};
 use crate::rangeset::RangeSet;
 use std::io::{BufRead, BufReader, Write};
@@ -142,6 +142,7 @@ impl Session {
                 let sent = Arc::clone(&sent);
                 let bucket = self.bucket.clone();
                 handles.push(scope.spawn(move |_| -> std::io::Result<()> {
+                    let mut frame = Vec::new();
                     loop {
                         let idx = cursor.fetch_add(1, Ordering::Relaxed);
                         if idx >= n_blocks {
@@ -149,11 +150,11 @@ impl Session {
                         }
                         let offset = idx * block_bytes as u64;
                         let len = ((size - offset) as usize).min(block_bytes);
-                        let payload = payload_block(offset, len);
+                        payload_frame(&mut frame, offset, len);
                         if let Some(b) = &bucket {
-                            b.acquire(payload.len());
+                            b.acquire(len);
                         }
-                        conn.write_all(&Block::data(offset, payload).encode())?;
+                        conn.write_all(&frame)?;
                         sent.fetch_add(len as u64, Ordering::Relaxed);
                     }
                     conn.write_all(&Block::eod().encode())?;

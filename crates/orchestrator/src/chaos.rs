@@ -251,7 +251,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignOutcome, String> {
                 topo: Some(tc),
                 ..FleetConfig::default()
             };
-            fleet_cfg.validate()?;
+            fleet_cfg.validate().map_err(|e| e.to_string())?;
             let out = run_fleet_sharded(
                 &workload,
                 &fleet_cfg,

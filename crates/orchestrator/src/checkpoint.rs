@@ -266,6 +266,8 @@ impl Checkpoint {
         let tick = num("tick")? as u64;
         let t_s = num("t_s")?;
         let njobs = num("jobs")? as usize;
+        crate::fleet::check_job_count(njobs as u64)
+            .map_err(|e| format!("bad 'jobs' in checkpoint header: {e}"))?;
         let history_start_len = num("history_start_len")? as usize;
         let history_appended = num("history_appended")? as usize;
         let done = opt_flag("done")?;

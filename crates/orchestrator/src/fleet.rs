@@ -187,66 +187,137 @@ impl FleetConfig {
     /// campaign, `k >= 1`, outage regions on the planet, no classic fault
     /// profile, and no campaign mixed with outage regions).
     ///
+    /// The run must also take at most [`MAX_TICKS`] ticks.
+    ///
     /// # Errors
-    /// Describes the first invalid value.
-    pub fn validate(&self) -> Result<(), String> {
+    /// The first invalid value: [`ConfigError::TooManyTicks`] over the tick
+    /// cap, [`ConfigError::Invalid`] naming any other.
+    pub fn validate(&self) -> Result<(), ConfigError> {
         for (name, v) in [
             ("tick", self.tick_s),
             ("epoch", self.epoch_s),
             ("horizon", self.horizon_s),
         ] {
             if v.is_nan() || v <= 0.0 {
-                return Err(format!("{name} must be positive, got {v}"));
+                return Err(invalid(format!("{name} must be positive, got {v}")));
             }
         }
         for (name, v) in [("tick", self.tick_s), ("epoch", self.epoch_s)] {
             if !SimDuration::from_secs_f64(v).is_positive() {
-                return Err(format!(
+                return Err(invalid(format!(
                     "{name} {v:?} rounds to 0 ns, below the simulation clock's 1 ns resolution"
-                ));
+                )));
             }
         }
         let ratio = self.epoch_s / self.tick_s;
         if !((ratio - ratio.round()).abs() < 1e-9 && ratio >= 1.0) {
-            return Err(format!(
+            return Err(invalid(format!(
                 "tick {} must divide epoch {}",
                 self.tick_s, self.epoch_s
-            ));
+            )));
+        }
+        if self.horizon_s / self.tick_s > MAX_TICKS as f64 {
+            return Err(ConfigError::TooManyTicks {
+                horizon_s: self.horizon_s,
+                tick_s: self.tick_s,
+            });
         }
         if self.link_budget == 0 {
-            return Err("budget must admit at least one stream".into());
+            return Err(invalid("budget must admit at least one stream"));
         }
         let Some(tc) = &self.topo else { return Ok(()) };
-        let planet = Planet::preset(&tc.preset).map_err(|e| e.to_string())?;
+        let planet = Planet::preset(&tc.preset).map_err(|e| invalid(e.to_string()))?;
         if tc.k == 0 {
-            return Err("topo k must be >= 1".into());
+            return Err(invalid("topo k must be >= 1"));
         }
         if self.faults.is_some() {
-            return Err("classic fault profiles target the 3-link paper world; \
-                        planet fleets take outage regions or a campaign"
-                .into());
+            return Err(invalid(
+                "classic fault profiles target the 3-link paper world; \
+                 planet fleets take outage regions or a campaign",
+            ));
         }
         if let Some(r) = tc
             .outage_regions
             .iter()
             .find(|&&r| r >= planet.regions.len())
         {
-            return Err(format!(
+            return Err(invalid(format!(
                 "outage region {r} out of range ({} has {} regions)",
                 planet.name,
                 planet.regions.len()
-            ));
+            )));
         }
         if let Some(name) = &tc.campaign {
             if !CAMPAIGNS.contains(&name.as_str()) {
-                return Err(format!("unknown campaign: {name}"));
+                return Err(invalid(format!("unknown campaign: {name}")));
             }
             if !tc.outage_regions.is_empty() {
-                return Err("a campaign scripts its own faults; drop the outage regions".into());
+                return Err(invalid(
+                    "a campaign scripts its own faults; drop the outage regions",
+                ));
             }
         }
         Ok(())
     }
+}
+
+/// Most ticks (`horizon_s / tick_s`) one fleet run may take: 5x the
+/// longest run in the repository (the fleet bench's 1e7 s horizon at 5 s
+/// ticks). `fleet run --tick 1e-9` would take 3.6e12 ticks.
+pub const MAX_TICKS: u64 = 10_000_000;
+
+/// Most jobs one fleet may hold: 10x the largest fleet in the repository
+/// (the fleet bench's 100k jobs). The job table is allocated up front, so
+/// an unchecked count can abort the process.
+pub const MAX_JOBS: u64 = 1_000_000;
+
+/// Why a fleet configuration or size was refused.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ConfigError {
+    /// A value outside its domain; the message names it.
+    Invalid(String),
+    /// `horizon_s / tick_s` is over [`MAX_TICKS`].
+    TooManyTicks {
+        /// The run horizon, seconds.
+        horizon_s: f64,
+        /// The orchestrator tick, seconds.
+        tick_s: f64,
+    },
+    /// A job count over [`MAX_JOBS`].
+    TooManyJobs(u64),
+}
+
+fn invalid(msg: impl Into<String>) -> ConfigError {
+    ConfigError::Invalid(msg.into())
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::Invalid(msg) => f.write_str(msg),
+            ConfigError::TooManyTicks { horizon_s, tick_s } => write!(
+                f,
+                "horizon {horizon_s} / tick {tick_s} is {:.3e} ticks, over the cap of {MAX_TICKS}",
+                horizon_s / tick_s
+            ),
+            ConfigError::TooManyJobs(n) => {
+                write!(f, "{n} jobs is over the cap of {MAX_JOBS}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+/// Refuse a job count over [`MAX_JOBS`] before anything is allocated for it.
+///
+/// # Errors
+/// [`ConfigError::TooManyJobs`] over the cap.
+pub fn check_job_count(jobs: u64) -> Result<(), ConfigError> {
+    if jobs > MAX_JOBS {
+        return Err(ConfigError::TooManyJobs(jobs));
+    }
+    Ok(())
 }
 
 /// Terminal record for one job.
@@ -2296,6 +2367,30 @@ mod tests {
             &Workload::contended(1),
             &cfg,
             &mut HistoryStore::in_memory(),
+        );
+    }
+
+    #[test]
+    fn tick_and_job_caps_are_inclusive() {
+        let at_cap = FleetConfig {
+            horizon_s: MAX_TICKS as f64,
+            tick_s: 1.0,
+            epoch_s: 1.0,
+            ..FleetConfig::default()
+        };
+        assert_eq!(at_cap.validate(), Ok(()));
+        let over = FleetConfig {
+            horizon_s: MAX_TICKS as f64 + 1.0,
+            ..at_cap
+        };
+        assert!(matches!(
+            over.validate(),
+            Err(ConfigError::TooManyTicks { .. })
+        ));
+        assert_eq!(check_job_count(MAX_JOBS), Ok(()));
+        assert_eq!(
+            check_job_count(MAX_JOBS + 1),
+            Err(ConfigError::TooManyJobs(MAX_JOBS + 1))
         );
     }
 

@@ -40,8 +40,8 @@ pub use breaker::{BreakerBoard, BreakerConfig, BreakerState, RouteBreaker};
 pub use chaos::{run_campaign, CampaignConfig, CampaignOutcome};
 pub use checkpoint::{parse_journal, resume_fleet, Checkpoint, JournalRead};
 pub use fleet::{
-    run_fleet, topo_workload, FleetConfig, FleetOutcome, FleetReport, FleetSim, JobOutcome,
-    TopoFleetConfig,
+    check_job_count, run_fleet, topo_workload, ConfigError, FleetConfig, FleetOutcome, FleetReport,
+    FleetSim, JobOutcome, TopoFleetConfig,
 };
 pub use govern::{GovernConfig, Governor, RetryBudget, SloMonitor, SloState};
 pub use health::{

@@ -24,6 +24,10 @@ cargo build --workspace --release
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> stripe digest wire compatibility at the full 256 MiB put size (release)"
+cargo test -q --release -p xferopt-gridftp --lib -- --ignored \
+  expected_digest_matches_scalar_fold_at_full_size
+
 echo "==> telemetry suite (golden snapshots + determinism)"
 cargo test -q --test telemetry
 cargo test -q -p xferopt-tuners --test audit_sequences

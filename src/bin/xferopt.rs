@@ -121,6 +121,14 @@ impl Args {
         }
     }
 
+    /// A job count for `--jobs`, at most the orchestrator's job cap (the
+    /// workload is allocated up front).
+    fn get_jobs(&self, default: usize) -> Result<usize, String> {
+        let jobs = self.get_parsed("jobs", default)?;
+        xferopt::orchestrator::check_job_count(jobs as u64).map_err(|e| format!("--jobs: {e}"))?;
+        Ok(jobs)
+    }
+
     /// A finite number of seconds for `--key`, at least the simulation
     /// clock's 1 ns resolution (a shorter step would round to zero).
     fn get_secs(&self, key: &str, default: f64) -> Result<f64, String> {
@@ -438,7 +446,7 @@ fn cmd_fleet_run(args: &Args) -> Result<(), String> {
     };
     use xferopt::topo::{search_routes, Planet, RouteCatalog, SearchConfig};
 
-    let jobs = args.get_parsed("jobs", 10usize)?;
+    let jobs = args.get_jobs(10)?;
     let seed = args.get_parsed("seed", 7u64)?;
     let sites = args.get_parsed("sites", 1u32)?;
     if sites == 0 {
@@ -552,7 +560,7 @@ fn cmd_fleet_run(args: &Args) -> Result<(), String> {
         topo,
         ..FleetConfig::default()
     };
-    config.validate()?;
+    config.validate().map_err(|e| e.to_string())?;
     let checkpoint_out = args.get("checkpoint-out").map(str::to_string);
     let checkpoint_every = args.get_parsed("checkpoint-every", 0u64)?;
     let stop_at_tick = match args.get("stop-at-tick") {
@@ -881,7 +889,7 @@ fn cmd_chaos_run(args: &Args) -> Result<(), String> {
     let cfg = CampaignConfig {
         campaign: campaign.to_string(),
         preset: args.get("preset").unwrap_or(&defaults.preset).to_string(),
-        jobs: args.get_parsed("jobs", defaults.jobs)?,
+        jobs: args.get_jobs(defaults.jobs)?,
         seeds: (0..nseeds).map(|i| seed0 + i).collect(),
         horizon_s: args.get_parsed("horizon", defaults.horizon_s)?,
         shards: args.get_parsed("shards", defaults.shards)?,

@@ -78,6 +78,59 @@ fn bad_flag_values_exit_1_with_an_error_line() {
     }
 }
 
+/// A run the caps refuse, which would otherwise run for days (`--tick
+/// 1e-9` is 3.6e12 ticks) or abort allocating the job table (exit 134).
+/// The uncapped values are never run.
+#[test]
+fn tick_and_job_counts_over_the_caps_exit_1() {
+    let cases: &[(&[&str], &str)] = &[
+        (&["fleet", "run", "--tick", "1e-9", "--jobs", "1"], "ticks"),
+        (
+            &["fleet", "run", "--horizon", "inf", "--jobs", "1"],
+            "ticks",
+        ),
+        (
+            &["fleet", "run", "--horizon", "1e12", "--jobs", "1"],
+            "ticks",
+        ),
+        (
+            &[
+                "chaos",
+                "run",
+                "--campaign",
+                "rolling-outage",
+                "--horizon",
+                "1e12",
+            ],
+            "ticks",
+        ),
+        (&["fleet", "run", "--jobs", "99999999999"], "--jobs"),
+        (&["fleet", "run", "--jobs", "1000001"], "--jobs"),
+        (
+            &["fleet", "run", "--jobs", "99999999999", "--topo", "mesh"],
+            "--jobs",
+        ),
+        (
+            &[
+                "chaos",
+                "run",
+                "--campaign",
+                "rolling-outage",
+                "--jobs",
+                "99999999999",
+            ],
+            "--jobs",
+        ),
+    ];
+    for (args, names) in cases {
+        let stderr = assert_rejected(args);
+        assert!(
+            stderr.contains("over the cap") && stderr.contains(names),
+            "{args:?} must name the cap and {names}:\n{stderr}"
+        );
+    }
+}
+
 #[test]
 fn unknown_flags_exit_1_naming_the_flag() {
     let cases: &[(&[&str], &str)] = &[
@@ -118,12 +171,33 @@ fn checkpoints_with_an_invalid_config_exit_1() {
             header.replace("\"budget\":512", "\"budget\":0"),
         ),
         ("garbage.ckpt", "not a checkpoint\n".to_string()),
+        (
+            "tick1e-9.ckpt",
+            header.replace(
+                "\"tick_s\":5,\"epoch_s\":30",
+                "\"tick_s\":1e-9,\"epoch_s\":30",
+            ),
+        ),
+        (
+            "horizon1e12.ckpt",
+            header.replace("\"horizon_s\":100", "\"horizon_s\":1e12"),
+        ),
+        (
+            "jobs1e15.ckpt",
+            header.replace("\"jobs\":0", "\"jobs\":1e15"),
+        ),
     ];
     for (name, text) in &cases {
         let path = dir.join(name);
         std::fs::write(&path, text).expect("write checkpoint");
         let path = path.to_str().expect("temp path is UTF-8");
-        assert_rejected(&["fleet", "resume", "--checkpoint", path]);
+        let stderr = assert_rejected(&["fleet", "resume", "--checkpoint", path]);
+        if name.contains("1e") {
+            assert!(
+                stderr.contains("over the cap"),
+                "{name} must be refused by a cap:\n{stderr}"
+            );
+        }
     }
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }

@@ -49,6 +49,47 @@ fn persistent_session_many_epochs() {
     session.quit().unwrap();
 }
 
+/// 9 blocks and a 17-byte tail at the default 256 KiB block: the sender's
+/// expected digest takes two groups of four blocks through its lanes, one
+/// block as the lane remainder, and the tail.
+fn nine_blocks_and_a_tail() -> (u64, usize) {
+    let block = client::PutConfig::new("default", 0).block_bytes;
+    (9 * block as u64 + 17, block)
+}
+
+#[test]
+fn gridftp_put_verifies_nine_blocks_and_a_tail_on_two_channels() {
+    let server = GridFtpServer::start().unwrap();
+    let (size, _) = nine_blocks_and_a_tail();
+    let r = client::put(
+        server.control_addr(),
+        client::PutConfig::new("tail", size).with_parallelism(2),
+    )
+    .unwrap();
+    assert!(r.complete && r.verified, "{r:?}");
+    assert_eq!(r.bytes_sent, size);
+}
+
+#[test]
+fn gridftp_session_put_verifies_nine_blocks_and_a_tail() {
+    let server = GridFtpServer::start().unwrap();
+    let (size, block) = nine_blocks_and_a_tail();
+    let mut session = Session::connect(server.control_addr()).unwrap();
+    let r = session.put("tail", size, 2, block).unwrap();
+    assert!(r.complete && r.verified, "{r:?}");
+    assert_eq!(r.bytes_sent, size);
+    session.quit().unwrap();
+}
+
+#[test]
+fn gridftp_get_verifies_nine_blocks_and_a_tail() {
+    let server = GridFtpServer::start().unwrap();
+    let (size, _) = nine_blocks_and_a_tail();
+    let r = client::get(server.control_addr(), "tail", size, 2).unwrap();
+    assert!(r.verified, "{r:?}");
+    assert_eq!(r.bytes_received, size);
+}
+
 /// Disk-to-disk: the tuners must discover that a small-file archive wants
 /// pipelining while a huge-file set wants per-file parallelism (through the
 /// facade, as a user would write it).
