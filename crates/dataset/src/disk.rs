@@ -11,10 +11,8 @@
 //! * **aggregate bandwidth** — the file system tops out at
 //!   `stripes × per-stripe rate`, no matter how many readers pile on.
 
-use serde::{Deserialize, Serialize};
-
 /// A storage endpoint model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiskModel {
     /// Metadata + open cost per file, seconds.
     pub open_latency_s: f64,

@@ -2,10 +2,9 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One file in a dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FileSpec {
     /// Name (unique within the dataset).
     pub name: String,
@@ -14,7 +13,7 @@ pub struct FileSpec {
 }
 
 /// A file-size distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FileSizeDistribution {
     /// Every file the same size.
     Fixed {
@@ -67,7 +66,7 @@ impl FileSizeDistribution {
 }
 
 /// A set of files to transfer.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Dataset {
     /// The files.
     pub files: Vec<FileSpec>,

@@ -21,12 +21,11 @@ use crate::disk::DiskModel;
 use crate::filespec::Dataset;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use xferopt_simcore::rng::sample_lognormal_noise;
 use xferopt_tuners::Point;
 
 /// Tunable knobs of a disk-to-disk transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DiskParams {
     /// Concurrency: independent file channels.
     pub nc: u32,

@@ -17,10 +17,8 @@
 //! * Running many more threads than cores costs context switches and cache
 //!   churn: throughput is multiplied by `1/(1 + α·(threads/cores − 1)^γ)`.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the endpoint CPU model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuModel {
     /// Physical cores available to transfers and hogs.
     pub cores: f64,

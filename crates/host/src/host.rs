@@ -4,15 +4,14 @@
 use crate::cpu::CpuModel;
 use crate::presets::HostSpec;
 use crate::startup::StartupModel;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Identifier of a transfer application registered on a [`Host`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AppId(pub u64);
 
 /// The load shape of one transfer application: `nc` processes × `np` streams.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AppLoad {
     /// Concurrency: number of transfer processes.
     pub nc: u32,

@@ -14,10 +14,9 @@
 
 use crate::cpu::CpuModel;
 use crate::startup::StartupModel;
-use serde::{Deserialize, Serialize};
 
 /// A machine description: name, CPU model, NIC capacity, startup model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HostSpec {
     /// Human-readable machine name.
     pub name: String,

@@ -19,10 +19,8 @@
 //! `base + stretch (+ small per-proc term)`; contention stretches the
 //! CPU-bound portion sublinearly (`kappa < 1` — startup is partly I/O).
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the restart-cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StartupModel {
     /// Fixed cost: exec load, connection setup (seconds).
     pub base_s: f64,

@@ -9,14 +9,13 @@
 
 use crate::link::PathId;
 use crate::tcp::CongestionControl;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a flow group within a [`crate::Network`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FlowId(pub u64);
 
 /// A group of identical parallel TCP streams on one path.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FlowGroup {
     /// The path all streams in the group follow.
     pub path: PathId,

@@ -7,18 +7,16 @@
 //! same source NIC — the paper's Fig. 11 scenario — contend for it while
 //! crossing different WAN bottlenecks.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a link within a [`crate::Network`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LinkId(pub usize);
 
 /// Identifier of a path within a [`crate::Network`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PathId(pub usize);
 
 /// A capacitated network resource.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Link {
     /// Human-readable name for reports.
     pub name: String,
@@ -81,7 +79,7 @@ impl Link {
 
 /// An end-to-end route: the links it crosses plus TCP-relevant path
 /// properties.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Path {
     /// Human-readable name for reports.
     pub name: String,

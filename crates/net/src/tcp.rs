@@ -12,8 +12,6 @@
 //! constants matter less than the relative aggressiveness of the variants,
 //! which is what changes where the critical stream count lands.
 
-use serde::{Deserialize, Serialize};
-
 /// Default TCP maximum segment size in bytes (Ethernet MTU minus headers).
 pub const DEFAULT_MSS_BYTES: f64 = 1460.0;
 
@@ -22,7 +20,7 @@ pub const DEFAULT_MSS_BYTES: f64 = 1460.0;
 /// The paper's endpoints ran **H-TCP**; Linux defaults to **CUBIC**; Reno is
 /// the classic AIMD baseline; Scalable TCP is the most aggressive of the
 /// "high-speed" family. All four are discussed in the paper's Section III-A.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CongestionControl {
     /// Classic AIMD: +1 MSS per RTT, halve on loss.
     Reno,

@@ -18,9 +18,10 @@
 //! the CI chaos gate diffs it against a golden snapshot.
 
 use crate::fleet::{topo_workload, FleetConfig, FleetOutcome, TopoFleetConfig};
-use crate::history::{json_field, HistoryStore};
+use crate::history::HistoryStore;
 use crate::job::JobState;
 use crate::shard::run_fleet_sharded;
+use xferopt_simcore::json::Fields;
 use xferopt_topo::{campaign_phases, search_routes, Planet, RouteCatalog, SearchConfig};
 
 /// The three control-plane variants a campaign compares, in scorecard order.
@@ -145,21 +146,18 @@ fn collect(out: &FleetOutcome) -> RunStats {
     }
     let mut events = Vec::new();
     let mut slo_degrades = 0;
-    for line in out.supervision_jsonl.lines() {
-        let Some(event) = json_field(line, "event") else {
+    for f in out.supervision_jsonl.lines().filter_map(Fields::parse) {
+        let Some(event) = f.get("event") else {
             continue;
         };
-        let t = json_field(line, "t_s")
+        let t = f
+            .get("t_s")
             .and_then(|v| v.parse::<f64>().ok())
             .unwrap_or(0.0);
-        if event == "slo" && json_field(line, "detail").is_some_and(|d| d.ends_with("=>degraded")) {
+        if event == "slo" && f.get("detail").is_some_and(|d| d.ends_with("=>degraded")) {
             slo_degrades += 1;
         }
-        events.push((
-            t,
-            event.to_string(),
-            json_field(line, "ns").map(str::to_string),
-        ));
+        events.push((t, event.to_string(), f.get("ns").map(str::to_string)));
     }
     let s = &out.report.supervision;
     RunStats {

@@ -28,12 +28,12 @@
 //! matches the killed run's.
 
 use crate::fleet::{FleetConfig, FleetOutcome, FleetSim};
-use crate::history::{json_field, HistoryStore};
+use crate::history::HistoryStore;
 use crate::job::{JobId, JobSpec, Workload};
 use crate::policy::Policy;
 use crate::route::JobRoute;
 use xferopt_scenarios::{FaultProfile, Route};
-use xferopt_simcore::metrics::json_f64;
+use xferopt_simcore::json::{first_field, push_line, Fields};
 use xferopt_tuners::TunerKind;
 
 /// FNV-1a hash of a string (the checkpoint's state-digest hash — stable,
@@ -47,56 +47,52 @@ pub fn fnv1a(s: &str) -> u64 {
     h
 }
 
-/// Render one workload job as a checkpoint JSONL line (fixed key order;
-/// `deadline_s` omitted when absent).
-pub(crate) fn job_to_json(j: &JobSpec) -> String {
-    let mut s = format!(
-        "{{\"kind\":\"fleet-job\",\"id\":{},\"arrival_s\":{},\"size_mb\":{},\"priority\":{},\"route\":\"{}\",\"tuner\":\"{}\",\"np\":{},\"max_streams\":{}",
-        j.id.0,
-        json_f64(j.arrival_s),
-        json_f64(j.size_mb),
-        j.priority,
-        j.route.name(),
-        j.tuner.name(),
-        j.np,
-        j.max_streams,
-    );
-    if j.site != 0 {
-        s.push_str(&format!(",\"site\":{}", j.site));
-    }
-    if let Some(d) = j.deadline_s {
-        s.push_str(&format!(",\"deadline_s\":{}", json_f64(d)));
-    }
-    // Classic enum routes round-trip through their name alone (keeps old
-    // checkpoints and goldens byte-identical); catalog routes carry their
-    // explicit link list and sim path.
-    let classic = j
-        .route
-        .name()
-        .parse::<Route>()
-        .map(|r| j.route == r)
-        .unwrap_or(false);
-    if !classic {
-        let links = j
+/// Append one workload job to `out` as a checkpoint JSONL line (fixed key
+/// order; `deadline_s` omitted when absent; newline included).
+pub(crate) fn push_job(out: &mut String, j: &JobSpec) {
+    push_line(out, |o| {
+        o.str("kind", "fleet-job");
+        o.raw("id", j.id.0);
+        o.f64("arrival_s", j.arrival_s);
+        o.f64("size_mb", j.size_mb);
+        o.raw("priority", j.priority);
+        o.str("route", j.route.name());
+        o.str("tuner", j.tuner.name());
+        o.raw("np", j.np);
+        o.raw("max_streams", j.max_streams);
+        if j.site != 0 {
+            o.raw("site", j.site);
+        }
+        if let Some(d) = j.deadline_s {
+            o.f64("deadline_s", d);
+        }
+        // Classic enum routes round-trip through their name alone (keeps old
+        // checkpoints and goldens byte-identical); catalog routes carry their
+        // explicit link list and sim path.
+        let classic = j
             .route
-            .links()
-            .iter()
-            .map(|l| l.to_string())
-            .collect::<Vec<_>>()
-            .join(";");
-        s.push_str(&format!(
-            ",\"links\":\"{}\",\"path\":{}",
-            links,
-            j.route.path_index()
-        ));
-    }
-    s.push('}');
-    s
+            .name()
+            .parse::<Route>()
+            .map(|r| j.route == r)
+            .unwrap_or(false);
+        if !classic {
+            let links = j
+                .route
+                .links()
+                .iter()
+                .map(|l| l.to_string())
+                .collect::<Vec<_>>()
+                .join(";");
+            o.str("links", &links);
+            o.raw("path", j.route.path_index());
+        }
+    });
 }
 
-fn parse_job(line: &str) -> Result<JobSpec, String> {
+fn parse_job(f: &Fields, line: &str) -> Result<JobSpec, String> {
     let req = |key: &str| {
-        json_field(line, key).ok_or_else(|| format!("checkpoint job line missing '{key}': {line}"))
+        f.get(key)
+            .ok_or_else(|| format!("checkpoint job line missing '{key}': {line}"))
     };
     let num = |key: &str| -> Result<f64, String> {
         req(key)?
@@ -104,7 +100,7 @@ fn parse_job(line: &str) -> Result<JobSpec, String> {
             .map_err(|e| format!("bad '{key}' in checkpoint job line: {e}"))
     };
     let name = req("route")?;
-    let route: JobRoute = match json_field(line, "links") {
+    let route: JobRoute = match f.get("links") {
         Some(raw) => {
             let links = raw
                 .split(';')
@@ -128,7 +124,7 @@ fn parse_job(line: &str) -> Result<JobSpec, String> {
         arrival_s: num("arrival_s")?,
         size_mb: num("size_mb")?,
         priority: num("priority")? as u32,
-        deadline_s: match json_field(line, "deadline_s") {
+        deadline_s: match f.get("deadline_s") {
             Some(v) => Some(
                 v.parse::<f64>()
                     .map_err(|e| format!("bad deadline_s in checkpoint job line: {e}"))?,
@@ -139,7 +135,7 @@ fn parse_job(line: &str) -> Result<JobSpec, String> {
         tuner,
         np: num("np")? as u32,
         max_streams: num("max_streams")? as u32,
-        site: match json_field(line, "site") {
+        site: match f.get("site") {
             Some(v) => v
                 .parse::<u32>()
                 .map_err(|e| format!("bad site in checkpoint job line: {e}"))?,
@@ -183,15 +179,18 @@ impl Checkpoint {
     pub fn parse(text: &str) -> Result<Checkpoint, String> {
         let mut lines = text.lines().map(str::trim).filter(|l| !l.is_empty());
         let header = lines.next().ok_or("empty checkpoint")?;
-        if json_field(header, "kind") != Some("fleet-checkpoint") {
+        let h = Fields::parse(header)
+            .ok_or_else(|| format!("malformed checkpoint header: {header}"))?;
+        if h.get("kind") != Some("fleet-checkpoint") {
             return Err(format!("not a fleet checkpoint header: {header}"));
         }
-        let version = json_field(header, "version").ok_or("checkpoint missing version")?;
+        let version = h.get("version").ok_or("checkpoint missing version")?;
         if version != "1" {
             return Err(format!("unsupported checkpoint version {version}"));
         }
         let req = |key: &str| {
-            json_field(header, key).ok_or_else(|| format!("checkpoint header missing '{key}'"))
+            h.get(key)
+                .ok_or_else(|| format!("checkpoint header missing '{key}'"))
         };
         let num = |key: &str| -> Result<f64, String> {
             req(key)?
@@ -204,23 +203,22 @@ impl Checkpoint {
         };
         let flag = |key: &str| parse_flag(key, req(key)?);
         // Optional flags are written only when true.
-        let opt_flag =
-            |key: &str| json_field(header, key).map_or(Ok(false), |v| parse_flag(key, v));
+        let opt_flag = |key: &str| h.get(key).map_or(Ok(false), |v| parse_flag(key, v));
         let policy: Policy = req("policy")?.parse()?;
-        let faults: Option<FaultProfile> = match json_field(header, "faults") {
+        let faults: Option<FaultProfile> = match h.get("faults") {
             Some(name) => Some(name.parse()?),
             None => None,
         };
-        let topo = match json_field(header, "topo") {
+        let topo = match h.get("topo") {
             Some(preset) => {
                 // Outage regions serialize as a scalar when there is exactly
                 // one (the pre-multi wire form, kept byte-identical) and as a
                 // semicolon-joined string otherwise.
-                let outage_regions = match json_field(header, "outage_region") {
+                let outage_regions = match h.get("outage_region") {
                     Some(v) => vec![v
                         .parse::<usize>()
                         .map_err(|e| format!("bad 'outage_region' in checkpoint header: {e}"))?],
-                    None => match json_field(header, "outage_regions") {
+                    None => match h.get("outage_regions") {
                         Some(raw) => raw
                             .split(';')
                             .filter(|s| !s.is_empty())
@@ -236,7 +234,7 @@ impl Checkpoint {
                     preset: preset.to_string(),
                     k: num("topo_k")? as usize,
                     outage_regions,
-                    campaign: json_field(header, "campaign").map(str::to_string),
+                    campaign: h.get("campaign").map(str::to_string),
                     multipath: num("multipath")? as u32,
                     reroute: flag("reroute")?,
                     selfheal: opt_flag("selfheal")?,
@@ -279,14 +277,16 @@ impl Checkpoint {
         // newline-terminated).
         let mut preceding = format!("{header}\n");
         for line in lines {
-            match json_field(line, "kind") {
+            let f =
+                Fields::parse(line).ok_or_else(|| format!("malformed checkpoint line: {line}"))?;
+            match f.get("kind") {
                 Some("fleet-job") => {
-                    jobs.push(parse_job(line)?);
+                    jobs.push(parse_job(&f, line)?);
                     preceding.push_str(line);
                     preceding.push('\n');
                 }
                 Some("fleet-digest") => {
-                    let hex = json_field(line, "fnv").ok_or("digest line missing 'fnv'")?;
+                    let hex = f.get("fnv").ok_or("digest line missing 'fnv'")?;
                     digest = Some(
                         u64::from_str_radix(hex, 16)
                             .map_err(|e| format!("bad digest '{hex}': {e}"))?,
@@ -294,7 +294,7 @@ impl Checkpoint {
                     // Content hash over the serialized inputs; absent on
                     // pre-journal checkpoints (accepted — the state digest
                     // still guards the replay).
-                    if let Some(hex) = json_field(line, "text_fnv") {
+                    if let Some(hex) = f.get("text_fnv") {
                         let want = u64::from_str_radix(hex, 16)
                             .map_err(|e| format!("bad text digest '{hex}': {e}"))?;
                         let got = fnv1a(&preceding);
@@ -366,7 +366,7 @@ impl JournalRead {
 pub fn parse_journal(text: &str) -> Result<JournalRead, String> {
     let mut blocks: Vec<Vec<&str>> = Vec::new();
     for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
-        if json_field(line, "kind") == Some("fleet-checkpoint") {
+        if first_field(line, "kind").as_deref() == Some("fleet-checkpoint") {
             blocks.push(vec![line]);
         } else if let Some(cur) = blocks.last_mut() {
             cur.push(line);

@@ -52,7 +52,8 @@ use crate::policy::Policy;
 use crate::queue::JobQueue;
 use crate::route::JobRoute;
 use xferopt_scenarios::{FaultProfile, PaperWorld, Route};
-use xferopt_simcore::metrics::{json_f64, MetricsRegistry};
+use xferopt_simcore::json::{json_f64, push_line};
+use xferopt_simcore::metrics::MetricsRegistry;
 use xferopt_simcore::SimDuration;
 use xferopt_topo::{
     campaign_plan, outage_plan_multi, refine_placement, search_routes, PlacementTable, Planet,
@@ -2140,62 +2141,57 @@ pub(crate) fn render_checkpoint(
     digest: u64,
 ) -> String {
     let c = config;
-    let mut out = format!(
-        "{{\"kind\":\"fleet-checkpoint\",\"version\":1,\"tick\":{},\"t_s\":{},\"policy\":\"{}\",\"seed\":{},\"horizon_s\":{},\"tick_s\":{},\"epoch_s\":{},\"budget\":{},\"warm\":{},\"max_match_distance\":{},\"noise_sigma\":{},\"audit\":{},\"shed_after_s\":{}",
-        tick,
-        json_f64(t),
-        c.policy,
-        c.seed,
-        json_f64(c.horizon_s),
-        json_f64(c.tick_s),
-        json_f64(c.epoch_s),
-        c.link_budget,
-        c.warm_start,
-        json_f64(c.max_match_distance),
-        json_f64(c.noise_sigma),
-        c.audit,
-        json_f64(c.shed_after_s),
-    );
-    if let Some(p) = c.faults {
-        out.push_str(&format!(",\"faults\":\"{}\"", p.name()));
-    }
-    if let Some(tc) = &c.topo {
-        out.push_str(&format!(
-            ",\"topo\":\"{}\",\"topo_k\":{},\"multipath\":{},\"reroute\":{}",
-            tc.preset, tc.k, tc.multipath, tc.reroute
-        ));
-        if tc.selfheal {
-            out.push_str(",\"selfheal\":true");
+    let mut out = String::with_capacity(512 + 192 * jobs.len());
+    push_line(&mut out, |o| {
+        o.str("kind", "fleet-checkpoint");
+        o.raw("version", 1);
+        o.raw("tick", tick);
+        o.f64("t_s", t);
+        o.str("policy", c.policy.name());
+        o.raw("seed", c.seed);
+        o.f64("horizon_s", c.horizon_s);
+        o.f64("tick_s", c.tick_s);
+        o.f64("epoch_s", c.epoch_s);
+        o.raw("budget", c.link_budget);
+        o.raw("warm", c.warm_start);
+        o.f64("max_match_distance", c.max_match_distance);
+        o.f64("noise_sigma", c.noise_sigma);
+        o.raw("audit", c.audit);
+        o.f64("shed_after_s", c.shed_after_s);
+        if let Some(p) = c.faults {
+            o.str("faults", p.name());
         }
-        if let Some(name) = &tc.campaign {
-            out.push_str(&format!(",\"campaign\":\"{name}\""));
+        if let Some(tc) = &c.topo {
+            o.str("topo", &tc.preset);
+            o.raw("topo_k", tc.k);
+            o.raw("multipath", tc.multipath);
+            o.raw("reroute", tc.reroute);
+            if tc.selfheal {
+                o.raw("selfheal", true);
+            }
+            if let Some(name) = &tc.campaign {
+                o.str("campaign", name);
+            }
+            // One region keeps the historical scalar field (byte-compatible
+            // with pre-multi-outage checkpoints); several use the plural form.
+            match tc.outage_regions.as_slice() {
+                [] => {}
+                [r] => o.raw("outage_region", r),
+                rs => {
+                    let joined = rs.iter().map(|r| r.to_string()).collect::<Vec<_>>();
+                    o.str("outage_regions", &joined.join(";"));
+                }
+            }
         }
-        // One region keeps the historical scalar field (byte-compatible
-        // with pre-multi-outage checkpoints); several use the plural form.
-        match tc.outage_regions.as_slice() {
-            [] => {}
-            [r] => out.push_str(&format!(",\"outage_region\":{r}")),
-            rs => out.push_str(&format!(
-                ",\"outage_regions\":\"{}\"",
-                rs.iter()
-                    .map(|r| r.to_string())
-                    .collect::<Vec<_>>()
-                    .join(";")
-            )),
+        if done {
+            o.raw("done", true);
         }
-    }
-    if done {
-        out.push_str(",\"done\":true");
-    }
-    out.push_str(&format!(
-        ",\"jobs\":{},\"history_start_len\":{},\"history_appended\":{}}}\n",
-        jobs.len(),
-        history_start_len,
-        history_appended
-    ));
+        o.raw("jobs", jobs.len());
+        o.raw("history_start_len", history_start_len);
+        o.raw("history_appended", history_appended);
+    });
     for j in jobs {
-        out.push_str(&crate::checkpoint::job_to_json(j));
-        out.push('\n');
+        crate::checkpoint::push_job(&mut out, j);
     }
     // Two hashes close two different holes: `fnv` (the live-state digest)
     // catches replay divergence, while `text_fnv` (over the header + job
@@ -2203,9 +2199,11 @@ pub(crate) fn render_checkpoint(
     // themselves — a flipped byte in a job the replay has not admitted yet
     // would otherwise slip past the state digest.
     let text_fnv = crate::checkpoint::fnv1a(&out);
-    out.push_str(&format!(
-        "{{\"kind\":\"fleet-digest\",\"fnv\":\"{digest:016x}\",\"text_fnv\":\"{text_fnv:016x}\"}}\n"
-    ));
+    push_line(&mut out, |o| {
+        o.str("kind", "fleet-digest");
+        o.str("fnv", &format!("{digest:016x}"));
+        o.str("text_fnv", &format!("{text_fnv:016x}"));
+    });
     out
 }
 

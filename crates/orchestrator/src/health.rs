@@ -27,6 +27,7 @@
 //! watchdog, so fleet reports stay byte-identical to unsupervised runs
 //! (enforced by the golden snapshots).
 
+use xferopt_simcore::json::object;
 use xferopt_transfer::RetryPolicy;
 
 /// Thresholds for the per-job watchdog and the requeue budget.
@@ -200,22 +201,20 @@ impl SupervisionEvent {
     /// Render as one JSON line with fixed key order (optional keys are
     /// omitted, mirroring the tuner audit log's namespace convention).
     pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"kind\":\"supervision\",\"t_s\":{},\"event\":\"{}\"",
-            xferopt_simcore::metrics::json_f64(self.t_s),
-            self.kind
-        );
-        if let Some(ns) = &self.ns {
-            s.push_str(&format!(",\"ns\":\"{ns}\""));
-        }
-        if let Some(link) = self.link {
-            s.push_str(&format!(",\"link\":{link}"));
-        }
-        if !self.detail.is_empty() {
-            s.push_str(&format!(",\"detail\":\"{}\"", self.detail));
-        }
-        s.push('}');
-        s
+        object(|o| {
+            o.str("kind", "supervision");
+            o.f64("t_s", self.t_s);
+            o.str("event", self.kind);
+            if let Some(ns) = &self.ns {
+                o.str("ns", ns);
+            }
+            if let Some(link) = self.link {
+                o.raw("link", link);
+            }
+            if !self.detail.is_empty() {
+                o.str("detail", &self.detail);
+            }
+        })
     }
 }
 

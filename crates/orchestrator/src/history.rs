@@ -35,7 +35,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use xferopt_simcore::metrics::json_f64;
+use xferopt_simcore::json::{json_f64, object, Fields};
 use xferopt_tuners::{Point, TunerKind, WarmStart};
 
 /// File name used inside a history directory.
@@ -81,22 +81,16 @@ impl HistoryRecord {
 
     /// Render as one JSON line with fixed key order.
     pub fn to_json(&self) -> String {
-        let best = self
-            .best
-            .iter()
-            .map(|v| v.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"kind\":\"history\",\"route\":\"{}\",\"tuner\":\"{}\",\"ext_streams\":{},\"cmp_jobs\":{},\"best\":[{}],\"achieved_mbs\":{},\"scenario\":\"{}\"}}",
-            self.route,
-            self.tuner.name(),
-            json_f64(self.ext_streams),
-            json_f64(self.cmp_jobs),
-            best,
-            json_f64(self.achieved_mbs),
-            self.scenario,
-        )
+        object(|o| {
+            o.str("kind", "history");
+            o.str("route", &self.route);
+            o.str("tuner", self.tuner.name());
+            o.f64("ext_streams", self.ext_streams);
+            o.f64("cmp_jobs", self.cmp_jobs);
+            o.array("best", &self.best);
+            o.f64("achieved_mbs", self.achieved_mbs);
+            o.str("scenario", &self.scenario);
+        })
     }
 
     /// Deterministic, human-readable context key used as the lexicographic
@@ -115,17 +109,21 @@ impl HistoryRecord {
     /// Parse one JSON line produced by [`HistoryRecord::to_json`]. Lines of
     /// other kinds (or malformed lines) yield `None`.
     pub fn from_json(line: &str) -> Option<HistoryRecord> {
-        if json_field(line, "kind")? != "history" {
+        let f = Fields::parse(line)?;
+        if f.get("kind")? != "history" {
             return None;
         }
-        let route = json_field(line, "route")?.to_string();
+        let route = f.get("route")?.to_string();
         if route.is_empty() {
             return None;
         }
-        let tuner: TunerKind = json_field(line, "tuner")?.parse().ok()?;
-        let ext_streams: f64 = json_field(line, "ext_streams")?.parse().ok()?;
-        let cmp_jobs: f64 = json_field(line, "cmp_jobs")?.parse().ok()?;
-        let best: Point = json_field(line, "best")?
+        let tuner: TunerKind = f.get("tuner")?.parse().ok()?;
+        let ext_streams: f64 = f.get("ext_streams")?.parse().ok()?;
+        let cmp_jobs: f64 = f.get("cmp_jobs")?.parse().ok()?;
+        let best: Point = f
+            .get("best")?
+            .strip_prefix('[')?
+            .strip_suffix(']')?
             .split(',')
             .filter(|s| !s.is_empty())
             .map(|s| s.trim().parse::<i64>())
@@ -134,9 +132,9 @@ impl HistoryRecord {
         if best.is_empty() {
             return None;
         }
-        let achieved_mbs: f64 = json_field(line, "achieved_mbs")?.parse().ok()?;
+        let achieved_mbs: f64 = f.get("achieved_mbs")?.parse().ok()?;
         // Records written before the scenario field existed parse as "".
-        let scenario = json_field(line, "scenario").unwrap_or("").to_string();
+        let scenario = f.get("scenario").unwrap_or_default().to_string();
         Some(HistoryRecord {
             route,
             tuner,
@@ -464,29 +462,6 @@ fn context_key_cmp(a: &HistoryRecord, b: &HistoryRecord) -> std::cmp::Ordering {
         a.scenario.cmp(&b.scenario)
     } else {
         a.context_key().cmp(&b.context_key())
-    }
-}
-
-/// Extract the raw text of a top-level JSON field (string contents, array
-/// interior, or bare scalar). Mirrors the scanner used by the scenarios
-/// telemetry summarizer. Shared with the checkpoint parser.
-pub(crate) fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    match rest.as_bytes().first()? {
-        b'"' => {
-            let end = rest[1..].find('"')? + 1;
-            Some(&rest[1..end])
-        }
-        b'[' => {
-            let end = rest.find(']')?;
-            Some(&rest[1..end])
-        }
-        _ => {
-            let end = rest.find([',', '}']).unwrap_or(rest.len());
-            Some(&rest[..end])
-        }
     }
 }
 

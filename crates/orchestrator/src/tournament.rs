@@ -27,11 +27,11 @@
 //! Completed cells feed the [`HistoryStore`] (tagged with the preset name),
 //! which is how the `history` tuner earns its warm start on reruns.
 
-use crate::history::{json_field, HistoryRecord, HistoryStore};
+use crate::history::{HistoryRecord, HistoryStore};
 use xferopt_scenarios::{
     throughput_surface, ExternalLoad, FaultProfile, PaperWorld, Route, TuneDims,
 };
-use xferopt_simcore::metrics::json_f64;
+use xferopt_simcore::json::{json_f64, object, push_line, Fields};
 use xferopt_simcore::SimDuration;
 use xferopt_transfer::{StreamParams, TransferConfig};
 use xferopt_tuners::online::{OnlineStep, OnlineTrajectory};
@@ -217,43 +217,38 @@ pub struct CellResult {
 impl CellResult {
     /// One fixed-key-order JSONL line.
     pub fn to_json(&self) -> String {
-        let t90 = self
-            .t90_s
-            .map_or("null".to_string(), |v| json_f64(v).to_string());
-        let e90 = self
-            .epochs_to_90
-            .map_or("null".to_string(), |v| v.to_string());
-        format!(
-            "{{\"kind\":\"tournament_cell\",\"tuner\":\"{}\",\"scenario\":\"{}\",\"faults\":\"{}\",\"oracle_mbs\":{},\"best_mbs\":{},\"t90_s\":{},\"regret_mb\":{},\"epochs_to_90\":{},\"decisions_to_converge\":{},\"moved_mb\":{}}}",
-            self.tuner,
-            self.scenario,
-            self.faults,
-            json_f64(self.oracle_mbs),
-            json_f64(self.best_mbs),
-            t90,
-            json_f64(self.regret_mb),
-            e90,
-            self.decisions_to_converge,
-            json_f64(self.moved_mb),
-        )
+        object(|o| {
+            o.str("kind", "tournament_cell");
+            o.str("tuner", &self.tuner);
+            o.str("scenario", &self.scenario);
+            o.str("faults", &self.faults);
+            o.f64("oracle_mbs", self.oracle_mbs);
+            o.f64("best_mbs", self.best_mbs);
+            o.opt("t90_s", self.t90_s.map(json_f64));
+            o.f64("regret_mb", self.regret_mb);
+            o.opt("epochs_to_90", self.epochs_to_90);
+            o.raw("decisions_to_converge", self.decisions_to_converge);
+            o.f64("moved_mb", self.moved_mb);
+        })
     }
 
     /// Parse one line written by [`CellResult::to_json`].
     pub fn from_json(line: &str) -> Option<CellResult> {
-        if json_field(line, "kind")? != "tournament_cell" {
+        let f = Fields::parse(line)?;
+        if f.get("kind")? != "tournament_cell" {
             return None;
         }
         Some(CellResult {
-            tuner: json_field(line, "tuner")?.to_string(),
-            scenario: json_field(line, "scenario")?.to_string(),
-            faults: json_field(line, "faults")?.to_string(),
-            oracle_mbs: json_field(line, "oracle_mbs")?.parse().ok()?,
-            best_mbs: json_field(line, "best_mbs")?.parse().ok()?,
-            t90_s: json_field(line, "t90_s")?.parse().ok(),
-            regret_mb: json_field(line, "regret_mb")?.parse().ok()?,
-            epochs_to_90: json_field(line, "epochs_to_90")?.parse().ok(),
-            decisions_to_converge: json_field(line, "decisions_to_converge")?.parse().ok()?,
-            moved_mb: json_field(line, "moved_mb")?.parse().ok()?,
+            tuner: f.get("tuner")?.to_string(),
+            scenario: f.get("scenario")?.to_string(),
+            faults: f.get("faults")?.to_string(),
+            oracle_mbs: f.get("oracle_mbs")?.parse().ok()?,
+            best_mbs: f.get("best_mbs")?.parse().ok()?,
+            t90_s: f.get("t90_s")?.parse().ok(),
+            regret_mb: f.get("regret_mb")?.parse().ok()?,
+            epochs_to_90: f.get("epochs_to_90")?.parse().ok(),
+            decisions_to_converge: f.get("decisions_to_converge")?.parse().ok()?,
+            moved_mb: f.get("moved_mb")?.parse().ok()?,
         })
     }
 }
@@ -405,25 +400,25 @@ impl Leaderboard {
 
     /// JSONL rendering: one header line, one line per cell, one per rank.
     pub fn to_jsonl(&self) -> String {
-        let mut out = format!(
-            "{{\"kind\":\"tournament_run\",\"cells\":{},\"horizon_s\":{}}}\n",
-            self.cells.len(),
-            json_f64(self.horizon_s),
-        );
+        let mut out = object(|o| {
+            o.str("kind", "tournament_run");
+            o.raw("cells", self.cells.len());
+            o.f64("horizon_s", self.horizon_s);
+        }) + "\n";
         for c in &self.cells {
             out.push_str(&c.to_json());
             out.push('\n');
         }
         for r in &self.ranks {
-            out.push_str(&format!(
-                "{{\"kind\":\"tournament_rank\",\"rank\":{},\"tuner\":\"{}\",\"mean_regret_mb\":{},\"mean_t90_s\":{},\"cells_converged\":{},\"cells\":{}}}\n",
-                r.rank,
-                r.tuner,
-                json_f64(r.mean_regret_mb),
-                json_f64(r.mean_t90_s),
-                r.cells_converged,
-                r.cells,
-            ));
+            push_line(&mut out, |o| {
+                o.str("kind", "tournament_rank");
+                o.raw("rank", r.rank);
+                o.str("tuner", &r.tuner);
+                o.f64("mean_regret_mb", r.mean_regret_mb);
+                o.f64("mean_t90_s", r.mean_t90_s);
+                o.raw("cells_converged", r.cells_converged);
+                o.raw("cells", r.cells);
+            });
         }
         out
     }
@@ -438,13 +433,15 @@ impl Leaderboard {
     pub fn from_jsonl(doc: &str) -> Result<Leaderboard, String> {
         let mut lines = doc.lines().filter(|l| !l.trim().is_empty());
         let header = lines.next().ok_or("empty tournament report")?;
-        if json_field(header, "kind") != Some("tournament_run") {
-            return Err(format!("not a tournament report header: {header}"));
-        }
-        let declared: usize = json_field(header, "cells")
+        let h = Fields::parse(header)
+            .filter(|h| h.get("kind") == Some("tournament_run"))
+            .ok_or_else(|| format!("not a tournament report header: {header}"))?;
+        let declared: usize = h
+            .get("cells")
             .and_then(|v| v.parse().ok())
             .ok_or("header missing cell count")?;
-        let horizon_s: f64 = json_field(header, "horizon_s")
+        let horizon_s: f64 = h
+            .get("horizon_s")
             .and_then(|v| v.parse().ok())
             .ok_or("header missing horizon")?;
         let mut cells = Vec::new();

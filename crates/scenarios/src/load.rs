@@ -12,10 +12,8 @@
 //! values, used for the Section IV-B experiments where the load switches at
 //! t = 1000 s.
 
-use serde::{Deserialize, Serialize};
-
 /// A combination of external transfer streams and compute hogs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ExternalLoad {
     /// Number of competing transfer streams from the source (`ext.tfr`).
     pub tfr: u32,
@@ -39,7 +37,7 @@ impl ExternalLoad {
 }
 
 /// A piecewise-constant load schedule: `(start_s, load)` segments.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadSchedule {
     /// Segments sorted by start time; the first must start at 0.
     segments: Vec<(f64, ExternalLoad)>,

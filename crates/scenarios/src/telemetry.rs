@@ -18,7 +18,7 @@
 
 use crate::driver::DriveConfig;
 use crate::topology::PaperWorld;
-use xferopt_simcore::metrics::json_f64;
+use xferopt_simcore::json::{object, Fields};
 use xferopt_simcore::MetricsSnapshot;
 use xferopt_transfer::{StreamParams, TransferConfig, TransferLog};
 use xferopt_tuners::TunerKind;
@@ -55,15 +55,14 @@ pub struct RunHeader {
 impl RunHeader {
     /// Render as the `{"kind":"run",…}` JSONL header line (no newline).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"kind\":\"run\",\"route\":\"{}\",\"tuner\":\"{}\",\"seed\":{},\
-             \"epochs\":{},\"epoch_s\":{}}}",
-            self.route,
-            self.tuner,
-            self.seed,
-            self.epochs,
-            json_f64(self.epoch_s),
-        )
+        object(|o| {
+            o.str("kind", "run");
+            o.str("route", &self.route);
+            o.str("tuner", &self.tuner);
+            o.raw("seed", self.seed);
+            o.raw("epochs", self.epochs);
+            o.f64("epoch_s", self.epoch_s);
+        })
     }
 }
 
@@ -151,8 +150,7 @@ pub fn drive_transfer_with_telemetry(cfg: &DriveConfig) -> (TransferLog, RunTele
 }
 
 // ---------------------------------------------------------------------------
-// Summarizing a JSONL telemetry document (no serde: a minimal flat-field
-// scanner over our own fixed-key-order records).
+// Summarizing a JSONL telemetry document.
 // ---------------------------------------------------------------------------
 
 /// Aggregate view over one telemetry JSONL document.
@@ -181,30 +179,6 @@ pub struct TelemetrySummary {
     pub unknown_lines: usize,
 }
 
-/// Extract the raw value text of a top-level `"key":value` field from one of
-/// our fixed-key-order JSON lines. Values are either quoted strings, bare
-/// scalars, or bracketed arrays; nested objects are not scanned.
-fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let bytes = rest.as_bytes();
-    match bytes.first()? {
-        b'"' => {
-            let end = rest[1..].find('"')? + 1;
-            Some(&rest[1..end])
-        }
-        b'[' => {
-            let end = rest.find(']')?;
-            Some(&rest[1..end])
-        }
-        _ => {
-            let end = rest.find([',', '}']).unwrap_or(rest.len());
-            Some(&rest[..end])
-        }
-    }
-}
-
 /// Summarize a telemetry JSONL document produced by [`RunTelemetry::to_jsonl`]
 /// (or any concatenation of such documents).
 pub fn summarize_telemetry(jsonl: &str) -> TelemetrySummary {
@@ -218,30 +192,30 @@ pub fn summarize_telemetry(jsonl: &str) -> TelemetrySummary {
         if line.is_empty() {
             continue;
         }
-        match json_field(line, "kind") {
+        let Some(f) = Fields::parse(line) else {
+            s.unknown_lines += 1;
+            continue;
+        };
+        match f.get("kind") {
             Some("run") => s.runs += 1,
             Some("epoch") => {
                 s.epochs += 1;
-                if let Some(v) =
-                    json_field(line, "observed_mbs").and_then(|v| v.parse::<f64>().ok())
-                {
+                if let Some(v) = f.get("observed_mbs").and_then(|v| v.parse::<f64>().ok()) {
                     observed_sum += v;
                 }
-                if let Some(v) =
-                    json_field(line, "bestcase_mbs").and_then(|v| v.parse::<f64>().ok())
-                {
+                if let Some(v) = f.get("bestcase_mbs").and_then(|v| v.parse::<f64>().ok()) {
                     bestcase_sum += v;
                 }
             }
             Some("decision") => {
                 s.decisions += 1;
-                if let Some(a) = json_field(line, "action") {
+                if let Some(a) = f.get("action") {
                     *action_counts.entry(a.to_string()).or_insert(0) += 1;
                     if a == "retrigger" {
                         s.retriggers += 1;
                     }
                 }
-                if json_field(line, "projected") == Some("true") {
+                if f.get("projected") == Some("true") {
                     s.projected_decisions += 1;
                 }
             }
@@ -371,16 +345,5 @@ mod tests {
         assert!(tel.decisions_jsonl.is_empty());
         let s = summarize_telemetry(&tel.to_jsonl());
         assert_eq!(s.decisions, 0);
-    }
-
-    #[test]
-    fn json_field_extracts_scalars_strings_arrays() {
-        let line = "{\"kind\":\"decision\",\"x\":[2,8],\"observed\":12.5,\"action\":\"step\",\"projected\":false}";
-        assert_eq!(json_field(line, "kind"), Some("decision"));
-        assert_eq!(json_field(line, "x"), Some("2,8"));
-        assert_eq!(json_field(line, "observed"), Some("12.5"));
-        assert_eq!(json_field(line, "action"), Some("step"));
-        assert_eq!(json_field(line, "projected"), Some("false"));
-        assert_eq!(json_field(line, "missing"), None);
     }
 }

@@ -48,6 +48,7 @@
 mod engine;
 mod event;
 pub mod faults;
+pub mod json;
 pub mod metrics;
 pub mod rng;
 pub mod series;

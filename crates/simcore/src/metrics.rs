@@ -41,6 +41,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::json::{escape, json_f64, push_line};
+
 /// A monotonically non-decreasing event counter.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Counter {
@@ -483,17 +485,6 @@ pub struct MetricsSnapshot {
     pub samples: Vec<MetricSample>,
 }
 
-/// Format a float for JSON: finite values use Rust's shortest round-trip
-/// representation; non-finite values become `null`. Public so downstream
-/// telemetry emitters render floats byte-identically to the registry.
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Format a float for Prometheus exposition (`+Inf`/`-Inf`/`NaN` spellings).
 fn prom_f64(v: f64) -> String {
     if v.is_nan() {
@@ -505,25 +496,6 @@ fn prom_f64(v: f64) -> String {
     } else {
         format!("{v}")
     }
-}
-
-/// Escape a string for a JSON (or Prometheus label) literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn prom_labels(labels: &Labels, extra: Option<(&str, &str)>) -> String {
@@ -602,54 +574,27 @@ impl MetricsSnapshot {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for s in &self.samples {
-            let labels = s
-                .labels
-                .iter()
-                .map(|(k, v)| format!("\"{}\":\"{}\"", escape(k), escape(v)))
-                .collect::<Vec<_>>()
-                .join(",");
-            match &s.value {
-                SampleValue::Counter(v) => {
-                    let _ = writeln!(
-                        out,
-                        "{{\"kind\":\"counter\",\"name\":\"{}\",\"labels\":{{{labels}}},\"value\":{v}}}",
-                        escape(&s.name)
-                    );
+            push_line(&mut out, |o| {
+                o.str("kind", s.value.kind().prometheus_type());
+                o.str("name", &s.name);
+                o.obj("labels", |l| {
+                    for (k, v) in &s.labels {
+                        l.str(k, v);
+                    }
+                });
+                match &s.value {
+                    SampleValue::Counter(v) => o.raw("value", v),
+                    SampleValue::Gauge(v) => o.f64("value", *v),
+                    SampleValue::Histogram(h) => {
+                        o.raw("count", h.count());
+                        o.f64("sum", h.sum());
+                        o.f64("min", h.min());
+                        o.f64("max", h.max());
+                        o.array("bounds", h.bounds().iter().map(|&b| json_f64(b)));
+                        o.array("counts", h.counts());
+                    }
                 }
-                SampleValue::Gauge(v) => {
-                    let _ = writeln!(
-                        out,
-                        "{{\"kind\":\"gauge\",\"name\":\"{}\",\"labels\":{{{labels}}},\"value\":{}}}",
-                        escape(&s.name),
-                        json_f64(*v)
-                    );
-                }
-                SampleValue::Histogram(h) => {
-                    let bounds = h
-                        .bounds()
-                        .iter()
-                        .map(|&b| json_f64(b))
-                        .collect::<Vec<_>>()
-                        .join(",");
-                    let counts = h
-                        .counts()
-                        .iter()
-                        .map(|c| c.to_string())
-                        .collect::<Vec<_>>()
-                        .join(",");
-                    let _ = writeln!(
-                        out,
-                        "{{\"kind\":\"histogram\",\"name\":\"{}\",\"labels\":{{{labels}}},\
-                         \"count\":{},\"sum\":{},\"min\":{},\"max\":{},\
-                         \"bounds\":[{bounds}],\"counts\":[{counts}]}}",
-                        escape(&s.name),
-                        h.count(),
-                        json_f64(h.sum()),
-                        json_f64(h.min()),
-                        json_f64(h.max()),
-                    );
-                }
-            }
+            });
         }
         out
     }

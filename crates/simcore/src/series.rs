@@ -10,10 +10,9 @@
 //!   "bytes moved" and time-averaged throughput are computed.
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Point samples over time.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
     points: Vec<(SimTime, f64)>,
 }
@@ -116,7 +115,7 @@ impl TimeSeries {
 
 /// A piecewise-constant signal: `set(t, v)` means the signal equals `v` from
 /// `t` until the next change.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct StepSeries {
     steps: Vec<(SimTime, f64)>,
 }

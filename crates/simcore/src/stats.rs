@@ -5,8 +5,6 @@
 //! which keeps its samples) so recorders can be attached to hot simulation
 //! loops without allocation churn.
 
-use serde::{Deserialize, Serialize};
-
 /// Streaming mean / variance / min / max via Welford's algorithm.
 ///
 /// # Examples
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.mean(), 2.0);
 /// assert_eq!(s.count(), 3);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
@@ -113,7 +111,7 @@ impl OnlineStats {
 
 /// P² (Jain & Chlamtac) streaming quantile estimator: estimates one quantile
 /// with five markers and O(1) memory.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct P2Quantile {
     q: f64,
     /// Marker heights.
@@ -240,7 +238,7 @@ impl P2Quantile {
 
 /// A five-number summary (plus mean) suitable for drawing a boxplot, computed
 /// exactly from retained samples.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoxplotStats {
     /// Minimum observation.
     pub min: f64,
@@ -298,7 +296,7 @@ impl BoxplotStats {
 }
 
 /// A fixed-bin histogram over `[lo, hi)` with an overflow/underflow count.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

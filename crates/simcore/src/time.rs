@@ -5,7 +5,6 @@
 //! breaks exact reproducibility and makes event-order assertions flaky;
 //! integers do not.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
@@ -14,17 +13,13 @@ pub const NANOS_PER_SEC: i64 = 1_000_000_000;
 
 /// An absolute instant on the simulated clock, in nanoseconds since the
 /// simulation epoch (t = 0).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(i64);
 
 /// A span of simulated time, in nanoseconds. May be negative as an
 /// intermediate value (e.g. when subtracting instants), though schedulers
 /// reject scheduling into the past.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(i64);
 
 impl SimTime {

@@ -15,7 +15,7 @@ use crate::planet::{Planet, PlanetError};
 use crate::world::{region_links, RouteCatalog};
 use std::collections::BTreeSet;
 use xferopt_net::{jain_index, CongestionControl};
-use xferopt_simcore::metrics::json_f64;
+use xferopt_simcore::json::{json_f64, object, push_line};
 
 /// Search knobs. The defaults match the CI smoke gate.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,16 +124,16 @@ impl PlacementTable {
     /// JSONL rendering: one header line, one line per pair
     /// (byte-deterministic, fixed key order).
     pub fn to_jsonl(&self) -> String {
-        let mut out = format!(
-            "{{\"kind\":\"placement_table\",\"planet\":\"{}\",\"k\":{},\"pairs\":{},\"total_mbs\":{},\"jain\":{},\"ft_min\":{},\"score\":{}}}\n",
-            self.planet,
-            self.k,
-            self.entries.len(),
-            json_f64(self.total_mbs),
-            json_f64(self.jain),
-            json_f64(self.ft_min),
-            json_f64(self.score),
-        );
+        let mut out = object(|o| {
+            o.str("kind", "placement_table");
+            o.str("planet", &self.planet);
+            o.raw("k", self.k);
+            o.raw("pairs", self.entries.len());
+            o.f64("total_mbs", self.total_mbs);
+            o.f64("jain", self.jain);
+            o.f64("ft_min", self.ft_min);
+            o.f64("score", self.score);
+        }) + "\n";
         for e in &self.entries {
             let links = e
                 .links
@@ -146,96 +146,20 @@ impl PlacementTable {
                 })
                 .collect::<Vec<_>>()
                 .join("|");
-            out.push_str(&format!(
-                "{{\"kind\":\"placement\",\"pair\":\"{}\",\"src\":{},\"dst\":{},\"nc\":{},\"np\":{},\"mbs\":{},\"ft\":{},\"routes\":\"{}\",\"links\":\"{}\"}}\n",
-                e.pair,
-                e.src,
-                e.dst,
-                e.nc,
-                e.np,
-                json_f64(e.mbs),
-                u8::from(e.ft_covered),
-                e.routes.join(";"),
-                links,
-            ));
-        }
-        out
-    }
-
-    /// Parse a document written by [`PlacementTable::to_jsonl`].
-    ///
-    /// # Errors
-    /// Returns a description of the first structural problem: empty input,
-    /// bad header, or a truncated entry list.
-    pub fn from_jsonl(doc: &str) -> Result<PlacementTable, String> {
-        let mut lines = doc.lines().filter(|l| !l.trim().is_empty());
-        let header = lines.next().ok_or("empty placement table")?;
-        if field(header, "kind") != Some("placement_table".to_string()) {
-            return Err(format!("not a placement table header: {header}"));
-        }
-        let req = |key: &str| -> Result<String, String> {
-            field(header, key).ok_or_else(|| format!("header missing {key}"))
-        };
-        let declared: usize = req("pairs")?.parse().map_err(|_| "bad pair count")?;
-        let mut table = PlacementTable {
-            planet: req("planet")?,
-            k: req("k")?.parse().map_err(|_| "bad k")?,
-            entries: Vec::new(),
-            total_mbs: req("total_mbs")?.parse().map_err(|_| "bad total_mbs")?,
-            jain: req("jain")?.parse().map_err(|_| "bad jain")?,
-            ft_min: req("ft_min")?.parse().map_err(|_| "bad ft_min")?,
-            score: req("score")?.parse().map_err(|_| "bad score")?,
-        };
-        for line in lines {
-            if field(line, "kind").as_deref() != Some("placement") {
-                continue;
-            }
-            let get = |key: &str| -> Result<String, String> {
-                field(line, key).ok_or_else(|| format!("entry missing {key}: {line}"))
-            };
-            let links: Vec<Vec<usize>> = {
-                let raw = get("links")?;
-                raw.split('|')
-                    .map(|l| {
-                        l.split(';')
-                            .filter(|s| !s.is_empty())
-                            .map(|v| v.parse().map_err(|_| format!("bad link in {raw}")))
-                            .collect()
-                    })
-                    .collect::<Result<_, _>>()?
-            };
-            table.entries.push(PlacementEntry {
-                pair: get("pair")?,
-                src: get("src")?.parse().map_err(|_| "bad src")?,
-                dst: get("dst")?.parse().map_err(|_| "bad dst")?,
-                routes: get("routes")?.split(';').map(str::to_string).collect(),
-                links,
-                nc: get("nc")?.parse().map_err(|_| "bad nc")?,
-                np: get("np")?.parse().map_err(|_| "bad np")?,
-                mbs: get("mbs")?.parse().map_err(|_| "bad mbs")?,
-                ft_covered: get("ft")? == "1",
+            push_line(&mut out, |o| {
+                o.str("kind", "placement");
+                o.str("pair", &e.pair);
+                o.raw("src", e.src);
+                o.raw("dst", e.dst);
+                o.raw("nc", e.nc);
+                o.raw("np", e.np);
+                o.f64("mbs", e.mbs);
+                o.raw("ft", u8::from(e.ft_covered));
+                o.str("routes", &e.routes.join(";"));
+                o.str("links", &links);
             });
         }
-        if table.entries.len() != declared {
-            return Err(format!(
-                "truncated placement table: header declares {declared} pairs, found {}",
-                table.entries.len()
-            ));
-        }
-        Ok(table)
-    }
-}
-
-/// Minimal JSON field scanner for the table's own fixed-format lines.
-fn field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    if let Some(stripped) = rest.strip_prefix('"') {
-        Some(stripped[..stripped.find('"')?].to_string())
-    } else {
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].to_string())
+        out
     }
 }
 
@@ -576,21 +500,6 @@ mod tests {
         let b = search_routes(&p, &quick_cfg()).unwrap();
         assert_eq!(a.to_jsonl(), b.to_jsonl());
         assert_eq!(a.render(), b.render());
-    }
-
-    #[test]
-    fn placement_round_trips_through_jsonl() {
-        let p = Planet::hub_spoke();
-        let t = search_routes(&p, &quick_cfg()).unwrap();
-        let back = PlacementTable::from_jsonl(&t.to_jsonl()).unwrap();
-        assert_eq!(back, t);
-        assert!(PlacementTable::from_jsonl("").is_err());
-        assert!(PlacementTable::from_jsonl("{\"kind\":\"epoch\"}").is_err());
-        let doc = t.to_jsonl();
-        let truncated: String = doc.lines().take(2).collect::<Vec<_>>().join("\n");
-        assert!(PlacementTable::from_jsonl(&truncated)
-            .unwrap_err()
-            .contains("truncated"),);
     }
 
     #[test]

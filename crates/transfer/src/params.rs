@@ -1,6 +1,5 @@
 //! The tunable transfer parameters: concurrency and parallelism.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// GridFTP stream parameters: `nc` concurrent processes, each running `np`
@@ -8,7 +7,7 @@ use std::fmt;
 ///
 /// The Globus-transfer defaults for large files are `nc = 2`, `np = 8`
 /// (paper Section IV) — see [`StreamParams::globus_default`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StreamParams {
     /// Concurrency: number of transfer processes (exploits multiple cores).
     pub nc: u32,

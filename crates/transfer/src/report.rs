@@ -1,11 +1,10 @@
 //! Epoch reports and whole-transfer logs.
 
 use crate::params::StreamParams;
-use serde::{Deserialize, Serialize};
 use xferopt_simcore::{SimDuration, SimTime, StepSeries, TimeSeries};
 
 /// What one control epoch achieved.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochReport {
     /// Parameters in force during the epoch.
     pub params: StreamParams,
@@ -38,7 +37,7 @@ impl EpochReport {
 
 /// The full history of one tuned transfer: throughput and parameter
 /// trajectories, ready to render the paper's Figs. 5, 6, 7, 8.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TransferLog {
     /// Observed throughput at each epoch end (MB/s).
     pub observed: TimeSeries,

@@ -18,7 +18,7 @@
 //!
 //! [`World`]: crate::world::World
 
-use xferopt_simcore::metrics::json_f64;
+use xferopt_simcore::json::object;
 use xferopt_simcore::{LogHistogram, MetricsRegistry, MetricsSnapshot};
 
 /// What one control epoch achieved, in telemetry form: the
@@ -58,28 +58,22 @@ impl EpochTelemetry {
     /// Render as one flat JSON object with a fixed key order (the JSONL
     /// `"kind":"epoch"` record of the telemetry schema).
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"kind\":\"epoch\",\"epoch\":{},\"transfer\":{},",
-                "\"start_s\":{},\"duration_s\":{},\"nc\":{},\"np\":{},",
-                "\"bytes_mb\":{},\"startup_s\":{},\"observed_mbs\":{},",
-                "\"bestcase_mbs\":{},\"overhead_fraction\":{},",
-                "\"retries_total\":{},\"stalled\":{}}}"
-            ),
-            self.epoch,
-            self.transfer,
-            json_f64(self.start_s),
-            json_f64(self.duration_s),
-            self.nc,
-            self.np,
-            json_f64(self.bytes_mb),
-            json_f64(self.startup_s),
-            json_f64(self.observed_mbs),
-            json_f64(self.bestcase_mbs),
-            json_f64(self.overhead_fraction),
-            self.retries_total,
-            self.stalled,
-        )
+        object(|o| {
+            o.str("kind", "epoch");
+            o.raw("epoch", self.epoch);
+            o.raw("transfer", self.transfer);
+            o.f64("start_s", self.start_s);
+            o.f64("duration_s", self.duration_s);
+            o.raw("nc", self.nc);
+            o.raw("np", self.np);
+            o.f64("bytes_mb", self.bytes_mb);
+            o.f64("startup_s", self.startup_s);
+            o.f64("observed_mbs", self.observed_mbs);
+            o.f64("bestcase_mbs", self.bestcase_mbs);
+            o.f64("overhead_fraction", self.overhead_fraction);
+            o.raw("retries_total", self.retries_total);
+            o.raw("stalled", self.stalled);
+        })
     }
 }
 

@@ -11,7 +11,7 @@
 //! proposes exactly the same trajectory as an unaudited one.
 
 use crate::domain::Point;
-use xferopt_simcore::metrics::json_f64;
+use xferopt_simcore::json::{json_f64, object, Obj};
 
 /// What move a tuner made upon observing one control epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,50 +136,35 @@ impl DecisionEvent {
     /// stream stays attributable. `None` renders the exact single-transfer
     /// schema (no `"ns"` key), keeping existing golden snapshots stable.
     pub fn to_json_ns(&self, ns: Option<&str>) -> String {
-        let point = |p: &Point| {
-            let inner: Vec<String> = p.iter().map(|v| v.to_string()).collect();
-            format!("[{}]", inner.join(","))
-        };
-        let opt_bool = |b: Option<bool>| match b {
-            Some(true) => "true".to_string(),
-            Some(false) => "false".to_string(),
-            None => "null".to_string(),
-        };
-        let opt_f64 = |v: Option<f64>| match v {
-            Some(v) if v.is_finite() => json_f64(v),
-            Some(v) if v == f64::INFINITY => "\"inf\"".to_string(),
-            Some(v) if v == f64::NEG_INFINITY => "\"-inf\"".to_string(),
-            Some(_) => "null".to_string(),
-            None => "null".to_string(),
-        };
-        let retrigger = match &self.retrigger {
-            Some(c) => format!("\"{}\"", c.name()),
-            None => "null".to_string(),
-        };
-        let ns = match ns {
-            Some(ns) => format!("\"ns\":\"{ns}\","),
-            None => String::new(),
-        };
-        format!(
-            concat!(
-                "{{\"kind\":\"decision\",{}\"seq\":{},\"tuner\":\"{}\",",
-                "\"x\":{},\"observed\":{},\"action\":\"{}\",\"accepted\":{},",
-                "\"next\":{},\"lambda\":{},\"delta_pct\":{},",
-                "\"projected\":{},\"retrigger\":{}}}"
-            ),
-            ns,
-            self.seq,
-            self.tuner,
-            point(&self.x),
-            json_f64(self.observed),
-            self.action.name(),
-            opt_bool(self.accepted),
-            point(&self.next),
-            opt_f64(self.lambda),
-            opt_f64(self.delta_pct),
-            self.projected,
-            retrigger,
-        )
+        // A non-finite λ or Δc keeps its historical spelling: the strings
+        // `"inf"` / `"-inf"`, or `null` for NaN.
+        fn opt_f64(o: &mut Obj, key: &str, v: Option<f64>) {
+            match v {
+                Some(v) if v == f64::INFINITY => o.str(key, "inf"),
+                Some(v) if v == f64::NEG_INFINITY => o.str(key, "-inf"),
+                v => o.opt(key, v.map(json_f64)),
+            }
+        }
+        object(|o| {
+            o.str("kind", "decision");
+            if let Some(ns) = ns {
+                o.str("ns", ns);
+            }
+            o.raw("seq", self.seq);
+            o.str("tuner", self.tuner);
+            o.array("x", &self.x);
+            o.f64("observed", self.observed);
+            o.str("action", self.action.name());
+            o.opt("accepted", self.accepted);
+            o.array("next", &self.next);
+            opt_f64(o, "lambda", self.lambda);
+            opt_f64(o, "delta_pct", self.delta_pct);
+            o.raw("projected", self.projected);
+            match &self.retrigger {
+                Some(c) => o.str("retrigger", c.name()),
+                None => o.raw("retrigger", "null"),
+            };
+        })
     }
 }
 

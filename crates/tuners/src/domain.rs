@@ -6,13 +6,11 @@
 //! method respect that: round each coordinate to the nearest integer, then
 //! project it onto its bounds.
 
-use serde::{Deserialize, Serialize};
-
 /// A point in the integer search space (one coordinate per tuned parameter).
 pub type Point = Vec<i64>;
 
 /// A box-bounded integer domain.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Domain {
     lo: Vec<i64>,
     hi: Vec<i64>,

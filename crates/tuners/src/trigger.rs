@@ -6,10 +6,8 @@
 //! exceeds the tolerance `ε%` in magnitude, the external conditions are
 //! presumed to have changed and the search is re-invoked.
 
-use serde::{Deserialize, Serialize};
-
 /// Tracks consecutive observations and flags significant change.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SignificanceMonitor {
     eps_pct: f64,
     prev: Option<f64>,

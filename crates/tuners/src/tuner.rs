@@ -9,7 +9,6 @@ use crate::domain::{Domain, Point};
 use crate::heuristic::HeuristicTuner;
 use crate::neldermead::NelderMeadTuner;
 use crate::surrogate::HistoryTuner;
-use serde::{Deserialize, Serialize};
 
 /// An online tuner: a pull-style state machine that proposes the parameter
 /// point for each control epoch based on the throughput observed so far.
@@ -118,7 +117,7 @@ impl WarmStart {
 }
 
 /// The tuners evaluated in the paper, constructible by name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TunerKind {
     /// Static Globus defaults (the paper's `default` baseline).
     Default,

@@ -203,6 +203,24 @@ diff "$FLEET_TMP/routes-a.txt" tests/golden/routes/leaderboard.txt \
 diff "$FLEET_TMP/placement-a.jsonl" tests/golden/routes/placement.jsonl \
   || { echo "routes search placement drifted from golden"; exit 1; }
 
+echo "==> strict JSON gate (every JSONL line the smokes wrote parses in Python)"
+printf 'planet q"p\nregion a"x\nregion b\nedge a"x b 20 1000 0\n' > "$FLEET_TMP/quoted.dat"
+./target/release/xferopt routes search --dat "$FLEET_TMP/quoted.dat" \
+  --out "$FLEET_TMP/placement-quoted.jsonl" > /dev/null
+python3 -c '
+import json, sys
+for path in sys.argv[1:]:
+    with open(path, encoding="utf-8") as f:
+        for n, line in enumerate(f, 1):
+            try:
+                json.loads(line)
+            except ValueError as e:
+                sys.exit(f"{path}:{n}: not JSON: {e}")
+' "$FLEET_TMP/placement-a.jsonl" "$FLEET_TMP/placement-quoted.jsonl" "$FLEET_TMP/tour.jsonl" \
+  "$FLEET_TMP/ck.jsonl" "$FLEET_TMP/ck-ms.jsonl" "$FLEET_TMP/ck-mp.jsonl" \
+  "$FLEET_TMP"/hist-*/history.jsonl "$FLEET_TMP/chaos.jsonl" \
+  || { echo "a JSONL output is not strict JSON"; exit 1; }
+
 echo "==> regional-outage re-route gate (topo fleet moves more bytes rerouting)"
 ./target/release/xferopt fleet run --topo mesh --jobs 20 --seed 7 \
   --outage-region 1 --report-out "$FLEET_TMP/topo-reroute.txt"

@@ -17,6 +17,7 @@ use xferopt::orchestrator::{
     parse_journal, resume_fleet, run_campaign, run_fleet, CampaignConfig, FleetConfig, FleetSim,
     GovernConfig, HistoryStore, TopoFleetConfig, Workload,
 };
+use xferopt::simcore::json::{escape, Fields};
 
 fn check_golden(path: &str, actual: &str, what: &str) {
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
@@ -271,6 +272,43 @@ fn journal_fixture() -> (String, String) {
     }
     journal.push_str(&sim.checkpoint());
     (journal, full.report.render())
+}
+
+/// A route name that spells out a checkpoint header is only a name: with
+/// one in the older block's first job line, the journal still holds its two
+/// real blocks, and the newest resumes byte-identically.
+#[test]
+fn route_names_cannot_forge_journal_headers() {
+    let (journal, full_render) = journal_fixture();
+    let forged = "x\",\"kind\":\"fleet-checkpoint";
+    let job = journal
+        .lines()
+        .position(|l| l.starts_with("{\"kind\":\"fleet-job\""))
+        .expect("a job line");
+    let text: String = journal
+        .lines()
+        .enumerate()
+        .map(|(i, l)| {
+            if i != job {
+                return format!("{l}\n");
+            }
+            let route = Fields::parse(l).and_then(|f| f.get("route").map(str::to_string));
+            let forged_line = l.replace(
+                &format!("\"route\":\"{}\"", route.expect("route")),
+                &format!("\"route\":\"{}\"", escape(forged)),
+            );
+            let f = Fields::parse(&forged_line).expect("forged line is one object");
+            assert_eq!(f.get("route"), Some(forged));
+            forged_line + "\n"
+        })
+        .collect();
+    let read = parse_journal(&text).expect("journal parses");
+    assert_eq!(read.blocks_total, 2, "a job line was taken for a header");
+    assert_eq!(read.blocks_dropped, 0);
+    assert_eq!(read.checkpoint.tick, 20);
+    let resumed = resume_fleet(&read.checkpoint, &mut HistoryStore::in_memory())
+        .expect("newest block resumes");
+    assert_eq!(resumed.report.render(), full_render);
 }
 
 proptest! {

@@ -9,7 +9,11 @@
 //! UPDATE_GOLDEN=1 cargo test --test fleet
 //! ```
 
-use xferopt::orchestrator::{run_fleet, FleetConfig, HistoryStore, JobState, Policy, Workload};
+use proptest::prelude::*;
+use xferopt::orchestrator::{
+    run_fleet, FleetConfig, HistoryRecord, HistoryStore, JobState, Policy, Workload,
+};
+use xferopt::tuners::TunerKind;
 
 /// The fixed scenario behind the golden snapshot: 12 synthetic jobs under
 /// shortest-job-first, seed 7, one hour horizon.
@@ -177,4 +181,57 @@ fn history_store_round_trips_through_disk() {
     let h = HistoryStore::open(&dir).expect("reopen history dir");
     assert_eq!(h.len(), appended, "records persist across open()");
     std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// A history file whose route names need escaping.
+fn history_doc() -> String {
+    let mut doc = String::new();
+    for (i, route) in ["anl->uchicago", "a\"x->b:0", "b->a\\y:1"]
+        .iter()
+        .enumerate()
+    {
+        let r = HistoryRecord {
+            route: route.to_string(),
+            tuner: TunerKind::Cs,
+            ext_streams: 4.0 * i as f64,
+            cmp_jobs: 0.5,
+            best: vec![8, 2 + i as i64],
+            achieved_mbs: 1234.5 + i as f64,
+            scenario: "fleet".to_string(),
+        };
+        doc.push_str(&r.to_json());
+        doc.push('\n');
+    }
+    doc
+}
+
+proptest! {
+    /// A flipped byte or a cut anywhere in a `--history DIR` file never
+    /// panics the load: every non-blank line is either a record that
+    /// writes back to a line that reads as itself, or a skipped line.
+    #[test]
+    fn bitflipped_history_files_load_or_skip(pos in 0.0f64..1.0, bit in 0u8..7, cut in any::<bool>()) {
+        let doc = history_doc();
+        let idx = ((doc.len() - 1) as f64 * pos) as usize;
+        let mut bytes = doc.into_bytes();
+        if cut {
+            bytes.truncate(idx);
+        } else {
+            bytes[idx] ^= 1 << bit;
+        }
+        let Ok(text) = String::from_utf8(bytes) else {
+            return; // non-UTF8 file: read_to_string refuses upstream
+        };
+        let dir = std::env::temp_dir()
+            .join(format!("xferopt-fleet-hist-fuzz-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create history dir");
+        std::fs::write(dir.join("history.jsonl"), &text).expect("write history file");
+        let h = HistoryStore::open(&dir).expect("a readable file always opens");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+        let lines = text.lines().filter(|l| !l.trim().is_empty()).count();
+        prop_assert_eq!(h.len() + h.skipped(), lines);
+        for r in h.records() {
+            prop_assert_eq!(HistoryRecord::from_json(&r.to_json()).as_ref(), Some(r));
+        }
+    }
 }

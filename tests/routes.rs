@@ -11,11 +11,14 @@
 //! UPDATE_GOLDEN=1 cargo test --test routes
 //! ```
 
+use std::process::{Command, Stdio};
+
 use proptest::prelude::*;
 use xferopt::orchestrator::{
     resume_fleet, run_fleet, topo_workload, Checkpoint, FleetConfig, FleetSim, HistoryStore,
     JobState, TopoFleetConfig, Workload,
 };
+use xferopt::simcore::json::Fields;
 use xferopt::topo::{search_routes, PlacementTable, Planet, RouteCatalog, SearchConfig};
 
 const PRESETS: [&str; 3] = ["mesh", "hub-spoke", "asymmetric"];
@@ -85,10 +88,48 @@ fn route_search_is_byte_deterministic_on_every_preset() {
         let b = search_routes(&planet, &SearchConfig::default()).expect("search");
         assert_eq!(a.render(), b.render(), "{preset}: leaderboard bytes");
         assert_eq!(a.to_jsonl(), b.to_jsonl(), "{preset}: placement bytes");
-        let round =
-            PlacementTable::from_jsonl(&a.to_jsonl()).unwrap_or_else(|e| panic!("{preset}: {e}"));
-        assert_eq!(round, a, "{preset}: JSONL round trip");
     }
+}
+
+/// Names from a `.dat` file reach the placement JSONL escaped: a quote in a
+/// planet or region name leaves every line one JSON object, and the names
+/// read back exactly.
+#[test]
+fn quoted_dat_names_round_trip_through_the_placement_jsonl() {
+    let dir = std::env::temp_dir().join(format!("xferopt-routes-quoted-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let dat = dir.join("q.dat");
+    let out = dir.join("q.jsonl");
+    std::fs::write(
+        &dat,
+        "planet q\"p\nregion a\"x\nregion b\nedge a\"x b 20 1000 0\n",
+    )
+    .expect("write .dat");
+    let status = Command::new(env!("CARGO_BIN_EXE_xferopt"))
+        .args(["routes", "search", "--dat"])
+        .arg(&dat)
+        .arg("--out")
+        .arg(&out)
+        .stdout(Stdio::null())
+        .status()
+        .expect("run xferopt");
+    assert!(status.success(), "routes search --dat failed: {status}");
+    let doc = std::fs::read_to_string(&out).expect("placement written");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+
+    let lines: Vec<Fields> = doc
+        .lines()
+        .map(|l| Fields::parse(l).unwrap_or_else(|| panic!("not one JSON object: {l}")))
+        .collect();
+    assert_eq!(lines.len(), 3, "header + one line per ordered pair");
+    assert_eq!(lines[0].get("kind"), Some("placement_table"));
+    assert_eq!(lines[0].get("planet"), Some("q\"p"));
+    let pairs: Vec<String> = lines[1..]
+        .iter()
+        .map(|f| f.get("pair").expect("pair field").to_string())
+        .collect();
+    assert_eq!(pairs, ["a\"x->b", "b->a\"x"]);
+    assert_eq!(lines[1].get("routes"), Some("a\"x->b:0"));
 }
 
 proptest! {

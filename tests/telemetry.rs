@@ -8,6 +8,7 @@
 //! UPDATE_GOLDEN=1 cargo test --test telemetry
 //! ```
 
+use proptest::prelude::*;
 use xferopt::prelude::*;
 
 /// The fixed scenario behind the golden snapshots: the cs-tuner under heavy
@@ -193,4 +194,31 @@ fn summarizer_round_trips_the_bundle() {
     let s2 = summarize_telemetry(&twice);
     assert_eq!(s2.runs, 2);
     assert_eq!(s2.epochs, 2 * s.epochs);
+}
+
+proptest! {
+    /// A flipped byte or a cut anywhere in a telemetry file never panics
+    /// the summarizer: every non-blank line is counted once, as a known
+    /// record kind or as unknown.
+    #[test]
+    fn bitflipped_telemetry_is_summarized_line_by_line(pos in 0.0f64..1.0, bit in 0u8..7, cut in any::<bool>()) {
+        let doc = std::fs::read_to_string("tests/golden/telemetry.jsonl").expect("golden telemetry");
+        let idx = ((doc.len() - 1) as f64 * pos) as usize;
+        let mut bytes = doc.into_bytes();
+        if cut {
+            bytes.truncate(idx);
+        } else {
+            bytes[idx] ^= 1 << bit;
+        }
+        let Ok(text) = String::from_utf8(bytes) else {
+            return; // non-UTF8 file: read_to_string refuses upstream
+        };
+        let s = summarize_telemetry(&text);
+        let lines = text.lines().filter(|l| !l.trim().is_empty()).count();
+        prop_assert_eq!(
+            s.runs + s.epochs + s.decisions + s.metric_samples + s.unknown_lines,
+            lines
+        );
+        prop_assert!(!s.to_report().is_empty());
+    }
 }

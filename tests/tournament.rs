@@ -9,6 +9,7 @@
 //! UPDATE_GOLDEN=1 cargo test --test tournament
 //! ```
 
+use proptest::prelude::*;
 use xferopt::orchestrator::{
     run_tournament, HistoryRecord, HistoryStore, Leaderboard, ScenarioPreset, TournamentConfig,
 };
@@ -177,4 +178,29 @@ fn warm_history_beats_cold_cd_on_the_contended_preset() {
         "warm history t90 {warm_t90} must beat cold cd t90 {:?}",
         cd.t90_s
     );
+}
+
+proptest! {
+    /// A flipped byte or a cut anywhere in a leaderboard file never panics
+    /// the reader: it refuses the file, or skips the damaged cell line and
+    /// then refuses the count mismatch, or reads a board that renders.
+    #[test]
+    fn bitflipped_leaderboards_refuse_or_read(pos in 0.0f64..1.0, bit in 0u8..7, cut in any::<bool>()) {
+        let doc = std::fs::read_to_string("tests/golden/tournament/leaderboard.jsonl")
+            .expect("golden leaderboard");
+        let idx = ((doc.len() - 1) as f64 * pos) as usize;
+        let mut bytes = doc.into_bytes();
+        if cut {
+            bytes.truncate(idx);
+        } else {
+            bytes[idx] ^= 1 << bit;
+        }
+        let Ok(text) = String::from_utf8(bytes) else {
+            return; // non-UTF8 file: read_to_string refuses upstream
+        };
+        if let Ok(board) = Leaderboard::from_jsonl(&text) {
+            prop_assert!(!board.cells.is_empty());
+            prop_assert!(!board.render().is_empty());
+        }
+    }
 }
