@@ -29,6 +29,9 @@ pub const HEADER_LEN: usize = 17;
 /// headers, 64 MiB).
 pub const MAX_BLOCK_LEN: u64 = 64 * 1024 * 1024;
 
+/// Payload size of the default block ([`crate::PutConfig::new`] and RETR).
+pub(crate) const DEFAULT_BLOCK_BYTES: usize = 256 * 1024;
+
 /// One EBLOCK frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Block {
@@ -98,6 +101,15 @@ pub(crate) fn header(flags: u8, len: u64, offset: u64) -> [u8; HEADER_LEN] {
     h
 }
 
+/// Read the EBLOCK header at the front of `bytes`: `(flags, len, offset)`,
+/// or `None` while fewer than [`HEADER_LEN`] bytes are there. The reading
+/// twin of [`header`], shared by [`BlockDecoder`] and the receive fold.
+pub(crate) fn parse_header(bytes: &[u8]) -> Option<(u8, u64, u64)> {
+    let h: &[u8; HEADER_LEN] = bytes.get(..HEADER_LEN)?.try_into().ok()?;
+    let be = |i: usize| u64::from_be_bytes(h[i..i + 8].try_into().expect("8-byte field"));
+    Some((h[0], be(1), be(9)))
+}
+
 /// Error from the streaming decoder.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
@@ -139,12 +151,9 @@ impl BlockDecoder {
 
     /// Pop the next complete block, if any.
     pub fn next_block(&mut self) -> Result<Option<Block>, DecodeError> {
-        if self.buf.len() < HEADER_LEN {
+        let Some((flags, len, offset)) = parse_header(&self.buf) else {
             return Ok(None);
-        }
-        // Peek the header without consuming.
-        let flags = self.buf[0];
-        let len = u64::from_be_bytes(self.buf[1..9].try_into().expect("slice len"));
+        };
         if len > MAX_BLOCK_LEN {
             return Err(DecodeError::OversizedBlock(len));
         }
@@ -153,8 +162,7 @@ impl BlockDecoder {
             return Ok(None);
         }
         let mut frame = self.buf.split_to(total);
-        frame.advance(1 + 8);
-        let offset = frame.get_u64();
+        frame.advance(HEADER_LEN);
         Ok(Some(Block {
             flags,
             offset,
@@ -223,6 +231,16 @@ mod tests {
             dec.next_block(),
             Err(DecodeError::OversizedBlock(MAX_BLOCK_LEN + 1))
         );
+    }
+
+    #[test]
+    fn parse_header_reads_what_header_writes() {
+        let h = header(FLAG_EOD | FLAG_EOF, u64::MAX - 1, 0x0102_0304_0506_0708);
+        assert_eq!(
+            parse_header(&h),
+            Some((FLAG_EOD | FLAG_EOF, u64::MAX - 1, 0x0102_0304_0506_0708))
+        );
+        assert_eq!(parse_header(&h[..HEADER_LEN - 1]), None);
     }
 
     #[test]

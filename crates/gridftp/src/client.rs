@@ -7,12 +7,13 @@
 //! bottleneck; `resume_from` skips ranges a restart marker reported as
 //! already received.
 
-use crate::block::{self, Block, HEADER_LEN};
+use crate::block::{self, Block, DEFAULT_BLOCK_BYTES, HEADER_LEN};
 use crate::checksum::StripeDigest;
 use crate::proto::{Command, Reply};
 use crate::rangeset::RangeSet;
+use crate::recv::StripeFold;
 use bytes::Bytes;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -87,7 +88,7 @@ impl PutConfig {
             name: name.into(),
             size,
             parallelism: 1,
-            block_bytes: 256 * 1024,
+            block_bytes: DEFAULT_BLOCK_BYTES,
             bucket: None,
             resume_from: RangeSet::new(),
         }
@@ -353,9 +354,6 @@ pub fn get(
     size: u64,
     parallelism: u32,
 ) -> Result<GetReport, PutError> {
-    use crate::block::BlockDecoder;
-    use std::io::Read;
-
     assert!(parallelism > 0, "parallelism must be positive");
     let control = TcpStream::connect(addr)?;
     control.set_nodelay(true)?;
@@ -397,33 +395,9 @@ pub fn get(
                     let mut conn = TcpStream::connect(("127.0.0.1", port))?;
                     conn.set_nodelay(true)?;
                     conn.set_read_timeout(Some(std::time::Duration::from_millis(200)))?;
-                    let mut decoder = BlockDecoder::new();
-                    let mut buf = vec![0u8; 256 * 1024];
-                    let mut digest = StripeDigest::new();
-                    let mut bytes = 0u64;
-                    'outer: loop {
-                        match conn.read(&mut buf) {
-                            Ok(0) => break,
-                            Ok(n) => {
-                                decoder.feed(&buf[..n]);
-                                while let Ok(Some(b)) = decoder.next_block() {
-                                    if b.is_eod() || b.is_eof() {
-                                        break 'outer;
-                                    }
-                                    digest.add_block(b.offset, &b.payload);
-                                    bytes += b.payload.len() as u64;
-                                }
-                            }
-                            Err(ref e)
-                                if e.kind() == io::ErrorKind::WouldBlock
-                                    || e.kind() == io::ErrorKind::TimedOut =>
-                            {
-                                continue;
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
-                    Ok((digest, bytes))
+                    let mut fold = StripeFold::new();
+                    fold.receive(&mut conn, || false)?;
+                    Ok((fold.digest, fold.bytes))
                 }),
             );
         }
@@ -561,6 +535,37 @@ mod tests {
         assert!(second.complete, "resume must complete the file");
         assert!(second.verified, "digest must match after reassembly");
         assert_eq!(second.bytes_sent, size / 2);
+    }
+
+    /// Frames larger than the receiver's staging buffer (which grows for
+    /// them) and small odd frames (many per buffer, short tail) both verify.
+    #[test]
+    fn put_verifies_with_oversized_and_small_odd_blocks() {
+        let server = GridFtpServer::start().unwrap();
+        for (block, size) in [(3 << 20, (7 << 20) + 5), (4097, (1 << 20) + 3)] {
+            let report = put(
+                server.control_addr(),
+                PutConfig::new(format!("b{block}"), size)
+                    .with_parallelism(2)
+                    .with_block_bytes(block),
+            )
+            .unwrap();
+            assert!(report.complete && report.verified, "block {block}");
+            assert_eq!(report.bytes_sent, size);
+            let state = server.transfer_state(&format!("b{block}")).unwrap();
+            assert_eq!(state.bytes, size);
+        }
+    }
+
+    /// RETR sends 256 KiB blocks: a size with an odd tail leaves the
+    /// receivers with lane-group leftovers and one short block.
+    #[test]
+    fn get_verifies_with_group_leftovers_and_a_short_tail() {
+        let server = GridFtpServer::start().unwrap();
+        let size = (3 << 20) + 4097;
+        let r = get(server.control_addr(), "odd", size, 2).unwrap();
+        assert!(r.verified, "download digest mismatch");
+        assert_eq!(r.bytes_received, size);
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //!   checks.
 //! * [`checksum`] — an order-independent FNV-based digest so the receiver
 //!   can verify data that arrives out of order across channels.
+//! * `recv` — the one receive path of a data channel: frames folded in
+//!   place from a fixed staging buffer, four at a time.
 //! * [`server`] — a striped receiver: control listener plus per-transfer
 //!   data listeners, block reassembly, marker generation.
 //! * [`client`] — a striped sender: splits a synthetic source into blocks,
@@ -47,6 +49,7 @@ pub mod checksum;
 pub mod client;
 pub mod proto;
 pub mod rangeset;
+mod recv;
 pub mod server;
 pub mod session;
 

@@ -8,13 +8,13 @@
 //! cover the declared size, or a `111` restart marker if they do not (the
 //! client may reconnect and send the complement).
 
-use crate::block::BlockDecoder;
 use crate::checksum::StripeDigest;
 use crate::proto::{Command, Reply};
 use crate::rangeset::RangeSet;
+use crate::recv::{End, StripeFold};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -302,60 +302,19 @@ fn drain_channels(
             let stop = Arc::clone(stop);
             handles.push(scope.spawn(move |_| -> std::io::Result<Option<TcpStream>> {
                 conn.set_read_timeout(Some(Duration::from_millis(100)))?;
-                let mut decoder = BlockDecoder::new();
-                let mut buf = vec![0u8; 256 * 1024];
-                // Local accumulators folded into the registry at the end —
-                // one lock per channel, not per block.
-                let mut local_ranges = Vec::new();
-                let mut local_digest = StripeDigest::new();
-                let mut local_bytes = 0u64;
-                // keep: Some(conn) on EOD, None on EOF/close/corruption.
-                let mut keep = false;
-                'outer: loop {
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    match conn.read(&mut buf) {
-                        Ok(0) => break,
-                        Ok(n) => {
-                            decoder.feed(&buf[..n]);
-                            loop {
-                                match decoder.next_block() {
-                                    Ok(Some(b)) => {
-                                        if b.is_eof() {
-                                            break 'outer;
-                                        }
-                                        if b.is_eod() {
-                                            keep = true;
-                                            break 'outer;
-                                        }
-                                        local_digest.add_block(b.offset, &b.payload);
-                                        local_bytes += b.payload.len() as u64;
-                                        local_ranges
-                                            .push((b.offset, b.offset + b.payload.len() as u64));
-                                    }
-                                    Ok(None) => break,
-                                    Err(_) => break 'outer, // corrupted stream: drop the channel
-                                }
-                            }
-                        }
-                        Err(ref e)
-                            if e.kind() == std::io::ErrorKind::WouldBlock
-                                || e.kind() == std::io::ErrorKind::TimedOut =>
-                        {
-                            continue;
-                        }
-                        Err(_) => break,
-                    }
-                }
+                // Counted locally and folded into the registry at the end:
+                // one lock per channel, not per block. A read error drops
+                // the channel like a close does.
+                let mut fold = StripeFold::new();
+                let end = fold.receive(&mut conn, || stop.load(Ordering::Relaxed));
                 let mut reg = registry.lock();
                 let state = reg.entry(name.to_string()).or_default();
-                for (s, e) in local_ranges {
+                for (s, e) in fold.ranges {
                     state.ranges.insert(s, e);
                 }
-                state.digest.merge(local_digest);
-                state.bytes += local_bytes;
-                Ok(if keep { Some(conn) } else { None })
+                state.digest.merge(fold.digest);
+                state.bytes += fold.bytes;
+                Ok(matches!(end, Ok(End::Eod)).then_some(conn))
             }));
         }
         let mut out = Vec::new();
@@ -375,10 +334,9 @@ fn send_stripes(
     size: u64,
     stop: &Arc<AtomicBool>,
 ) -> std::io::Result<(Vec<TcpStream>, StripeDigest, u64)> {
-    use crate::block::{Block, HEADER_LEN};
+    use crate::block::{Block, DEFAULT_BLOCK_BYTES as BLOCK, HEADER_LEN};
     use crate::client::payload_frame;
     use std::sync::atomic::AtomicU64;
-    const BLOCK: usize = 256 * 1024;
     let n_blocks = size.div_ceil(BLOCK as u64);
     let cursor = Arc::new(AtomicU64::new(0));
     let sent = Arc::new(AtomicU64::new(0));
@@ -547,6 +505,46 @@ mod tests {
 
         let state = server.transfer_state("f").unwrap();
         assert!(state.is_complete());
+    }
+
+    /// A header declaring more than `MAX_BLOCK_LEN` bytes ends the STOR
+    /// with the blocks that came before it, and the server closes that
+    /// channel instead of caching it.
+    #[test]
+    fn oversized_header_drops_the_channel() {
+        use crate::block::{header, MAX_BLOCK_LEN};
+        use std::io::Read;
+        let server = GridFtpServer::start().unwrap();
+        let (mut r, mut w) = connect_control(server.control_addr());
+        roundtrip(&mut r, &mut w, &Command::OptsParallelism(1));
+        let ports = roundtrip(&mut r, &mut w, &Command::Spas)
+            .parse_spas_ports()
+            .unwrap();
+        writeln!(
+            w,
+            "{}",
+            Command::Stor {
+                name: "bad".into(),
+                size: 20
+            }
+        )
+        .unwrap();
+        w.flush().unwrap();
+        let mut line = String::new();
+        r.read_line(&mut line).unwrap(); // 150
+
+        let mut data = TcpStream::connect(("127.0.0.1", ports[0])).unwrap();
+        data.write_all(&Block::data(0, Bytes::from(vec![1u8; 10])).encode())
+            .unwrap();
+        data.write_all(&header(0, MAX_BLOCK_LEN + 1, 10)).unwrap();
+
+        line.clear();
+        r.read_line(&mut line).unwrap();
+        let reply: Reply = line.parse().unwrap();
+        assert_eq!(reply.parse_marker().unwrap().ranges(), &[(0, 10)]);
+        data.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        assert_eq!(data.read(&mut [0; 1]).unwrap(), 0, "channel closed");
     }
 
     #[test]

@@ -221,6 +221,9 @@ impl Planet {
                 }
                 Some("region") => {
                     let name = it.next().ok_or_else(|| bad("missing region name"))?;
+                    if forges_route_names(name) {
+                        return Err(bad("region name contains '->' or ':'"));
+                    }
                     if p.regions.iter().any(|r| r == name) {
                         return Err(bad("duplicate region"));
                     }
@@ -271,6 +274,11 @@ impl Planet {
         if self.regions.len() < 2 {
             return Err(PlanetError("need at least 2 regions".to_string()));
         }
+        if let Some(r) = self.regions.iter().find(|r| forges_route_names(r)) {
+            return Err(PlanetError(format!(
+                "region {r:?}: name contains '->' or ':'"
+            )));
+        }
         if self.nic_mbs <= 0.0 || self.nic_mbs.is_nan() {
             return Err(PlanetError("nic capacity must be positive".to_string()));
         }
@@ -293,6 +301,12 @@ impl Planet {
         }
         Ok(())
     }
+}
+
+/// Route names are `src->dst:rank`: a region name holding either separator
+/// could spell another pair's route name.
+fn forges_route_names(region: &str) -> bool {
+    region.contains("->") || region.contains(':')
 }
 
 #[cfg(test)]
@@ -338,5 +352,21 @@ edge left right 1000 20 0.00001
         assert!(Planet::from_dat("region a\nregion a\n").is_err());
         // A single region cannot validate.
         assert!(Planet::from_dat("region a\n").is_err());
+        for name in ["a->b", "a:0", "->", ":"] {
+            let err = Planet::from_dat(&format!("region c\nregion {name}\n")).unwrap_err();
+            assert!(err.0.starts_with("line 2: region name"), "{err}");
+        }
+    }
+
+    #[test]
+    fn validate_refuses_route_separators_in_code_built_regions() {
+        let mut p = Planet::preset("mesh").unwrap();
+        p.validate().unwrap();
+        for name in ["a->b", "a:0"] {
+            p.regions[0] = name.to_string();
+            let err = p.validate().unwrap_err();
+            assert!(err.0.contains("name contains '->' or ':'"), "{err}");
+            assert!(crate::world::RouteCatalog::enumerate(&p, 2).is_err());
+        }
     }
 }

@@ -28,6 +28,10 @@ echo "==> stripe digest wire compatibility at the full 256 MiB put size (release
 cargo test -q --release -p xferopt-gridftp --lib -- --ignored \
   expected_digest_matches_scalar_fold_at_full_size
 
+echo "==> staged receive fold equals the scalar fold over a full 256 MiB stream (release)"
+cargo test -q --release -p xferopt-gridftp --lib -- --ignored \
+  staged_fold_equals_scalar_fold_over_a_full_put_stream
+
 echo "==> telemetry suite (golden snapshots + determinism)"
 cargo test -q --test telemetry
 cargo test -q -p xferopt-tuners --test audit_sequences

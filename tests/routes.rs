@@ -132,6 +132,38 @@ fn quoted_dat_names_round_trip_through_the_placement_jsonl() {
     assert_eq!(lines[1].get("routes"), Some("a\"x->b:0"));
 }
 
+/// Route names are `src->dst:rank`, so a region named `a->b` could make
+/// two pairs share one route name and resolve to the same links. Such a
+/// `.dat` is refused with one line naming the offending line.
+#[test]
+fn dat_region_names_cannot_forge_route_names() {
+    let dir = std::env::temp_dir().join(format!("xferopt-routes-forged-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let dat = dir.join("forged.dat");
+    std::fs::write(
+        &dat,
+        "region a->b\nregion c\nregion a\nregion b->c\n\
+         edge a->b c 20 10 0\nedge a b->c 20 10 0\nedge c a 20 10 0\n",
+    )
+    .expect("write .dat");
+    let out = Command::new(env!("CARGO_BIN_EXE_xferopt"))
+        .args(["routes", "search", "--dat"])
+        .arg(&dat)
+        .arg("--out")
+        .arg(dir.join("forged.jsonl"))
+        .output()
+        .expect("run xferopt");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+    assert_eq!(out.status.code(), Some(1), "status {}", out.status);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let lines: Vec<&str> = stderr.lines().collect();
+    assert_eq!(lines.len(), 1, "stderr: {stderr}");
+    assert!(
+        lines[0].starts_with("error:") && lines[0].contains("line 1"),
+        "stderr: {stderr}"
+    );
+}
+
 proptest! {
     /// Placement validity: whatever the planet/k/grid, every entry places an
     /// ordered region pair on routes that exist in the enumerated catalog
