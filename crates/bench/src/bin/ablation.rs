@@ -1,8 +1,6 @@
 //! Throughput ablations of the design choices DESIGN.md calls out: control
 //! epoch length `e`, compass step size `λ`, tolerance `ε`, and the TCP
-//! congestion-control variant. (The wall-clock cost of the same knobs is in
-//! the criterion benches; this binary reports their effect on *achieved
-//! throughput*.)
+//! congestion-control variant: their effect on *achieved throughput*.
 //!
 //! Usage: `ablation [--quick]`.
 

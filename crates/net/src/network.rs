@@ -697,8 +697,9 @@ impl Network {
 
     /// Number of *component* solves performed so far: each dirty bottleneck
     /// component re-solved during a pass counts once. With component-scoped
-    /// invalidation this grows slower than mutations × components — the
-    /// ratio `component_solves / mutations` is the churn-bench gate metric.
+    /// invalidation this grows slower than mutations × components; the
+    /// churn tests in `tests/alloc_engine.rs` gate `component_solves /
+    /// mutations` below 1.
     pub fn component_solves(&self) -> u64 {
         self.comp_solves.get()
     }
@@ -711,8 +712,9 @@ impl Network {
     }
 
     /// Mark every component dirty so the next read re-solves the whole
-    /// network. This is the full-re-solve baseline for the mutation-churn
-    /// microbenchmark; normal callers never need it.
+    /// network. This is the full-re-solve baseline of the mutation-churn
+    /// tests (`tests/alloc_engine.rs`, `tests/perf_gates.rs`); normal
+    /// callers never need it.
     pub fn invalidate_all(&mut self) {
         self.dirty_all.set(true);
         self.touch();

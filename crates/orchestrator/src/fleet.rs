@@ -263,12 +263,12 @@ impl FleetConfig {
 }
 
 /// Most ticks (`horizon_s / tick_s`) one fleet run may take: 5x the
-/// longest run in the repository (the fleet bench's 1e7 s horizon at 5 s
-/// ticks). `fleet run --tick 1e-9` would take 3.6e12 ticks.
+/// longest run in the repository (the queue-depth gate's 1e7 s horizon
+/// at 5 s ticks, `tests/perf_gates.rs`). `fleet run --tick 1e-9` would take 3.6e12 ticks.
 pub const MAX_TICKS: u64 = 10_000_000;
 
-/// Most jobs one fleet may hold: 10x the largest fleet in the repository
-/// (the fleet bench's 100k jobs). The job table is allocated up front, so
+/// Most jobs one fleet may hold: 10x the largest fleet the repository has
+/// measured (100k jobs). The job table is allocated up front, so
 /// an unchecked count can abort the process.
 pub const MAX_JOBS: u64 = 1_000_000;
 

@@ -268,8 +268,8 @@ impl Workload {
         Workload::new(jobs)
     }
 
-    /// The fleet-scaling benchmark workload: `n` identical long jobs over
-    /// `sites` sites. 90% of the jobs are preloaded at `t = 0` (a deep
+    /// The queue-depth workload of `tests/perf_gates.rs`: `n` identical
+    /// long jobs over `sites` sites. 90% of the jobs are preloaded at `t = 0` (a deep
     /// standing queue — the admission-bound regime a 100k-job fleet lives
     /// in) and the rest arrive one per 5 s tick, cycling sites, so each
     /// tick perturbs exactly one site's admission state — the event-locality

@@ -1,13 +1,11 @@
-//! Discrete-event simulation core for the `xferopt` workspace.
+//! Simulation core for the `xferopt` workspace.
 //!
 //! This crate provides the building blocks that every simulated substrate in
 //! the workspace shares:
 //!
 //! * [`SimTime`] / [`SimDuration`] — fixed-point simulated time in integer
-//!   nanoseconds, so event ordering is exact and reproducible (no float
+//!   nanoseconds, so time arithmetic is exact and reproducible (no float
 //!   drift).
-//! * [`EventQueue`] and [`Engine`] — a classic future-event-list
-//!   discrete-event scheduler with deterministic FIFO tie-breaking.
 //! * [`rng`] — deterministic, *splittable* random-number streams so that each
 //!   simulated entity (flow, process, repeat) owns an independent stream
 //!   derived from a single root seed.
@@ -22,31 +20,10 @@
 //! The crate is intentionally free of any networking or transfer logic; it is
 //! the substrate the `xferopt-net`, `xferopt-host` and `xferopt-transfer`
 //! crates build on.
-//!
-//! # Example
-//!
-//! ```
-//! use xferopt_simcore::{Engine, SimDuration, SimTime};
-//!
-//! // A tiny simulation: three ticks, one second apart.
-//! let mut engine: Engine<&'static str> = Engine::new();
-//! engine.schedule_in(SimDuration::from_secs_f64(1.0), "tick");
-//! engine.schedule_in(SimDuration::from_secs_f64(2.0), "tick");
-//! engine.schedule_in(SimDuration::from_secs_f64(3.0), "done");
-//!
-//! let mut log = Vec::new();
-//! while let Some((t, ev)) = engine.pop() {
-//!     log.push((t.as_secs_f64(), ev));
-//! }
-//! assert_eq!(log.last().unwrap().1, "done");
-//! assert_eq!(engine.now(), SimTime::from_secs_f64(3.0));
-//! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod engine;
-mod event;
 pub mod faults;
 pub mod json;
 pub mod metrics;
@@ -56,8 +33,6 @@ pub mod stats;
 mod time;
 pub mod trace;
 
-pub use engine::Engine;
-pub use event::{EventQueue, Scheduled};
 pub use faults::{FaultEvent, FaultKind, FaultPlan};
 pub use metrics::{
     Counter, Gauge, LogHistogram, MetricKind, MetricSample, MetricsRegistry, MetricsSnapshot,

@@ -30,6 +30,24 @@ pub struct SearchConfig {
     pub passes: usize,
 }
 
+impl SearchConfig {
+    /// Refuse a config the search cannot run: an empty concurrency grid, a
+    /// zero concurrency in it, or zero streams or passes.
+    ///
+    /// # Errors
+    /// Names the knobs a valid config needs.
+    pub fn validate(&self) -> Result<(), PlanetError> {
+        if self.nc_grid.is_empty() || self.nc_grid.contains(&0) || self.passes == 0 || self.np == 0
+        {
+            return Err(PlanetError(
+                "search needs a non-empty nc grid of values >= 1, np >= 1, and passes >= 1"
+                    .to_string(),
+            ));
+        }
+        Ok(())
+    }
+}
+
 impl Default for SearchConfig {
     fn default() -> Self {
         SearchConfig {
@@ -213,11 +231,7 @@ fn touches(route_links: &[usize], region_link_set: &BTreeSet<usize>) -> bool {
 /// # Errors
 /// Propagates planet validation / enumeration errors.
 pub fn search_routes(planet: &Planet, cfg: &SearchConfig) -> Result<PlacementTable, PlanetError> {
-    if cfg.nc_grid.is_empty() || cfg.passes == 0 || cfg.np == 0 {
-        return Err(PlanetError(
-            "search needs a non-empty nc grid, np >= 1, and passes >= 1".to_string(),
-        ));
-    }
+    cfg.validate()?;
     let catalog = RouteCatalog::enumerate(planet, cfg.k)?;
     let region_sets: Vec<BTreeSet<usize>> = (0..planet.regions.len())
         .map(|r| region_links(planet, r).into_iter().collect())
@@ -383,11 +397,7 @@ pub fn refine_placement(
     affected: &[usize],
     cfg: &SearchConfig,
 ) -> Result<PlacementTable, PlanetError> {
-    if cfg.nc_grid.is_empty() || cfg.passes == 0 || cfg.np == 0 {
-        return Err(PlanetError(
-            "search needs a non-empty nc grid, np >= 1, and passes >= 1".to_string(),
-        ));
-    }
+    cfg.validate()?;
     let catalog = RouteCatalog::enumerate(planet, cfg.k)?;
     let pairs: Vec<(usize, usize)> = catalog.by_pair.keys().copied().collect();
     if pairs.len() != prev.entries.len() {
@@ -500,6 +510,18 @@ mod tests {
         let b = search_routes(&p, &quick_cfg()).unwrap();
         assert_eq!(a.to_jsonl(), b.to_jsonl());
         assert_eq!(a.render(), b.render());
+    }
+
+    #[test]
+    fn search_refuses_a_zero_in_the_nc_grid() {
+        let p = Planet::mesh();
+        let prev = search_routes(&p, &quick_cfg()).unwrap();
+        let cfg = SearchConfig {
+            nc_grid: vec![8, 0],
+            ..quick_cfg()
+        };
+        assert!(search_routes(&p, &cfg).is_err());
+        assert!(refine_placement(&p, &prev, &[0], &cfg).is_err());
     }
 
     #[test]

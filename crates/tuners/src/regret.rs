@@ -28,7 +28,7 @@ pub struct RegretSummary {
 
 /// Summarize the regret of `traj` against `opt_value`, counting an epoch as
 /// "near-optimal" once it reaches `within_frac · opt_value` (the paper's
-/// steady-state convergence criterion); each epoch lasts `epoch_s` seconds.
+/// steady-state convergence test); each epoch lasts `epoch_s` seconds.
 ///
 /// Values above the optimum (measurement noise) contribute zero regret
 /// rather than negative.

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Local CI gate: build, test, and lint the whole workspace offline.
+# Local CI gate: build, test, and lint the whole workspace offline, then
+# run the timing-ratio gates of tests/perf_gates.rs in release.
 #
 # Usage: scripts/ci.sh
 #
@@ -70,36 +71,8 @@ diff "$FLEET_TMP/a.txt" "$FLEET_TMP/s4a.txt" \
 diff "$FLEET_TMP/m1.txt" "$FLEET_TMP/m8.txt" \
   || { echo "multi-site --shards 8 diverged from --shards 1"; exit 1; }
 
-echo "==> perf smoke (fleet admission vs queue depth, quick mode)"
-(cd "$FLEET_TMP" && "$OLDPWD/target/release/fleet" --quick)
-[ -f "$FLEET_TMP/BENCH_fleet.json" ] \
-  || { echo "BENCH_fleet.json missing"; exit 1; }
-DEPTH="$(awk -F': ' '/"monolith_10k_vs_1k"/ \
-  {gsub(/[,"]/, "", $2); print $2}' "$FLEET_TMP/BENCH_fleet.json")"
-awk -v s="$DEPTH" 'BEGIN { exit !(s >= 0.5) }' \
-  || { echo "admission scales with queue depth: 10k/1k monolith ticks/s ${DEPTH} < 0.5"; exit 1; }
-echo "    10k-job vs 1k-job monolith tick rate: ${DEPTH}"
-
-echo "==> perf smoke (allocation engine, quick mode)"
-# Run inside the temp dir so the quick-mode JSON does not clobber the
-# committed full-mode BENCH_alloc.json at the repo root.
-(cd "$FLEET_TMP" && "$OLDPWD/target/release/alloc" --quick)
-[ -f "$FLEET_TMP/BENCH_alloc.json" ] \
-  || { echo "BENCH_alloc.json missing"; exit 1; }
-SPEEDUP="$(awk -F': ' '/"repeated_read_100_flow_speedup"/ \
-  {gsub(/[,"]/, "", $2); print $2}' "$FLEET_TMP/BENCH_alloc.json")"
-awk -v s="$SPEEDUP" 'BEGIN { exit !(s >= 5.0) }' \
-  || { echo "perf regression: 100-flow speedup ${SPEEDUP}x < 5x"; exit 1; }
-echo "    100-flow repeated-read speedup: ${SPEEDUP}x"
-CHURN_SPM="$(awk -F': ' '/"churn_solves_per_mutation_1000x64"/ \
-  {gsub(/[,"]/, "", $2); print $2}' "$FLEET_TMP/BENCH_alloc.json")"
-awk -v s="$CHURN_SPM" 'BEGIN { exit !(s < 1.0) }' \
-  || { echo "churn regression: ${CHURN_SPM} component solves per mutation at 1000 flows (want < 1)"; exit 1; }
-CHURN_SPEEDUP="$(awk -F': ' '/"churn_speedup_1000x64"/ \
-  {gsub(/[,"]/, "", $2); print $2}' "$FLEET_TMP/BENCH_alloc.json")"
-awk -v s="$CHURN_SPEEDUP" 'BEGIN { exit !(s >= 5.0) }' \
-  || { echo "churn regression: 1000x64 partial-vs-full speedup ${CHURN_SPEEDUP}x < 5x"; exit 1; }
-echo "    1000x64 churn: ${CHURN_SPEEDUP}x vs full re-solve, ${CHURN_SPM} solves/mutation"
+echo "==> timing-ratio gates (release): cached reads, churn re-solve, admission vs queue depth"
+cargo test -q --release --test perf_gates -- --ignored --test-threads 1 --nocapture
 
 echo "==> supervision suite (chaos determinism + golden chaos snapshot)"
 cargo test -q --test supervision
@@ -239,16 +212,6 @@ FMOVED="$(awk '/^summary/ {for (i=1;i<=NF;i++) if ($i ~ /^moved_mb=/) \
 awk -v r="$RMOVED" -v f="$FMOVED" 'BEGIN { exit !(r > f) }' \
   || { echo "re-routing (${RMOVED} MB) did not beat fixed routes (${FMOVED} MB)"; exit 1; }
 echo "    outage mesh: rerouted ${RMOVED} MB vs fixed ${FMOVED} MB"
-
-echo "==> perf smoke (route search, quick mode)"
-(cd "$FLEET_TMP" && "$OLDPWD/target/release/routes" --quick)
-[ -f "$FLEET_TMP/BENCH_routes.json" ] \
-  || { echo "BENCH_routes.json missing"; exit 1; }
-RGAIN="$(awk -F': ' '/"outage_reroute_gain"/ \
-  {gsub(/[,"]/, "", $2); print $2}' "$FLEET_TMP/BENCH_routes.json")"
-awk -v g="$RGAIN" 'BEGIN { exit !(g > 1.0) }' \
-  || { echo "re-route regression: outage gain ${RGAIN}x <= 1x"; exit 1; }
-echo "    outage re-route gain: ${RGAIN}x"
 
 echo "==> chaos-campaign gate (self-healing control plane scorecard)"
 cargo test -q --test chaos

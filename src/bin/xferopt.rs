@@ -42,6 +42,7 @@
 //! `fig*` binaries in `xferopt-bench` to regenerate the paper's figures.
 
 use std::cell::RefCell;
+use std::fmt::Write as _;
 use std::process::ExitCode;
 use xferopt::prelude::*;
 use xferopt::scenarios::experiments::{fig5, summarize};
@@ -129,6 +130,15 @@ impl Args {
         Ok(jobs)
     }
 
+    /// A stream count per file for `--np` (default 8): at least 1, since a
+    /// file on zero streams moves nothing.
+    fn get_np(&self) -> Result<u32, String> {
+        match self.get_parsed("np", 8u32)? {
+            0 => Err("--np must be >= 1".into()),
+            np => Ok(np),
+        }
+    }
+
     /// A finite number of seconds for `--key`, at least the simulation
     /// clock's 1 ns resolution (a shorter step would round to zero).
     fn get_secs(&self, key: &str, default: f64) -> Result<f64, String> {
@@ -151,6 +161,23 @@ fn parse_route(s: &str) -> Result<Route, String> {
     }
 }
 
+/// Write `text` to stdout. A closed stdout (the reader of a pipe went
+/// away, as in `xferopt sweep | head -4`) quietly ends the output; any
+/// other write error is reported.
+fn emit(text: &str) -> Result<(), String> {
+    use std::io::Write;
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            Err(format!("cannot write to stdout: {e}"))
+        }
+        _ => Ok(()),
+    }
+}
+
 fn cmd_run(args: &Args) -> Result<(), String> {
     let route = parse_route(args.get("route").unwrap_or("uc"))?;
     let tuner: TunerKind = args
@@ -159,9 +186,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         .parse()
         .map_err(|e: String| e)?;
     let dims = match args.get("dims").unwrap_or("nc") {
-        "nc" => TuneDims::NcOnly {
-            np: args.get_parsed("np", 8u32)?,
-        },
+        "nc" => TuneDims::NcOnly { np: args.get_np()? },
         "ncnp" => TuneDims::NcNp,
         other => return Err(format!("unknown dims: {other} (use nc|ncnp)")),
     };
@@ -204,10 +229,12 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     } else {
         drive_transfer(&cfg)
     };
+    let mut out = String::new();
     if csv {
-        println!("t_s,observed_mbs,bestcase_mbs,nc,np,startup_s");
+        out.push_str("t_s,observed_mbs,bestcase_mbs,nc,np,startup_s\n");
         for e in &log.epochs {
-            println!(
+            let _ = writeln!(
+                out,
                 "{:.0},{:.1},{:.1},{},{},{:.2}",
                 (e.start + e.duration).as_secs_f64(),
                 e.observed_mbs,
@@ -218,7 +245,8 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             );
         }
     } else {
-        println!(
+        let _ = writeln!(
+            out,
             "{} on {} under {} for {:.0} s{}:",
             tuner.name(),
             route.name(),
@@ -228,29 +256,36 @@ fn cmd_run(args: &Args) -> Result<(), String> {
                 .map(|p| format!(" with {p} faults"))
                 .unwrap_or_default()
         );
-        println!("  mean observed  {:>8.0} MB/s", log.mean_observed_mbs());
-        println!(
+        let _ = writeln!(
+            out,
+            "  mean observed  {:>8.0} MB/s",
+            log.mean_observed_mbs()
+        );
+        let _ = writeln!(
+            out,
             "  steady (last third) {:>8.0} MB/s",
             log.mean_observed_between(duration * 2.0 / 3.0, duration + 1.0)
                 .unwrap_or(0.0)
         );
-        println!(
+        let _ = writeln!(
+            out,
             "  final params   nc={} np={}",
             log.final_nc().unwrap_or(0),
             log.final_np().unwrap_or(0)
         );
-        println!(
+        let _ = writeln!(
+            out,
             "  restart overhead {:>6.1} %",
             log.mean_overhead_fraction() * 100.0
         );
     }
-    Ok(())
+    emit(&out)
 }
 
 fn cmd_sweep(args: &Args) -> Result<(), String> {
     let route = parse_route(args.get("route").unwrap_or("uc"))?;
     let load = ExternalLoad::new(args.get_parsed("tfr", 0u32)?, args.get_parsed("cmp", 0u32)?);
-    let np = args.get_parsed("np", 8u32)?;
+    let np = args.get_np()?;
     let duration = args.get_secs("duration", 120.0)?;
     let seed = args.get_parsed("seed", 0u64)?;
     args.reject_unread()?;
@@ -265,16 +300,16 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
             format!("{:.0}", c.mbs),
         ]);
     }
-    println!(
-        "throughput vs concurrency on {} under {} (np={np}):\n",
+    let mut out = format!(
+        "throughput vs concurrency on {} under {} (np={np}):\n\n{}\n",
         route.name(),
-        load.label()
+        load.label(),
+        table.to_markdown()
     );
-    println!("{}", table.to_markdown());
     if let Some(best) = surface.argmax() {
-        println!("optimum: nc={} ({:.0} MB/s)", best.nc, best.mbs);
+        let _ = writeln!(out, "optimum: nc={} ({:.0} MB/s)", best.nc, best.mbs);
     }
-    Ok(())
+    emit(&out)
 }
 
 fn cmd_compare(args: &Args) -> Result<(), String> {
@@ -303,8 +338,7 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
             s.final_nc.to_string(),
         ]);
     }
-    println!("{}", table.to_markdown());
-    Ok(())
+    emit(&format!("{}\n", table.to_markdown()))
 }
 
 /// `xferopt telemetry summarize --in PATH`: digest a JSONL telemetry bundle.
@@ -321,8 +355,7 @@ fn cmd_telemetry(sub: &str, args: &Args) -> Result<(), String> {
             if s.runs + s.epochs + s.decisions + s.metric_samples == 0 {
                 return Err(format!("{path}: no telemetry records found"));
             }
-            print!("{}", s.to_report());
-            Ok(())
+            emit(&s.to_report())
         }
         other => Err(format!(
             "unknown telemetry subcommand: {other} (use summarize)"
@@ -388,7 +421,7 @@ impl FleetOutputs {
                 std::fs::write(path, &report).map_err(|e| format!("cannot write {path}: {e}"))?;
                 eprintln!("fleet: wrote report to {path}");
             }
-            None => print!("{report}"),
+            None => emit(&report)?,
         }
         if let Some(path) = &self.decisions {
             std::fs::write(path, &out.decisions_jsonl)
@@ -693,9 +726,11 @@ fn cmd_fleet_report(args: &Args) -> Result<(), String> {
             format!("{:.0}", r.achieved_mbs),
         ]);
     }
-    println!("history store {dir}: {} record(s)\n", store.len());
-    println!("{}", table.to_markdown());
-    Ok(())
+    emit(&format!(
+        "history store {dir}: {} record(s)\n\n{}\n",
+        store.len(),
+        table.to_markdown()
+    ))
 }
 
 /// `xferopt tournament run`: sweep every tuner × scenario preset × fault
@@ -741,7 +776,7 @@ fn cmd_tournament_run(args: &Args) -> Result<(), String> {
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
             eprintln!("tournament: wrote leaderboard to {path}");
         }
-        None => print!("{}", out.leaderboard.render()),
+        None => emit(&out.leaderboard.render())?,
     }
     if let Some(path) = csv_out {
         std::fs::write(path, out.leaderboard.to_csv())
@@ -780,12 +815,7 @@ fn cmd_tournament_report(args: &Args) -> Result<(), String> {
     args.reject_unread()?;
     let doc = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let board = Leaderboard::from_jsonl(&doc).map_err(|e| format!("{path}: {e}"))?;
-    if csv {
-        print!("{}", board.to_csv());
-    } else {
-        print!("{}", board.render());
-    }
-    Ok(())
+    emit(&if csv { board.to_csv() } else { board.render() })
 }
 
 fn cmd_tournament(sub: &str, args: &Args) -> Result<(), String> {
@@ -853,7 +883,7 @@ fn cmd_routes_search(args: &Args) -> Result<(), String> {
     let out = args.get("out");
     args.reject_unread()?;
     let table = search_routes(&planet, &cfg).map_err(|e| e.to_string())?;
-    print!("{}", table.render());
+    emit(&table.render())?;
     if let Some(out) = out {
         std::fs::write(out, table.to_jsonl()).map_err(|e| format!("cannot write {out}: {e}"))?;
         eprintln!("routes: placement table -> {out}");
@@ -906,7 +936,7 @@ fn cmd_chaos_run(args: &Args) -> Result<(), String> {
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
             eprintln!("chaos: wrote scorecard to {path}");
         }
-        None => print!("{}", out.scorecard),
+        None => emit(&out.scorecard)?,
     }
     Ok(())
 }

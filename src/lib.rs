@@ -35,10 +35,10 @@
 //!   search`, `xferopt fleet run --topo`).
 //! * [`loopback`] — a real-TCP localhost harness (shaped sockets + CPU hogs)
 //!   so the same tuners can run against a non-simulated objective.
-//! * [`simcore`] — the discrete-event substrate: simulated time, event
-//!   queues, splittable RNG streams, online statistics, deterministic
-//!   fault-injection plans ([`simcore::FaultPlan`]) with retry/backoff
-//!   handling in the transfer world, and the structured metrics layer
+//! * [`simcore`] — the simulation substrate: simulated time, splittable
+//!   RNG streams, online statistics, deterministic fault-injection plans
+//!   ([`simcore::FaultPlan`]) with retry/backoff handling in the transfer
+//!   world, and the structured metrics layer
 //!   ([`simcore::MetricsRegistry`]: counters, gauges, log-bucket histograms
 //!   with mergeable, byte-deterministic snapshots).
 //!

@@ -11,10 +11,15 @@
 //! 2. a deterministic byte-identity check — on the paper topology the cached
 //!    and uncached paths must agree **bitwise**, which is what keeps every
 //!    golden snapshot valid without re-blessing;
-//! 3. the fleet perf gate — `Workload::contended(10)` must run on one
-//!    amortized solve per tick (previously one per job per read), asserted
-//!    through the `net_alloc_solves_total` counter in the metrics registry.
+//! 3. the work gates — `Workload::contended(10)` must run on one amortized
+//!    solve per tick (previously one per job per read), asserted through the
+//!    `net_alloc_solves_total` counter in the metrics registry, and a
+//!    1000-flow mutation churn must re-solve one component per round where a
+//!    full invalidation re-solves all of them.
 
+mod common;
+
+use common::Churn;
 use proptest::prelude::*;
 use xferopt::net::{
     export_alloc_stats, CongestionControl, FlowId, Link, LinkId, Network, Path, PathId,
@@ -531,8 +536,46 @@ fn iterators_match_collecting_wrappers() {
 }
 
 // ---------------------------------------------------------------------------
-// Fleet perf gate: one amortized solve per tick.
+// Work gates: one component solve per churn round, one solve per fleet tick.
 // ---------------------------------------------------------------------------
+
+/// The churn tape at 1000 flows × 64 links (32 islands): each round's four
+/// mutations stay on one island, so its read re-solves that one component
+/// (0.25 solves per mutation). With `invalidate_all` before each read, the
+/// same tape re-solves all 32. That 32:1 work ratio is what the timed churn
+/// gate in `tests/perf_gates.rs` (partial ≥ 5× faster than full) rests on.
+#[test]
+fn churn_re_solves_one_component_per_round_at_1000x64() {
+    const ROUNDS: usize = 40;
+    const MUTATIONS_PER_ROUND: usize = 4;
+    let mut partial = Churn::new(1000, 64);
+    let mut full = Churn::new(1000, 64);
+    assert_eq!(partial.net.component_count(), 32, "32 disjoint islands");
+    assert_eq!(full.net.component_count(), 32, "32 disjoint islands");
+
+    let solves0 = partial.net.component_solves();
+    for r in 0..ROUNDS {
+        partial.round(r, false);
+    }
+    let solves = partial.net.component_solves() - solves0;
+    let per_mutation = solves as f64 / (ROUNDS * MUTATIONS_PER_ROUND) as f64;
+    assert!(
+        per_mutation < 1.0,
+        "{per_mutation} component solves per mutation (>= 1 means dirty sets \
+         no longer coalesce)"
+    );
+    assert_eq!(solves, ROUNDS as u64, "one component solve per round");
+
+    for r in 0..ROUNDS {
+        let before = full.net.component_solves();
+        full.round(r, true);
+        assert_eq!(
+            full.net.component_solves() - before,
+            32,
+            "round {r}: a full invalidation re-solves every component"
+        );
+    }
+}
 
 /// Ten contended jobs on one shared route: the whole fleet tick must read
 /// one shared cached allocation (one solve for N jobs instead of N solves).

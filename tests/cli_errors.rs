@@ -9,14 +9,16 @@ use std::time::{Duration, Instant};
 const TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Run the binary with `args`, killing it at [`TIMEOUT`]; returns the exit
-/// code and stderr.
-fn run(args: &[&str]) -> (Option<i32>, String) {
+/// code and stderr. A piped `stdout` has its read end closed at once, as
+/// when the reader of `xferopt ... | head` exits.
+fn run(args: &[&str], stdout: Stdio) -> (Option<i32>, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_xferopt"))
         .args(args)
-        .stdout(Stdio::null())
+        .stdout(stdout)
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn xferopt");
+    drop(child.stdout.take());
     let start = Instant::now();
     while child.try_wait().expect("poll xferopt").is_none() {
         if start.elapsed() > TIMEOUT {
@@ -34,7 +36,7 @@ fn run(args: &[&str]) -> (Option<i32>, String) {
 }
 
 fn assert_rejected(args: &[&str]) -> String {
-    let (code, stderr) = run(args);
+    let (code, stderr) = run(args, Stdio::null());
     let what = format!("`xferopt {}`", args.join(" "));
     assert!(!stderr.contains("panicked"), "{what} panicked:\n{stderr}");
     assert_eq!(code, Some(1), "{what} exit code; stderr:\n{stderr}");
@@ -61,6 +63,9 @@ fn bad_flag_values_exit_1_with_an_error_line() {
         &["sweep", "--duration", "0"],
         &["sweep", "--duration", "-1"],
         &["sweep", "--duration", "1e-300"],
+        &["run", "--np", "0", "--duration", "60"],
+        &["sweep", "--np", "0"],
+        &["routes", "search", "--nc-grid", "0"],
         &["tournament", "run", "--quick", "--epoch", "1e-300"],
         &["compare", "--duration", "0"],
         &["compare", "--duration", "-1"],
@@ -76,6 +81,14 @@ fn bad_flag_values_exit_1_with_an_error_line() {
     for args in cases {
         assert_rejected(args);
     }
+}
+
+/// A closed stdout ends the output quietly: no panic (exit 101), exit 0.
+#[test]
+fn a_closed_stdout_is_not_a_panic() {
+    let (code, stderr) = run(&["sweep", "--duration", "60"], Stdio::piped());
+    assert!(!stderr.contains("panicked"), "sweep panicked:\n{stderr}");
+    assert_eq!(code, Some(0), "sweep exit code; stderr:\n{stderr}");
 }
 
 /// A run the caps refuse, which would otherwise run for days (`--tick
