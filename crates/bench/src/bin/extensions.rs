@@ -80,7 +80,7 @@ fn main() {
             .filter(|e| e.t_s >= from && e.t_s < to)
             .map(|e| e.observed_mbs)
             .collect();
-        v.iter().sum::<f64>() / v.len().max(1) as f64
+        xferopt_simcore::stats::sum(v.iter().copied()) / v.len().max(1) as f64
     };
     println!(
         "\nsteady means: healthy FS {:.0} MB/s, archival tier {:.0} MB/s",

@@ -97,7 +97,7 @@ impl Dataset {
 
     /// Total size in MB.
     pub fn total_mb(&self) -> f64 {
-        self.files.iter().map(|f| f.size_mb).sum()
+        xferopt_simcore::stats::sum(self.files.iter().map(|f| f.size_mb))
     }
 
     /// Mean file size in MB (0 for an empty dataset).

@@ -12,8 +12,6 @@
 //! We keep the real wire layout (1 + 8 + 8 byte header, big-endian) and the
 //! EOD flag that closes a channel.
 
-use bytes::{Buf, Bytes, BytesMut};
-
 /// Header flag: end of data on this channel (for the current transfer; the
 /// channel itself may be cached and reused by the next transfer).
 pub const FLAG_EOD: u8 = 0x08;
@@ -39,13 +37,13 @@ pub struct Block {
     pub flags: u8,
     /// Byte offset of the payload within the logical file.
     pub offset: u64,
-    /// Payload bytes (zero-copy handle).
-    pub payload: Bytes,
+    /// Payload bytes.
+    pub payload: Vec<u8>,
 }
 
 impl Block {
     /// A data block.
-    pub fn data(offset: u64, payload: Bytes) -> Self {
+    pub fn data(offset: u64, payload: Vec<u8>) -> Self {
         Block {
             flags: 0,
             offset,
@@ -58,7 +56,7 @@ impl Block {
         Block {
             flags: FLAG_EOD,
             offset: 0,
-            payload: Bytes::new(),
+            payload: Vec::new(),
         }
     }
 
@@ -67,7 +65,7 @@ impl Block {
         Block {
             flags: FLAG_EOF,
             offset: 0,
-            payload: Bytes::new(),
+            payload: Vec::new(),
         }
     }
 
@@ -82,11 +80,11 @@ impl Block {
     }
 
     /// Encode into a fresh buffer (header + payload).
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(HEADER_LEN + self.payload.len());
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(HEADER_LEN + self.payload.len());
         buf.extend_from_slice(&header(self.flags, self.payload.len() as u64, self.offset));
         buf.extend_from_slice(&self.payload);
-        buf.freeze()
+        buf
     }
 }
 
@@ -128,9 +126,16 @@ impl std::fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 /// Incremental decoder: feed arbitrary byte chunks, pop whole blocks.
+///
+/// Each payload is copied once, from the buffer into its block. Popping a
+/// block only moves a read cursor; the consumed front of the buffer is
+/// dropped on a later [`feed`](Self::feed), and only once it is at least as
+/// long as what stays, so the bytes moved stay linear in the bytes fed.
 #[derive(Debug, Default)]
 pub struct BlockDecoder {
-    buf: BytesMut,
+    buf: Vec<u8>,
+    /// Bytes before `read` are consumed.
+    read: usize,
 }
 
 impl BlockDecoder {
@@ -141,32 +146,37 @@ impl BlockDecoder {
 
     /// Append raw bytes from the wire.
     pub fn feed(&mut self, chunk: &[u8]) {
+        if self.read > 0 && self.read >= self.pending() {
+            self.buf.drain(..self.read);
+            self.read = 0;
+        }
         self.buf.extend_from_slice(chunk);
     }
 
     /// Bytes buffered but not yet decodable into a whole block.
     pub fn pending(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.read
     }
 
     /// Pop the next complete block, if any.
     pub fn next_block(&mut self) -> Result<Option<Block>, DecodeError> {
-        let Some((flags, len, offset)) = parse_header(&self.buf) else {
+        let Some((flags, len, offset)) = parse_header(&self.buf[self.read..]) else {
             return Ok(None);
         };
         if len > MAX_BLOCK_LEN {
             return Err(DecodeError::OversizedBlock(len));
         }
-        let total = HEADER_LEN + len as usize;
-        if self.buf.len() < total {
+        let start = self.read + HEADER_LEN;
+        let end = start + len as usize;
+        if self.buf.len() < end {
             return Ok(None);
         }
-        let mut frame = self.buf.split_to(total);
-        frame.advance(HEADER_LEN);
+        let payload = self.buf[start..end].to_vec();
+        self.read = end;
         Ok(Some(Block {
             flags,
             offset,
-            payload: frame.freeze(),
+            payload,
         }))
     }
 }
@@ -177,7 +187,7 @@ mod tests {
 
     #[test]
     fn round_trip_single_block() {
-        let b = Block::data(4096, Bytes::from_static(b"payload"));
+        let b = Block::data(4096, b"payload".to_vec());
         let wire = b.encode();
         assert_eq!(wire.len(), HEADER_LEN + 7);
         let mut dec = BlockDecoder::new();
@@ -201,8 +211,8 @@ mod tests {
     #[test]
     fn byte_at_a_time_feeding() {
         let blocks = vec![
-            Block::data(0, Bytes::from_static(b"aaaa")),
-            Block::data(4, Bytes::from_static(b"bb")),
+            Block::data(0, b"aaaa".to_vec()),
+            Block::data(4, b"bb".to_vec()),
             Block::eod(),
         ];
         let mut wire = Vec::new();
@@ -243,6 +253,24 @@ mod tests {
         assert_eq!(parse_header(&h[..HEADER_LEN - 1]), None);
     }
 
+    /// Hundreds of frames fed at once pop in order, each payload intact,
+    /// and leave nothing behind.
+    #[test]
+    fn many_frames_in_one_feed_all_pop() {
+        let blocks: Vec<Block> = (0..300u64)
+            .map(|i| Block::data(i * 1000, vec![i as u8; (i as usize * 37) % 700]))
+            .collect();
+        let wire: Vec<u8> = blocks.iter().flat_map(Block::encode).collect();
+        let mut dec = BlockDecoder::new();
+        dec.feed(&wire);
+        let mut out = Vec::new();
+        while let Some(b) = dec.next_block().unwrap() {
+            out.push(b);
+        }
+        assert_eq!(out, blocks);
+        assert_eq!(dec.pending(), 0);
+    }
+
     #[test]
     fn partial_header_waits() {
         let mut dec = BlockDecoder::new();
@@ -268,7 +296,7 @@ mod proptests {
         ) {
             let blocks: Vec<Block> = blocks
                 .into_iter()
-                .map(|(off, data)| Block::data(off, Bytes::from(data)))
+                .map(|(off, data)| Block::data(off, data))
                 .collect();
             let mut wire = Vec::new();
             for b in &blocks {

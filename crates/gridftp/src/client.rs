@@ -12,13 +12,12 @@ use crate::checksum::StripeDigest;
 use crate::proto::{Command, Reply};
 use crate::rangeset::RangeSet;
 use crate::recv::StripeFold;
-use bytes::Bytes;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use xferopt_loopback::TokenBucket;
+use xferopt_loopback::{join_threads, TokenBucket};
 
 /// Deterministic synthetic payload byte at `offset`.
 pub fn payload_byte(offset: u64) -> u8 {
@@ -38,10 +37,10 @@ pub(crate) fn fill_payload(offset: u64, buf: &mut [u8]) {
 }
 
 /// Materialize the synthetic payload for `[offset, offset+len)`.
-pub fn payload_block(offset: u64, len: usize) -> Bytes {
+pub fn payload_block(offset: u64, len: usize) -> Vec<u8> {
     let mut v = vec![0; len];
     fill_payload(offset, &mut v);
-    Bytes::from(v)
+    v
 }
 
 /// Build the EBLOCK data frame of the synthetic payload at
@@ -170,7 +169,7 @@ impl std::fmt::Display for PutError {
 }
 impl std::error::Error for PutError {}
 
-fn read_reply(reader: &mut BufReader<TcpStream>) -> Result<Reply, PutError> {
+pub(crate) fn read_reply(reader: &mut BufReader<TcpStream>) -> Result<Reply, PutError> {
     let mut line = String::new();
     if reader.read_line(&mut line)? == 0 {
         return Err(PutError::Protocol(
@@ -246,91 +245,119 @@ pub fn put(addr: SocketAddr, cfg: PutConfig) -> Result<PutReport, PutError> {
             !cfg.resume_from.covers(start, end)
         })
         .collect();
-    let todo = Arc::new(todo);
-    let cursor = Arc::new(AtomicU64::new(0));
-    let sent = Arc::new(AtomicU64::new(0));
 
     let start = Instant::now();
-    let io_result: Result<(), std::io::Error> = crossbeam::scope(|scope| {
-        let mut handles = Vec::new();
-        for &port in &ports {
-            let todo = Arc::clone(&todo);
-            let cursor = Arc::clone(&cursor);
-            let sent = Arc::clone(&sent);
-            let bucket = cfg.bucket.clone();
-            let block_bytes = cfg.block_bytes;
-            let size = cfg.size;
-            handles.push(scope.spawn(move |_| -> std::io::Result<()> {
-                let mut conn = TcpStream::connect(("127.0.0.1", port))?;
-                conn.set_nodelay(true)?;
-                let mut frame = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed) as usize;
-                    if i >= todo.len() {
-                        break;
-                    }
-                    let idx = todo[i];
-                    let offset = idx * block_bytes as u64;
-                    let len = ((size - offset) as usize).min(block_bytes);
-                    payload_frame(&mut frame, offset, len);
-                    if let Some(b) = &bucket {
-                        b.acquire(len);
-                    }
-                    conn.write_all(&frame)?;
-                    sent.fetch_add(len as u64, Ordering::Relaxed);
-                }
-                conn.write_all(&Block::eod().encode())?;
-                conn.flush()?;
-                Ok(())
-            }));
-        }
-        for h in handles {
-            h.join().expect("channel thread panicked")?;
-        }
-        Ok(())
-    })
-    .expect("crossbeam scope failed");
-    io_result?;
+    let mut conns = connect_channels(&ports)?;
+    let bytes_sent = send_blocks(
+        &mut conns,
+        &todo,
+        cfg.size,
+        cfg.block_bytes,
+        cfg.bucket.as_deref(),
+    )?;
     let elapsed_s = start.elapsed().as_secs_f64();
 
     // Final reply: 226 on completion, 111 marker otherwise.
     let final_reply = read_reply(&mut reader)?;
     let _ = send_command(&mut writer, &mut reader, &Command::Quit);
+    put_report(
+        &final_reply,
+        bytes_sent,
+        elapsed_s,
+        cfg.size,
+        cfg.block_bytes,
+    )
+}
 
-    let bytes_sent = sent.load(Ordering::Relaxed);
-    let report = match final_reply.code {
+/// Open one data connection to each of `ports` on localhost.
+pub(crate) fn connect_channels(ports: &[u16]) -> io::Result<Vec<TcpStream>> {
+    ports
+        .iter()
+        .map(|&port| {
+            let conn = TcpStream::connect(("127.0.0.1", port))?;
+            conn.set_nodelay(true)?;
+            Ok(conn)
+        })
+        .collect()
+}
+
+/// Send the blocks `todo` of a `size`-byte synthetic file cut into
+/// `block_bytes` blocks, one thread per channel of `conns`. Each thread
+/// claims the next unsent block, frames it, waits on `bucket` and writes
+/// it, then ends its channel with EOD. Returns the payload bytes sent.
+///
+/// # Errors
+/// The first channel's write error, or an `Other` error if a channel
+/// thread panicked.
+pub(crate) fn send_blocks(
+    conns: &mut [TcpStream],
+    todo: &[u64],
+    size: u64,
+    block_bytes: usize,
+    bucket: Option<&TokenBucket>,
+) -> io::Result<u64> {
+    let (cursor, sent) = (&AtomicUsize::new(0), &AtomicU64::new(0));
+    std::thread::scope(|scope| {
+        let handles = conns
+            .iter_mut()
+            .map(|conn| {
+                scope.spawn(move || -> io::Result<()> {
+                    let mut frame = Vec::new();
+                    while let Some(&idx) = todo.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                        let offset = idx * block_bytes as u64;
+                        let len = ((size - offset) as usize).min(block_bytes);
+                        payload_frame(&mut frame, offset, len);
+                        if let Some(b) = bucket {
+                            b.acquire(len);
+                        }
+                        conn.write_all(&frame)?;
+                        sent.fetch_add(len as u64, Ordering::Relaxed);
+                    }
+                    conn.write_all(&Block::eod().encode())?;
+                    conn.flush()
+                })
+            })
+            .collect();
+        join_threads(handles, "put channel")
+    })?;
+    Ok(sent.load(Ordering::Relaxed))
+}
+
+/// The report of a put from the server's final reply: `226` completes it
+/// (verified against the synthetic payload's digest), `111` carries the
+/// restart marker.
+pub(crate) fn put_report(
+    final_reply: &Reply,
+    bytes_sent: u64,
+    elapsed_s: f64,
+    size: u64,
+    block_bytes: usize,
+) -> Result<PutReport, PutError> {
+    let protocol = |e: crate::proto::ParseError| PutError::Protocol(e.to_string());
+    let (complete, verified, marker) = match final_reply.code {
         226 => {
-            let (_, digest) = final_reply
-                .parse_complete()
-                .map_err(|e| PutError::Protocol(e.to_string()))?;
-            PutReport {
-                bytes_sent,
-                elapsed_s,
-                throughput_mbs: bytes_sent as f64 / elapsed_s.max(1e-9) / 1e6,
-                complete: true,
-                verified: digest == expected_digest(cfg.size, cfg.block_bytes),
-                marker: None,
-            }
+            let (_, digest) = final_reply.parse_complete().map_err(protocol)?;
+            (true, digest == expected_digest(size, block_bytes), None)
         }
-        111 => PutReport {
-            bytes_sent,
-            elapsed_s,
-            throughput_mbs: bytes_sent as f64 / elapsed_s.max(1e-9) / 1e6,
-            complete: false,
-            verified: false,
-            marker: Some(
-                final_reply
-                    .parse_marker()
-                    .map_err(|e| PutError::Protocol(e.to_string()))?,
-            ),
-        },
+        111 => (
+            false,
+            false,
+            Some(final_reply.parse_marker().map_err(protocol)?),
+        ),
         _ => {
             return Err(PutError::Protocol(format!(
                 "unexpected final reply: {final_reply}"
             )))
         }
     };
-    Ok(report)
+    Ok(PutReport {
+        bytes_sent,
+        elapsed_s,
+        throughput_mbs: bytes_sent as f64 / elapsed_s.max(1e-9) / 1e6,
+        complete,
+        verified,
+        marker,
+    })
 }
 
 /// Outcome of one `get` (download).
@@ -387,28 +414,21 @@ pub fn get(
     }
 
     let start = Instant::now();
-    let folded: Result<Vec<(StripeDigest, u64)>, std::io::Error> = crossbeam::scope(|scope| {
-        let mut handles = Vec::new();
-        for &port in &ports {
-            handles.push(
-                scope.spawn(move |_| -> std::io::Result<(StripeDigest, u64)> {
-                    let mut conn = TcpStream::connect(("127.0.0.1", port))?;
-                    conn.set_nodelay(true)?;
+    let conns = connect_channels(&ports)?;
+    let folded = std::thread::scope(|scope| {
+        let handles = conns
+            .into_iter()
+            .map(|mut conn| {
+                scope.spawn(move || -> io::Result<(StripeDigest, u64)> {
                     conn.set_read_timeout(Some(std::time::Duration::from_millis(200)))?;
                     let mut fold = StripeFold::new();
                     fold.receive(&mut conn, || false)?;
                     Ok((fold.digest, fold.bytes))
-                }),
-            );
-        }
-        let mut out = Vec::new();
-        for h in handles {
-            out.push(h.join().expect("get channel panicked")?);
-        }
-        Ok(out)
-    })
-    .expect("crossbeam scope failed");
-    let folded = folded?;
+                })
+            })
+            .collect();
+        join_threads(handles, "get channel")
+    })?;
     let elapsed_s = start.elapsed().as_secs_f64();
 
     let final_reply = read_reply(&mut reader)?;
@@ -672,10 +692,10 @@ mod tests {
         // The paper's nc: independent sessions transferring distinct names.
         let server = GridFtpServer::start().unwrap();
         let addr = server.control_addr();
-        let reports: Vec<PutReport> = crossbeam::scope(|s| {
+        let reports: Vec<PutReport> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..3)
                 .map(|i| {
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         put(
                             addr,
                             PutConfig::new(format!("nc{i}"), 512 * 1024)
@@ -687,8 +707,7 @@ mod tests {
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-        .unwrap();
+        });
         assert!(reports.iter().all(|r| r.complete && r.verified));
     }
 }

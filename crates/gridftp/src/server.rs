@@ -8,17 +8,19 @@
 //! cover the declared size, or a `111` restart marker if they do not (the
 //! client may reconnect and send the complement).
 
+use crate::block::{Block, DEFAULT_BLOCK_BYTES as BLOCK, HEADER_LEN};
 use crate::checksum::StripeDigest;
+use crate::client::payload_frame;
 use crate::proto::{Command, Reply};
 use crate::rangeset::RangeSet;
 use crate::recv::{End, StripeFold};
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
+use xferopt_loopback::join_threads;
 
 /// Accumulated state of one named logical file (persists across sessions so
 /// transfers can resume).
@@ -41,7 +43,17 @@ impl TransferState {
     }
 }
 
-type Registry = Arc<Mutex<HashMap<String, TransferState>>>;
+/// Every named transfer's state, shared by the sessions of one server.
+type Files = HashMap<String, TransferState>;
+type Registry = Arc<Mutex<Files>>;
+
+/// Lock the registry. Each update under the lock leaves every field a valid
+/// value, so a lock poisoned by a panicking channel thread is recovered: at
+/// worst that channel's fold is partly counted, and the digest check of the
+/// transfer reports it.
+fn lock(registry: &Mutex<Files>) -> MutexGuard<'_, Files> {
+    registry.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A running GridFTP-style server on an ephemeral localhost port.
 #[derive(Debug)]
@@ -102,7 +114,7 @@ impl GridFtpServer {
 
     /// Snapshot of a named transfer's state, if any blocks have arrived.
     pub fn transfer_state(&self, name: &str) -> Option<TransferState> {
-        self.registry.lock().get(name).cloned()
+        lock(&self.registry).get(name).cloned()
     }
 }
 
@@ -181,7 +193,7 @@ fn serve_session(
                     continue;
                 }
                 current_name = Some(name.clone());
-                registry.lock().entry(name.clone()).or_default().size = size;
+                lock(&registry).entry(name.clone()).or_default().size = size;
                 send_reply(
                     &mut writer,
                     &Reply {
@@ -199,7 +211,7 @@ fn serve_session(
                     .into_iter()
                     .flatten()
                     .collect();
-                let state = registry.lock().get(&name).cloned().unwrap_or_default();
+                let state = lock(&registry).get(&name).cloned().unwrap_or_default();
                 if state.is_complete() {
                     send_reply(
                         &mut writer,
@@ -234,8 +246,7 @@ fn serve_session(
             }
             Command::MarkerRequest => match &current_name {
                 Some(name) => {
-                    let ranges = registry
-                        .lock()
+                    let ranges = lock(&registry)
                         .get(name)
                         .map(|s| s.ranges.clone())
                         .unwrap_or_default();
@@ -258,10 +269,7 @@ fn serve_session(
 }
 
 /// Accept one connection per listener (bounded wait).
-fn accept_channels(
-    listeners: Vec<TcpListener>,
-    stop: &Arc<AtomicBool>,
-) -> std::io::Result<Vec<TcpStream>> {
+fn accept_channels(listeners: Vec<TcpListener>, stop: &AtomicBool) -> io::Result<Vec<TcpStream>> {
     let mut conns = Vec::with_capacity(listeners.len());
     for listener in &listeners {
         listener.set_nonblocking(true)?;
@@ -291,39 +299,34 @@ fn accept_channels(
 /// marker).
 fn drain_channels(
     conns: Vec<TcpStream>,
-    registry: &Registry,
+    registry: &Mutex<Files>,
     name: &str,
-    stop: &Arc<AtomicBool>,
-) -> std::io::Result<Vec<Option<TcpStream>>> {
-    crossbeam::scope(|scope| {
-        let mut handles = Vec::new();
-        for mut conn in conns {
-            let registry = Arc::clone(registry);
-            let stop = Arc::clone(stop);
-            handles.push(scope.spawn(move |_| -> std::io::Result<Option<TcpStream>> {
-                conn.set_read_timeout(Some(Duration::from_millis(100)))?;
-                // Counted locally and folded into the registry at the end:
-                // one lock per channel, not per block. A read error drops
-                // the channel like a close does.
-                let mut fold = StripeFold::new();
-                let end = fold.receive(&mut conn, || stop.load(Ordering::Relaxed));
-                let mut reg = registry.lock();
-                let state = reg.entry(name.to_string()).or_default();
-                for (s, e) in fold.ranges {
-                    state.ranges.insert(s, e);
-                }
-                state.digest.merge(fold.digest);
-                state.bytes += fold.bytes;
-                Ok(matches!(end, Ok(End::Eod)).then_some(conn))
-            }));
-        }
-        let mut out = Vec::new();
-        for h in handles {
-            out.push(h.join().expect("stripe thread panicked")?);
-        }
-        Ok(out)
+    stop: &AtomicBool,
+) -> io::Result<Vec<Option<TcpStream>>> {
+    std::thread::scope(|scope| {
+        let handles = conns
+            .into_iter()
+            .map(|mut conn| {
+                scope.spawn(move || -> io::Result<Option<TcpStream>> {
+                    conn.set_read_timeout(Some(Duration::from_millis(100)))?;
+                    // Counted locally and folded into the registry at the
+                    // end: one lock per channel, not per block. A read error
+                    // drops the channel like a close does.
+                    let mut fold = StripeFold::new();
+                    let end = fold.receive(&mut conn, || stop.load(Ordering::Relaxed));
+                    let mut reg = lock(registry);
+                    let state = reg.entry(name.to_string()).or_default();
+                    for (s, e) in fold.ranges {
+                        state.ranges.insert(s, e);
+                    }
+                    state.digest.merge(fold.digest);
+                    state.bytes += fold.bytes;
+                    Ok(matches!(end, Ok(End::Eod)).then_some(conn))
+                })
+            })
+            .collect();
+        join_threads(handles, "stor channel")
     })
-    .expect("crossbeam scope failed")
 }
 
 /// Send `size` synthetic bytes as EBLOCK frames round-robined over the
@@ -332,22 +335,15 @@ fn drain_channels(
 fn send_stripes(
     conns: Vec<TcpStream>,
     size: u64,
-    stop: &Arc<AtomicBool>,
-) -> std::io::Result<(Vec<TcpStream>, StripeDigest, u64)> {
-    use crate::block::{Block, DEFAULT_BLOCK_BYTES as BLOCK, HEADER_LEN};
-    use crate::client::payload_frame;
-    use std::sync::atomic::AtomicU64;
+    stop: &AtomicBool,
+) -> io::Result<(Vec<TcpStream>, StripeDigest, u64)> {
     let n_blocks = size.div_ceil(BLOCK as u64);
-    let cursor = Arc::new(AtomicU64::new(0));
-    let sent = Arc::new(AtomicU64::new(0));
-    let out = crossbeam::scope(|scope| {
-        let mut handles = Vec::new();
-        for mut conn in conns {
-            let cursor = Arc::clone(&cursor);
-            let sent = Arc::clone(&sent);
-            let stop = Arc::clone(stop);
-            handles.push(
-                scope.spawn(move |_| -> std::io::Result<(TcpStream, StripeDigest)> {
+    let (cursor, sent) = (&AtomicU64::new(0), &AtomicU64::new(0));
+    let sent_channels = std::thread::scope(|scope| {
+        let handles = conns
+            .into_iter()
+            .map(|mut conn| {
+                scope.spawn(move || -> io::Result<(TcpStream, StripeDigest)> {
                     let mut local_digest = StripeDigest::new();
                     let mut frame = Vec::new();
                     loop {
@@ -368,28 +364,23 @@ fn send_stripes(
                     conn.write_all(&Block::eod().encode())?;
                     conn.flush()?;
                     Ok((conn, local_digest))
-                }),
-            );
-        }
-        let mut survivors = Vec::new();
-        let mut digest = StripeDigest::new();
-        for h in handles {
-            let (c, d) = h.join().expect("send thread panicked")?;
-            survivors.push(c);
-            digest.merge(d);
-        }
-        Ok::<_, std::io::Error>((survivors, digest))
-    })
-    .expect("crossbeam scope failed")?;
-    let (survivors, digest) = out;
+                })
+            })
+            .collect();
+        join_threads(handles, "retr channel")
+    })?;
+    let mut survivors = Vec::with_capacity(sent_channels.len());
+    let mut digest = StripeDigest::new();
+    for (conn, d) in sent_channels {
+        survivors.push(conn);
+        digest.merge(d);
+    }
     Ok((survivors, digest, sent.load(Ordering::Relaxed)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::Block;
-    use bytes::Bytes;
 
     fn connect_control(addr: SocketAddr) -> (BufReader<TcpStream>, TcpStream) {
         let stream = TcpStream::connect(addr).unwrap();
@@ -490,7 +481,7 @@ mod tests {
         assert!(line.starts_with("150"), "line: {line}");
 
         let mut data = TcpStream::connect(("127.0.0.1", ports[0])).unwrap();
-        data.write_all(&Block::data(0, Bytes::from(payload.clone())).encode())
+        data.write_all(&Block::data(0, payload.clone()).encode())
             .unwrap();
         data.write_all(&Block::eod().encode()).unwrap();
         drop(data);
@@ -534,7 +525,7 @@ mod tests {
         r.read_line(&mut line).unwrap(); // 150
 
         let mut data = TcpStream::connect(("127.0.0.1", ports[0])).unwrap();
-        data.write_all(&Block::data(0, Bytes::from(vec![1u8; 10])).encode())
+        data.write_all(&Block::data(0, vec![1u8; 10]).encode())
             .unwrap();
         data.write_all(&header(0, MAX_BLOCK_LEN + 1, 10)).unwrap();
 
@@ -570,7 +561,7 @@ mod tests {
 
         // Send only the second half, then EOD.
         let mut data = TcpStream::connect(("127.0.0.1", ports[0])).unwrap();
-        data.write_all(&Block::data(10, Bytes::from(vec![7u8; 10])).encode())
+        data.write_all(&Block::data(10, vec![7u8; 10]).encode())
             .unwrap();
         data.write_all(&Block::eod().encode()).unwrap();
         drop(data);

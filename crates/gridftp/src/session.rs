@@ -14,12 +14,11 @@
 //! overhead on real sockets.
 
 use crate::block::Block;
-use crate::client::{expected_digest, payload_frame, PutError, PutReport};
+use crate::client::{connect_channels, put_report, read_reply, send_blocks, PutError, PutReport};
 use crate::proto::{Command, Reply};
 use crate::rangeset::RangeSet;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use xferopt_loopback::TokenBucket;
@@ -96,7 +95,7 @@ impl Session {
         // Renegotiate data channels only when the parallelism changed (or
         // none are cached yet) — otherwise the cached connections carry the
         // next transfer with zero setup cost.
-        if self.parallelism != np || self.data_conns.len() != np as usize {
+        let ports = if self.parallelism != np || self.data_conns.len() != np as usize {
             let r = self.command(&Command::OptsParallelism(np))?;
             if !r.is_success() {
                 return Err(PutError::Protocol(format!("OPTS rejected: {r}")));
@@ -107,102 +106,37 @@ impl Session {
                 .parse_spas_ports()
                 .map_err(|e| PutError::Protocol(e.to_string()))?;
             self.data_conns.clear();
-            // STOR first: the server only accepts data connections during a
-            // transfer.
-            let r = self.command(&Command::Stor {
-                name: name.to_string(),
-                size,
-            })?;
-            if r.code != 150 {
-                return Err(PutError::Protocol(format!("STOR rejected: {r}")));
-            }
-            for &port in &ports {
-                let c = TcpStream::connect(("127.0.0.1", port))?;
-                c.set_nodelay(true)?;
-                self.data_conns.push(c);
-            }
+            Some(ports)
         } else {
-            let r = self.command(&Command::Stor {
-                name: name.to_string(),
-                size,
-            })?;
-            if r.code != 150 {
-                return Err(PutError::Protocol(format!("STOR rejected: {r}")));
-            }
+            None
+        };
+        let r = self.command(&Command::Stor {
+            name: name.to_string(),
+            size,
+        })?;
+        if r.code != 150 {
+            return Err(PutError::Protocol(format!("STOR rejected: {r}")));
+        }
+        // Connect after STOR: the server only accepts data connections
+        // during a transfer.
+        if let Some(ports) = ports {
+            self.data_conns = connect_channels(&ports)?;
         }
 
-        let n_blocks = size.div_ceil(block_bytes as u64);
-        let cursor = Arc::new(AtomicU64::new(0));
-        let sent = Arc::new(AtomicU64::new(0));
+        let blocks: Vec<u64> = (0..size.div_ceil(block_bytes as u64)).collect();
         let start = Instant::now();
-        let io: Result<(), std::io::Error> = crossbeam::scope(|scope| {
-            let mut handles = Vec::new();
-            for conn in self.data_conns.iter_mut() {
-                let cursor = Arc::clone(&cursor);
-                let sent = Arc::clone(&sent);
-                let bucket = self.bucket.clone();
-                handles.push(scope.spawn(move |_| -> std::io::Result<()> {
-                    let mut frame = Vec::new();
-                    loop {
-                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                        if idx >= n_blocks {
-                            break;
-                        }
-                        let offset = idx * block_bytes as u64;
-                        let len = ((size - offset) as usize).min(block_bytes);
-                        payload_frame(&mut frame, offset, len);
-                        if let Some(b) = &bucket {
-                            b.acquire(len);
-                        }
-                        conn.write_all(&frame)?;
-                        sent.fetch_add(len as u64, Ordering::Relaxed);
-                    }
-                    conn.write_all(&Block::eod().encode())?;
-                    conn.flush()
-                }));
-            }
-            for h in handles {
-                h.join().expect("channel thread panicked")?;
-            }
-            Ok(())
-        })
-        .expect("crossbeam scope failed");
-        io?;
+        let bytes_sent = send_blocks(
+            &mut self.data_conns,
+            &blocks,
+            size,
+            block_bytes,
+            self.bucket.as_deref(),
+        )?;
         let elapsed_s = start.elapsed().as_secs_f64();
 
         let final_reply = read_reply(&mut self.reader)?;
-        let bytes_sent = sent.load(Ordering::Relaxed);
         self.puts += 1;
-        match final_reply.code {
-            226 => {
-                let (_, digest) = final_reply
-                    .parse_complete()
-                    .map_err(|e| PutError::Protocol(e.to_string()))?;
-                Ok(PutReport {
-                    bytes_sent,
-                    elapsed_s,
-                    throughput_mbs: bytes_sent as f64 / elapsed_s.max(1e-9) / 1e6,
-                    complete: true,
-                    verified: digest == expected_digest(size, block_bytes),
-                    marker: None,
-                })
-            }
-            111 => Ok(PutReport {
-                bytes_sent,
-                elapsed_s,
-                throughput_mbs: bytes_sent as f64 / elapsed_s.max(1e-9) / 1e6,
-                complete: false,
-                verified: false,
-                marker: Some(
-                    final_reply
-                        .parse_marker()
-                        .map_err(|e| PutError::Protocol(e.to_string()))?,
-                ),
-            }),
-            _ => Err(PutError::Protocol(format!(
-                "unexpected final reply: {final_reply}"
-            ))),
-        }
+        put_report(&final_reply, bytes_sent, elapsed_s, size, block_bytes)
     }
 
     /// Request the restart marker for the session's most recent transfer.
@@ -223,17 +157,6 @@ impl Session {
         }
         Ok(())
     }
-}
-
-fn read_reply(reader: &mut BufReader<TcpStream>) -> Result<Reply, PutError> {
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Err(PutError::Protocol(
-            "server closed the control channel".into(),
-        ));
-    }
-    line.parse()
-        .map_err(|e: crate::proto::ParseError| PutError::Protocol(e.to_string()))
 }
 
 #[cfg(test)]

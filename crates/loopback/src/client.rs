@@ -6,11 +6,11 @@
 //! contend for one bottleneck exactly like parallel WAN streams do.
 
 use crate::shaper::TokenBucket;
-use bytes::Bytes;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
 
 /// Chunk size each stream writes per send (64 KiB, a typical GridFTP block).
@@ -54,55 +54,67 @@ pub fn measure_epoch_with_stream_cap(
     assert!(nc > 0 && np > 0, "need at least one stream");
     assert!(!epoch.is_zero(), "epoch must be positive");
     let streams = (nc * np) as usize;
-    let sent = Arc::new(AtomicU64::new(0));
+    let sent = &AtomicU64::new(0);
+    let bucket = &*bucket;
     let start = Instant::now();
     let deadline = start + epoch;
-    // Shared immutable payload: zero-copy clones per stream (`bytes::Bytes`).
-    let payload = Bytes::from(vec![0u8; CHUNK_BYTES]);
+    // One zeroed chunk, borrowed by every stream.
+    let payload = vec![0u8; CHUNK_BYTES];
+    let payload = payload.as_slice();
 
-    let result: Result<(), io::Error> = crossbeam::scope(|scope| {
-        let mut handles = Vec::with_capacity(streams);
-        for _ in 0..streams {
-            let sent = Arc::clone(&sent);
-            let bucket = Arc::clone(&bucket);
-            let payload = payload.clone();
-            let own_bucket = per_stream_mbs
-                .map(|mbs| TokenBucket::new(crate::shaper::ShaperConfig::rate_mbs(mbs)));
-            handles.push(scope.spawn(move |_| -> io::Result<()> {
-                let mut stream = TcpStream::connect(addr)?;
-                stream.set_nodelay(true)?;
-                stream.set_write_timeout(Some(Duration::from_millis(200)))?;
-                while Instant::now() < deadline {
-                    if let Some(b) = &own_bucket {
-                        b.acquire(payload.len());
-                    }
-                    bucket.acquire(payload.len());
-                    match stream.write_all(&payload) {
-                        Ok(()) => {
-                            sent.fetch_add(payload.len() as u64, Ordering::Relaxed);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..streams)
+            .map(|_| {
+                let own_bucket = per_stream_mbs
+                    .map(|mbs| TokenBucket::new(crate::shaper::ShaperConfig::rate_mbs(mbs)));
+                scope.spawn(move || -> io::Result<()> {
+                    let mut stream = TcpStream::connect(addr)?;
+                    stream.set_nodelay(true)?;
+                    stream.set_write_timeout(Some(Duration::from_millis(200)))?;
+                    while Instant::now() < deadline {
+                        if let Some(b) = &own_bucket {
+                            b.acquire(payload.len());
                         }
-                        Err(ref e)
-                            if e.kind() == io::ErrorKind::WouldBlock
-                                || e.kind() == io::ErrorKind::TimedOut =>
-                        {
-                            continue;
+                        bucket.acquire(payload.len());
+                        match stream.write_all(payload) {
+                            Ok(()) => {
+                                sent.fetch_add(payload.len() as u64, Ordering::Relaxed);
+                            }
+                            Err(ref e)
+                                if e.kind() == io::ErrorKind::WouldBlock
+                                    || e.kind() == io::ErrorKind::TimedOut =>
+                            {
+                                continue;
+                            }
+                            Err(e) => return Err(e),
                         }
-                        Err(e) => return Err(e),
                     }
-                }
-                Ok(())
-            }));
-        }
-        for h in handles {
-            h.join().expect("stream thread panicked")?;
-        }
-        Ok(())
-    })
-    .expect("crossbeam scope failed");
-    result?;
+                    Ok(())
+                })
+            })
+            .collect();
+        join_threads(handles, "loopback stream")
+    })?;
 
     let secs = start.elapsed().as_secs_f64();
     Ok(sent.load(Ordering::Relaxed) as f64 / secs / 1e6)
+}
+
+/// Join every thread of a scope, then return their results in spawn order
+/// or the first error. A panicked thread becomes an `Other` error naming
+/// its `role`; joining them all first keeps the scope from re-raising it.
+///
+/// # Errors
+/// The first thread's error, in spawn order.
+pub fn join_threads<T>(
+    handles: Vec<ScopedJoinHandle<'_, io::Result<T>>>,
+    role: &str,
+) -> io::Result<Vec<T>> {
+    let joined: Vec<_> = handles.into_iter().map(ScopedJoinHandle::join).collect();
+    joined
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|_| Err(io::Error::other(format!("{role} thread panicked")))))
+        .collect()
 }
 
 #[cfg(test)]
@@ -167,6 +179,22 @@ mod tests {
         let server = SinkServer::start().unwrap();
         let bucket = Arc::new(TokenBucket::new(ShaperConfig::unshaped()));
         let _ = measure_epoch(server.addr(), 0, 1, Duration::from_millis(10), bucket);
+    }
+
+    /// A thread that panics surfaces as an error naming its role, after
+    /// the other threads are joined, not as a process abort.
+    #[test]
+    fn a_panicked_thread_is_an_io_error() {
+        let err = std::thread::scope(|s| {
+            let handles = vec![
+                s.spawn(|| -> io::Result<u32> { panic!("stream fault") }),
+                s.spawn(|| Ok(2)),
+            ];
+            join_threads(handles, "put channel")
+        })
+        .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::Other);
+        assert_eq!(err.to_string(), "put channel thread panicked");
     }
 
     #[test]

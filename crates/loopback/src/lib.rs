@@ -33,7 +33,7 @@ pub mod cpuload;
 pub mod server;
 pub mod shaper;
 
-pub use client::{measure_epoch, measure_epoch_with_stream_cap};
+pub use client::{join_threads, measure_epoch, measure_epoch_with_stream_cap};
 pub use cpuload::CpuHogs;
 pub use server::SinkServer;
 pub use shaper::{ShaperConfig, TokenBucket};

@@ -22,6 +22,7 @@ use crate::history::HistoryStore;
 use crate::job::JobState;
 use crate::shard::run_fleet_sharded;
 use xferopt_simcore::json::Fields;
+use xferopt_simcore::stats::sum;
 use xferopt_topo::{campaign_phases, search_routes, Planet, RouteCatalog, SearchConfig};
 
 /// The three control-plane variants a campaign compares, in scorecard order.
@@ -313,8 +314,8 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignOutcome, String> {
             variant: variant.to_string(),
             completed: runs.iter().map(|s| s.completed).sum(),
             submitted: runs.iter().map(|s| s.submitted).sum(),
-            moved_mb: runs.iter().map(|s| s.moved_mb).sum(),
-            bytes_lost: runs.iter().map(|s| s.bytes_lost).sum(),
+            moved_mb: sum(runs.iter().map(|s| s.moved_mb)),
+            bytes_lost: sum(runs.iter().map(|s| s.bytes_lost)),
             quarantines: runs.iter().map(|s| s.quarantines).sum(),
             requeues: runs.iter().map(|s| s.requeues).sum(),
             reroutes: runs.iter().map(|s| s.reroutes).sum(),

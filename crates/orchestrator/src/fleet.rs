@@ -441,7 +441,7 @@ impl FleetReport {
 
     /// Total megabytes moved across the fleet.
     pub fn total_moved_mb(&self) -> f64 {
-        self.outcomes.iter().map(|o| o.moved_mb).sum()
+        xferopt_simcore::stats::sum(self.outcomes.iter().map(|o| o.moved_mb))
     }
 
     /// Completion time of the last finished job, if any completed.

@@ -20,7 +20,7 @@
 //!   experiment.
 //! * [`experiments`] — one function per table/figure, returning structured
 //!   series/rows.
-//! * [`runner`] — parallel scenario repeats (`crossbeam::scope`, one
+//! * [`runner`] — parallel scenario repeats (`std::thread::scope`, one
 //!   deterministic world per thread).
 //! * [`report`] — markdown/CSV emission for the `fig*` binaries.
 //! * [`telemetry`] — the scenario-level flight recorder: drive a transfer

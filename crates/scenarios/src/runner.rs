@@ -2,53 +2,55 @@
 //!
 //! The paper repeats each measurement (5× for Fig. 1) and reports
 //! distributions. Each repeat owns an entire deterministic world, so repeats
-//! are embarrassingly parallel: fan them out with `crossbeam::scope`, one
+//! are embarrassingly parallel: fan them out with `std::thread::scope`, one
 //! thread per repeat up to the available parallelism, no shared mutable
 //! state (the data-race-freedom idiom from the HPC guides).
 
 use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use xferopt_simcore::RngFactory;
 
 /// Run `f(repeat_index, seed)` for `repeats` independent repeats in parallel
 /// and return the results in repeat order. Seeds are derived from
 /// `base_seed` so the whole sweep is reproducible.
 ///
 /// # Panics
-/// Propagates any panic from a worker (after all workers finish).
+/// Panics with "a scenario repeat panicked" if any worker panicked (after
+/// all workers finish).
 pub fn run_repeats<T, F>(repeats: usize, base_seed: u64, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize, u64) -> T + Sync,
 {
-    if repeats == 0 {
-        return Vec::new();
-    }
     let threads = std::thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(4)
         .min(repeats);
-    let mut results: Vec<Option<T>> = (0..repeats).map(|_| None).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let results_mutex = parking_lot::Mutex::new(&mut results);
-
-    crossbeam::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= repeats {
-                    break;
-                }
-                let seed = xferopt_simcore::RngFactory::new(base_seed).seed_for(i as u64);
-                let value = f(i, seed);
-                results_mutex.lock()[i] = Some(value);
-            });
-        }
-    })
-    .expect("a scenario repeat panicked");
-
-    results
-        .into_iter()
-        .map(|r| r.expect("repeat result missing"))
-        .collect()
+    let (f, next) = (&f, &AtomicUsize::new(0));
+    // Each worker returns the `(index, value)` pairs it ran.
+    let joined: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut ran = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= repeats {
+                            break ran;
+                        }
+                        ran.push((i, f(i, RngFactory::new(base_seed).seed_for(i as u64))));
+                    }
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    let mut results = Vec::with_capacity(repeats);
+    for ran in joined {
+        results.extend(ran.expect("a scenario repeat panicked"));
+    }
+    results.sort_unstable_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, value)| value).collect()
 }
 
 #[cfg(test)]

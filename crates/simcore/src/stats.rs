@@ -5,6 +5,13 @@
 //! which keeps its samples) so recorders can be attached to hot simulation
 //! loops without allocation churn.
 
+/// The sum of `values`, starting from `+0.0`. `Iterator::sum` over `f64`
+/// starts from `-0.0`, so an empty sum renders as `-0.0`; this one is `0.0`.
+/// Any other sum is bit-identical, unless every term is `-0.0`.
+pub fn sum(values: impl IntoIterator<Item = f64>) -> f64 {
+    values.into_iter().fold(0.0, |acc, x| acc + x)
+}
+
 /// Streaming mean / variance / min / max via Welford's algorithm.
 ///
 /// # Examples

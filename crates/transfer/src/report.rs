@@ -69,7 +69,7 @@ impl TransferLog {
 
     /// Total megabytes moved.
     pub fn total_mb(&self) -> f64 {
-        self.epochs.iter().map(|e| e.bytes_mb).sum()
+        xferopt_simcore::stats::sum(self.epochs.iter().map(|e| e.bytes_mb))
     }
 
     /// Time-averaged observed throughput over the whole run (MB/s).

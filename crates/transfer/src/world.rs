@@ -450,7 +450,7 @@ impl World {
 
     /// Total megabytes moved by every transfer in this world.
     pub fn total_moved_mb(&self) -> f64 {
-        self.transfers.values().map(|e| e.moved_mb).sum()
+        xferopt_simcore::stats::sum(self.transfers.values().map(|e| e.moved_mb))
     }
 
     /// The network flow group carrying `tid`'s streams.

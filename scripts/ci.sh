@@ -19,8 +19,8 @@ export CARGO_NET_OFFLINE=true
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo build --workspace --release"
-cargo build --workspace --release
+echo "==> cargo build --workspace --release --locked"
+cargo build --workspace --release --locked
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace

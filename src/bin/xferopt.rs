@@ -606,6 +606,9 @@ fn cmd_fleet_run(args: &Args) -> Result<(), String> {
     if (checkpoint_every > 0 || stop_at_tick.is_some()) && checkpoint_out.is_none() {
         return Err("--checkpoint-every/--stop-at-tick need --checkpoint-out PATH".into());
     }
+    if checkpoint_out.is_some() && checkpoint_every == 0 && stop_at_tick.is_none() {
+        return Err("--checkpoint-out needs --checkpoint-every TICKS or --stop-at-tick K".into());
+    }
     let outputs = FleetOutputs::from_args(args);
     let mut history = open_history(args)?;
     args.reject_unread()?;

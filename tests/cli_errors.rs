@@ -165,6 +165,35 @@ fn unknown_flags_exit_1_naming_the_flag() {
     }
 }
 
+/// A checkpoint path with no tick to write it at, and checkpoint ticks with
+/// no path, are both refused rather than silently ignored.
+#[test]
+fn checkpoint_flags_without_their_partner_exit_1() {
+    let cases: &[(&[&str], &[&str])] = &[
+        (
+            &["fleet", "run", "--jobs", "3", "--checkpoint-out", "x.ck"],
+            &["--checkpoint-every", "--stop-at-tick"],
+        ),
+        (
+            &["fleet", "run", "--jobs", "3", "--checkpoint-every", "5"],
+            &["--checkpoint-out"],
+        ),
+        (
+            &["fleet", "run", "--jobs", "3", "--stop-at-tick", "5"],
+            &["--checkpoint-out"],
+        ),
+    ];
+    for (args, names) in cases {
+        let stderr = assert_rejected(args);
+        for name in *names {
+            assert!(
+                stderr.contains(name),
+                "{args:?} must name {name}:\n{stderr}"
+            );
+        }
+    }
+}
+
 #[test]
 fn checkpoints_with_an_invalid_config_exit_1() {
     // Pre-journal form (no `text_fnv`), which the parser still accepts, so

@@ -2,7 +2,9 @@
 //! seed, and different seeds genuinely vary.
 
 use xferopt::prelude::*;
-use xferopt::scenarios::experiments::{fig1, fig11, fig5};
+use xferopt::scenarios::experiments::{fig1, fig11};
+use xferopt::scenarios::runner::run_repeats;
+use xferopt::simcore::RngFactory;
 
 #[test]
 fn fig1_is_seed_deterministic() {
@@ -42,14 +44,28 @@ fn driven_runs_are_seed_deterministic() {
 
 #[test]
 fn parallel_repeats_equal_serial_repeats() {
-    // The crossbeam fan-out must not change results (no shared state).
-    let parallel = fig5(Route::UChicago, 300.0, 13);
-    let serial = fig5(Route::UChicago, 300.0, 13);
-    for (p, s) in parallel.iter().zip(&serial) {
-        assert_eq!(p.tuner, s.tuner);
-        assert_eq!(p.load, s.load);
-        assert_eq!(p.log.total_mb(), s.log.total_mb());
-    }
+    // The threaded fan-out of `run_repeats` must give exactly the serial
+    // results, in repeat order: every repeat owns its world. More repeats
+    // than cores, so each worker runs several and they finish out of order.
+    let n = std::thread::available_parallelism().map_or(4, |c| c.get()) + 3;
+    let cell = |i: usize, seed: u64| {
+        let cfg = DriveConfig::paper(
+            Route::UChicago,
+            TunerKind::Cs,
+            TuneDims::NcNp,
+            LoadSchedule::paper_varying(),
+        )
+        .with_duration_s(300.0)
+        .with_seed(seed);
+        let log = drive_transfer(&cfg);
+        let params: Vec<_> = log.epochs.iter().map(|e| e.params).collect();
+        (i, log.total_mb(), params)
+    };
+    let parallel = run_repeats(n, 13, cell);
+    let serial: Vec<_> = (0..n)
+        .map(|i| cell(i, RngFactory::new(13).seed_for(i as u64)))
+        .collect();
+    assert_eq!(parallel, serial);
 }
 
 #[test]

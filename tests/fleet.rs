@@ -57,6 +57,17 @@ fn golden_fleet_report_matches_snapshot() {
     );
 }
 
+/// An empty fleet moved nothing: its summary says `moved_mb=0.0`, not the
+/// `-0.0` an empty float sum would render.
+#[test]
+fn an_empty_fleet_reports_zero_megabytes_moved() {
+    let mut h = HistoryStore::in_memory();
+    let out = run_fleet(&Workload::synthetic(0, 7), &golden_cfg(), &mut h);
+    let text = out.report.render();
+    assert!(text.contains(" moved_mb=0.0 "), "{text}");
+    assert!(!text.contains("-0.0"), "{text}");
+}
+
 #[test]
 fn fleet_runs_are_byte_deterministic_under_every_policy() {
     for policy in Policy::all() {
