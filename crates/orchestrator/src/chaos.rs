@@ -46,6 +46,10 @@ pub struct CampaignConfig {
     pub shards: usize,
 }
 
+/// Most seeds one campaign may sweep: each seed runs every control-plane
+/// variant's fleet in full, and the seed list is allocated up front.
+pub const MAX_SEEDS: u64 = 1_000;
+
 impl Default for CampaignConfig {
     fn default() -> Self {
         CampaignConfig {

@@ -35,6 +35,7 @@
 //! checkpoints and the resume path can replay deterministically (see
 //! `checkpoint.rs`).
 
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
@@ -54,6 +55,7 @@ use crate::route::JobRoute;
 use xferopt_scenarios::{FaultProfile, PaperWorld, Route};
 use xferopt_simcore::json::{json_f64, push_line};
 use xferopt_simcore::metrics::MetricsRegistry;
+use xferopt_simcore::num::{push_fixed, push_u64};
 use xferopt_simcore::SimDuration;
 use xferopt_topo::{
     campaign_plan, outage_plan_multi, refine_placement, search_routes, PlacementTable, Planet,
@@ -367,56 +369,105 @@ impl JobOutcome {
 
     /// Append the [`JobOutcome::render`] line to `out`.
     fn write_line(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            "{} state={} route={} tuner={} size_mb={:.0} prio={} arrival_s={:.0} admitted_s={} finished_s={} granted={} start=",
-            self.id,
-            self.state.name(),
-            self.spec.route.name(),
-            self.spec.tuner.name(),
-            self.spec.size_mb,
-            self.spec.priority,
-            self.spec.arrival_s,
-            OptNum(self.admitted_s, 1, "-"),
-            OptNum(self.finished_s, 1, "-"),
-            self.granted_streams,
-        );
+        out.push_str("job");
+        push_u64(out, self.id.0);
+        out.push_str(" state=");
+        out.push_str(self.state.name());
+        out.push_str(" route=");
+        out.push_str(self.spec.route.name());
+        out.push_str(" tuner=");
+        out.push_str(self.spec.tuner.name());
+        out.push_str(" size_mb=");
+        push_fixed(out, self.spec.size_mb, 0);
+        out.push_str(" prio=");
+        push_u64(out, self.spec.priority.into());
+        out.push_str(" arrival_s=");
+        push_fixed(out, self.spec.arrival_s, 0);
+        out.push_str(" admitted_s=");
+        push_opt(out, self.admitted_s, 1, "-");
+        out.push_str(" finished_s=");
+        push_opt(out, self.finished_s, 1, "-");
+        out.push_str(" granted=");
+        push_u64(out, self.granted_streams.into());
         match self.warm_distance {
             Some(d) => {
-                let _ = write!(out, "warm:{d:.3}");
+                out.push_str(" start=warm:");
+                push_fixed(out, d, 3);
             }
-            None => out.push_str("cold"),
+            None => out.push_str(" start=cold"),
         }
-        let deadline = match self.deadline_met {
-            Some(true) => "met",
-            Some(false) => "missed",
-            None => "-",
-        };
-        let _ = write!(
-            out,
-            " best={}x{} best_mbs={:.1} mean_mbs={:.1} moved_mb={:.1} epochs={} t90_s={} deadline={}",
-            self.best_params.nc,
-            self.best_params.np,
-            self.best_mbs,
-            self.mean_mbs,
-            self.moved_mb,
-            self.epochs,
-            OptNum(self.time_to_90_s, 1, "-"),
-            deadline,
-        );
+        out.push_str(" best=");
+        push_u64(out, self.best_params.nc.into());
+        out.push('x');
+        push_u64(out, self.best_params.np.into());
+        out.push_str(" best_mbs=");
+        push_fixed(out, self.best_mbs, 1);
+        out.push_str(" mean_mbs=");
+        push_fixed(out, self.mean_mbs, 1);
+        out.push_str(" moved_mb=");
+        push_fixed(out, self.moved_mb, 1);
+        out.push_str(" epochs=");
+        push_u64(out, self.epochs.into());
+        out.push_str(" t90_s=");
+        push_opt(out, self.time_to_90_s, 1, "-");
+        out.push_str(match self.deadline_met {
+            Some(true) => " deadline=met",
+            Some(false) => " deadline=missed",
+            None => " deadline=-",
+        });
+    }
+
+    /// Append the [`FleetReport::to_csv`] row (newline included) to `out`.
+    fn write_csv_row(&self, out: &mut String) {
+        push_u64(out, self.id.0);
+        out.push(',');
+        out.push_str(self.state.name());
+        out.push(',');
+        out.push_str(self.spec.route.name());
+        out.push(',');
+        out.push_str(self.spec.tuner.name());
+        out.push(',');
+        push_fixed(out, self.spec.size_mb, 0);
+        out.push(',');
+        push_u64(out, self.spec.priority.into());
+        out.push(',');
+        push_fixed(out, self.spec.arrival_s, 0);
+        out.push(',');
+        push_opt(out, self.admitted_s, 3, "");
+        out.push(',');
+        push_opt(out, self.finished_s, 3, "");
+        out.push(',');
+        push_u64(out, self.granted_streams.into());
+        out.push(',');
+        push_opt(out, self.warm_distance, 3, "");
+        out.push(',');
+        push_u64(out, self.best_params.nc.into());
+        out.push('x');
+        push_u64(out, self.best_params.np.into());
+        out.push(',');
+        push_fixed(out, self.best_mbs, 3);
+        out.push(',');
+        push_fixed(out, self.mean_mbs, 3);
+        out.push(',');
+        push_fixed(out, self.moved_mb, 3);
+        out.push(',');
+        push_u64(out, self.epochs.into());
+        out.push(',');
+        push_opt(out, self.time_to_90_s, 3, "");
+        out.push_str(match self.deadline_met {
+            Some(true) => ",true\n",
+            Some(false) => ",false\n",
+            None => ",\n",
+        });
     }
 }
 
-/// An optional report number: `Some(x)` with the given decimals, `None` as
-/// the given placeholder.
-struct OptNum(Option<f64>, usize, &'static str);
-
-impl std::fmt::Display for OptNum {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.0 {
-            Some(x) => write!(f, "{x:.*}", self.1),
-            None => f.write_str(self.2),
-        }
+/// An optional report number: `Some(x)` with `prec` decimals, `None` as
+/// `none`.
+fn push_opt(out: &mut String, v: Option<f64>, prec: usize, none: &str) {
+    match v {
+        Some(x) => push_fixed(out, x, prec),
+        None => out.push_str(none),
     }
 }
 
@@ -522,26 +573,29 @@ impl FleetReport {
             o.write_line(&mut out);
             out.push('\n');
         }
-        let _ = write!(
-            out,
-            "summary completed={} unfinished={}",
-            self.count(JobState::Completed),
-            self.count(JobState::Unfinished),
-        );
-        let failed = self.count(JobState::Failed);
+        let count = |state| self.count(state) as u64;
+        out.push_str("summary completed=");
+        push_u64(&mut out, count(JobState::Completed));
+        out.push_str(" unfinished=");
+        push_u64(&mut out, count(JobState::Unfinished));
+        let failed = count(JobState::Failed);
         if failed > 0 {
-            let _ = write!(out, " failed={failed}");
+            out.push_str(" failed=");
+            push_u64(&mut out, failed);
         }
-        let _ = writeln!(
-            out,
-            " queued={} pending={} moved_mb={:.1} makespan_s={} t90_cold_s={} t90_warm_s={}",
-            self.count(JobState::Queued),
-            self.count(JobState::Pending),
-            self.total_moved_mb(),
-            OptNum(self.makespan_s(), 1, "-"),
-            OptNum(self.mean_time_to_90_s(false), 1, "-"),
-            OptNum(self.mean_time_to_90_s(true), 1, "-"),
-        );
+        out.push_str(" queued=");
+        push_u64(&mut out, count(JobState::Queued));
+        out.push_str(" pending=");
+        push_u64(&mut out, count(JobState::Pending));
+        out.push_str(" moved_mb=");
+        push_fixed(&mut out, self.total_moved_mb(), 1);
+        out.push_str(" makespan_s=");
+        push_opt(&mut out, self.makespan_s(), 1, "-");
+        out.push_str(" t90_cold_s=");
+        push_opt(&mut out, self.mean_time_to_90_s(false), 1, "-");
+        out.push_str(" t90_warm_s=");
+        push_opt(&mut out, self.mean_time_to_90_s(true), 1, "-");
+        out.push('\n');
         if self.config.faults.is_some() || !self.supervision.is_quiet() {
             out.push_str(&self.supervision.render());
             out.push('\n');
@@ -556,32 +610,7 @@ impl FleetReport {
             "job,state,route,tuner,size_mb,priority,arrival_s,admitted_s,finished_s,granted,warm_distance,best,best_mbs,mean_mbs,moved_mb,epochs,t90_s,deadline_met\n",
         );
         for o in &self.outcomes {
-            let _ = write!(
-                out,
-                "{},{},{},{},{:.0},{},{:.0},{},{},{},{},{}x{},{:.3},{:.3},{:.3},{},{},",
-                o.id.0,
-                o.state.name(),
-                o.spec.route.name(),
-                o.spec.tuner.name(),
-                o.spec.size_mb,
-                o.spec.priority,
-                o.spec.arrival_s,
-                OptNum(o.admitted_s, 3, ""),
-                OptNum(o.finished_s, 3, ""),
-                o.granted_streams,
-                OptNum(o.warm_distance, 3, ""),
-                o.best_params.nc,
-                o.best_params.np,
-                o.best_mbs,
-                o.mean_mbs,
-                o.moved_mb,
-                o.epochs,
-                OptNum(o.time_to_90_s, 3, ""),
-            );
-            if let Some(met) = o.deadline_met {
-                let _ = write!(out, "{met}");
-            }
-            out.push('\n');
+            o.write_csv_row(&mut out);
         }
         out
     }
@@ -829,6 +858,8 @@ struct QuarantinedJob {
 pub struct FleetSim<'h> {
     config: FleetConfig,
     workload_jobs: Vec<JobSpec>,
+    /// `workload_jobs` as checkpoint lines, rendered by the first checkpoint.
+    job_lines: OnceCell<String>,
     world: FleetWorld,
     pending: VecDeque<JobSpec>,
     queued: JobQueue,
@@ -969,6 +1000,7 @@ impl<'h> FleetSim<'h> {
         FleetSim {
             config: config.clone(),
             workload_jobs: workload.jobs().to_vec(),
+            job_lines: OnceCell::new(),
             world,
             pending: workload.jobs().iter().cloned().collect(),
             queued: JobQueue::new(config.policy),
@@ -1998,6 +2030,7 @@ impl<'h> FleetSim<'h> {
             self.t,
             self.done,
             &self.workload_jobs,
+            &self.job_lines,
             self.history_start_len,
             self.history_appended,
             self.digest_hash(),
@@ -2128,7 +2161,9 @@ impl FleetParts {
 /// digest line) — shared by [`FleetSim::checkpoint`] and the sharded runner,
 /// so the wire format cannot drift between the two paths. `done` marks a
 /// finished run and is written only when true, so mid-run checkpoints keep
-/// their bytes.
+/// their bytes. The workload never changes during a run, so its job lines
+/// are rendered into `job_lines` by the first checkpoint and copied by the
+/// rest; a run that never checkpoints never renders them.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn render_checkpoint(
     config: &FleetConfig,
@@ -2136,12 +2171,20 @@ pub(crate) fn render_checkpoint(
     t: f64,
     done: bool,
     jobs: &[JobSpec],
+    job_lines: &OnceCell<String>,
     history_start_len: usize,
     history_appended: usize,
     digest: u64,
 ) -> String {
     let c = config;
-    let mut out = String::with_capacity(512 + 192 * jobs.len());
+    let job_lines = job_lines.get_or_init(|| {
+        let mut lines = String::with_capacity(192 * jobs.len());
+        for j in jobs {
+            crate::checkpoint::push_job(&mut lines, j);
+        }
+        lines
+    });
+    let mut out = String::with_capacity(512 + job_lines.len() + 64);
     push_line(&mut out, |o| {
         o.str("kind", "fleet-checkpoint");
         o.raw("version", 1);
@@ -2190,9 +2233,7 @@ pub(crate) fn render_checkpoint(
         o.raw("history_start_len", history_start_len);
         o.raw("history_appended", history_appended);
     });
-    for j in jobs {
-        crate::checkpoint::push_job(&mut out, j);
-    }
+    out.push_str(job_lines);
     // Two hashes close two different holes: `fnv` (the live-state digest)
     // catches replay divergence, while `text_fnv` (over the header + job
     // lines just written) catches corruption of the serialized inputs

@@ -37,7 +37,7 @@ pub mod tournament;
 
 pub use admission::{AdmissionController, Reservation, DEFAULT_LINK_BUDGET};
 pub use breaker::{BreakerBoard, BreakerConfig, BreakerState, RouteBreaker};
-pub use chaos::{run_campaign, CampaignConfig, CampaignOutcome};
+pub use chaos::{run_campaign, CampaignConfig, CampaignOutcome, MAX_SEEDS};
 pub use checkpoint::{parse_journal, resume_fleet, Checkpoint, JournalRead};
 pub use fleet::{
     check_job_count, run_fleet, topo_workload, ConfigError, FleetConfig, FleetOutcome, FleetReport,
@@ -54,5 +54,5 @@ pub use route::JobRoute;
 pub use shard::{resume_fleet_sharded, run_fleet_sharded, ShardPlan, ShardedFleetSim};
 pub use tournament::{
     run_tournament, CellResult, Leaderboard, RankRow, ScenarioPreset, TournamentConfig,
-    TournamentOutcome,
+    TournamentOutcome, MAX_CELL_EPOCHS,
 };

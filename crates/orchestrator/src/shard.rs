@@ -34,6 +34,7 @@
 //! chunk through the whole batch. Results are collected in component order,
 //! so parallelism never reorders anything observable.
 
+use std::cell::OnceCell;
 use std::{panic, thread};
 
 use crate::checkpoint::{fnv1a, verify_replay, Checkpoint};
@@ -163,6 +164,8 @@ fn run_all(sims: &mut [FleetSim<'static>], workers: usize, max: u64) -> Vec<(u64
 pub struct ShardedFleetSim<'h> {
     config: FleetConfig,
     workload_jobs: Vec<JobSpec>,
+    /// `workload_jobs` as checkpoint lines, rendered by the first checkpoint.
+    job_lines: OnceCell<String>,
     history: &'h mut HistoryStore,
     sims: Vec<FleetSim<'static>>,
     workers: usize,
@@ -207,6 +210,7 @@ impl<'h> ShardedFleetSim<'h> {
         ShardedFleetSim {
             config: config.clone(),
             workload_jobs: workload.jobs().to_vec(),
+            job_lines: OnceCell::new(),
             history,
             workers: shards.min(sims.len()),
             sims,
@@ -318,6 +322,7 @@ impl<'h> ShardedFleetSim<'h> {
             self.t,
             self.done,
             &self.workload_jobs,
+            &self.job_lines,
             self.history_start_len,
             self.history_appended,
             self.digest_hash(),

@@ -97,6 +97,11 @@ impl std::str::FromStr for ScenarioPreset {
     }
 }
 
+/// Most control epochs per tournament cell: 250x the default 40. Every
+/// epoch of every cell is simulated and kept, so an unchecked count can
+/// run for days or abort allocating.
+pub const MAX_CELL_EPOCHS: usize = 10_000;
+
 /// Tournament matrix and budget.
 #[derive(Debug, Clone)]
 pub struct TournamentConfig {

@@ -65,6 +65,12 @@ impl TuneDims {
     }
 }
 
+/// Most control epochs (`duration_s / epoch_s`) one driven transfer may
+/// run: over 1600x the paper's 60. Every epoch is simulated and logged, so
+/// a duration of 1e300 s would otherwise run for ever or abort allocating
+/// the log.
+pub const MAX_EPOCHS: u64 = 100_000;
+
 /// Configuration of one driven transfer scenario.
 #[derive(Debug, Clone)]
 pub struct DriveConfig {
@@ -108,6 +114,21 @@ impl DriveConfig {
             noise_sigma: 0.05,
             faults: None,
         }
+    }
+
+    /// Refuse a run of more than [`MAX_EPOCHS`] control epochs.
+    ///
+    /// # Errors
+    /// A message naming the epoch count and the cap.
+    pub fn check_epochs(&self) -> Result<(), String> {
+        let epochs = (self.duration_s / self.epoch_s).round();
+        if epochs > MAX_EPOCHS as f64 {
+            return Err(format!(
+                "duration {:?} s / epoch {:?} s is {epochs:e} control epochs, over the cap of {MAX_EPOCHS}",
+                self.duration_s, self.epoch_s
+            ));
+        }
+        Ok(())
     }
 
     /// Inject a fault plan (see [`crate::faults::FaultProfile::plan`]).

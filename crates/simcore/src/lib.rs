@@ -16,6 +16,8 @@
 //! * [`faults`] — deterministic fault-injection plans (link degradations and
 //!   flaps, RTT spikes, flow stalls, transfer aborts) that harnesses apply
 //!   while integrating, so faulty runs replay exactly from a root seed.
+//! * [`num`] — exact integer and fixed-precision float writers for the
+//!   fixed-format reports, byte-equal to std's `{:.p$}`.
 //!
 //! The crate is intentionally free of any networking or transfer logic; it is
 //! the substrate the `xferopt-net`, `xferopt-host` and `xferopt-transfer`
@@ -27,6 +29,7 @@
 pub mod faults;
 pub mod json;
 pub mod metrics;
+pub mod num;
 pub mod rng;
 pub mod series;
 pub mod stats;

@@ -203,6 +203,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             cfg.epoch_s
         ));
     }
+    cfg.check_epochs()?;
     let faults = match args.get("faults") {
         None => None,
         Some(v) => {
@@ -317,6 +318,14 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
     let seed = args.get_parsed("seed", 0u64)?;
     let route = parse_route(args.get("route").unwrap_or("uc"))?;
     args.reject_unread()?;
+    // Every fig5 run is a paper-setup transfer of `duration` seconds.
+    let paper = DriveConfig::paper(
+        route,
+        TunerKind::Default,
+        TuneDims::NcOnly { np: 8 },
+        LoadSchedule::constant(ExternalLoad::NONE),
+    );
+    paper.with_duration_s(duration).check_epochs()?;
     let runs = fig5(route, duration, seed);
     let mut table = Table::new(vec![
         "load",
@@ -752,6 +761,13 @@ fn cmd_tournament_run(args: &Args) -> Result<(), String> {
     if cfg.epochs == 0 {
         return Err("tournament needs --epochs >= 1".to_string());
     }
+    if cfg.epochs > xferopt::orchestrator::MAX_CELL_EPOCHS {
+        return Err(format!(
+            "--epochs {} is over the cap of {}",
+            cfg.epochs,
+            xferopt::orchestrator::MAX_CELL_EPOCHS
+        ));
+    }
     if let Some(list) = args.get("tuners") {
         cfg.tuners = list
             .split(',')
@@ -918,7 +934,18 @@ fn cmd_chaos_run(args: &Args) -> Result<(), String> {
     if nseeds == 0 {
         return Err("--seeds must be >= 1".into());
     }
+    if nseeds > xferopt::orchestrator::MAX_SEEDS {
+        return Err(format!(
+            "--seeds {nseeds} is over the cap of {}",
+            xferopt::orchestrator::MAX_SEEDS
+        ));
+    }
     let seed0 = args.get_parsed("seed", 7u64)?;
+    if seed0.checked_add(nseeds - 1).is_none() {
+        return Err(format!(
+            "--seed {seed0} with --seeds {nseeds} runs past the last u64 seed"
+        ));
+    }
     let cfg = CampaignConfig {
         campaign: campaign.to_string(),
         preset: args.get("preset").unwrap_or(&defaults.preset).to_string(),

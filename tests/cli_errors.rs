@@ -144,6 +144,50 @@ fn tick_and_job_counts_over_the_caps_exit_1() {
     }
 }
 
+/// Run lengths the caps refuse: `run --duration 1e300` would run for ever,
+/// and the other three abort allocating (exit 134). The uncapped values
+/// are never run.
+#[test]
+fn run_lengths_over_the_caps_exit_1() {
+    let cases: &[(&[&str], &str)] = &[
+        (&["run", "--duration", "1e300"], "epochs"),
+        (&["run", "--epoch", "1e-6", "--duration", "1"], "epochs"),
+        (&["compare", "--duration", "1e300"], "epochs"),
+        (
+            &["tournament", "run", "--quick", "--epochs", "1000000000"],
+            "--epochs",
+        ),
+        (
+            &[
+                "chaos",
+                "run",
+                "--campaign",
+                "rolling-outage",
+                "--seeds",
+                "1000000000",
+            ],
+            "--seeds",
+        ),
+    ];
+    for (args, names) in cases {
+        let stderr = assert_rejected(args);
+        assert!(
+            stderr.contains("over the cap") && stderr.contains(names),
+            "{args:?} must name the cap and {names}:\n{stderr}"
+        );
+    }
+    assert_rejected(&[
+        "chaos",
+        "run",
+        "--campaign",
+        "rolling-outage",
+        "--seed",
+        "18446744073709551615",
+        "--seeds",
+        "2",
+    ]);
+}
+
 #[test]
 fn unknown_flags_exit_1_naming_the_flag() {
     let cases: &[(&[&str], &str)] = &[

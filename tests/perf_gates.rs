@@ -9,16 +9,23 @@
 //!
 //! The work counts behind each ratio (one solve per fleet tick, one
 //! component solve per churn round against 32 under full invalidation) are
-//! asserted deterministically in `tests/alloc_engine.rs`.
+//! asserted deterministically in `tests/alloc_engine.rs`; the rows the
+//! report gate times are checked byte for byte in `tests/fleet.rs`.
 
 mod common;
+#[path = "common/report_oracle.rs"]
+mod report_oracle;
 
 use std::hint::black_box;
 use std::time::Instant;
 
 use common::Churn;
 use xferopt::net::{CongestionControl, FlowId, Link, Network, Path};
-use xferopt::orchestrator::{FleetConfig, FleetSim, HistoryStore, Policy, Workload};
+use xferopt::orchestrator::{
+    FleetConfig, FleetSim, HistoryStore, JobId, JobOutcome, JobSpec, JobState, Policy, Workload,
+};
+use xferopt::transfer::StreamParams;
+use xferopt::tuners::TunerKind;
 
 /// Seconds `f` takes, floored at 1 ns.
 fn time(f: impl FnOnce()) -> f64 {
@@ -184,5 +191,91 @@ fn monolith_10k_job_tick_rate_is_at_least_half_the_1k_rate() {
     assert!(
         ratio >= 0.5,
         "10k-job monolith runs at {ratio:.2}x the 1k-job tick rate (< 0.5)"
+    );
+}
+
+/// A job outcome shaped like the rows of a large fleet report: whole MB
+/// sizes and tick-aligned times, fractional throughputs, and about half
+/// the jobs never admitted.
+fn typical_outcome(id: u64) -> JobOutcome {
+    let mut z = id;
+    let mut next = move || {
+        z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let x = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^ (x >> 31)
+    };
+    let size = 1000.0 * (1 + next() % 400) as f64;
+    let arrival = 5.0 * (next() % 20_000) as f64;
+    let mut spec = JobSpec::new(id, arrival, size);
+    spec.tuner = TunerKind::ALL[(next() % 4) as usize];
+    let admitted = next() % 2 == 0;
+    let mbs = (next() % 4_000_000) as f64 / 997.0;
+    JobOutcome {
+        id: JobId(id),
+        state: if admitted {
+            JobState::Completed
+        } else {
+            JobState::Queued
+        },
+        admitted_s: admitted.then_some(arrival + 5.0 * (next() % 100) as f64),
+        finished_s: admitted.then_some(arrival + 5.0 * (100 + next() % 1000) as f64),
+        granted_streams: if admitted { 64 } else { 0 },
+        moved_mb: if admitted { size } else { 0.0 },
+        mean_mbs: if admitted { mbs * 0.8 } else { 0.0 },
+        best_mbs: if admitted { mbs } else { 0.0 },
+        best_params: StreamParams::new(1 + (next() % 16) as u32, 8),
+        epochs: if admitted { (next() % 40) as u32 } else { 0 },
+        warm_distance: (admitted && next() % 2 == 0).then_some((next() % 2000) as f64 / 1000.0),
+        time_to_90_s: admitted.then_some(5.0 * (next() % 60) as f64),
+        deadline_met: None,
+        spec,
+    }
+}
+
+/// fleet-deep's output at its size: a 40k-row report plus its CSV. The
+/// direct-push rows must render at least 2x faster than the `write!`
+/// reference rows, which they equal byte for byte. Best of 7 repetitions,
+/// each timing both sides in turn.
+#[test]
+#[ignore = "timing gate: run in release by scripts/ci.sh"]
+fn report_and_csv_render_at_least_2x_faster_than_write_at_40k_rows() {
+    const ROWS: u64 = 40_000;
+    const REPS: usize = 7;
+    let report = report_oracle::report((0..ROWS).map(typical_outcome).collect());
+    let oracle = || {
+        let mut text = String::with_capacity(256 * (ROWS as usize + 2));
+        for o in &report.outcomes {
+            report_oracle::line(o, &mut text);
+            text.push('\n');
+        }
+        let mut csv = String::with_capacity(128 * (ROWS as usize + 1));
+        csv.push_str(report_oracle::CSV_HEADER);
+        for o in &report.outcomes {
+            report_oracle::csv_row(o, &mut csv);
+        }
+        (text, csv)
+    };
+    let (text, csv) = oracle();
+    assert_eq!(report.to_csv(), csv);
+    assert!(report.render().contains(&text));
+    let mut best = [f64::INFINITY; 2];
+    for _ in 0..REPS {
+        best[0] = best[0].min(time(|| {
+            black_box((report.render(), report.to_csv()));
+        }));
+        best[1] = best[1].min(time(|| {
+            black_box(oracle());
+        }));
+    }
+    let speedup = best[1] / best[0];
+    println!(
+        "40k-row report + CSV: direct {:.1} ms, write! {:.1} ms, {speedup:.1}x",
+        best[0] * 1e3,
+        best[1] * 1e3
+    );
+    assert!(
+        speedup >= 2.0,
+        "40k-row report + CSV renders only {speedup:.2}x faster than write! (< 2x)"
     );
 }
