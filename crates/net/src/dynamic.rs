@@ -99,11 +99,6 @@ impl DynamicSim {
         self.cum_losses.get(&flow).copied().unwrap_or(0)
     }
 
-    /// Cumulative loss events across all flows since construction.
-    pub fn total_losses_all(&self) -> u64 {
-        self.cum_losses.values().sum()
-    }
-
     /// Mean congestion window (bytes) over the live streams of `flow`, or
     /// `None` when the flow has no live streams.
     pub fn mean_cwnd_bytes(&self, flow: FlowId) -> Option<f64> {

@@ -248,16 +248,6 @@ impl TopologyBuilder {
         self.n_edges
     }
 
-    /// Number of declared sites.
-    pub fn site_count(&self) -> usize {
-        self.sites.len()
-    }
-
-    /// Index of a declared site, if any.
-    pub fn site_index(&self, name: &str) -> Option<usize> {
-        self.index.get(name).copied()
-    }
-
     /// Aggregate `(rtt_ms, loss, bottleneck_mbs)` along an explicit edge
     /// list: RTT accumulates, loss compounds, capacity is the minimum.
     ///

@@ -10,15 +10,19 @@
 //! {"kind":"fleet-checkpoint","version":1,"tick":K,...config fields...}
 //! {"kind":"fleet-job","id":0,...}            one line per workload job
 //! ...
-//! {"kind":"fleet-digest","fnv":"<16 hex>"}
+//! {"kind":"fleet-digest","fnv":"<16 hex>","text_fnv":"<16 hex>"}
 //! ```
 //!
-//! [`resume_fleet`] rebuilds the simulation from those inputs, replays ticks
-//! `0..K` with history persistence off (the killed run already flushed its
-//! pre-`K` appends to the backing file), verifies the digest, re-enables
-//! persistence, and runs to completion. The result is byte-identical to the
-//! uninterrupted run — reports, decision logs, telemetry, and the history
-//! file (enforced by `tests/supervision.rs` and the CI crash/resume gate).
+//! This module owns the format: `CheckpointWriter` writes it (for
+//! [`ShardedFleetSim::checkpoint`](crate::shard::ShardedFleetSim::checkpoint),
+//! its only caller) and [`Checkpoint::parse`] reads it.
+//! [`resume_fleet_sharded`](crate::shard::resume_fleet_sharded) rebuilds the
+//! simulation from those inputs, replays ticks `0..K` with history
+//! persistence off (the killed run already flushed its pre-`K` appends to
+//! the backing file), verifies the digest, re-enables persistence, and runs
+//! to completion. The result is byte-identical to the uninterrupted run —
+//! reports, decision logs, telemetry, and the history file (enforced by
+//! `tests/supervision.rs` and the CI crash/resume gate).
 //! A checkpoint written after the run finished carries `"done":true` in its
 //! header, and the replay then also runs the closing tick, which admits and
 //! requeues before it ends the run.
@@ -27,8 +31,9 @@
 //! defaults the CLI cannot override, so the rebuilt [`FleetConfig`] always
 //! matches the killed run's.
 
-use crate::fleet::{FleetConfig, FleetOutcome, FleetSim};
-use crate::history::HistoryStore;
+use std::cell::OnceCell;
+
+use crate::fleet::FleetConfig;
 use crate::job::{JobId, JobSpec, Workload};
 use crate::policy::Policy;
 use crate::route::JobRoute;
@@ -47,9 +52,120 @@ pub fn fnv1a(s: &str) -> u64 {
     h
 }
 
+/// Writes one run's checkpoints. The workload never changes during a run,
+/// so its job lines are rendered by the first checkpoint and copied by the
+/// rest; a run that never checkpoints never renders them.
+pub(crate) struct CheckpointWriter {
+    jobs: Vec<JobSpec>,
+    /// `jobs` as checkpoint lines, rendered by the first checkpoint.
+    job_lines: OnceCell<String>,
+    /// History-store length when the run started.
+    history_start_len: usize,
+}
+
+impl CheckpointWriter {
+    /// A writer for a run of `jobs` that starts on a history store holding
+    /// `history_start_len` records.
+    pub(crate) fn new(jobs: Vec<JobSpec>, history_start_len: usize) -> Self {
+        CheckpointWriter {
+            jobs,
+            job_lines: OnceCell::new(),
+            history_start_len,
+        }
+    }
+
+    /// Jobs in the run's workload.
+    pub(crate) fn jobs(&self) -> usize {
+        self.jobs.len()
+    }
+
+    /// Render a checkpoint of the run at `tick` (JSONL: header, one line per
+    /// workload job, one digest line). `done` marks a finished run and is
+    /// written only when true, so mid-run checkpoints keep their bytes.
+    pub(crate) fn render(
+        &self,
+        c: &FleetConfig,
+        tick: u64,
+        t: f64,
+        done: bool,
+        history_appended: usize,
+        digest: u64,
+    ) -> String {
+        let job_lines = self.job_lines.get_or_init(|| {
+            let mut lines = String::with_capacity(192 * self.jobs.len());
+            for j in &self.jobs {
+                push_job(&mut lines, j);
+            }
+            lines
+        });
+        let mut out = String::with_capacity(512 + job_lines.len() + 64);
+        push_line(&mut out, |o| {
+            o.str("kind", "fleet-checkpoint");
+            o.raw("version", 1);
+            o.raw("tick", tick);
+            o.f64("t_s", t);
+            o.str("policy", c.policy.name());
+            o.raw("seed", c.seed);
+            o.f64("horizon_s", c.horizon_s);
+            o.f64("tick_s", c.tick_s);
+            o.f64("epoch_s", c.epoch_s);
+            o.raw("budget", c.link_budget);
+            o.raw("warm", c.warm_start);
+            o.f64("max_match_distance", c.max_match_distance);
+            o.f64("noise_sigma", c.noise_sigma);
+            o.raw("audit", c.audit);
+            o.f64("shed_after_s", c.shed_after_s);
+            if let Some(p) = c.faults {
+                o.str("faults", p.name());
+            }
+            if let Some(tc) = &c.topo {
+                o.str("topo", &tc.preset);
+                o.raw("topo_k", tc.k);
+                o.raw("multipath", tc.multipath);
+                o.raw("reroute", tc.reroute);
+                if tc.selfheal {
+                    o.raw("selfheal", true);
+                }
+                if let Some(name) = &tc.campaign {
+                    o.str("campaign", name);
+                }
+                // One region keeps the historical scalar field (byte-compatible
+                // with pre-multi-outage checkpoints); several use the plural form.
+                match tc.outage_regions.as_slice() {
+                    [] => {}
+                    [r] => o.raw("outage_region", r),
+                    rs => {
+                        let joined = rs.iter().map(|r| r.to_string()).collect::<Vec<_>>();
+                        o.str("outage_regions", &joined.join(";"));
+                    }
+                }
+            }
+            if done {
+                o.raw("done", true);
+            }
+            o.raw("jobs", self.jobs.len());
+            o.raw("history_start_len", self.history_start_len);
+            o.raw("history_appended", history_appended);
+        });
+        out.push_str(job_lines);
+        // Two hashes close two different holes: `fnv` (the live-state digest)
+        // catches replay divergence, while `text_fnv` (over the header + job
+        // lines just written) catches corruption of the serialized inputs
+        // themselves — a flipped byte in a job the replay has not admitted yet
+        // would otherwise slip past the state digest.
+        let text_fnv = fnv1a(&out);
+        push_line(&mut out, |o| {
+            o.str("kind", "fleet-digest");
+            o.str("fnv", &format!("{digest:016x}"));
+            o.str("text_fnv", &format!("{text_fnv:016x}"));
+        });
+        out
+    }
+}
+
 /// Append one workload job to `out` as a checkpoint JSONL line (fixed key
 /// order; `deadline_s` omitted when absent; newline included).
-pub(crate) fn push_job(out: &mut String, j: &JobSpec) {
+fn push_job(out: &mut String, j: &JobSpec) {
     push_line(out, |o| {
         o.str("kind", "fleet-job");
         o.raw("id", j.id.0);
@@ -172,7 +288,7 @@ pub struct Checkpoint {
 
 impl Checkpoint {
     /// Parse the JSONL text produced by
-    /// [`FleetSim::checkpoint`](crate::fleet::FleetSim::checkpoint).
+    /// [`ShardedFleetSim::checkpoint`](crate::shard::ShardedFleetSim::checkpoint).
     ///
     /// # Errors
     /// Returns a description of the first missing/malformed line or field.
@@ -426,41 +542,11 @@ pub(crate) fn verify_replay(
     Ok(())
 }
 
-/// Resume a killed fleet run from `ck`: replay ticks `0..ck.tick` (plus the
-/// closing tick of a finished run) with history persistence off, verify the
-/// state digest, then run to completion with persistence back on.
-/// Byte-identical to the uninterrupted run.
-///
-/// # Errors
-/// Returns an error when the replay finishes early (checkpoint from a
-/// different workload/config) or the digest mismatches (corrupt checkpoint,
-/// or code drift between writer and reader).
-pub fn resume_fleet(ck: &Checkpoint, history: &mut HistoryStore) -> Result<FleetOutcome, String> {
-    // Rewind the in-memory store to the killed run's starting point; the
-    // backing file (which already holds the pre-checkpoint appends) is
-    // untouched.
-    history.truncate(ck.history_start_len);
-    let mut sim = FleetSim::new(&ck.workload, &ck.config, history);
-    sim.set_history_persist(false);
-    while sim.tick_index() < ck.tick && sim.tick() {}
-    if ck.done {
-        sim.tick();
-    }
-    verify_replay(
-        ck,
-        sim.tick_index(),
-        sim.digest_hash(),
-        sim.history_appended(),
-    )?;
-    sim.set_history_persist(true);
-    while sim.tick() {}
-    Ok(sim.finish())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::run_fleet;
+    use crate::history::HistoryStore;
+    use crate::shard::{resume_fleet_sharded, run_fleet_sharded, ShardedFleetSim};
 
     fn cfg() -> FleetConfig {
         FleetConfig {
@@ -481,7 +567,7 @@ mod tests {
     fn checkpoint_round_trips_through_parse() {
         let w = Workload::synthetic(4, 5);
         let mut h = HistoryStore::in_memory();
-        let mut sim = FleetSim::new(&w, &cfg(), &mut h);
+        let mut sim = ShardedFleetSim::new(&w, &cfg(), &mut h, 1);
         for _ in 0..30 {
             assert!(sim.tick());
         }
@@ -510,11 +596,11 @@ mod tests {
     #[test]
     fn kill_and_resume_matches_the_uninterrupted_run() {
         let w = Workload::synthetic(5, 9);
-        let full = run_fleet(&w, &cfg(), &mut HistoryStore::in_memory());
+        let full = run_fleet_sharded(&w, &cfg(), &mut HistoryStore::in_memory(), 1);
         // "Kill" a run at tick 40 with only its checkpoint surviving.
         let text = {
             let mut h = HistoryStore::in_memory();
-            let mut sim = FleetSim::new(&w, &cfg(), &mut h);
+            let mut sim = ShardedFleetSim::new(&w, &cfg(), &mut h, 1);
             for _ in 0..40 {
                 assert!(sim.tick());
             }
@@ -522,7 +608,7 @@ mod tests {
         };
         let ck = Checkpoint::parse(&text).unwrap();
         let mut h = HistoryStore::in_memory();
-        let resumed = resume_fleet(&ck, &mut h).unwrap();
+        let resumed = resume_fleet_sharded(&ck, &mut h, 1).unwrap();
         assert_eq!(full.report.render(), resumed.report.render());
         assert_eq!(full.decisions_jsonl, resumed.decisions_jsonl);
         assert_eq!(full.telemetry_jsonl, resumed.telemetry_jsonl);
@@ -534,7 +620,7 @@ mod tests {
     fn tampered_digest_is_refused() {
         let w = Workload::synthetic(3, 2);
         let mut h = HistoryStore::in_memory();
-        let mut sim = FleetSim::new(&w, &cfg(), &mut h);
+        let mut sim = ShardedFleetSim::new(&w, &cfg(), &mut h, 1);
         for _ in 0..10 {
             assert!(sim.tick());
         }
@@ -552,7 +638,7 @@ mod tests {
             .join("\n");
         drop(sim);
         let ck = Checkpoint::parse(&text).unwrap();
-        let err = resume_fleet(&ck, &mut HistoryStore::in_memory()).unwrap_err();
+        let err = resume_fleet_sharded(&ck, &mut HistoryStore::in_memory(), 1).unwrap_err();
         assert!(err.contains("digest mismatch"), "{err}");
     }
 
@@ -560,7 +646,7 @@ mod tests {
     fn journal_prefers_the_newest_intact_block() {
         let w = Workload::synthetic(3, 4);
         let mut h = HistoryStore::in_memory();
-        let mut sim = FleetSim::new(&w, &cfg(), &mut h);
+        let mut sim = ShardedFleetSim::new(&w, &cfg(), &mut h, 1);
         for _ in 0..10 {
             assert!(sim.tick());
         }
@@ -581,7 +667,7 @@ mod tests {
     fn journal_salvages_the_prefix_when_the_tail_is_torn() {
         let w = Workload::synthetic(3, 4);
         let mut h = HistoryStore::in_memory();
-        let mut sim = FleetSim::new(&w, &cfg(), &mut h);
+        let mut sim = ShardedFleetSim::new(&w, &cfg(), &mut h, 1);
         for _ in 0..10 {
             assert!(sim.tick());
         }
@@ -603,8 +689,9 @@ mod tests {
         assert!(read.salvaged());
         assert_eq!(read.checkpoint.tick, 10);
         // The salvaged checkpoint still resumes byte-identically.
-        let full = run_fleet(&w, &cfg(), &mut HistoryStore::in_memory());
-        let resumed = resume_fleet(&read.checkpoint, &mut HistoryStore::in_memory()).unwrap();
+        let full = run_fleet_sharded(&w, &cfg(), &mut HistoryStore::in_memory(), 1);
+        let resumed =
+            resume_fleet_sharded(&read.checkpoint, &mut HistoryStore::in_memory(), 1).unwrap();
         assert_eq!(full.report.render(), resumed.report.render());
     }
 

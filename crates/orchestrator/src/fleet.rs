@@ -31,11 +31,11 @@
 //! the breakers stay closed, and reports are byte-identical to
 //! pre-supervision runs (enforced by the golden snapshots).
 //!
-//! [`FleetSim`] exposes the loop one tick at a time so the CLI can write
-//! checkpoints and the resume path can replay deterministically (see
-//! `checkpoint.rs`).
+//! [`FleetSim`] steps one link-sharing component's loop a tick at a time;
+//! [`ShardedFleetSim`](crate::shard::ShardedFleetSim) owns one per
+//! component and is the fleet's run, checkpoint and resume path (see
+//! `shard.rs` and `checkpoint.rs`).
 
-use std::cell::OnceCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
@@ -47,13 +47,13 @@ use crate::breaker::{BreakerBoard, BreakerConfig};
 use crate::health::{
     HealthConfig, HealthMonitor, HealthVerdict, SupervisionEvent, SupervisionSummary,
 };
-use crate::history::{HistoryRecord, HistoryStore};
+use crate::history::{warm_seed, HistoryRecord, HistoryStore};
 use crate::job::{JobId, JobSpec, JobState, Workload};
 use crate::policy::Policy;
 use crate::queue::JobQueue;
 use crate::route::JobRoute;
 use xferopt_scenarios::{FaultProfile, PaperWorld, Route};
-use xferopt_simcore::json::{json_f64, push_line};
+use xferopt_simcore::json::json_f64;
 use xferopt_simcore::metrics::MetricsRegistry;
 use xferopt_simcore::num::{push_fixed, push_u64};
 use xferopt_simcore::SimDuration;
@@ -187,8 +187,9 @@ impl FleetConfig {
     /// and horizon (tick and epoch at least the clock's 1 ns resolution)
     /// with the tick dividing the epoch, a link budget of at least one
     /// stream, and a planet topology that builds (known preset and
-    /// campaign, `k >= 1`, outage regions on the planet, no classic fault
-    /// profile, and no campaign mixed with outage regions).
+    /// campaign, `k >= 1`, `multipath >= 1`, self-healing only with
+    /// re-routing, outage regions on the planet, no classic fault profile,
+    /// and no campaign mixed with outage regions).
     ///
     /// The run must also take at most [`MAX_TICKS`] ticks.
     ///
@@ -233,6 +234,12 @@ impl FleetConfig {
         if tc.k == 0 {
             return Err(invalid("topo k must be >= 1"));
         }
+        if tc.multipath == 0 {
+            return Err(invalid("multipath must be >= 1"));
+        }
+        if tc.selfheal && !tc.reroute {
+            return Err(invalid("self-healing needs re-routing"));
+        }
         if self.faults.is_some() {
             return Err(invalid(
                 "classic fault profiles target the 3-link paper world; \
@@ -252,7 +259,10 @@ impl FleetConfig {
         }
         if let Some(name) = &tc.campaign {
             if !CAMPAIGNS.contains(&name.as_str()) {
-                return Err(invalid(format!("unknown campaign: {name}")));
+                return Err(invalid(format!(
+                    "unknown campaign: {name} (use {})",
+                    CAMPAIGNS.join("|")
+                )));
             }
             if !tc.outage_regions.is_empty() {
                 return Err(invalid(
@@ -638,8 +648,8 @@ pub struct FleetOutcome {
 }
 
 /// How a [`FleetSim`] reaches its history store: borrowed from the caller
-/// (the classic single-threaded path) or owned outright (shard component
-/// sims, which must be `'static` + `Send` to live on worker threads).
+/// of [`FleetSim::new`] or owned outright (shard component sims, which must
+/// be `'static` + `Send` to live on worker threads).
 pub(crate) enum HistoryHandle<'h> {
     /// The caller's store, borrowed for the run.
     Borrowed(&'h mut HistoryStore),
@@ -852,14 +862,15 @@ struct QuarantinedJob {
     resume_at_s: f64,
 }
 
-/// The fleet simulation, one tick at a time. [`run_fleet`] is the one-shot
-/// driver; the CLI uses the stepwise form to write checkpoints, and
-/// `checkpoint::resume_fleet` replays it deterministically.
+/// One link-sharing component of a fleet, stepped one tick at a time.
+/// [`ShardedFleetSim`](crate::shard::ShardedFleetSim) runs, checkpoints and
+/// resumes fleets through one `FleetSim` per component; a `FleetSim` built
+/// with [`FleetSim::new`] on a single-component workload produces the same
+/// bytes as [`run_fleet_sharded`](crate::shard::run_fleet_sharded).
 pub struct FleetSim<'h> {
     config: FleetConfig,
-    workload_jobs: Vec<JobSpec>,
-    /// `workload_jobs` as checkpoint lines, rendered by the first checkpoint.
-    job_lines: OnceCell<String>,
+    /// Jobs in the workload (the report's `submitted` count).
+    submitted: usize,
     world: FleetWorld,
     pending: VecDeque<JobSpec>,
     queued: JobQueue,
@@ -877,7 +888,6 @@ pub struct FleetSim<'h> {
     metrics: MetricsRegistry,
     history: HistoryHandle<'h>,
     history_appended: usize,
-    history_start_len: usize,
     /// Records appended during the current tick, drained by the sharded
     /// runner (which re-serializes them into the real store in job-id order).
     tick_appends: Vec<(JobId, HistoryRecord)>,
@@ -996,11 +1006,9 @@ impl<'h> FleetSim<'h> {
                 .gauge("history_lines_skipped", &[])
                 .set(history.skipped() as f64);
         }
-        let history_start_len = history.len();
         FleetSim {
             config: config.clone(),
-            workload_jobs: workload.jobs().to_vec(),
-            job_lines: OnceCell::new(),
+            submitted: workload.len(),
             world,
             pending: workload.jobs().iter().cloned().collect(),
             queued: JobQueue::new(config.policy),
@@ -1017,7 +1025,6 @@ impl<'h> FleetSim<'h> {
             metrics,
             history,
             history_appended: 0,
-            history_start_len,
             tick_appends: Vec::new(),
             admission_dirty: true,
             last_shed_s: vec![f64::NEG_INFINITY; nlinks],
@@ -1039,15 +1046,6 @@ impl<'h> FleetSim<'h> {
         self.world.world()
     }
 
-    /// The placement table driving a planet fleet's routing (`None` on the
-    /// classic world).
-    pub fn placement(&self) -> Option<&PlacementTable> {
-        match &self.world {
-            FleetWorld::Classic(_) => None,
-            FleetWorld::Planet(pf) => Some(&pf.placement),
-        }
-    }
-
     /// Retry-budget snapshot of the self-healing governor as
     /// `(tokens_available, tokens_consumed, tokens_issued)`; `None` when
     /// the control plane is off. The budget invariant is
@@ -1056,33 +1054,6 @@ impl<'h> FleetSim<'h> {
         self.governor
             .as_ref()
             .map(|g| (g.budget.tokens(), g.budget.consumed(), g.budget.issued()))
-    }
-
-    /// Current fleet time, seconds.
-    pub fn now_s(&self) -> f64 {
-        self.t
-    }
-
-    /// Whether the run has reached its end (all jobs terminal or horizon).
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
-    /// Toggle history persistence (used by checkpoint replay: the pre-kill
-    /// appends are already in the backing file, so the replay re-appends them
-    /// in memory only).
-    pub fn set_history_persist(&mut self, persist: bool) {
-        self.history.set_persist(persist);
-    }
-
-    /// History records appended so far by this run.
-    pub fn history_appended(&self) -> usize {
-        self.history_appended
-    }
-
-    /// History length when the run started (checkpoint header field).
-    pub fn history_start_len(&self) -> usize {
-        self.history_start_len
     }
 
     fn push_event(
@@ -1582,7 +1553,7 @@ impl<'h> FleetSim<'h> {
             .link_streams(xferopt_net::LinkId(spec.route.wan_link_index()));
         // Multipath splits the grant evenly across the job's routes; the
         // tuned primary keeps one share, so its domain shrinks accordingly.
-        let multipath = self.config.topo.as_ref().map_or(1, |t| t.multipath.max(1));
+        let multipath = self.config.topo.as_ref().map_or(1, |t| t.multipath);
         let share = (grant.streams / multipath).max(1);
         // Restrict the tuner's domain to the granted reservation:
         // nc ≤ granted / np, so proposals can never oversubscribe.
@@ -1596,12 +1567,9 @@ impl<'h> FleetSim<'h> {
                 vec![(c.best_params.nc as i64).clamp(1, nc_hi.min(512))],
                 0.0,
             ),
-            _ if self.config.warm_start => self.history.warm_start(
-                spec.route.name(),
-                spec.tuner,
-                ext_streams,
-                0.0,
-                "fleet",
+            _ if self.config.warm_start => warm_seed(
+                self.history
+                    .nearest(spec.route.name(), spec.tuner, ext_streams, 0.0, "fleet"),
                 cold.clone(),
                 self.config.max_match_distance,
             ),
@@ -1950,7 +1918,7 @@ impl<'h> FleetSim<'h> {
     }
 
     /// Deterministic digest of the live state (checkpoint verification).
-    pub fn state_digest(&self) -> String {
+    pub(crate) fn state_digest(&self) -> String {
         fn ids<'a>(it: impl Iterator<Item = &'a JobSpec>) -> String {
             it.map(|j| j.id.0.to_string()).collect::<Vec<_>>().join(",")
         }
@@ -2012,31 +1980,6 @@ impl<'h> FleetSim<'h> {
         s
     }
 
-    /// FNV-1a hash of [`FleetSim::state_digest`].
-    pub fn digest_hash(&self) -> u64 {
-        crate::checkpoint::fnv1a(&self.state_digest())
-    }
-
-    /// Serialize a checkpoint of this run at the current tick (JSONL: one
-    /// header line, one line per workload job, one digest line). See
-    /// DESIGN.md §12 — the checkpoint is *replay-based*: it records the run's
-    /// inputs plus the tick and a state digest; resume replays ticks `0..k`
-    /// with history appends redirected to memory, verifies the digest, then
-    /// continues with persistence re-enabled.
-    pub fn checkpoint(&self) -> String {
-        render_checkpoint(
-            &self.config,
-            self.tick,
-            self.t,
-            self.done,
-            &self.workload_jobs,
-            &self.job_lines,
-            self.history_start_len,
-            self.history_appended,
-            self.digest_hash(),
-        )
-    }
-
     /// Close out the run and assemble the outcome. Jobs still running are
     /// `Unfinished`; quarantined or requeued-but-not-readmitted jobs are
     /// `Unfinished` with their carried statistics; never-admitted jobs stay
@@ -2046,8 +1989,8 @@ impl<'h> FleetSim<'h> {
     }
 
     /// Close out the run into structured parts (the sharded runner merges
-    /// per-component parts with deterministic keys before rendering; the
-    /// single-threaded path renders them directly, so both paths share one
+    /// per-component parts with deterministic keys before rendering;
+    /// [`FleetSim::finish`] renders them directly, so both share one
     /// formatter).
     pub(crate) fn finish_parts(mut self) -> FleetParts {
         let ids: Vec<JobId> = self.running.keys().copied().collect();
@@ -2097,7 +2040,7 @@ impl<'h> FleetSim<'h> {
 
         FleetParts {
             config: self.config,
-            submitted: self.workload_jobs.len(),
+            submitted: self.submitted,
             outcomes: self.outcomes,
             decisions: self.decisions,
             telemetry,
@@ -2114,7 +2057,7 @@ impl<'h> FleetSim<'h> {
 /// run are merged field-by-field with deterministic ordering keys (job id
 /// for outcomes/decisions, epoch start time for telemetry, event time for
 /// supervision — component order breaks ties) and then rendered through the
-/// same formatter as the single-threaded path.
+/// same formatter as [`FleetSim::finish`].
 pub(crate) struct FleetParts {
     pub(crate) config: FleetConfig,
     pub(crate) submitted: usize,
@@ -2157,97 +2100,6 @@ impl FleetParts {
     }
 }
 
-/// Render a fleet checkpoint (JSONL: header, one line per workload job, one
-/// digest line) — shared by [`FleetSim::checkpoint`] and the sharded runner,
-/// so the wire format cannot drift between the two paths. `done` marks a
-/// finished run and is written only when true, so mid-run checkpoints keep
-/// their bytes. The workload never changes during a run, so its job lines
-/// are rendered into `job_lines` by the first checkpoint and copied by the
-/// rest; a run that never checkpoints never renders them.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn render_checkpoint(
-    config: &FleetConfig,
-    tick: u64,
-    t: f64,
-    done: bool,
-    jobs: &[JobSpec],
-    job_lines: &OnceCell<String>,
-    history_start_len: usize,
-    history_appended: usize,
-    digest: u64,
-) -> String {
-    let c = config;
-    let job_lines = job_lines.get_or_init(|| {
-        let mut lines = String::with_capacity(192 * jobs.len());
-        for j in jobs {
-            crate::checkpoint::push_job(&mut lines, j);
-        }
-        lines
-    });
-    let mut out = String::with_capacity(512 + job_lines.len() + 64);
-    push_line(&mut out, |o| {
-        o.str("kind", "fleet-checkpoint");
-        o.raw("version", 1);
-        o.raw("tick", tick);
-        o.f64("t_s", t);
-        o.str("policy", c.policy.name());
-        o.raw("seed", c.seed);
-        o.f64("horizon_s", c.horizon_s);
-        o.f64("tick_s", c.tick_s);
-        o.f64("epoch_s", c.epoch_s);
-        o.raw("budget", c.link_budget);
-        o.raw("warm", c.warm_start);
-        o.f64("max_match_distance", c.max_match_distance);
-        o.f64("noise_sigma", c.noise_sigma);
-        o.raw("audit", c.audit);
-        o.f64("shed_after_s", c.shed_after_s);
-        if let Some(p) = c.faults {
-            o.str("faults", p.name());
-        }
-        if let Some(tc) = &c.topo {
-            o.str("topo", &tc.preset);
-            o.raw("topo_k", tc.k);
-            o.raw("multipath", tc.multipath);
-            o.raw("reroute", tc.reroute);
-            if tc.selfheal {
-                o.raw("selfheal", true);
-            }
-            if let Some(name) = &tc.campaign {
-                o.str("campaign", name);
-            }
-            // One region keeps the historical scalar field (byte-compatible
-            // with pre-multi-outage checkpoints); several use the plural form.
-            match tc.outage_regions.as_slice() {
-                [] => {}
-                [r] => o.raw("outage_region", r),
-                rs => {
-                    let joined = rs.iter().map(|r| r.to_string()).collect::<Vec<_>>();
-                    o.str("outage_regions", &joined.join(";"));
-                }
-            }
-        }
-        if done {
-            o.raw("done", true);
-        }
-        o.raw("jobs", jobs.len());
-        o.raw("history_start_len", history_start_len);
-        o.raw("history_appended", history_appended);
-    });
-    out.push_str(job_lines);
-    // Two hashes close two different holes: `fnv` (the live-state digest)
-    // catches replay divergence, while `text_fnv` (over the header + job
-    // lines just written) catches corruption of the serialized inputs
-    // themselves — a flipped byte in a job the replay has not admitted yet
-    // would otherwise slip past the state digest.
-    let text_fnv = crate::checkpoint::fnv1a(&out);
-    push_line(&mut out, |o| {
-        o.str("kind", "fleet-digest");
-        o.str("fnv", &format!("{digest:016x}"));
-        o.str("text_fnv", &format!("{text_fnv:016x}"));
-    });
-    out
-}
-
 /// A deterministic planet workload: `n` jobs round-robin over the
 /// placement's pairs, each on its pair's chosen (rank-0 of the re-route
 /// order) route with the searched stream shape. Sizes cycle a small
@@ -2277,20 +2129,10 @@ pub fn topo_workload(placement: &PlacementTable, catalog: &RouteCatalog, n: usiz
     Workload::new(jobs)
 }
 
-/// Run `workload` under `config`, appending completed jobs to `history`.
-pub fn run_fleet(
-    workload: &Workload,
-    config: &FleetConfig,
-    history: &mut HistoryStore,
-) -> FleetOutcome {
-    let mut sim = FleetSim::new(workload, config, history);
-    while sim.tick() {}
-    sim.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::run_fleet_sharded;
 
     fn quick_config(policy: Policy) -> FleetConfig {
         FleetConfig {
@@ -2304,7 +2146,7 @@ mod tests {
     fn contended_fleet_completes_under_every_policy() {
         for policy in Policy::all() {
             let mut h = HistoryStore::in_memory();
-            let out = run_fleet(&Workload::contended(3), &quick_config(policy), &mut h);
+            let out = run_fleet_sharded(&Workload::contended(3), &quick_config(policy), &mut h, 1);
             assert_eq!(
                 out.report.count(JobState::Completed),
                 3,
@@ -2327,8 +2169,8 @@ mod tests {
     fn same_seed_renders_identical_reports() {
         let cfg = quick_config(Policy::Sjf);
         let w = Workload::synthetic(8, 11);
-        let a = run_fleet(&w, &cfg, &mut HistoryStore::in_memory());
-        let b = run_fleet(&w, &cfg, &mut HistoryStore::in_memory());
+        let a = run_fleet_sharded(&w, &cfg, &mut HistoryStore::in_memory(), 1);
+        let b = run_fleet_sharded(&w, &cfg, &mut HistoryStore::in_memory(), 1);
         assert_eq!(a.report.render(), b.report.render());
         assert_eq!(a.decisions_jsonl, b.decisions_jsonl);
         assert_eq!(a.telemetry_jsonl, b.telemetry_jsonl);
@@ -2348,7 +2190,7 @@ mod tests {
             JobSpec::new(1, 0.0, 1_000_000.0),
             JobSpec::new(2, 7200.0, 100.0),
         ]);
-        let out = run_fleet(&w, &cfg, &mut HistoryStore::in_memory());
+        let out = run_fleet_sharded(&w, &cfg, &mut HistoryStore::in_memory(), 1);
         assert_eq!(out.report.count(JobState::Unfinished), 2);
         assert_eq!(out.report.count(JobState::Pending), 1);
         assert_eq!(out.history_appended, 0, "unfinished jobs leave no history");
@@ -2361,7 +2203,7 @@ mod tests {
             ..quick_config(Policy::Fifo)
         };
         let mut h = HistoryStore::in_memory();
-        let cold = run_fleet(&Workload::contended(2), &cfg, &mut h);
+        let cold = run_fleet_sharded(&Workload::contended(2), &cfg, &mut h, 1);
         assert!(cold
             .report
             .outcomes
@@ -2372,7 +2214,7 @@ mod tests {
             warm_start: true,
             ..cfg
         };
-        let warm = run_fleet(&Workload::contended(2), &warm_cfg, &mut h);
+        let warm = run_fleet_sharded(&Workload::contended(2), &warm_cfg, &mut h, 1);
         assert!(
             warm.report
                 .outcomes
@@ -2385,10 +2227,11 @@ mod tests {
 
     #[test]
     fn csv_has_a_row_per_job() {
-        let out = run_fleet(
+        let out = run_fleet_sharded(
             &Workload::contended(2),
             &quick_config(Policy::Fifo),
             &mut HistoryStore::in_memory(),
+            1,
         );
         let csv = out.report.to_csv();
         assert_eq!(csv.lines().count(), 3, "{csv}");
@@ -2402,10 +2245,11 @@ mod tests {
             tick_s: 7.0,
             ..FleetConfig::default()
         };
-        run_fleet(
+        run_fleet_sharded(
             &Workload::contended(1),
             &cfg,
             &mut HistoryStore::in_memory(),
+            1,
         );
     }
 
@@ -2437,7 +2281,7 @@ mod tests {
     fn stepwise_sim_matches_one_shot_run() {
         let cfg = quick_config(Policy::Sjf);
         let w = Workload::synthetic(6, 3);
-        let one = run_fleet(&w, &cfg, &mut HistoryStore::in_memory());
+        let one = run_fleet_sharded(&w, &cfg, &mut HistoryStore::in_memory(), 1);
         let mut h = HistoryStore::in_memory();
         let mut sim = FleetSim::new(&w, &cfg, &mut h);
         let mut ticks = 0u64;
@@ -2465,7 +2309,7 @@ mod tests {
                 .map(|i| JobSpec::new(i, i as f64 * 60.0, 2_000_000.0))
                 .collect(),
         );
-        let out = run_fleet(&w, &cfg, &mut HistoryStore::in_memory());
+        let out = run_fleet_sharded(&w, &cfg, &mut HistoryStore::in_memory(), 1);
         // No job is lost: every admitted job ends terminal.
         for o in &out.report.outcomes {
             assert!(

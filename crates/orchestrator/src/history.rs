@@ -426,28 +426,21 @@ impl HistoryStore {
         }
         best.map(|(i, d, _)| (&self.records[i], d))
     }
+}
 
-    /// A [`WarmStart`] seed for a new job: the nearest record's optimum when
-    /// one exists within `max_distance`, else the cold default `x0`.
-    /// `scenario` participates only in tie-breaking (see
-    /// [`HistoryStore::nearest`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn warm_start(
-        &self,
-        route: &str,
-        tuner: TunerKind,
-        ext_streams: f64,
-        cmp_jobs: f64,
-        scenario: &str,
-        cold_x0: Point,
-        max_distance: f64,
-    ) -> WarmStart {
-        match self.nearest(route, tuner, ext_streams, cmp_jobs, scenario) {
-            Some((r, d)) if d <= max_distance && r.best.len() == cold_x0.len() => {
-                WarmStart::from_history(r.best.clone(), d)
-            }
-            _ => WarmStart::cold(cold_x0),
+/// A [`WarmStart`] seed for a new job from its [`HistoryStore::nearest`]
+/// hit: the record's optimum when it lies within `max_distance` and has the
+/// dimension of `cold_x0`, else the cold default `cold_x0`.
+pub(crate) fn warm_seed(
+    hit: Option<(&HistoryRecord, f64)>,
+    cold_x0: Point,
+    max_distance: f64,
+) -> WarmStart {
+    match hit {
+        Some((r, d)) if d <= max_distance && r.best.len() == cold_x0.len() => {
+            WarmStart::from_history(r.best.clone(), d)
         }
+        _ => WarmStart::cold(cold_x0),
     }
 }
 
@@ -697,27 +690,26 @@ mod tests {
 
     #[test]
     fn warm_start_falls_back_to_cold() {
+        let seed = |s: &HistoryStore, ext: f64| {
+            warm_seed(s.nearest(UC, TunerKind::Cs, ext, 0.0, ""), vec![2, 8], 2.0)
+        };
         let mut s = HistoryStore::in_memory();
-        assert!(!s
-            .warm_start(UC, TunerKind::Cs, 0.0, 0.0, "", vec![2, 8], 2.0)
-            .is_warm());
+        assert!(!seed(&s, 0.0).is_warm());
         s.append(rec(TACC, TunerKind::Cs, 0.0, vec![12, 8], 2100.0))
             .unwrap();
         // Nearest is on the wrong route: distance 1000 exceeds the cutoff.
-        let w = s.warm_start(UC, TunerKind::Cs, 0.0, 0.0, "", vec![2, 8], 2.0);
+        let w = seed(&s, 0.0);
         assert!(!w.is_warm());
         s.append(rec(UC, TunerKind::Cs, 3.0, vec![7, 8], 3900.0))
             .unwrap();
-        let w = s.warm_start(UC, TunerKind::Cs, 3.0, 0.0, "", vec![2, 8], 2.0);
+        let w = seed(&s, 3.0);
         assert!(w.is_warm());
         assert_eq!(w.x0, vec![7, 8]);
         // Dimension mismatch (1-D record, 2-D query) falls back to cold.
         let mut s1 = HistoryStore::in_memory();
         s1.append(rec(UC, TunerKind::Cs, 3.0, vec![7], 3900.0))
             .unwrap();
-        assert!(!s1
-            .warm_start(UC, TunerKind::Cs, 3.0, 0.0, "", vec![2, 8], 2.0)
-            .is_warm());
+        assert!(!seed(&s1, 3.0).is_warm());
     }
 
     #[test]

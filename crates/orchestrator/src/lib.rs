@@ -6,14 +6,19 @@
 //! budget, in the order chosen by a [`Policy`]; every admitted job gets its
 //! own online tuner (seeded from the [`HistoryStore`]'s nearest historical
 //! match when warm starts are enabled) and a finite transfer in the shared
-//! [`xferopt_transfer::World`]. [`run_fleet`] drives the whole thing on a
-//! deterministic tick loop and returns a byte-stable [`FleetReport`].
+//! [`xferopt_transfer::World`]. [`run_fleet_sharded`] drives the whole thing
+//! on a deterministic tick loop, one [`FleetSim`] per link-sharing component
+//! on up to `shards` threads, and returns a byte-stable [`FleetReport`] that
+//! does not depend on the shard count. [`ShardedFleetSim`] is the same run
+//! one tick or batch at a time, for checkpoints; [`resume_fleet_sharded`]
+//! resumes one.
 //!
 //! ```
-//! use xferopt_orchestrator::{run_fleet, FleetConfig, HistoryStore, Workload};
+//! use xferopt_orchestrator::{run_fleet_sharded, FleetConfig, HistoryStore, Workload};
 //!
 //! let mut history = HistoryStore::in_memory();
-//! let out = run_fleet(&Workload::contended(2), &FleetConfig::default(), &mut history);
+//! let config = FleetConfig::default();
+//! let out = run_fleet_sharded(&Workload::contended(2), &config, &mut history, 1);
 //! assert_eq!(out.report.submitted, 2);
 //! ```
 
@@ -38,10 +43,10 @@ pub mod tournament;
 pub use admission::{AdmissionController, Reservation, DEFAULT_LINK_BUDGET};
 pub use breaker::{BreakerBoard, BreakerConfig, BreakerState, RouteBreaker};
 pub use chaos::{run_campaign, CampaignConfig, CampaignOutcome, MAX_SEEDS};
-pub use checkpoint::{parse_journal, resume_fleet, Checkpoint, JournalRead};
+pub use checkpoint::{parse_journal, Checkpoint, JournalRead};
 pub use fleet::{
-    check_job_count, run_fleet, topo_workload, ConfigError, FleetConfig, FleetOutcome, FleetReport,
-    FleetSim, JobOutcome, TopoFleetConfig,
+    check_job_count, topo_workload, ConfigError, FleetConfig, FleetOutcome, FleetReport, FleetSim,
+    JobOutcome, TopoFleetConfig,
 };
 pub use govern::{GovernConfig, Governor, RetryBudget, SloMonitor, SloState};
 pub use health::{

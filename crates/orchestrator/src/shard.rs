@@ -20,9 +20,10 @@
 //! The decomposition and every merge key are pure functions of the
 //! workload, so **the byte output is independent of the shard count** —
 //! `--shards 8` replays exactly what `--shards 1` produces, and a
-//! single-component workload reproduces the plain [`run_fleet`] bytes
-//! (the merge degenerates to passthrough). Checkpoints use the same wire
-//! format as the single-threaded path with the digest taken over the
+//! single-component workload reproduces the bytes of its one [`FleetSim`]
+//! stepped on its own (the merge degenerates to passthrough). This is the
+//! fleet's only run, checkpoint and resume path: checkpoints (written by
+//! `checkpoint::CheckpointWriter`) take their digest over the
 //! per-component state digests joined in component order, so a run
 //! checkpointed under `--shards 4` can resume under any other shard count
 //! ([`resume_fleet_sharded`]).
@@ -34,11 +35,10 @@
 //! chunk through the whole batch. Results are collected in component order,
 //! so parallelism never reorders anything observable.
 
-use std::cell::OnceCell;
 use std::{panic, thread};
 
-use crate::checkpoint::{fnv1a, verify_replay, Checkpoint};
-use crate::fleet::{render_checkpoint, FleetConfig, FleetOutcome, FleetParts, FleetSim};
+use crate::checkpoint::{fnv1a, verify_replay, Checkpoint, CheckpointWriter};
+use crate::fleet::{FleetConfig, FleetOutcome, FleetParts, FleetSim};
 use crate::history::{HistoryRecord, HistoryStore};
 use crate::job::{JobId, JobSpec, Workload};
 use xferopt_net::connected_groups;
@@ -163,16 +163,13 @@ fn run_all(sims: &mut [FleetSim<'static>], workers: usize, max: u64) -> Vec<(u64
 /// docs for the determinism argument.
 pub struct ShardedFleetSim<'h> {
     config: FleetConfig,
-    workload_jobs: Vec<JobSpec>,
-    /// `workload_jobs` as checkpoint lines, rendered by the first checkpoint.
-    job_lines: OnceCell<String>,
+    writer: CheckpointWriter,
     history: &'h mut HistoryStore,
     sims: Vec<FleetSim<'static>>,
     workers: usize,
     tick: u64,
     t: f64,
     done: bool,
-    history_start_len: usize,
     history_appended: usize,
 }
 
@@ -199,44 +196,30 @@ impl<'h> ShardedFleetSim<'h> {
         if components.is_empty() {
             // Degenerate empty workload: keep one empty component so the
             // finish path still renders a (trivially empty) report through
-            // the same formatter as the plain path.
+            // the one formatter.
             components.push(Workload::new(Vec::new()));
         }
-        let history_start_len = history.len();
         let sims: Vec<FleetSim<'static>> = components
             .iter()
             .map(|w| FleetSim::new_owned(w, config, history.shard_snapshot()))
             .collect();
         ShardedFleetSim {
             config: config.clone(),
-            workload_jobs: workload.jobs().to_vec(),
-            job_lines: OnceCell::new(),
+            writer: CheckpointWriter::new(workload.jobs().to_vec(), history.len()),
             history,
             workers: shards.min(sims.len()),
             sims,
             tick: 0,
             t: 0.0,
             done: false,
-            history_start_len,
             history_appended: 0,
         }
     }
+
     /// Global ticks completed so far.
     #[must_use]
     pub fn tick_index(&self) -> u64 {
         self.tick
-    }
-
-    /// Current fleet time, seconds.
-    #[must_use]
-    pub fn now_s(&self) -> f64 {
-        self.t
-    }
-
-    /// Whether every component has finished.
-    #[must_use]
-    pub fn is_done(&self) -> bool {
-        self.done
     }
 
     /// History records appended so far across all components.
@@ -284,7 +267,7 @@ impl<'h> ShardedFleetSim<'h> {
         }
         self.tick += advanced;
         // Repeated addition, not multiplication: keeps `t` bit-identical to
-        // the tick-at-a-time path (and to the plain FleetSim).
+        // the tick-at-a-time path (and to each component FleetSim's clock).
         for _ in 0..advanced {
             self.t += self.config.tick_s;
         }
@@ -296,8 +279,8 @@ impl<'h> ShardedFleetSim<'h> {
     }
 
     /// Deterministic digest of the live state: the per-component digests
-    /// joined with `\n` in component order (for one component this is the
-    /// plain [`FleetSim::state_digest`] verbatim).
+    /// joined with `\n` in component order (for one component this is that
+    /// component's digest verbatim).
     pub fn state_digest(&self) -> String {
         self.sims
             .iter()
@@ -312,18 +295,15 @@ impl<'h> ShardedFleetSim<'h> {
         fnv1a(&self.state_digest())
     }
 
-    /// Serialize a checkpoint at the current global tick — same wire format
-    /// as [`FleetSim::checkpoint`] (the full workload is recorded; resume
-    /// recomputes the shard plan from it).
+    /// Serialize a replay-based checkpoint at the current global tick
+    /// (DESIGN.md §12). It records the full workload, so resume recomputes
+    /// the shard plan from it.
     pub fn checkpoint(&self) -> String {
-        render_checkpoint(
+        self.writer.render(
             &self.config,
             self.tick,
             self.t,
             self.done,
-            &self.workload_jobs,
-            &self.job_lines,
-            self.history_start_len,
             self.history_appended,
             self.digest_hash(),
         )
@@ -332,14 +312,14 @@ impl<'h> ShardedFleetSim<'h> {
     /// Close out all components and merge their parts into one outcome.
     pub fn finish(self) -> FleetOutcome {
         let parts = self.sims.into_iter().map(FleetSim::finish_parts).collect();
-        merge_parts(self.workload_jobs.len(), self.history_appended, parts).into_outcome()
+        merge_parts(self.writer.jobs(), self.history_appended, parts).into_outcome()
     }
 }
 
 /// Merge per-component [`FleetParts`] in component order with the
 /// deterministic keys from the module docs. A single component passes
 /// through untouched, which is what keeps single-component sharded runs
-/// byte-identical to the plain path.
+/// byte-identical to their one [`FleetSim`] stepped on its own.
 fn merge_parts(submitted: usize, history_appended: usize, parts: Vec<FleetParts>) -> FleetParts {
     let mut it = parts.into_iter();
     let mut merged = it.next().expect("at least one component");
@@ -394,14 +374,19 @@ pub fn run_fleet_sharded(
     sim.finish()
 }
 
-/// Resume a killed sharded run from `ck` — the sharded mirror of
-/// [`crate::resume_fleet`], and because the checkpoint format and digest are
-/// shard-count independent, `shards` may differ from the killed run's. The
-/// replay to `ck.tick` is one batch, then the run continues in batches.
+/// Resume a killed run from `ck`: rewind the in-memory history store to the
+/// run's starting length (the backing file already holds the pre-checkpoint
+/// appends), replay ticks `0..ck.tick` (plus the closing tick of a finished
+/// run) with history persistence off, verify the state digest, then run to
+/// completion with persistence back on. Byte-identical to the uninterrupted
+/// run. The checkpoint format and digest are shard-count independent, so
+/// `shards` may differ from the killed run's. The replay to `ck.tick` is one
+/// batch, then the run continues in batches.
 ///
 /// # Errors
-/// Returns an error when the replay finishes early or the digest or append
-/// count mismatches (corrupt checkpoint, or writer/reader drift).
+/// Returns an error when the replay finishes early (checkpoint from a
+/// different workload/config) or the digest or append count mismatches
+/// (corrupt checkpoint, or writer/reader drift).
 pub fn resume_fleet_sharded(
     ck: &Checkpoint,
     history: &mut HistoryStore,
@@ -428,7 +413,6 @@ pub fn resume_fleet_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::run_fleet;
     use crate::policy::Policy;
 
     fn cfg() -> FleetConfig {
@@ -491,7 +475,11 @@ mod tests {
         let config = cfg();
         let mut h1 = HistoryStore::in_memory();
         let mut h2 = HistoryStore::in_memory();
-        let plain = run_fleet(&wl, &config, &mut h1);
+        let plain = {
+            let mut sim = FleetSim::new(&wl, &config, &mut h1);
+            while sim.tick() {}
+            sim.finish()
+        };
         let sharded = run_fleet_sharded(&wl, &config, &mut h2, 1);
         assert_eq!(plain.report.render(), sharded.report.render());
         assert_eq!(plain.report.to_csv(), sharded.report.to_csv());

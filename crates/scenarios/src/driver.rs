@@ -155,12 +155,6 @@ impl DriveConfig {
         self.noise_sigma = sigma;
         self
     }
-
-    /// Replace the starting parameters.
-    pub fn with_x0(mut self, x0: StreamParams) -> Self {
-        self.x0 = x0;
-        self
-    }
 }
 
 /// Apply an external load value to the world (compute hogs + the external

@@ -223,12 +223,6 @@ impl World {
         self.telemetry.as_ref()
     }
 
-    /// Mutable access to the flight recorder, if enabled (the scenario
-    /// driver folds tuner audit metrics into the same registry).
-    pub fn telemetry_mut(&mut self) -> Option<&mut WorldTelemetry> {
-        self.telemetry.as_mut()
-    }
-
     /// Detach and return the flight recorder, leaving telemetry disabled.
     pub fn take_telemetry(&mut self) -> Option<WorldTelemetry> {
         self.telemetry.take()
@@ -260,11 +254,6 @@ impl World {
             rng,
             cursor: 0,
         });
-    }
-
-    /// The active fault plan, if faults are enabled.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref().map(|f| &f.plan)
     }
 
     /// Total aborts `tid` has suffered (and retried through) so far.

@@ -53,6 +53,14 @@ diff "$FLEET_TMP/a.txt" "$FLEET_TMP/b.txt" \
   --report-out "$FLEET_TMP/wb.txt"
 diff "$FLEET_TMP/wa.txt" "$FLEET_TMP/wb.txt" \
   || { echo "fleet run (wfair) is not deterministic"; exit 1; }
+./target/release/xferopt fleet run --jobs 12 --seed 7 --policy sjf \
+  --report-out "$FLEET_TMP/golden.txt"
+diff "$FLEET_TMP/golden.txt" tests/golden/fleet/report.txt \
+  || { echo "fleet run report drifted from golden"; exit 1; }
+./target/release/xferopt fleet run --jobs 12 --seed 7 --policy sjf --csv \
+  --report-out "$FLEET_TMP/golden.csv"
+diff "$FLEET_TMP/golden.csv" tests/golden/fleet/report.csv \
+  || { echo "fleet run CSV drifted from golden"; exit 1; }
 
 echo "==> shard-determinism smoke (--shards N is a byte-level no-op)"
 cargo test -q --test shard_equiv

@@ -486,7 +486,7 @@ fn cmd_fleet_run(args: &Args) -> Result<(), String> {
     use xferopt::orchestrator::{
         topo_workload, FleetConfig, ShardedFleetSim, TopoFleetConfig, Workload,
     };
-    use xferopt::topo::{search_routes, Planet, RouteCatalog, SearchConfig};
+    use xferopt::topo::{search_routes, RouteCatalog, SearchConfig};
 
     let jobs = args.get_jobs(10)?;
     let seed = args.get_parsed("seed", 7u64)?;
@@ -501,58 +501,51 @@ fn cmd_fleet_run(args: &Args) -> Result<(), String> {
     let topo = match args.get("topo") {
         None => None,
         Some(name) => {
-            let planet = Planet::preset(name).map_err(|e| e.to_string())?;
             let mut tc = TopoFleetConfig::preset(name);
             tc.k = args.get_parsed("topo-k", tc.k)?;
-            if tc.k == 0 {
-                return Err("--topo-k must be >= 1".into());
-            }
             if let Some(list) = args.get("outage-region") {
-                // Comma-separated region list; each index validated against
-                // the planet.
+                // Comma-separated region list; `FleetConfig::validate`
+                // checks each index against the planet.
                 for s in list.split(',') {
                     let r: usize = s
                         .trim()
                         .parse()
                         .map_err(|_| format!("bad value for --outage-region: {s}"))?;
-                    if r >= planet.regions.len() {
-                        return Err(format!(
-                            "--outage-region {r} out of range ({} has {} regions)",
-                            planet.name,
-                            planet.regions.len()
-                        ));
-                    }
                     tc.outage_regions.push(r);
                 }
             }
-            if let Some(name) = args.get("campaign") {
-                if !xferopt::topo::CAMPAIGNS.contains(&name) {
-                    return Err(format!(
-                        "unknown campaign: {name} (use {})",
-                        xferopt::topo::CAMPAIGNS.join("|")
-                    ));
-                }
-                if !tc.outage_regions.is_empty() {
-                    return Err("--campaign scripts its own faults; drop --outage-region".into());
-                }
-                tc.campaign = Some(name.to_string());
-            }
+            tc.campaign = args.get("campaign").map(str::to_string);
             tc.multipath = args.get_parsed("multipath", tc.multipath)?;
-            if tc.multipath == 0 {
-                return Err("--multipath must be >= 1".into());
-            }
             tc.reroute = !args.has_flag("no-reroute");
             tc.selfheal = args.has_flag("selfheal");
-            if tc.selfheal && !tc.reroute {
-                return Err("--selfheal needs re-routing; drop --no-reroute".into());
-            }
             Some(tc)
         }
     };
     if topo.is_some() && sites > 1 {
         return Err("--topo replaces --sites (regions come from the planet)".into());
     }
-    let workload = match (args.get("workload").unwrap_or("synthetic"), &topo) {
+    let faults = match args.get("faults") {
+        None => None,
+        Some(v) => Some(v.parse::<FaultProfile>()?),
+    };
+    let config = FleetConfig {
+        policy: args
+            .get("policy")
+            .unwrap_or("fifo")
+            .parse()
+            .map_err(|e: String| e)?,
+        seed,
+        horizon_s: args.get_parsed("horizon", 3600.0f64)?,
+        tick_s: args.get_parsed("tick", 5.0f64)?,
+        epoch_s: args.get_parsed("epoch", 30.0f64)?,
+        link_budget: args.get_parsed("budget", xferopt::orchestrator::DEFAULT_LINK_BUDGET)?,
+        warm_start: !args.has_flag("cold"),
+        faults,
+        topo,
+        ..FleetConfig::default()
+    };
+    config.validate().map_err(|e| e.to_string())?;
+    let workload = match (args.get("workload").unwrap_or("synthetic"), &config.topo) {
         (_, Some(tc)) => {
             // A planet fleet always runs the searched-placement workload:
             // jobs round-robin the placement pairs on their rank-0 routes.
@@ -579,30 +572,6 @@ fn cmd_fleet_run(args: &Args) -> Result<(), String> {
             ))
         }
     };
-    let faults = match args.get("faults") {
-        None => None,
-        Some(v) => Some(v.parse::<FaultProfile>()?),
-    };
-    if faults.is_some() && topo.is_some() {
-        return Err("--topo uses --outage-region for chaos, not --faults".into());
-    }
-    let config = FleetConfig {
-        policy: args
-            .get("policy")
-            .unwrap_or("fifo")
-            .parse()
-            .map_err(|e: String| e)?,
-        seed,
-        horizon_s: args.get_parsed("horizon", 3600.0f64)?,
-        tick_s: args.get_parsed("tick", 5.0f64)?,
-        epoch_s: args.get_parsed("epoch", 30.0f64)?,
-        link_budget: args.get_parsed("budget", xferopt::orchestrator::DEFAULT_LINK_BUDGET)?,
-        warm_start: !args.has_flag("cold"),
-        faults,
-        topo,
-        ..FleetConfig::default()
-    };
-    config.validate().map_err(|e| e.to_string())?;
     let checkpoint_out = args.get("checkpoint-out").map(str::to_string);
     let checkpoint_every = args.get_parsed("checkpoint-every", 0u64)?;
     let stop_at_tick = match args.get("stop-at-tick") {

@@ -95,8 +95,8 @@ pub use xferopt_tuners as tuners;
 /// The most common imports in one place.
 pub mod prelude {
     pub use xferopt_orchestrator::{
-        run_fleet, AdmissionController, FleetConfig, FleetReport, HistoryStore, JobSpec, Policy,
-        Workload,
+        run_fleet_sharded, AdmissionController, FleetConfig, FleetReport, HistoryStore, JobSpec,
+        Policy, Workload,
     };
     pub use xferopt_scenarios::driver::{
         drive_transfer, DriveConfig, MultiDriver, MultiSpec, TuneDims,

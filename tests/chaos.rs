@@ -14,8 +14,8 @@
 
 use proptest::prelude::*;
 use xferopt::orchestrator::{
-    parse_journal, resume_fleet, run_campaign, run_fleet, CampaignConfig, FleetConfig, FleetSim,
-    GovernConfig, HistoryStore, TopoFleetConfig, Workload,
+    parse_journal, resume_fleet_sharded, run_campaign, run_fleet_sharded, CampaignConfig,
+    FleetConfig, FleetSim, GovernConfig, HistoryStore, ShardedFleetSim, TopoFleetConfig, Workload,
 };
 use xferopt::simcore::json::{escape, Fields};
 
@@ -187,20 +187,20 @@ fn selfheal_run_is_byte_deterministic_and_checkpoint_resumable() {
     // run checkpoints mid-campaign and resumes byte-identically.
     let cfg = selfheal_cfg();
     let wl = mesh_campaign_wl(12);
-    let full = run_fleet(&wl, &cfg, &mut HistoryStore::in_memory());
-    let again = run_fleet(&wl, &cfg, &mut HistoryStore::in_memory());
+    let full = run_fleet_sharded(&wl, &cfg, &mut HistoryStore::in_memory(), 1);
+    let again = run_fleet_sharded(&wl, &cfg, &mut HistoryStore::in_memory(), 1);
     assert_eq!(full.report.render(), again.report.render());
     assert_eq!(full.supervision_jsonl, again.supervision_jsonl);
     let total_ticks = {
         let mut h = HistoryStore::in_memory();
-        let mut sim = FleetSim::new(&wl, &cfg, &mut h);
+        let mut sim = ShardedFleetSim::new(&wl, &cfg, &mut h, 1);
         while sim.tick() {}
         sim.tick_index()
     };
     assert!(total_ticks > 3, "probe run too short: {total_ticks} ticks");
     let text = {
         let mut h = HistoryStore::in_memory();
-        let mut sim = FleetSim::new(&wl, &cfg, &mut h);
+        let mut sim = ShardedFleetSim::new(&wl, &cfg, &mut h, 1);
         while sim.tick_index() < 2 * total_ticks / 3 {
             assert!(sim.tick());
         }
@@ -216,7 +216,8 @@ fn selfheal_run_is_byte_deterministic_and_checkpoint_resumable() {
         .expect("topo round-trips");
     assert!(tc.selfheal, "selfheal flag round-trips");
     assert_eq!(tc.campaign.as_deref(), Some("rolling-outage"));
-    let resumed = resume_fleet(&read.checkpoint, &mut HistoryStore::in_memory()).unwrap();
+    let resumed =
+        resume_fleet_sharded(&read.checkpoint, &mut HistoryStore::in_memory(), 1).unwrap();
     assert_eq!(full.report.render(), resumed.report.render());
     assert_eq!(full.supervision_jsonl, resumed.supervision_jsonl);
 }
@@ -232,13 +233,13 @@ fn multi_region_outage_round_trips_and_stays_deterministic() {
         ..FleetConfig::default()
     };
     let wl = mesh_campaign_wl(10);
-    let a = run_fleet(&wl, &cfg, &mut HistoryStore::in_memory());
-    let b = run_fleet(&wl, &cfg, &mut HistoryStore::in_memory());
+    let a = run_fleet_sharded(&wl, &cfg, &mut HistoryStore::in_memory(), 1);
+    let b = run_fleet_sharded(&wl, &cfg, &mut HistoryStore::in_memory(), 1);
     assert_eq!(a.report.render(), b.report.render());
     assert!(a.report.render().contains(" outage_regions=0,2"));
     let text = {
         let mut h = HistoryStore::in_memory();
-        let mut sim = FleetSim::new(&wl, &cfg, &mut h);
+        let mut sim = ShardedFleetSim::new(&wl, &cfg, &mut h, 1);
         for _ in 0..50 {
             assert!(sim.tick());
         }
@@ -247,7 +248,7 @@ fn multi_region_outage_round_trips_and_stays_deterministic() {
     let ck = parse_journal(&text).expect("parses").checkpoint;
     let tc = ck.config.topo.as_ref().expect("topo round-trips");
     assert_eq!(tc.outage_regions, vec![0, 2], "multi-region round trip");
-    let resumed = resume_fleet(&ck, &mut HistoryStore::in_memory()).unwrap();
+    let resumed = resume_fleet_sharded(&ck, &mut HistoryStore::in_memory(), 1).unwrap();
     assert_eq!(a.report.render(), resumed.report.render());
 }
 
@@ -259,9 +260,9 @@ fn journal_fixture() -> (String, String) {
         ..FleetConfig::default()
     };
     let w = Workload::synthetic(4, 5);
-    let full = run_fleet(&w, &cfg, &mut HistoryStore::in_memory());
+    let full = run_fleet_sharded(&w, &cfg, &mut HistoryStore::in_memory(), 1);
     let mut h = HistoryStore::in_memory();
-    let mut sim = FleetSim::new(&w, &cfg, &mut h);
+    let mut sim = ShardedFleetSim::new(&w, &cfg, &mut h, 1);
     let mut journal = String::new();
     for _ in 0..10 {
         assert!(sim.tick());
@@ -306,7 +307,7 @@ fn route_names_cannot_forge_journal_headers() {
     assert_eq!(read.blocks_total, 2, "a job line was taken for a header");
     assert_eq!(read.blocks_dropped, 0);
     assert_eq!(read.checkpoint.tick, 20);
-    let resumed = resume_fleet(&read.checkpoint, &mut HistoryStore::in_memory())
+    let resumed = resume_fleet_sharded(&read.checkpoint, &mut HistoryStore::in_memory(), 1)
         .expect("newest block resumes");
     assert_eq!(resumed.report.render(), full_render);
 }
@@ -322,7 +323,7 @@ proptest! {
         let cut = (0..=cut).rev().find(|&i| journal.is_char_boundary(i)).unwrap_or(0);
         let torn = &journal[..cut];
         if let Ok(read) = parse_journal(torn) {
-            let resumed = resume_fleet(&read.checkpoint, &mut HistoryStore::in_memory())
+            let resumed = resume_fleet_sharded(&read.checkpoint, &mut HistoryStore::in_memory(), 1)
                 .expect("a parseable salvaged block must replay cleanly");
             prop_assert_eq!(resumed.report.render(), full_render);
         }
@@ -341,7 +342,7 @@ proptest! {
             return; // non-UTF8 file: read_to_string refuses upstream
         };
         if let Ok(read) = parse_journal(&text) {
-            if let Ok(resumed) = resume_fleet(&read.checkpoint, &mut HistoryStore::in_memory()) {
+            if let Ok(resumed) = resume_fleet_sharded(&read.checkpoint, &mut HistoryStore::in_memory(), 1) {
                 prop_assert_eq!(resumed.report.render(), full_render);
             }
         }

@@ -54,6 +54,29 @@ fn bad_flag_values_exit_1_with_an_error_line() {
         &["fleet", "run", "--horizon", "-5"],
         &["fleet", "run", "--budget", "0"],
         &["fleet", "run", "--tick", "1e-300", "--jobs", "1"],
+        &["fleet", "run", "--topo", "mesh", "--topo-k", "0"],
+        &["fleet", "run", "--topo", "mesh", "--outage-region", "99"],
+        &["fleet", "run", "--topo", "mesh", "--campaign", "bogus"],
+        &[
+            "fleet",
+            "run",
+            "--topo",
+            "mesh",
+            "--campaign",
+            "rolling-outage",
+            "--outage-region",
+            "1",
+        ],
+        &["fleet", "run", "--topo", "mesh", "--multipath", "0"],
+        &[
+            "fleet",
+            "run",
+            "--topo",
+            "mesh",
+            "--selfheal",
+            "--no-reroute",
+        ],
+        &["fleet", "run", "--topo", "mesh", "--faults", "flaky-link"],
         &["run", "--duration", "0"],
         &["run", "--duration", "-1"],
         &["run", "--epoch", "0"],

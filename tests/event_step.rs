@@ -4,8 +4,8 @@
 //! every output surface.
 
 use xferopt::orchestrator::{
-    resume_fleet, run_fleet, Checkpoint, FleetConfig, FleetOutcome, FleetSim, HistoryStore,
-    JobSpec, Policy, Workload,
+    resume_fleet_sharded, run_fleet_sharded, Checkpoint, FleetConfig, FleetOutcome, FleetSim,
+    HistoryStore, JobSpec, Policy, ShardedFleetSim, Workload,
 };
 
 fn cfg(policy: Policy, seed: u64) -> FleetConfig {
@@ -53,12 +53,13 @@ fn sparse_workload(jobs: usize, gap_s: f64) -> Workload {
 fn kill_and_resume_mid_skip_is_byte_identical() {
     let wl = sparse_workload(4, 400.0);
     let mut h_full = HistoryStore::in_memory();
-    let full = run_fleet(&wl, &cfg(Policy::Sjf, 9), &mut h_full);
+    let full = run_fleet_sharded(&wl, &cfg(Policy::Sjf, 9), &mut h_full, 1);
 
     // Tick 40 is t = 200 s: job 0 (arrival 0) is long done, job 1 arrives
-    // at 400 s — the checkpoint lands while no transfer is live.
+    // at 400 s — the checkpoint lands while no transfer is live. The fleet
+    // is one component, so a plain `FleetSim` shows its world at the kill.
     let mut h = HistoryStore::in_memory();
-    let ck_text = {
+    {
         let mut sim = FleetSim::new(&wl, &cfg(Policy::Sjf, 9), &mut h);
         while sim.tick_index() < 40 {
             assert!(sim.tick(), "run ended before the kill point");
@@ -68,10 +69,17 @@ fn kill_and_resume_mid_skip_is_byte_identical() {
             0,
             "kill point must fall inside an idle gap"
         );
+    }
+    let mut h = HistoryStore::in_memory();
+    let ck_text = {
+        let mut sim = ShardedFleetSim::new(&wl, &cfg(Policy::Sjf, 9), &mut h, 1);
+        while sim.tick_index() < 40 {
+            assert!(sim.tick(), "run ended before the kill point");
+        }
         sim.checkpoint()
     };
     let ck = Checkpoint::parse(&ck_text).expect("checkpoint parses");
     assert_eq!(ck.tick, 40);
-    let resumed = resume_fleet(&ck, &mut h).expect("digest verifies");
+    let resumed = resume_fleet_sharded(&ck, &mut h, 1).expect("digest verifies");
     assert_identical(&full, &resumed, "resume in idle gap");
 }

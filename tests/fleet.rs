@@ -15,8 +15,8 @@ mod report_oracle;
 use proptest::prelude::*;
 use report_oracle::CSV_HEADER;
 use xferopt::orchestrator::{
-    run_fleet, FleetConfig, HistoryRecord, HistoryStore, JobId, JobOutcome, JobRoute, JobSpec,
-    JobState, Policy, Workload,
+    run_fleet_sharded, FleetConfig, HistoryRecord, HistoryStore, JobId, JobOutcome, JobRoute,
+    JobSpec, JobState, Policy, Workload,
 };
 use xferopt::scenarios::Route;
 use xferopt::transfer::StreamParams;
@@ -56,7 +56,7 @@ fn check_golden(path: &str, actual: &str, what: &str) {
 #[test]
 fn golden_fleet_report_matches_snapshot() {
     let mut h = HistoryStore::in_memory();
-    let out = run_fleet(&golden_workload(), &golden_cfg(), &mut h);
+    let out = run_fleet_sharded(&golden_workload(), &golden_cfg(), &mut h, 1);
     check_golden(
         "tests/golden/fleet/report.txt",
         &out.report.render(),
@@ -67,7 +67,7 @@ fn golden_fleet_report_matches_snapshot() {
 #[test]
 fn golden_fleet_csv_matches_snapshot() {
     let mut h = HistoryStore::in_memory();
-    let out = run_fleet(&golden_workload(), &golden_cfg(), &mut h);
+    let out = run_fleet_sharded(&golden_workload(), &golden_cfg(), &mut h, 1);
     check_golden(
         "tests/golden/fleet/report.csv",
         &out.report.to_csv(),
@@ -80,7 +80,7 @@ fn golden_fleet_csv_matches_snapshot() {
 #[test]
 fn an_empty_fleet_reports_zero_megabytes_moved() {
     let mut h = HistoryStore::in_memory();
-    let out = run_fleet(&Workload::synthetic(0, 7), &golden_cfg(), &mut h);
+    let out = run_fleet_sharded(&Workload::synthetic(0, 7), &golden_cfg(), &mut h, 1);
     let text = out.report.render();
     assert!(text.contains(" moved_mb=0.0 "), "{text}");
     assert!(!text.contains("-0.0"), "{text}");
@@ -93,8 +93,8 @@ fn fleet_runs_are_byte_deterministic_under_every_policy() {
             policy,
             ..golden_cfg()
         };
-        let a = run_fleet(&golden_workload(), &cfg, &mut HistoryStore::in_memory());
-        let b = run_fleet(&golden_workload(), &cfg, &mut HistoryStore::in_memory());
+        let a = run_fleet_sharded(&golden_workload(), &cfg, &mut HistoryStore::in_memory(), 1);
+        let b = run_fleet_sharded(&golden_workload(), &cfg, &mut HistoryStore::in_memory(), 1);
         assert_eq!(
             a.report.render(),
             b.report.render(),
@@ -126,7 +126,7 @@ fn ten_concurrent_jobs_share_a_link_under_every_policy() {
             horizon_s: 7200.0,
             ..FleetConfig::default()
         };
-        let out = run_fleet(&w, &cfg, &mut HistoryStore::in_memory());
+        let out = run_fleet_sharded(&w, &cfg, &mut HistoryStore::in_memory(), 1);
         assert_eq!(
             out.report.count(JobState::Completed),
             10,
@@ -157,7 +157,7 @@ fn warm_start_converges_faster_than_cold_in_the_golden_scenario() {
         horizon_s: 7200.0,
         ..FleetConfig::default()
     };
-    let cold = run_fleet(&Workload::contended(4), &cold_cfg, &mut h);
+    let cold = run_fleet_sharded(&Workload::contended(4), &cold_cfg, &mut h, 1);
     assert!(h.len() >= 4, "cold pass must seed the history store");
     let cold_t90 = cold
         .report
@@ -168,7 +168,7 @@ fn warm_start_converges_faster_than_cold_in_the_golden_scenario() {
         warm_start: true,
         ..cold_cfg
     };
-    let warm = run_fleet(&Workload::contended(4), &warm_cfg, &mut h);
+    let warm = run_fleet_sharded(&Workload::contended(4), &warm_cfg, &mut h, 1);
     let warmed: Vec<_> = warm
         .report
         .outcomes
@@ -203,7 +203,7 @@ fn history_store_round_trips_through_disk() {
     };
     let appended = {
         let mut h = HistoryStore::open(&dir).expect("open history dir");
-        let out = run_fleet(&Workload::contended(2), &cfg, &mut h);
+        let out = run_fleet_sharded(&Workload::contended(2), &cfg, &mut h, 1);
         out.history_appended
     };
     assert!(appended >= 2);

@@ -15,8 +15,8 @@ use std::process::{Command, Stdio};
 
 use proptest::prelude::*;
 use xferopt::orchestrator::{
-    resume_fleet, run_fleet, topo_workload, Checkpoint, FleetConfig, FleetSim, HistoryStore,
-    JobState, TopoFleetConfig, Workload,
+    resume_fleet_sharded, run_fleet_sharded, topo_workload, Checkpoint, FleetConfig, HistoryStore,
+    JobState, ShardedFleetSim, TopoFleetConfig, Workload,
 };
 use xferopt::simcore::json::Fields;
 use xferopt::topo::{search_routes, PlacementTable, Planet, RouteCatalog, SearchConfig};
@@ -205,10 +205,11 @@ proptest! {
 fn golden_topo_chaos_report_matches_snapshot() {
     // Regional outage on the mesh with breaker-aware re-routing enabled:
     // the fixed report (including the reroutes counter) is the golden.
-    let out = run_fleet(
+    let out = run_fleet_sharded(
         &topo_wl(20),
         &topo_cfg(Some(1), true),
         &mut HistoryStore::in_memory(),
+        1,
     );
     check_golden(
         "tests/golden/routes/chaos_report.txt",
@@ -221,8 +222,8 @@ fn golden_topo_chaos_report_matches_snapshot() {
 fn topo_fleet_is_byte_deterministic() {
     for outage in [None, Some(1)] {
         let cfg = topo_cfg(outage, true);
-        let a = run_fleet(&topo_wl(20), &cfg, &mut HistoryStore::in_memory());
-        let b = run_fleet(&topo_wl(20), &cfg, &mut HistoryStore::in_memory());
+        let a = run_fleet_sharded(&topo_wl(20), &cfg, &mut HistoryStore::in_memory(), 1);
+        let b = run_fleet_sharded(&topo_wl(20), &cfg, &mut HistoryStore::in_memory(), 1);
         assert_eq!(a.report.render(), b.report.render(), "outage {outage:?}");
         assert_eq!(a.decisions_jsonl, b.decisions_jsonl, "outage {outage:?}");
         assert_eq!(
@@ -240,15 +241,17 @@ fn rerouting_beats_fixed_routes_under_a_regional_outage() {
     // bytes than pinning every job to its original route, actually re-routes
     // at least one job, and never loses bytes across the hop.
     let wl = topo_wl(20);
-    let rerouted = run_fleet(
+    let rerouted = run_fleet_sharded(
         &wl,
         &topo_cfg(Some(1), true),
         &mut HistoryStore::in_memory(),
+        1,
     );
-    let fixed = run_fleet(
+    let fixed = run_fleet_sharded(
         &wl,
         &topo_cfg(Some(1), false),
         &mut HistoryStore::in_memory(),
+        1,
     );
 
     assert!(
@@ -295,10 +298,10 @@ fn topo_kill_and_resume_is_byte_identical() {
     // uninterrupted run byte for byte.
     let cfg = topo_cfg(Some(1), true);
     let wl = topo_wl(12);
-    let full = run_fleet(&wl, &cfg, &mut HistoryStore::in_memory());
+    let full = run_fleet_sharded(&wl, &cfg, &mut HistoryStore::in_memory(), 1);
     let total_ticks = {
         let mut h = HistoryStore::in_memory();
-        let mut sim = FleetSim::new(&wl, &cfg, &mut h);
+        let mut sim = ShardedFleetSim::new(&wl, &cfg, &mut h, 1);
         while sim.tick() {}
         sim.tick_index()
     };
@@ -306,7 +309,7 @@ fn topo_kill_and_resume_is_byte_identical() {
     for k in [1, total_ticks / 3, 2 * total_ticks / 3] {
         let text = {
             let mut h = HistoryStore::in_memory();
-            let mut sim = FleetSim::new(&wl, &cfg, &mut h);
+            let mut sim = ShardedFleetSim::new(&wl, &cfg, &mut h, 1);
             while sim.tick_index() < k {
                 assert!(sim.tick(), "run ended before kill tick {k}");
             }
@@ -316,7 +319,7 @@ fn topo_kill_and_resume_is_byte_identical() {
         let tc = ck.config.topo.as_ref().expect("topo header round-trips");
         assert_eq!(tc.preset, "mesh", "tick {k}");
         assert_eq!(tc.outage_regions, vec![1], "tick {k}");
-        let resumed = resume_fleet(&ck, &mut HistoryStore::in_memory())
+        let resumed = resume_fleet_sharded(&ck, &mut HistoryStore::in_memory(), 1)
             .unwrap_or_else(|e| panic!("tick {k}: {e}"));
         assert_eq!(full.report.render(), resumed.report.render(), "tick {k}");
         assert_eq!(full.decisions_jsonl, resumed.decisions_jsonl, "tick {k}");
@@ -341,7 +344,7 @@ fn multipath_splits_streams_and_still_conserves_bytes() {
         topo: Some(tc),
         ..FleetConfig::default()
     };
-    let out = run_fleet(&topo_wl(10), &cfg, &mut HistoryStore::in_memory());
+    let out = run_fleet_sharded(&topo_wl(10), &cfg, &mut HistoryStore::in_memory(), 1);
     assert_eq!(
         out.report.count(JobState::Completed),
         10,

@@ -1,6 +1,7 @@
 //! Shard-equivalence harness (DESIGN.md §15): the component-sharded fleet
-//! runner must be a *byte-level* no-op relative to the single-threaded
-//! reference, for every shard count, across every output surface.
+//! runner must give the same bytes for every shard count, and for one
+//! component the same bytes as that component's `FleetSim` stepped on its
+//! own, across every output surface.
 //!
 //! Layers of defence:
 //!
@@ -9,25 +10,27 @@
 //!    reference byte-for-byte on the report, CSV, decision audit JSONL,
 //!    telemetry JSONL, supervision JSONL, and metrics snapshot, plus the
 //!    mid-run checkpoint (whose digest is shard-count independent);
-//! 2. single-component workloads must also match the plain `run_fleet`
-//!    path bit-for-bit (the structural theorem that keeps every existing
-//!    golden valid with any shard count);
+//! 2. single-component workloads must also match a plain `FleetSim`
+//!    stepped to the end bit-for-bit (the structural theorem that keeps
+//!    every existing golden valid with any shard count), with an empty
+//!    history store and with a preloaded one the jobs warm-start from;
 //! 3. kill-and-resume across shard counts — checkpoint under `--shards 4`,
 //!    resume under a different count, byte-identical final outputs;
 //! 4. the on-disk history file must be byte-stable across shard counts
 //!    (appends buffered per tick and flushed in job-id order);
 //! 5. planet fleets (which `xferopt fleet run --topo` steps through the
-//!    sharded runner) match the plain path on every preset, and a
-//!    checkpoint written after the run finished resumes on every path.
+//!    sharded runner) match a plain `FleetSim` on every preset, and a
+//!    checkpoint written after the run finished resumes under every shard
+//!    count.
 
 use proptest::prelude::*;
 use xferopt::orchestrator::{
-    resume_fleet, resume_fleet_sharded, run_fleet, run_fleet_sharded, topo_workload, Checkpoint,
-    FleetConfig, FleetOutcome, FleetSim, HistoryStore, Policy, ShardedFleetSim, TopoFleetConfig,
-    Workload,
+    resume_fleet_sharded, run_fleet_sharded, topo_workload, Checkpoint, FleetConfig, FleetOutcome,
+    FleetSim, HistoryRecord, HistoryStore, Policy, ShardedFleetSim, TopoFleetConfig, Workload,
 };
 use xferopt::scenarios::FaultProfile;
 use xferopt::topo::{search_routes, RouteCatalog, SearchConfig};
+use xferopt::tuners::TunerKind;
 
 fn cfg(policy: Policy, seed: u64, faults: Option<FaultProfile>) -> FleetConfig {
     FleetConfig {
@@ -38,6 +41,14 @@ fn cfg(policy: Policy, seed: u64, faults: Option<FaultProfile>) -> FleetConfig {
         audit: true,
         ..FleetConfig::default()
     }
+}
+
+/// One single-component fleet stepped on a plain `FleetSim` that borrows
+/// `history`, the way perfbench's fleet-deep and planet-chaos time it.
+fn run_plain(wl: &Workload, config: &FleetConfig, history: &mut HistoryStore) -> FleetOutcome {
+    let mut sim = FleetSim::new(wl, config, history);
+    while sim.tick() {}
+    sim.finish()
 }
 
 /// Every output surface of a fleet run, byte for byte.
@@ -123,9 +134,9 @@ proptest! {
         }
     }
 
-    /// Single-component workloads must match the *plain* single-threaded
-    /// `run_fleet` bit-for-bit — the invariant that keeps every existing
-    /// golden snapshot valid under any `--shards` value.
+    /// Single-component workloads must match their plain `FleetSim`
+    /// bit-for-bit — the invariant that keeps every existing golden
+    /// snapshot valid under any `--shards` value.
     #[test]
     fn single_site_sharded_matches_plain_run_fleet(
         jobs in 3usize..10,
@@ -137,10 +148,74 @@ proptest! {
         let wl = Workload::synthetic(jobs, seed);
         let config = cfg(policy, seed, faults);
         let mut h_plain = HistoryStore::in_memory();
-        let plain = run_fleet(&wl, &config, &mut h_plain);
+        let plain = run_plain(&wl, &config, &mut h_plain);
         let mut h_shard = HistoryStore::in_memory();
         let sharded = run_fleet_sharded(&wl, &config, &mut h_shard, shards);
         assert_identical(&plain, &sharded, &format!("plain vs shards={shards}"));
+    }
+}
+
+/// A store preloaded with `n` completed-job records over the classic routes
+/// and the tuners `Workload::synthetic` assigns, so most jobs warm-start.
+fn preloaded_history(n: usize) -> HistoryStore {
+    let tuners = [TunerKind::Cs, TunerKind::Nm, TunerKind::Cd];
+    let mut store = HistoryStore::in_memory();
+    for i in 0..n {
+        let route = if i % 10 < 7 {
+            "anl->uchicago"
+        } else {
+            "anl->tacc"
+        };
+        let record = HistoryRecord {
+            route: route.to_string(),
+            tuner: tuners[i % tuners.len()],
+            ext_streams: ((i * 37) % 257) as f64,
+            cmp_jobs: 0.0,
+            best: vec![1 + ((i * 13) % 64) as i64],
+            achieved_mbs: 100.0 + ((i * 101) % 1100) as f64,
+            scenario: "fleet".to_string(),
+        };
+        store.append(record).expect("in-memory append cannot fail");
+    }
+    store
+}
+
+/// perfbench's fleet-deep and planet-chaos time a plain `FleetSim` that
+/// borrows a preloaded store, but gate its bytes against digests recorded
+/// from `run_fleet_sharded(…, 1)`, whose one component warm-starts from a
+/// snapshot of the store. With a few hundred records to match, both must
+/// produce the same bytes and append the same records.
+#[test]
+fn plain_fleet_sim_matches_one_shard_on_a_preloaded_history() {
+    let wl = Workload::synthetic(24, 5);
+    for policy in [Policy::Sjf, Policy::WeightedFair] {
+        let config = cfg(policy, 5, None);
+        let mut h_plain = preloaded_history(300);
+        let plain = run_plain(&wl, &config, &mut h_plain);
+        let mut h_shard = preloaded_history(300);
+        let sharded = run_fleet_sharded(&wl, &config, &mut h_shard, 1);
+        let warm = plain
+            .report
+            .outcomes
+            .iter()
+            .filter(|o| o.warm_distance.is_some())
+            .count();
+        assert!(warm >= 12, "{policy}: only {warm} of 24 jobs warm-started");
+        assert!(plain.history_appended > 0, "{policy}: no job completed");
+        assert_identical(&plain, &sharded, &format!("{policy}: plain vs one shard"));
+        assert_eq!(
+            h_plain
+                .records()
+                .iter()
+                .map(|r| r.to_json())
+                .collect::<Vec<_>>(),
+            h_shard
+                .records()
+                .iter()
+                .map(|r| r.to_json())
+                .collect::<Vec<_>>(),
+            "{policy}: history records"
+        );
     }
 }
 
@@ -232,14 +307,14 @@ fn planet_fleet(preset: &str, jobs: usize) -> (Workload, FleetConfig) {
 }
 
 /// Planet fleets take the sharded path from the CLI, so the sharded
-/// runner on two workers must reproduce the plain `run_fleet` bytes on
+/// runner on two workers must reproduce a plain `FleetSim`'s bytes on
 /// every preset. Every preset's routes share links, so each planet fleet is
 /// one component and this pins the single-component passthrough.
 #[test]
 fn planet_fleets_sharded_match_plain_run_fleet() {
     for preset in ["mesh", "hub-spoke", "asymmetric"] {
         let (wl, config) = planet_fleet(preset, 5);
-        let plain = run_fleet(&wl, &config, &mut HistoryStore::in_memory());
+        let plain = run_plain(&wl, &config, &mut HistoryStore::in_memory());
         let sharded = run_fleet_sharded(&wl, &config, &mut HistoryStore::in_memory(), 2);
         assert_identical(&plain, &sharded, &format!("{preset}: plain vs shards=2"));
     }
@@ -260,10 +335,11 @@ fn checkpoint_after_the_run_finished_resumes_on_every_path() {
         },
     );
     for (what, (wl, config)) in [("classic", classic), ("mesh", planet_fleet("mesh", 2))] {
-        let full = run_fleet(&wl, &config, &mut HistoryStore::in_memory());
+        let full = run_fleet_sharded(&wl, &config, &mut HistoryStore::in_memory(), 1);
+        // One tick at a time on one worker, then in batches on each count.
         let mut h = HistoryStore::in_memory();
-        let plain_ck = {
-            let mut sim = FleetSim::new(&wl, &config, &mut h);
+        let first_ck = {
+            let mut sim = ShardedFleetSim::new(&wl, &config, &mut h, 1);
             while sim.tick() {}
             sim.checkpoint()
         };
@@ -273,19 +349,16 @@ fn checkpoint_after_the_run_finished_resumes_on_every_path() {
             while sim.run_ticks(1024) > 0 {}
             let text = sim.checkpoint();
             assert_eq!(
-                plain_ck, text,
+                first_ck, text,
                 "{what}: checkpoint bytes, shards={writer_shards}"
             );
         }
         assert!(
-            plain_ck.contains("\"done\":true"),
+            first_ck.contains("\"done\":true"),
             "{what}: finished run not marked"
         );
-        let ck = Checkpoint::parse(&plain_ck).expect("checkpoint parses");
+        let ck = Checkpoint::parse(&first_ck).expect("checkpoint parses");
         assert!(ck.done);
-        let resumed = resume_fleet(&ck, &mut HistoryStore::in_memory())
-            .unwrap_or_else(|e| panic!("{what}: plain resume: {e}"));
-        assert_identical(&full, &resumed, &format!("{what}: plain resume"));
         for shards in [1usize, 2] {
             let resumed = resume_fleet_sharded(&ck, &mut HistoryStore::in_memory(), shards)
                 .unwrap_or_else(|e| panic!("{what}: sharded resume: {e}"));

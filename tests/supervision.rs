@@ -7,8 +7,8 @@
 //! changes with `UPDATE_GOLDEN=1 cargo test --test supervision`.
 
 use xferopt::orchestrator::{
-    resume_fleet, run_fleet, Checkpoint, FleetConfig, FleetSim, HistoryStore, JobSpec, JobState,
-    Policy, Workload,
+    resume_fleet_sharded, run_fleet_sharded, Checkpoint, FleetConfig, HistoryStore, JobSpec,
+    JobState, Policy, ShardedFleetSim, Workload,
 };
 use xferopt::scenarios::FaultProfile;
 
@@ -51,10 +51,11 @@ fn chaos_workload() -> Workload {
 
 #[test]
 fn golden_chaos_report_matches_snapshot() {
-    let out = run_fleet(
+    let out = run_fleet_sharded(
         &chaos_workload(),
         &chaos_cfg(),
         &mut HistoryStore::in_memory(),
+        1,
     );
     assert!(
         out.report.supervision.quarantines > 0,
@@ -78,8 +79,8 @@ fn ten_job_chaos_runs_are_byte_deterministic() {
             faults: Some(profile),
             ..chaos_cfg()
         };
-        let a = run_fleet(&w, &cfg, &mut HistoryStore::in_memory());
-        let b = run_fleet(&w, &cfg, &mut HistoryStore::in_memory());
+        let a = run_fleet_sharded(&w, &cfg, &mut HistoryStore::in_memory(), 1);
+        let b = run_fleet_sharded(&w, &cfg, &mut HistoryStore::in_memory(), 1);
         assert_eq!(a.report.render(), b.report.render(), "{profile}");
         assert_eq!(a.report.to_csv(), b.report.to_csv(), "{profile}");
         assert_eq!(a.decisions_jsonl, b.decisions_jsonl, "{profile}");
@@ -100,7 +101,7 @@ fn no_job_is_lost_under_any_fleet_fault_preset() {
             faults: Some(profile),
             ..chaos_cfg()
         };
-        let out = run_fleet(&chaos_workload(), &cfg, &mut HistoryStore::in_memory());
+        let out = run_fleet_sharded(&chaos_workload(), &cfg, &mut HistoryStore::in_memory(), 1);
         for o in &out.report.outcomes {
             assert!(
                 matches!(o.state, JobState::Completed | JobState::Failed),
@@ -134,11 +135,11 @@ fn kill_at_any_tick_then_resume_is_byte_identical() {
     // run byte for byte — reports, audit logs, telemetry, supervision.
     let cfg = chaos_cfg();
     let w = chaos_workload();
-    let full = run_fleet(&w, &cfg, &mut HistoryStore::in_memory());
+    let full = run_fleet_sharded(&w, &cfg, &mut HistoryStore::in_memory(), 1);
     for k in [1u64, 17, 60, 240] {
         let text = {
             let mut h = HistoryStore::in_memory();
-            let mut sim = FleetSim::new(&w, &cfg, &mut h);
+            let mut sim = ShardedFleetSim::new(&w, &cfg, &mut h, 1);
             while sim.tick_index() < k {
                 assert!(sim.tick(), "run ended before kill tick {k}");
             }
@@ -146,7 +147,7 @@ fn kill_at_any_tick_then_resume_is_byte_identical() {
         };
         let ck = Checkpoint::parse(&text).unwrap_or_else(|e| panic!("tick {k}: {e}"));
         assert_eq!(ck.tick, k);
-        let resumed = resume_fleet(&ck, &mut HistoryStore::in_memory())
+        let resumed = resume_fleet_sharded(&ck, &mut HistoryStore::in_memory(), 1)
             .unwrap_or_else(|e| panic!("tick {k}: {e}"));
         assert_eq!(full.report.render(), resumed.report.render(), "tick {k}");
         assert_eq!(full.decisions_jsonl, resumed.decisions_jsonl, "tick {k}");
@@ -164,7 +165,7 @@ fn resume_refuses_a_checkpoint_from_a_different_run() {
     // Checkpoint from the chaos run, but doctored to claim a different seed:
     // the replay's digest cannot match and resume must refuse.
     let mut h = HistoryStore::in_memory();
-    let mut sim = FleetSim::new(&chaos_workload(), &chaos_cfg(), &mut h);
+    let mut sim = ShardedFleetSim::new(&chaos_workload(), &chaos_cfg(), &mut h, 1);
     for _ in 0..40 {
         assert!(sim.tick());
     }
@@ -184,7 +185,7 @@ fn resume_refuses_a_checkpoint_from_a_different_run() {
         .collect::<Vec<_>>()
         .join("\n");
     let ck = Checkpoint::parse(&stripped).expect("still parses without the hash");
-    let err = resume_fleet(&ck, &mut HistoryStore::in_memory())
+    let err = resume_fleet_sharded(&ck, &mut HistoryStore::in_memory(), 1)
         .expect_err("digest must not match a different seed");
     assert!(err.contains("digest mismatch"), "{err}");
 }
@@ -200,10 +201,11 @@ fn supervision_is_observational_by_default() {
         horizon_s: 3600.0,
         ..FleetConfig::default()
     };
-    let out = run_fleet(
+    let out = run_fleet_sharded(
         &Workload::synthetic(12, 7),
         &cfg,
         &mut HistoryStore::in_memory(),
+        1,
     );
     assert!(out.report.supervision.is_quiet());
     assert!(out.supervision_jsonl.is_empty());
@@ -231,7 +233,7 @@ fn history_store_counts_malformed_lines_and_surfaces_a_metric() {
         horizon_s: 1800.0,
         ..FleetConfig::default()
     };
-    let out = run_fleet(&Workload::contended(1), &cfg, &mut h);
+    let out = run_fleet_sharded(&Workload::contended(1), &cfg, &mut h, 1);
     assert!(
         out.metrics_jsonl
             .contains("\"name\":\"history_lines_skipped\""),
