@@ -1,22 +1,21 @@
-//! The striped sender.
+//! The striped sender and the one-shot transfers.
 //!
-//! `put` opens a control session, negotiates `np` data channels via `SPAS`,
-//! and streams a deterministic synthetic payload (the paper's `/dev/zero`
-//! source, made verifiable) as EBLOCK frames round-robined over the channels
+//! The payload is deterministic and synthetic (the paper's `/dev/zero`
+//! source, made verifiable). `send_blocks`, the one sender loop of both
+//! directions, streams it as EBLOCK frames round-robined over the channels
 //! by a shared work counter. Optional token-bucket shaping emulates the WAN
 //! bottleneck; `resume_from` skips ranges a restart marker reported as
-//! already received.
+//! already received. [`put`] and [`get`] are one-shot wrappers over a
+//! [`Session`], which talks the control protocol.
 
 use crate::block::{self, Block, DEFAULT_BLOCK_BYTES, HEADER_LEN};
 use crate::checksum::StripeDigest;
-use crate::proto::{Command, Reply};
 use crate::rangeset::RangeSet;
-use crate::recv::StripeFold;
-use std::io::{self, BufRead, BufReader, Write};
+use crate::session::Session;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 use xferopt_loopback::{join_threads, TokenBucket};
 
 /// Deterministic synthetic payload byte at `offset`.
@@ -93,22 +92,14 @@ impl PutConfig {
         }
     }
 
-    /// Set the number of data channels.
-    ///
-    /// # Panics
-    /// Panics if `np` is zero.
+    /// Set the number of data channels. A put refuses zero.
     pub fn with_parallelism(mut self, np: u32) -> Self {
-        assert!(np > 0, "parallelism must be positive");
         self.parallelism = np;
         self
     }
 
-    /// Set the block size.
-    ///
-    /// # Panics
-    /// Panics if `block_bytes` is zero.
+    /// Set the block size. A put refuses zero.
     pub fn with_block_bytes(mut self, block_bytes: usize) -> Self {
-        assert!(block_bytes > 0, "block size must be positive");
         self.block_bytes = block_bytes;
         self
     }
@@ -169,141 +160,45 @@ impl std::fmt::Display for PutError {
 }
 impl std::error::Error for PutError {}
 
-pub(crate) fn read_reply(reader: &mut BufReader<TcpStream>) -> Result<Reply, PutError> {
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Err(PutError::Protocol(
-            "server closed the control channel".into(),
-        ));
-    }
-    line.parse()
-        .map_err(|e: crate::proto::ParseError| PutError::Protocol(e.to_string()))
-}
-
-fn send_command(
-    writer: &mut TcpStream,
-    reader: &mut BufReader<TcpStream>,
-    cmd: &Command,
-) -> Result<Reply, PutError> {
-    writeln!(writer, "{cmd}")?;
-    writer.flush()?;
-    read_reply(reader)
-}
-
-/// Transfer `cfg.size` synthetic bytes to the server at `addr`.
+/// Transfer `cfg.size` synthetic bytes to the server at `addr`: a one-shot
+/// [`Session`] that connects, puts and quits.
 pub fn put(addr: SocketAddr, cfg: PutConfig) -> Result<PutReport, PutError> {
-    if cfg.block_bytes == 0 {
-        return Err(PutError::Protocol("block size must be positive".into()));
-    }
-    let control = TcpStream::connect(addr)?;
-    control.set_nodelay(true)?;
-    let mut writer = control.try_clone()?;
-    let mut reader = BufReader::new(control);
-
-    let greeting = read_reply(&mut reader)?;
-    if greeting.code != 220 {
-        return Err(PutError::Protocol(format!("bad greeting: {greeting}")));
-    }
-    let r = send_command(
-        &mut writer,
-        &mut reader,
-        &Command::OptsParallelism(cfg.parallelism),
-    )?;
-    if !r.is_success() {
-        return Err(PutError::Protocol(format!("OPTS rejected: {r}")));
-    }
-    let r = send_command(&mut writer, &mut reader, &Command::Spas)?;
-    let ports = r
-        .parse_spas_ports()
-        .map_err(|e| PutError::Protocol(e.to_string()))?;
-    if ports.len() != cfg.parallelism as usize {
-        return Err(PutError::Protocol(format!(
-            "expected {} data ports, got {}",
-            cfg.parallelism,
-            ports.len()
-        )));
-    }
-
-    let r = send_command(
-        &mut writer,
-        &mut reader,
-        &Command::Stor {
-            name: cfg.name.clone(),
-            size: cfg.size,
-        },
-    )?;
-    if r.code != 150 {
-        return Err(PutError::Protocol(format!("STOR rejected: {r}")));
-    }
-
-    // Work list: block indices not fully covered by the resume set.
-    let n_blocks = cfg.size.div_ceil(cfg.block_bytes as u64);
-    let todo: Vec<u64> = (0..n_blocks)
-        .filter(|&i| {
-            let start = i * cfg.block_bytes as u64;
-            let end = (start + cfg.block_bytes as u64).min(cfg.size);
-            !cfg.resume_from.covers(start, end)
-        })
-        .collect();
-
-    let start = Instant::now();
-    let mut conns = connect_channels(&ports)?;
-    let bytes_sent = send_blocks(
-        &mut conns,
-        &todo,
-        cfg.size,
-        cfg.block_bytes,
-        cfg.bucket.as_deref(),
-    )?;
-    let elapsed_s = start.elapsed().as_secs_f64();
-
-    // Final reply: 226 on completion, 111 marker otherwise.
-    let final_reply = read_reply(&mut reader)?;
-    let _ = send_command(&mut writer, &mut reader, &Command::Quit);
-    put_report(
-        &final_reply,
-        bytes_sent,
-        elapsed_s,
-        cfg.size,
-        cfg.block_bytes,
-    )
+    let mut session = Session::connect(addr)?;
+    let report = session.put(&cfg)?;
+    let _ = session.quit();
+    Ok(report)
 }
 
-/// Open one data connection to each of `ports` on localhost.
-pub(crate) fn connect_channels(ports: &[u16]) -> io::Result<Vec<TcpStream>> {
-    ports
-        .iter()
-        .map(|&port| {
-            let conn = TcpStream::connect(("127.0.0.1", port))?;
-            conn.set_nodelay(true)?;
-            Ok(conn)
-        })
-        .collect()
-}
-
-/// Send the blocks `todo` of a `size`-byte synthetic file cut into
-/// `block_bytes` blocks, one thread per channel of `conns`. Each thread
-/// claims the next unsent block, frames it, waits on `bucket` and writes
-/// it, then ends its channel with EOD. Returns the payload bytes sent.
+/// Send the blocks `block_at(0), block_at(1), …` (until `None`) of a
+/// `size`-byte synthetic file cut into `block_bytes` blocks, one thread per
+/// channel of `conns`. Each thread claims the next unsent block, frames it,
+/// waits on `bucket` and writes it, until the blocks run out or `stop()`,
+/// then ends its channel with EOD. Returns the payload bytes sent. The one
+/// sender of both directions: a put's and the server's `RETR`.
 ///
 /// # Errors
 /// The first channel's write error, or an `Other` error if a channel
 /// thread panicked.
 pub(crate) fn send_blocks(
     conns: &mut [TcpStream],
-    todo: &[u64],
+    block_at: impl Fn(usize) -> Option<u64> + Sync,
     size: u64,
     block_bytes: usize,
     bucket: Option<&TokenBucket>,
+    stop: impl Fn() -> bool + Sync,
 ) -> io::Result<u64> {
     let (cursor, sent) = (&AtomicUsize::new(0), &AtomicU64::new(0));
+    let (block_at, stop) = (&block_at, &stop);
     std::thread::scope(|scope| {
         let handles = conns
             .iter_mut()
             .map(|conn| {
                 scope.spawn(move || -> io::Result<()> {
                     let mut frame = Vec::new();
-                    while let Some(&idx) = todo.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                    while !stop() {
+                        let Some(idx) = block_at(cursor.fetch_add(1, Ordering::Relaxed)) else {
+                            break;
+                        };
                         let offset = idx * block_bytes as u64;
                         let len = ((size - offset) as usize).min(block_bytes);
                         payload_frame(&mut frame, offset, len);
@@ -318,46 +213,9 @@ pub(crate) fn send_blocks(
                 })
             })
             .collect();
-        join_threads(handles, "put channel")
+        join_threads(handles, "send channel")
     })?;
     Ok(sent.load(Ordering::Relaxed))
-}
-
-/// The report of a put from the server's final reply: `226` completes it
-/// (verified against the synthetic payload's digest), `111` carries the
-/// restart marker.
-pub(crate) fn put_report(
-    final_reply: &Reply,
-    bytes_sent: u64,
-    elapsed_s: f64,
-    size: u64,
-    block_bytes: usize,
-) -> Result<PutReport, PutError> {
-    let protocol = |e: crate::proto::ParseError| PutError::Protocol(e.to_string());
-    let (complete, verified, marker) = match final_reply.code {
-        226 => {
-            let (_, digest) = final_reply.parse_complete().map_err(protocol)?;
-            (true, digest == expected_digest(size, block_bytes), None)
-        }
-        111 => (
-            false,
-            false,
-            Some(final_reply.parse_marker().map_err(protocol)?),
-        ),
-        _ => {
-            return Err(PutError::Protocol(format!(
-                "unexpected final reply: {final_reply}"
-            )))
-        }
-    };
-    Ok(PutReport {
-        bytes_sent,
-        elapsed_s,
-        throughput_mbs: bytes_sent as f64 / elapsed_s.max(1e-9) / 1e6,
-        complete,
-        verified,
-        marker,
-    })
 }
 
 /// Outcome of one `get` (download).
@@ -369,86 +227,24 @@ pub struct GetReport {
     pub elapsed_s: f64,
     /// Aggregate goodput, MB/s.
     pub throughput_mbs: f64,
-    /// Whether the locally folded digest matched the server's `226` digest.
+    /// Whether the received bytes and their folded digest match the file
+    /// the server's `226` names.
     pub verified: bool,
 }
 
 /// Download `size` synthetic bytes from the server at `addr` over
-/// `parallelism` data channels, verifying the stripe digest end to end.
+/// `parallelism` data channels, verifying the stripe digest end to end: a
+/// one-shot [`Session`] that connects, gets and quits.
 pub fn get(
     addr: SocketAddr,
     name: &str,
     size: u64,
     parallelism: u32,
 ) -> Result<GetReport, PutError> {
-    assert!(parallelism > 0, "parallelism must be positive");
-    let control = TcpStream::connect(addr)?;
-    control.set_nodelay(true)?;
-    let mut writer = control.try_clone()?;
-    let mut reader = BufReader::new(control);
-    let greeting = read_reply(&mut reader)?;
-    if greeting.code != 220 {
-        return Err(PutError::Protocol(format!("bad greeting: {greeting}")));
-    }
-    let r = send_command(
-        &mut writer,
-        &mut reader,
-        &Command::OptsParallelism(parallelism),
-    )?;
-    if !r.is_success() {
-        return Err(PutError::Protocol(format!("OPTS rejected: {r}")));
-    }
-    let ports = send_command(&mut writer, &mut reader, &Command::Spas)?
-        .parse_spas_ports()
-        .map_err(|e| PutError::Protocol(e.to_string()))?;
-    let r = send_command(
-        &mut writer,
-        &mut reader,
-        &Command::Retr {
-            name: name.to_string(),
-            size,
-        },
-    )?;
-    if r.code != 150 {
-        return Err(PutError::Protocol(format!("RETR rejected: {r}")));
-    }
-
-    let start = Instant::now();
-    let conns = connect_channels(&ports)?;
-    let folded = std::thread::scope(|scope| {
-        let handles = conns
-            .into_iter()
-            .map(|mut conn| {
-                scope.spawn(move || -> io::Result<(StripeDigest, u64)> {
-                    conn.set_read_timeout(Some(std::time::Duration::from_millis(200)))?;
-                    let mut fold = StripeFold::new();
-                    fold.receive(&mut conn, || false)?;
-                    Ok((fold.digest, fold.bytes))
-                })
-            })
-            .collect();
-        join_threads(handles, "get channel")
-    })?;
-    let elapsed_s = start.elapsed().as_secs_f64();
-
-    let final_reply = read_reply(&mut reader)?;
-    let _ = send_command(&mut writer, &mut reader, &Command::Quit);
-    let (server_bytes, server_digest) = final_reply
-        .parse_complete()
-        .map_err(|e| PutError::Protocol(e.to_string()))?;
-
-    let mut digest = StripeDigest::new();
-    let mut bytes_received = 0u64;
-    for (d, b) in folded {
-        digest.merge(d);
-        bytes_received += b;
-    }
-    Ok(GetReport {
-        bytes_received,
-        elapsed_s,
-        throughput_mbs: bytes_received as f64 / elapsed_s.max(1e-9) / 1e6,
-        verified: digest.value() == server_digest && bytes_received == server_bytes,
-    })
+    let mut session = Session::connect(addr)?;
+    let report = session.get(name, size, parallelism)?;
+    let _ = session.quit();
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -557,6 +353,69 @@ mod tests {
         assert_eq!(second.bytes_sent, size / 2);
     }
 
+    /// What a one-shot put says on the wire, against a scripted server:
+    /// OPTS, SPAS, STOR, the data on one channel, then QUIT.
+    #[test]
+    fn one_shot_put_sends_opts_spas_stor_data_then_quit() {
+        use crate::proto::{Command, Reply};
+        use crate::recv::{End, StripeFold};
+        use std::io::{BufRead, BufReader};
+        use std::net::TcpListener;
+        let control = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = control.local_addr().unwrap();
+        let script = std::thread::spawn(move || {
+            let (stream, _) = control.accept().unwrap();
+            let mut w = stream.try_clone().unwrap();
+            let mut r = BufReader::new(stream);
+            let data = TcpListener::bind("127.0.0.1:0").unwrap();
+            let mut reply = |code, text: String| writeln!(w, "{}", Reply { code, text }).unwrap();
+            reply(220, "ready".into());
+            let (mut seen, mut line) = (Vec::new(), String::new());
+            while r.read_line(&mut line).unwrap() > 0 {
+                let cmd: Command = line.parse().unwrap();
+                line.clear();
+                seen.push(cmd.clone());
+                match cmd {
+                    Command::OptsParallelism(_) => reply(200, "ok".into()),
+                    Command::Spas => {
+                        let spas = Reply::spas(&[data.local_addr().unwrap().port()]);
+                        reply(spas.code, spas.text);
+                    }
+                    Command::Stor { .. } => {
+                        reply(150, "go".into());
+                        let (mut conn, _) = data.accept().unwrap();
+                        let mut fold = StripeFold::new();
+                        assert_eq!(fold.receive(&mut conn, || false).unwrap(), End::Eod);
+                        let done = Reply::complete(fold.bytes, fold.digest.value());
+                        reply(done.code, done.text);
+                    }
+                    Command::Quit => {
+                        reply(221, "bye".into());
+                        break;
+                    }
+                    _ => reply(500, "unexpected".into()),
+                }
+            }
+            seen
+        });
+        let size = 300_000;
+        let r = put(addr, PutConfig::new("wire", size)).unwrap();
+        assert!(r.complete && r.verified, "{r:?}");
+        let stor = Command::Stor {
+            name: "wire".into(),
+            size,
+        };
+        assert_eq!(
+            script.join().unwrap(),
+            [
+                Command::OptsParallelism(1),
+                Command::Spas,
+                stor,
+                Command::Quit
+            ]
+        );
+    }
+
     /// Frames larger than the receiver's staging buffer (which grows for
     /// them) and small odd frames (many per buffer, short tail) both verify.
     #[test]
@@ -586,6 +445,25 @@ mod tests {
         let r = get(server.control_addr(), "odd", size, 2).unwrap();
         assert!(r.verified, "download digest mismatch");
         assert_eq!(r.bytes_received, size);
+    }
+
+    /// A get whose server shuts down mid-transfer holds part of the file,
+    /// and the server vouches only for the whole file it was asked to send,
+    /// so the get must not verify. 1 GiB outlasts the 100 ms before the
+    /// drop in debug and release builds alike.
+    #[test]
+    fn a_get_cut_short_does_not_verify() {
+        let server = GridFtpServer::start().unwrap();
+        let addr = server.control_addr();
+        let size = 1 << 30;
+        let dropper = std::thread::spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(100));
+            drop(server);
+        });
+        let r = get(addr, "cut", size, 2).unwrap();
+        dropper.join().unwrap();
+        assert!(r.bytes_received < size, "{r:?}");
+        assert!(!r.verified, "{r:?}");
     }
 
     #[test]
@@ -669,9 +547,10 @@ mod tests {
     #[test]
     fn zero_block_put_is_a_protocol_error() {
         let server = GridFtpServer::start().unwrap();
-        let mut cfg = PutConfig::new("zero", 1024);
-        cfg.block_bytes = 0;
-        match put(server.control_addr(), cfg) {
+        match put(
+            server.control_addr(),
+            PutConfig::new("zero", 1024).with_block_bytes(0),
+        ) {
             Err(PutError::Protocol(msg)) => assert!(msg.contains("block size"), "{msg}"),
             other => panic!("expected a protocol error, got {other:?}"),
         }

@@ -19,10 +19,15 @@
 //! * `recv` — the one receive path of a data channel: frames folded in
 //!   place from a fixed staging buffer, four at a time.
 //! * [`server`] — a striped receiver: control listener plus per-transfer
-//!   data listeners, block reassembly, marker generation.
-//! * [`client`] — a striped sender: splits a synthetic source into blocks,
-//!   round-robins them over `np` channels, optional token-bucket shaping
-//!   (from `xferopt-loopback`), resume from restart markers.
+//!   data listeners, block reassembly, marker generation; its `RETR` sends
+//!   through the client's sender loop.
+//! * [`client`] — the synthetic payload and the one striped sender loop of
+//!   both directions: blocks round-robined over `np` channels, optional
+//!   token-bucket shaping (from `xferopt-loopback`), resume from restart
+//!   markers. [`put`] and [`get`] are one-shot wrappers over a [`Session`].
+//! * [`session`] — the one client of the control protocol: a persistent
+//!   session whose put and get share one negotiation step and whose data
+//!   channels are cached across transfers in both directions.
 //!
 //! Concurrency (the paper's `nc`) is modelled the same way `globus-url-copy`
 //! does it: run several independent client sessions.

@@ -7,6 +7,7 @@
 //! * `SPAS` — striped passive: the server opens `np` data listeners and
 //!   returns their ports.
 //! * `STOR <name> <size>` — begin receiving a named logical file.
+//! * `RETR <name> <size>` — begin sending a named logical file.
 //! * `MREQ` — request a restart marker (received byte ranges).
 //! * `QUIT` — close the session.
 //!

@@ -6,18 +6,21 @@
 //! (memory-to-memory, the paper's `/dev/null` destination). When every
 //! channel has signalled EOD the server replies `226` if the byte ranges
 //! cover the declared size, or a `111` restart marker if they do not (the
-//! client may reconnect and send the complement).
+//! client may reconnect and send the complement). Per `RETR`, the same
+//! channels carry the synthetic file back through the client's sender loop
+//! (`client::send_blocks`). Both directions keep their channels cached for
+//! the session's next transfer.
 
-use crate::block::{Block, DEFAULT_BLOCK_BYTES as BLOCK, HEADER_LEN};
+use crate::block::DEFAULT_BLOCK_BYTES as BLOCK;
 use crate::checksum::StripeDigest;
-use crate::client::payload_frame;
+use crate::client::{expected_digest, send_blocks};
 use crate::proto::{Command, Reply};
 use crate::rangeset::RangeSet;
 use crate::recv::{End, StripeFold};
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 use xferopt_loopback::join_threads;
@@ -188,25 +191,12 @@ fn serve_session(
                 send_reply(&mut writer, &Reply::spas(&ports))?;
             }
             Command::Stor { name, size } => {
-                if data_listeners.is_empty() && cached.is_empty() {
-                    send_reply(&mut writer, &Reply::error("SPAS required before STOR"))?;
+                let Some(conns) =
+                    open_data(&mut writer, "STOR", &mut data_listeners, &mut cached, &stop)?
+                else {
                     continue;
-                }
-                current_name = Some(name.clone());
-                lock(&registry).entry(name.clone()).or_default().size = size;
-                send_reply(
-                    &mut writer,
-                    &Reply {
-                        code: 150,
-                        text: "Opening striped data connection".into(),
-                    },
-                )?;
-                let conns = if cached.is_empty() {
-                    let listeners = std::mem::take(&mut data_listeners);
-                    accept_channels(listeners, &stop)?
-                } else {
-                    std::mem::take(&mut cached)
                 };
+                lock(&registry).entry(name.clone()).or_default().size = size;
                 cached = drain_channels(conns, &registry, &name, &stop)?
                     .into_iter()
                     .flatten()
@@ -220,29 +210,33 @@ fn serve_session(
                 } else {
                     send_reply(&mut writer, &Reply::marker(&state.ranges))?;
                 }
+                current_name = Some(name);
             }
             Command::Retr { name, size } => {
-                if data_listeners.is_empty() && cached.is_empty() {
-                    send_reply(&mut writer, &Reply::error("SPAS required before RETR"))?;
+                let Some(mut conns) =
+                    open_data(&mut writer, "RETR", &mut data_listeners, &mut cached, &stop)?
+                else {
                     continue;
-                }
-                current_name = Some(name.clone());
-                send_reply(
-                    &mut writer,
-                    &Reply {
-                        code: 150,
-                        text: "Opening striped data connection".into(),
-                    },
-                )?;
-                let conns = if cached.is_empty() {
-                    let listeners = std::mem::take(&mut data_listeners);
-                    accept_channels(listeners, &stop)?
-                } else {
-                    std::mem::take(&mut cached)
                 };
-                let (survivors, digest, sent) = send_stripes(conns, size, &stop)?;
-                cached = survivors;
-                send_reply(&mut writer, &Reply::complete(sent, digest.value()))?;
+                let n_blocks = size.div_ceil(BLOCK as u64);
+                let sent = send_blocks(
+                    &mut conns,
+                    |i| Some(i as u64).filter(|&b| b < n_blocks),
+                    size,
+                    BLOCK,
+                    None,
+                    || stop.load(Ordering::Relaxed),
+                )?;
+                cached = conns;
+                // Vouch for the file asked for, and only once all of it
+                // went out: a send cut short by a stop is refused.
+                let reply = if sent == size {
+                    Reply::complete(size, expected_digest(size, BLOCK))
+                } else {
+                    Reply::error(format!("RETR cut short after {sent} of {size} bytes"))
+                };
+                send_reply(&mut writer, &reply)?;
+                current_name = Some(name);
             }
             Command::MarkerRequest => match &current_name {
                 Some(name) => {
@@ -265,6 +259,37 @@ fn serve_session(
                 return Ok(());
             }
         }
+    }
+}
+
+/// Start the data phase of a `STOR` or `RETR` (`verb`): refuse it without
+/// a `SPAS` first, else reply `150` and return the cached channels, or
+/// accept new ones on the `SPAS` listeners.
+fn open_data(
+    writer: &mut TcpStream,
+    verb: &str,
+    listeners: &mut Vec<TcpListener>,
+    cached: &mut Vec<TcpStream>,
+    stop: &AtomicBool,
+) -> io::Result<Option<Vec<TcpStream>>> {
+    if listeners.is_empty() && cached.is_empty() {
+        send_reply(
+            writer,
+            &Reply::error(format!("SPAS required before {verb}")),
+        )?;
+        return Ok(None);
+    }
+    send_reply(
+        writer,
+        &Reply {
+            code: 150,
+            text: "Opening striped data connection".into(),
+        },
+    )?;
+    if cached.is_empty() {
+        accept_channels(std::mem::take(listeners), stop).map(Some)
+    } else {
+        Ok(Some(std::mem::take(cached)))
     }
 }
 
@@ -329,58 +354,10 @@ fn drain_channels(
     })
 }
 
-/// Send `size` synthetic bytes as EBLOCK frames round-robined over the
-/// channels (the server side of `RETR`). Returns the surviving channels
-/// (cached for the next transfer), the digest, and the bytes sent.
-fn send_stripes(
-    conns: Vec<TcpStream>,
-    size: u64,
-    stop: &AtomicBool,
-) -> io::Result<(Vec<TcpStream>, StripeDigest, u64)> {
-    let n_blocks = size.div_ceil(BLOCK as u64);
-    let (cursor, sent) = (&AtomicU64::new(0), &AtomicU64::new(0));
-    let sent_channels = std::thread::scope(|scope| {
-        let handles = conns
-            .into_iter()
-            .map(|mut conn| {
-                scope.spawn(move || -> io::Result<(TcpStream, StripeDigest)> {
-                    let mut local_digest = StripeDigest::new();
-                    let mut frame = Vec::new();
-                    loop {
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                        if idx >= n_blocks {
-                            break;
-                        }
-                        let offset = idx * BLOCK as u64;
-                        let len = ((size - offset) as usize).min(BLOCK);
-                        payload_frame(&mut frame, offset, len);
-                        local_digest.add_block(offset, &frame[HEADER_LEN..]);
-                        conn.write_all(&frame)?;
-                        sent.fetch_add(len as u64, Ordering::Relaxed);
-                    }
-                    conn.write_all(&Block::eod().encode())?;
-                    conn.flush()?;
-                    Ok((conn, local_digest))
-                })
-            })
-            .collect();
-        join_threads(handles, "retr channel")
-    })?;
-    let mut survivors = Vec::with_capacity(sent_channels.len());
-    let mut digest = StripeDigest::new();
-    for (conn, d) in sent_channels {
-        survivors.push(conn);
-        digest.merge(d);
-    }
-    Ok((survivors, digest, sent.load(Ordering::Relaxed)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::Block;
 
     fn connect_control(addr: SocketAddr) -> (BufReader<TcpStream>, TcpStream) {
         let stream = TcpStream::connect(addr).unwrap();

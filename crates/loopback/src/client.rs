@@ -9,7 +9,6 @@ use crate::shaper::TokenBucket;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
 
@@ -17,11 +16,15 @@ use std::time::{Duration, Instant};
 pub const CHUNK_BYTES: usize = 64 * 1024;
 
 /// Run one control epoch: `nc × np` streams to `addr` for `epoch`, shaped by
-/// the shared `bucket`. Returns the aggregate throughput in MB/s.
+/// the shared `bucket`, and each stream also by its own `per_stream_mbs`
+/// bucket if given. Returns the aggregate throughput in MB/s.
 ///
 /// Stream setup (connect) happens inside the epoch — the analogue of the
 /// paper's restart overhead: more streams cost more setup time out of the
-/// same epoch.
+/// same epoch. A per-stream cap well below the shared bucket is the
+/// real-socket analogue of a per-stream TCP window cap: parallel streams
+/// genuinely pay, so the tuners' objective has the paper's rising segment
+/// on real sockets too.
 ///
 /// # Panics
 /// Panics if `nc` or `np` is zero or the epoch is zero-length.
@@ -30,32 +33,13 @@ pub fn measure_epoch(
     nc: u32,
     np: u32,
     epoch: Duration,
-    bucket: Arc<TokenBucket>,
-) -> io::Result<f64> {
-    measure_epoch_with_stream_cap(addr, nc, np, epoch, bucket, None)
-}
-
-/// Like [`measure_epoch`], but each stream additionally throttles itself to
-/// `per_stream_mbs` — the real-socket analogue of a per-stream TCP window
-/// cap. With a per-stream cap well below the shared bucket, parallel
-/// streams genuinely pay, so the tuners' objective has the paper's rising
-/// segment on real sockets too.
-///
-/// # Panics
-/// Panics if `nc` or `np` is zero or the epoch is zero-length.
-pub fn measure_epoch_with_stream_cap(
-    addr: SocketAddr,
-    nc: u32,
-    np: u32,
-    epoch: Duration,
-    bucket: Arc<TokenBucket>,
+    bucket: &TokenBucket,
     per_stream_mbs: Option<f64>,
 ) -> io::Result<f64> {
     assert!(nc > 0 && np > 0, "need at least one stream");
     assert!(!epoch.is_zero(), "epoch must be positive");
     let streams = (nc * np) as usize;
     let sent = &AtomicU64::new(0);
-    let bucket = &*bucket;
     let start = Instant::now();
     let deadline = start + epoch;
     // One zeroed chunk, borrowed by every stream.
@@ -126,8 +110,16 @@ mod tests {
     #[test]
     fn single_stream_moves_bytes() {
         let server = SinkServer::start().unwrap();
-        let bucket = Arc::new(TokenBucket::new(ShaperConfig::unshaped()));
-        let mbs = measure_epoch(server.addr(), 1, 1, Duration::from_millis(200), bucket).unwrap();
+        let bucket = TokenBucket::new(ShaperConfig::unshaped());
+        let mbs = measure_epoch(
+            server.addr(),
+            1,
+            1,
+            Duration::from_millis(200),
+            &bucket,
+            None,
+        )
+        .unwrap();
         assert!(
             mbs > 1.0,
             "loopback single stream should move >1 MB/s: {mbs}"
@@ -137,8 +129,16 @@ mod tests {
     #[test]
     fn aggregate_respects_shared_bucket() {
         let server = SinkServer::start().unwrap();
-        let bucket = Arc::new(TokenBucket::new(ShaperConfig::rate_mbs(30.0)));
-        let mbs = measure_epoch(server.addr(), 2, 4, Duration::from_millis(500), bucket).unwrap();
+        let bucket = TokenBucket::new(ShaperConfig::rate_mbs(30.0));
+        let mbs = measure_epoch(
+            server.addr(),
+            2,
+            4,
+            Duration::from_millis(500),
+            &bucket,
+            None,
+        )
+        .unwrap();
         assert!(mbs < 90.0, "8 streams share one 30 MB/s bucket: {mbs}");
         assert!(mbs > 5.0, "but they should still move data: {mbs}");
     }
@@ -148,25 +148,10 @@ mod tests {
         // With a 10 MB/s per-stream cap under an ample shared bucket, four
         // streams must clearly beat one — the rising segment, on sockets.
         let server = SinkServer::start().unwrap();
-        let bucket = Arc::new(TokenBucket::new(ShaperConfig::rate_mbs(500.0)));
-        let one = measure_epoch_with_stream_cap(
-            server.addr(),
-            1,
-            1,
-            Duration::from_millis(400),
-            Arc::clone(&bucket),
-            Some(10.0),
-        )
-        .unwrap();
-        let four = measure_epoch_with_stream_cap(
-            server.addr(),
-            4,
-            1,
-            Duration::from_millis(400),
-            bucket,
-            Some(10.0),
-        )
-        .unwrap();
+        let bucket = TokenBucket::new(ShaperConfig::rate_mbs(500.0));
+        let epoch = Duration::from_millis(400);
+        let one = measure_epoch(server.addr(), 1, 1, epoch, &bucket, Some(10.0)).unwrap();
+        let four = measure_epoch(server.addr(), 4, 1, epoch, &bucket, Some(10.0)).unwrap();
         assert!(
             four > 2.0 * one,
             "parallelism must pay under per-stream caps: {one:.1} -> {four:.1}"
@@ -177,8 +162,15 @@ mod tests {
     #[should_panic(expected = "need at least one stream")]
     fn zero_streams_rejected() {
         let server = SinkServer::start().unwrap();
-        let bucket = Arc::new(TokenBucket::new(ShaperConfig::unshaped()));
-        let _ = measure_epoch(server.addr(), 0, 1, Duration::from_millis(10), bucket);
+        let bucket = TokenBucket::new(ShaperConfig::unshaped());
+        let _ = measure_epoch(
+            server.addr(),
+            0,
+            1,
+            Duration::from_millis(10),
+            &bucket,
+            None,
+        );
     }
 
     /// A thread that panics surfaces as an error naming its role, after
@@ -201,8 +193,8 @@ mod tests {
     fn connect_failure_is_reported() {
         // A port with (almost certainly) no listener.
         let addr: SocketAddr = "127.0.0.1:1".parse().unwrap();
-        let bucket = Arc::new(TokenBucket::new(ShaperConfig::unshaped()));
-        let r = measure_epoch(addr, 1, 1, Duration::from_millis(10), bucket);
+        let bucket = TokenBucket::new(ShaperConfig::unshaped());
+        let r = measure_epoch(addr, 1, 1, Duration::from_millis(10), &bucket, None);
         assert!(r.is_err());
     }
 }

@@ -33,20 +33,19 @@ pub mod cpuload;
 pub mod server;
 pub mod shaper;
 
-pub use client::{join_threads, measure_epoch, measure_epoch_with_stream_cap};
+pub use client::{join_threads, measure_epoch};
 pub use cpuload::CpuHogs;
 pub use server::SinkServer;
 pub use shaper::{ShaperConfig, TokenBucket};
 
 use std::io;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// A ready-to-measure localhost harness: sink server + shared shaper.
 #[derive(Debug)]
 pub struct LoopbackHarness {
     server: SinkServer,
-    bucket: Arc<TokenBucket>,
+    bucket: TokenBucket,
     per_stream_mbs: Option<f64>,
 }
 
@@ -57,7 +56,7 @@ impl LoopbackHarness {
         let server = SinkServer::start()?;
         Ok(LoopbackHarness {
             server,
-            bucket: Arc::new(TokenBucket::new(shaper)),
+            bucket: TokenBucket::new(shaper),
             per_stream_mbs: None,
         })
     }
@@ -82,12 +81,12 @@ impl LoopbackHarness {
     /// Run one control epoch with `nc × np` real TCP streams and return the
     /// achieved throughput in MB/s.
     pub fn measure(&self, nc: u32, np: u32, epoch: Duration) -> io::Result<f64> {
-        client::measure_epoch_with_stream_cap(
+        measure_epoch(
             self.addr(),
             nc,
             np,
             epoch,
-            Arc::clone(&self.bucket),
+            &self.bucket,
             self.per_stream_mbs,
         )
     }

@@ -33,6 +33,13 @@ echo "==> staged receive fold equals the scalar fold over a full 256 MiB stream 
 cargo test -q --release -p xferopt-gridftp --lib -- --ignored \
   staged_fold_equals_scalar_fold_over_a_full_put_stream
 
+echo "==> GridFTP end to end (shaped put sweep, resume from a marker, RETR)"
+GRIDFTP_OUT="$(cargo run -q --release --example gridftp_transfer)"
+echo "$GRIDFTP_OUT"
+if grep -q 'verified=false' <<< "$GRIDFTP_OUT"; then
+  echo "a GridFTP transfer did not verify"; exit 1
+fi
+
 echo "==> telemetry suite (golden snapshots + determinism)"
 cargo test -q --test telemetry
 cargo test -q -p xferopt-tuners --test audit_sequences

@@ -40,9 +40,10 @@ fn persistent_session_many_epochs() {
     let server = GridFtpServer::start().unwrap();
     let mut session = Session::connect(server.control_addr()).unwrap();
     for np in [1u32, 2, 4] {
-        let r = session
-            .put(&format!("s{np}"), 512 * 1024, np, 64 * 1024)
-            .unwrap();
+        let cfg = client::PutConfig::new(format!("s{np}"), 512 * 1024)
+            .with_parallelism(np)
+            .with_block_bytes(64 * 1024);
+        let r = session.put(&cfg).unwrap();
         assert!(r.complete && r.verified);
     }
     assert_eq!(session.puts(), 3);
@@ -75,7 +76,10 @@ fn gridftp_session_put_verifies_nine_blocks_and_a_tail() {
     let server = GridFtpServer::start().unwrap();
     let (size, block) = nine_blocks_and_a_tail();
     let mut session = Session::connect(server.control_addr()).unwrap();
-    let r = session.put("tail", size, 2, block).unwrap();
+    let cfg = client::PutConfig::new("tail", size)
+        .with_parallelism(2)
+        .with_block_bytes(block);
+    let r = session.put(&cfg).unwrap();
     assert!(r.complete && r.verified, "{r:?}");
     assert_eq!(r.bytes_sent, size);
     session.quit().unwrap();
