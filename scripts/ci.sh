@@ -29,6 +29,14 @@ echo "==> stripe digest wire compatibility at the full 256 MiB put size (release
 cargo test -q --release -p xferopt-gridftp --lib -- --ignored \
   expected_digest_matches_scalar_fold_at_full_size
 
+echo "==> all-core expected digest is >= 1.4x the 1-thread fold at 256 MiB (release; skipped on 1 core)"
+cargo test -q --release -p xferopt-gridftp --lib -- --ignored --nocapture \
+  expected_digest_uses_every_core_at_full_size
+
+echo "==> a full 256 MiB RETR verifies against the server's 226 (release)"
+cargo test -q --release -p xferopt-gridftp --lib -- --ignored \
+  get_verifies_at_full_size
+
 echo "==> staged receive fold equals the scalar fold over a full 256 MiB stream (release)"
 cargo test -q --release -p xferopt-gridftp --lib -- --ignored \
   staged_fold_equals_scalar_fold_over_a_full_put_stream
