@@ -11,6 +11,10 @@
 //! * cumulative per-flow loss events and mean congestion window from the
 //!   dynamic simulation (`net_flow_losses_total`, `net_flow_cwnd_bytes`).
 //!
+//! Each export shows the network as it is at the call. The world's flight
+//! recorder calls these when it is read, not at every epoch close, so its
+//! gauges show the network at that read.
+//!
 //! All label values are derived from stable integer ids, so two exports of
 //! the same state produce identical snapshots (the registry orders samples
 //! by `(name, labels)`).

@@ -129,6 +129,8 @@ pub fn drive_transfer_with_telemetry(cfg: &DriveConfig) -> (TransferLog, RunTele
         x = tuner.observe(&x, r.observed_mbs);
     }
 
+    // Taken right after the last epoch closes, so the network gauges the
+    // recorder exports show the network at that close.
     let tel = pw
         .world
         .take_telemetry()

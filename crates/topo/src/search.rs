@@ -8,8 +8,9 @@
 //! A regional-outage fault-tolerance filter restricts each pair to
 //! candidates that keep an escape route under any single-region outage
 //! (when such candidates exist). The sweep is coordinate descent in fixed
-//! pair order for a fixed number of passes — fully deterministic, so the
-//! emitted [`PlacementTable`] is byte-identical across runs.
+//! pair order for at most a fixed number of passes, stopping early after a
+//! pass that accepts no move — fully deterministic, so the emitted
+//! [`PlacementTable`] is byte-identical across runs.
 
 use crate::planet::{Planet, PlanetError};
 use crate::world::{region_links, RouteCatalog};
@@ -26,13 +27,15 @@ pub struct SearchConfig {
     pub nc_grid: Vec<u32>,
     /// Parallel streams per concurrent file (fixed, as in the paper).
     pub np: u32,
-    /// Coordinate-descent passes over the pairs.
+    /// Most coordinate-descent passes over the pairs; the descent stops
+    /// sooner at its fixed point.
     pub passes: usize,
 }
 
 impl SearchConfig {
     /// Refuse a config the search cannot run: an empty concurrency grid, a
-    /// zero concurrency in it, or zero streams or passes.
+    /// zero concurrency in it, zero streams or passes, or a largest
+    /// concurrency whose stream count `nc × np` does not fit in a `u32`.
     ///
     /// # Errors
     /// Names the knobs a valid config needs.
@@ -43,6 +46,14 @@ impl SearchConfig {
                 "search needs a non-empty nc grid of values >= 1, np >= 1, and passes >= 1"
                     .to_string(),
             ));
+        }
+        let nc = self.nc_grid.iter().copied().max().unwrap_or(0);
+        if nc.checked_mul(self.np).is_none() {
+            return Err(PlanetError(format!(
+                "search streams nc x np overflow: nc {nc} x np {} is over {}",
+                self.np,
+                u32::MAX
+            )));
         }
         Ok(())
     }
@@ -277,8 +288,12 @@ pub fn search_routes(planet: &Planet, cfg: &SearchConfig) -> Result<PlacementTab
             )
         })
         .collect();
+    // The descent state is `(assign, best_score)` alone, so a pass that
+    // accepts no move leaves it unchanged and every later pass would repeat
+    // it exactly: stop there.
     let (_, mut best_score) = evaluate(&catalog, &assign, cfg.np);
     for _ in 0..cfg.passes {
+        let mut moved = false;
         for (p, &(src, dst)) in pairs.iter().enumerate() {
             let cands = catalog.candidates(src, dst);
             for &ci in &allowed[p] {
@@ -291,11 +306,15 @@ pub fn search_routes(planet: &Planet, cfg: &SearchConfig) -> Result<PlacementTab
                     let (_, score) = evaluate(&catalog, &assign, cfg.np);
                     if score > best_score {
                         best_score = score;
+                        moved = true;
                     } else {
                         assign[p] = prev;
                     }
                 }
             }
+        }
+        if !moved {
+            break;
         }
     }
     let (rates, score) = evaluate(&catalog, &assign, cfg.np);
@@ -421,9 +440,11 @@ pub fn refine_placement(
 
     // Coordinate descent over the affected pairs only, in pair order. No
     // fault-tolerance filter here: the live topology already *is* the
-    // outage, and the point is to escape it.
+    // outage, and the point is to escape it. Like `search_routes`, it stops
+    // at its fixed point.
     let (_, mut best_score) = evaluate(&catalog, &assign, cfg.np);
     for _ in 0..cfg.passes {
+        let mut moved = false;
         for &p in affected {
             let (src, dst) = pairs[p];
             for &ci in catalog.candidates(src, dst) {
@@ -436,11 +457,15 @@ pub fn refine_placement(
                     let (_, score) = evaluate(&catalog, &assign, cfg.np);
                     if score > best_score {
                         best_score = score;
+                        moved = true;
                     } else {
                         assign[p] = prev_assign;
                     }
                 }
             }
+        }
+        if !moved {
+            break;
         }
     }
     let (rates, score) = evaluate(&catalog, &assign, cfg.np);

@@ -218,14 +218,32 @@ impl World {
         }
     }
 
-    /// The flight recorder, if enabled.
-    pub fn telemetry(&self) -> Option<&WorldTelemetry> {
+    /// The flight recorder, if enabled, with its network gauges brought up
+    /// to date: they show the network as it is now, not as it was at the
+    /// last epoch close.
+    pub fn telemetry(&mut self) -> Option<&WorldTelemetry> {
+        self.export_network_state();
         self.telemetry.as_ref()
     }
 
     /// Detach and return the flight recorder, leaving telemetry disabled.
+    /// Its network gauges show the network as it is when taken.
     pub fn take_telemetry(&mut self) -> Option<WorldTelemetry> {
+        self.export_network_state();
         self.telemetry.take()
+    }
+
+    /// Export the network's per-flow, per-link and per-path state (and the
+    /// dynamic window state under [`Fidelity::Dynamic`]) into the recorder.
+    /// Runs only when the recorder is read, so a caller that never reads
+    /// the gauges never pays for them.
+    fn export_network_state(&mut self) {
+        if let Some(tel) = self.telemetry.as_mut() {
+            xferopt_net::export_network(tel.registry_mut(), &self.net);
+            if let Fidelity::Dynamic { sim, .. } = &self.fidelity {
+                xferopt_net::export_dynamic(tel.registry_mut(), &self.net, sim);
+            }
+        }
     }
 
     /// Inject a deterministic fault plan with the default [`RetryPolicy`].
@@ -713,10 +731,11 @@ impl World {
     ///
     /// With telemetry enabled ([`World::enable_telemetry`]) the epoch is also
     /// appended to the flight recorder as an
-    /// [`EpochTelemetry`](crate::telemetry::EpochTelemetry) record, and the
-    /// network's per-flow fair-share/loss state is exported into the
-    /// registry. Collection is purely observational: the report returned is
-    /// identical whether or not telemetry is on.
+    /// [`EpochTelemetry`](crate::telemetry::EpochTelemetry) record. The
+    /// network's per-flow fair-share/loss gauges are not exported here but
+    /// when the recorder is read ([`World::telemetry`],
+    /// [`World::take_telemetry`]). Collection is purely observational: the
+    /// report returned is identical whether or not telemetry is on.
     pub fn end_epoch(&mut self, start: EpochStart) -> EpochReport {
         let e = &self.transfers[&start.tid];
         let duration = self.now - start.t0;
@@ -749,10 +768,6 @@ impl World {
                 retries_total: retries,
                 stalled,
             });
-            xferopt_net::export_network(tel.registry_mut(), &self.net);
-            if let Fidelity::Dynamic { sim, .. } = &self.fidelity {
-                xferopt_net::export_dynamic(tel.registry_mut(), &self.net, sim);
-            }
         }
         report
     }
@@ -1350,6 +1365,52 @@ mod tests {
         assert!(snap
             .get("net_flow_fair_share_mbs", &[("flow", "0")])
             .is_some());
+    }
+
+    #[test]
+    fn network_gauges_show_the_network_when_the_recorder_is_read() {
+        use xferopt_simcore::metrics::SampleValue;
+        let gauge = |tel: &WorldTelemetry, name: &str, flow: FlowId| {
+            let id = flow.0.to_string();
+            tel.snapshot().get(name, &[("flow", id.as_str())]).cloned()
+        };
+        for dynamic in [false, true] {
+            let (mut world, path) = uc_world(false);
+            if dynamic {
+                world.enable_dynamic_network(0.1);
+            }
+            world.enable_telemetry();
+            let tid = world.add_transfer(quiet_cfg(path));
+            let flow = world.flow_id(tid);
+            world.step(SimDuration::from_secs(10));
+            let es = world.begin_epoch(tid, StreamParams::new(5, 8), false);
+            world.step(SimDuration::from_secs(30));
+            world.end_epoch(es);
+            let tel = world.telemetry().expect("telemetry enabled");
+            assert_eq!(
+                gauge(tel, "net_flow_streams", flow),
+                Some(SampleValue::Gauge(40.0))
+            );
+            // The next epoch changes the streams and runs, but does not
+            // close: the recorder still shows the network as it is now.
+            world.begin_epoch(tid, StreamParams::new(2, 4), false);
+            world.step(SimDuration::from_secs(30));
+            let tel = world.take_telemetry().expect("telemetry enabled");
+            assert_eq!(tel.epochs().len(), 1);
+            assert_eq!(
+                gauge(&tel, "net_flow_streams", flow),
+                Some(SampleValue::Gauge(8.0))
+            );
+            let losses = gauge(&tel, "net_flow_losses_total", flow);
+            match &world.fidelity {
+                Fidelity::Dynamic { sim, .. } => {
+                    let total = sim.total_losses(flow);
+                    assert!(total > 0, "a 30 s dynamic epoch sees losses");
+                    assert_eq!(losses, Some(SampleValue::Counter(total)));
+                }
+                Fidelity::QuasiStatic => assert_eq!(losses, None),
+            }
+        }
     }
 
     #[test]

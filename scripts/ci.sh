@@ -202,6 +202,11 @@ diff "$FLEET_TMP/routes-a.txt" tests/golden/routes/leaderboard.txt \
   || { echo "routes search leaderboard drifted from golden"; exit 1; }
 diff "$FLEET_TMP/placement-a.jsonl" tests/golden/routes/placement.jsonl \
   || { echo "routes search placement drifted from golden"; exit 1; }
+timeout 60 ./target/release/xferopt routes search --preset mesh --passes 100000000 \
+  > "$FLEET_TMP/routes-passes.txt" \
+  || { echo "routes search did not stop at its fixed point"; exit 1; }
+diff "$FLEET_TMP/routes-passes.txt" tests/golden/routes/leaderboard.txt \
+  || { echo "routes search past its fixed point drifted from golden"; exit 1; }
 
 echo "==> strict JSON gate (every JSONL line the smokes wrote parses in Python)"
 printf 'planet q"p\nregion a"x\nregion b\nedge a"x b 20 1000 0\n' > "$FLEET_TMP/quoted.dat"

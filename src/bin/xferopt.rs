@@ -286,12 +286,16 @@ fn cmd_run(args: &Args) -> Result<(), String> {
 fn cmd_sweep(args: &Args) -> Result<(), String> {
     let route = parse_route(args.get("route").unwrap_or("uc"))?;
     let load = ExternalLoad::new(args.get_parsed("tfr", 0u32)?, args.get_parsed("cmp", 0u32)?);
+    let ncs = [1u32, 2, 4, 8, 16, 32, 64, 128, 256];
     let np = args.get_np()?;
+    let top = ncs[ncs.len() - 1];
+    if top.checked_mul(np).is_none() {
+        return Err(format!("--np {np} overflows the stream count at nc={top}"));
+    }
     let duration = args.get_secs("duration", 120.0)?;
     let seed = args.get_parsed("seed", 0u64)?;
     args.reject_unread()?;
 
-    let ncs = [1u32, 2, 4, 8, 16, 32, 64, 128, 256];
     let surface = xferopt::scenarios::throughput_surface(route, load, &ncs, &[np], duration, seed);
     let mut table = Table::new(vec!["nc", "streams", "MB/s"]);
     for c in &surface.cells {

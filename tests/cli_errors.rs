@@ -88,6 +88,10 @@ fn bad_flag_values_exit_1_with_an_error_line() {
         &["sweep", "--duration", "1e-300"],
         &["run", "--np", "0", "--duration", "60"],
         &["sweep", "--np", "0"],
+        &["sweep", "--np", "16777216"],
+        &["sweep", "--np", "4000000000"],
+        &["routes", "search", "--np", "1000000000"],
+        &["routes", "search", "--nc-grid", "2", "--np", "2147483648"],
         &["routes", "search", "--nc-grid", "0"],
         &["tournament", "run", "--quick", "--epoch", "1e-300"],
         &["compare", "--duration", "0"],

@@ -91,6 +91,47 @@ fn route_search_is_byte_deterministic_on_every_preset() {
     }
 }
 
+/// The descent stops at its fixed point: a pass cap far past it finishes
+/// promptly and prints the default search's leaderboard byte for byte.
+#[test]
+fn huge_pass_cap_stops_at_the_fixed_point() {
+    use std::io::Read;
+    use std::time::{Duration, Instant};
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_xferopt"))
+        .args([
+            "routes",
+            "search",
+            "--preset",
+            "mesh",
+            "--passes",
+            "100000000",
+        ])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("run xferopt");
+    let mut stdout = child.stdout.take().expect("piped stdout");
+    let reader = std::thread::spawn(move || {
+        let mut out = String::new();
+        stdout.read_to_string(&mut out).expect("read stdout");
+        out
+    });
+    let start = Instant::now();
+    while child.try_wait().expect("poll xferopt").is_none() {
+        if start.elapsed() > Duration::from_secs(60) {
+            child.kill().expect("kill xferopt");
+            child.wait().expect("reap xferopt");
+            panic!("routes search --passes 100000000 ran past 60 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert!(child.wait().expect("reap xferopt").success());
+    let out = reader.join().expect("stdout reader");
+    let golden =
+        std::fs::read_to_string("tests/golden/routes/leaderboard.txt").expect("golden leaderboard");
+    assert_eq!(out, golden);
+}
+
 /// Names from a `.dat` file reach the placement JSONL escaped: a quote in a
 /// planet or region name leaves every line one JSON object, and the names
 /// read back exactly.
