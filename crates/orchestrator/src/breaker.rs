@@ -19,50 +19,38 @@
 //!   until the cooldown elapses. Queued jobs wait (or are shed by the fleet
 //!   under sustained pressure); nothing panics.
 //! * **HalfOpen** — exactly one probe job is admitted, with its grant shrunk
-//!   by [`BreakerConfig::half_open_grant_factor`]. A completion (or a healthy
+//!   by `HALF_OPEN_GRANT_FACTOR`. A completion (or a healthy
 //!   re-quarantine-free epoch run) re-closes the breaker and resets the
 //!   cooldown; another failure re-opens it with a doubled cooldown, capped at
-//!   [`BreakerConfig::max_cooldown_s`] — so oscillation is rate-limited and
+//!   `MAX_COOLDOWN_S` — so oscillation is rate-limited and
 //!   the breaker always re-closes under sustained recovery (proptested).
 //!
 //! The [`AdmissionController`](crate::AdmissionController) consults the
 //! [`BreakerBoard`] via `try_admit_gated`; everything here is deterministic
 //! pure state driven by fleet time.
 
-/// Thresholds and cooldowns for one link's circuit breaker.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BreakerConfig {
-    /// Failures within [`BreakerConfig::failure_window_s`] that trip the
-    /// breaker.
-    pub failure_threshold: u32,
-    /// Sliding window over which failures are counted, seconds.
-    pub failure_window_s: f64,
-    /// Initial open-state cooldown, seconds.
-    pub cooldown_s: f64,
-    /// Cooldown multiplier applied on every half-open probe failure.
-    pub cooldown_factor: f64,
-    /// Hard cap on the cooldown, seconds (bounds oscillation period).
-    pub max_cooldown_s: f64,
-    /// Grant shrink factor applied to jobs admitted through a half-open
-    /// breaker (the probe runs on a reduced stream reservation).
-    pub half_open_grant_factor: f64,
-}
+/// Failures within [`FAILURE_WINDOW_S`] that trip a closed breaker.
+const FAILURE_THRESHOLD: u32 = 3;
+/// Sliding window over which failures are counted, seconds.
+const FAILURE_WINDOW_S: f64 = 300.0;
+/// Initial open-state cooldown, seconds.
+const COOLDOWN_S: f64 = 60.0;
+/// Cooldown multiplier applied on every half-open probe failure.
+const COOLDOWN_FACTOR: f64 = 2.0;
+/// Hard cap on the cooldown, seconds (bounds the oscillation period).
+const MAX_COOLDOWN_S: f64 = 480.0;
+/// Grant shrink factor applied to a job admitted through a half-open
+/// breaker (the probe runs on a reduced stream reservation).
+const HALF_OPEN_GRANT_FACTOR: f64 = 0.5;
 
-impl Default for BreakerConfig {
-    /// Three failures in five minutes trip the breaker for 60 s; failed
-    /// probes double the cooldown up to eight minutes; half-open probes get
-    /// half their requested streams.
-    fn default() -> Self {
-        BreakerConfig {
-            failure_threshold: 3,
-            failure_window_s: 300.0,
-            cooldown_s: 60.0,
-            cooldown_factor: 2.0,
-            max_cooldown_s: 480.0,
-            half_open_grant_factor: 0.5,
-        }
-    }
-}
+const _: () = {
+    assert!(FAILURE_THRESHOLD >= 1, "threshold must be >= 1");
+    assert!(COOLDOWN_FACTOR >= 1.0, "cooldown must not shrink");
+    assert!(
+        MAX_COOLDOWN_S >= COOLDOWN_S,
+        "cooldown cap below initial cooldown"
+    );
+};
 
 /// The three breaker states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,7 +77,6 @@ impl BreakerState {
 /// Circuit breaker for one link.
 #[derive(Debug, Clone)]
 pub struct RouteBreaker {
-    cfg: BreakerConfig,
     state: BreakerState,
     /// Timestamps of recent failures (pruned to the sliding window).
     failures: Vec<f64>,
@@ -105,20 +92,19 @@ pub struct RouteBreaker {
     trips: u64,
 }
 
+impl Default for RouteBreaker {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl RouteBreaker {
     /// A closed breaker.
-    pub fn new(cfg: BreakerConfig) -> Self {
-        assert!(cfg.failure_threshold >= 1, "threshold must be >= 1");
-        assert!(cfg.cooldown_factor >= 1.0, "cooldown must not shrink");
-        assert!(
-            cfg.max_cooldown_s >= cfg.cooldown_s,
-            "cooldown cap below initial cooldown"
-        );
+    pub fn new() -> Self {
         RouteBreaker {
-            cfg,
             state: BreakerState::Closed,
             failures: Vec::new(),
-            cooldown_s: cfg.cooldown_s,
+            cooldown_s: COOLDOWN_S,
             open_until_t: 0.0,
             open_since_t: 0.0,
             probe_inflight: false,
@@ -166,7 +152,7 @@ impl RouteBreaker {
     }
 
     fn prune(&mut self, t_s: f64) {
-        let cutoff = t_s - self.cfg.failure_window_s;
+        let cutoff = t_s - FAILURE_WINDOW_S;
         self.failures.retain(|&f| f > cutoff);
     }
 
@@ -188,7 +174,7 @@ impl RouteBreaker {
             BreakerState::Closed => {
                 self.prune(t_s);
                 self.failures.push(t_s);
-                if self.failures.len() as u32 >= self.cfg.failure_threshold {
+                if self.failures.len() as u32 >= FAILURE_THRESHOLD {
                     self.state = BreakerState::Open;
                     self.open_until_t = t_s + self.cooldown_s;
                     self.open_since_t = t_s;
@@ -201,8 +187,7 @@ impl RouteBreaker {
             }
             BreakerState::HalfOpen => {
                 // Probe failed: reopen with a doubled (capped) cooldown.
-                self.cooldown_s =
-                    (self.cooldown_s * self.cfg.cooldown_factor).min(self.cfg.max_cooldown_s);
+                self.cooldown_s = (self.cooldown_s * COOLDOWN_FACTOR).min(MAX_COOLDOWN_S);
                 self.state = BreakerState::Open;
                 self.open_until_t = t_s + self.cooldown_s;
                 self.probe_inflight = false;
@@ -219,7 +204,7 @@ impl RouteBreaker {
         match self.state {
             BreakerState::HalfOpen => {
                 self.state = BreakerState::Closed;
-                self.cooldown_s = self.cfg.cooldown_s;
+                self.cooldown_s = COOLDOWN_S;
                 self.failures.clear();
                 self.probe_inflight = false;
                 Some("breaker-close")
@@ -247,7 +232,7 @@ impl RouteBreaker {
         match self.state {
             BreakerState::Closed => 1.0,
             BreakerState::Open => 0.0,
-            BreakerState::HalfOpen => self.cfg.half_open_grant_factor,
+            BreakerState::HalfOpen => HALF_OPEN_GRANT_FACTOR,
         }
     }
 
@@ -268,9 +253,9 @@ pub struct BreakerBoard {
 
 impl BreakerBoard {
     /// A board of `links` closed breakers.
-    pub fn new(links: usize, cfg: BreakerConfig) -> Self {
+    pub fn new(links: usize) -> Self {
         BreakerBoard {
-            breakers: (0..links).map(|_| RouteBreaker::new(cfg)).collect(),
+            breakers: vec![RouteBreaker::new(); links],
         }
     }
 
@@ -365,7 +350,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn breaker() -> RouteBreaker {
-        RouteBreaker::new(BreakerConfig::default())
+        RouteBreaker::new()
     }
 
     #[test]
@@ -411,20 +396,19 @@ mod tests {
 
     #[test]
     fn probe_failure_doubles_the_cooldown_up_to_the_cap() {
-        let cfg = BreakerConfig::default();
-        let mut b = RouteBreaker::new(cfg);
+        let mut b = RouteBreaker::new();
         for t in [0.0, 1.0, 2.0] {
             b.on_failure(t);
         }
         let mut t = 2.0;
-        let mut expected = cfg.cooldown_s;
+        let mut expected = COOLDOWN_S;
         for _ in 0..6 {
             t += expected;
             assert_eq!(b.tick(t), Some("breaker-half-open"));
             assert_eq!(b.on_failure(t), Some("breaker-open"));
-            expected = (expected * cfg.cooldown_factor).min(cfg.max_cooldown_s);
+            expected = (expected * COOLDOWN_FACTOR).min(MAX_COOLDOWN_S);
         }
-        assert_eq!(b.cooldown_s, cfg.max_cooldown_s, "cooldown capped");
+        assert_eq!(b.cooldown_s, MAX_COOLDOWN_S, "cooldown capped");
     }
 
     #[test]
@@ -439,7 +423,7 @@ mod tests {
 
     #[test]
     fn board_routes_and_digest() {
-        let mut board = BreakerBoard::new(3, BreakerConfig::default());
+        let mut board = BreakerBoard::new(3);
         assert!(board.route_admits(&[0, 1]));
         for t in [0.0, 1.0, 2.0] {
             board.on_failure(1, t);
@@ -476,8 +460,7 @@ mod tests {
             failures in prop::collection::vec(0f64..500.0, 0..40),
             recovery_start in 500f64..1000.0,
         ) {
-            let cfg = BreakerConfig::default();
-            let mut b = RouteBreaker::new(cfg);
+            let mut b = RouteBreaker::new();
             let mut fs = failures.clone();
             fs.sort_by(|a, b| a.partial_cmp(b).unwrap());
             for t in fs {
@@ -500,7 +483,7 @@ mod tests {
             }
             let closed_at = closed_at.expect("breaker must re-close under recovery");
             // Bounded by the capped cooldown.
-            prop_assert!(closed_at <= recovery_start + cfg.max_cooldown_s + 5.0);
+            prop_assert!(closed_at <= recovery_start + MAX_COOLDOWN_S + 5.0);
             // And it stays closed from then on.
             for i in 0..50 {
                 let tt = closed_at + i as f64 * 5.0;
@@ -517,19 +500,18 @@ mod tests {
         fn breaker_never_oscillates_unboundedly(
             events in prop::collection::vec((0f64..4000.0, any::<bool>()), 1..300),
         ) {
-            let cfg = BreakerConfig::default();
-            let mut b = RouteBreaker::new(cfg);
+            let mut b = RouteBreaker::new();
             let mut evs = events.clone();
             evs.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
             let horizon = 4000.0;
             for (t, fail) in evs {
                 b.tick(t);
                 if fail { b.on_failure(t); } else { b.on_success(t); }
-                prop_assert!(b.cooldown_s <= cfg.max_cooldown_s);
+                prop_assert!(b.cooldown_s <= MAX_COOLDOWN_S);
             }
             // Each trip commits the breaker to >= cooldown_s of open time, so
             // trips over the horizon are bounded by horizon/cooldown + 1.
-            let bound = (horizon / cfg.cooldown_s) as u64 + 1;
+            let bound = (horizon / COOLDOWN_S) as u64 + 1;
             prop_assert!(
                 b.trips() <= bound,
                 "{} trips exceeds bound {}", b.trips(), bound

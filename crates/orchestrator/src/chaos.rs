@@ -18,6 +18,7 @@
 //! the CI chaos gate diffs it against a golden snapshot.
 
 use crate::fleet::{topo_workload, FleetConfig, FleetOutcome, TopoFleetConfig};
+use crate::govern::RETRY_BUDGET_CAP;
 use crate::history::HistoryStore;
 use crate::job::JobState;
 use crate::shard::run_fleet_sharded;
@@ -221,7 +222,6 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignOutcome, String> {
     let catalog = RouteCatalog::enumerate(&planet, search.k).map_err(|e| e.to_string())?;
     let workload = topo_workload(&placement, &catalog, cfg.jobs);
 
-    let budget_cap = crate::govern::GovernConfig::default().budget_cap;
     let mut scorecard = format!(
         "chaos campaign={} preset={} jobs={} seeds={} horizon_s={:.0} shards={} budget={}\n",
         cfg.campaign,
@@ -234,7 +234,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignOutcome, String> {
             .join(","),
         cfg.horizon_s,
         cfg.shards,
-        budget_cap,
+        RETRY_BUDGET_CAP,
     );
     for (label, start, end) in &phases {
         scorecard.push_str(&format!("phase {label} window={start:.0}-{end:.0}\n"));
@@ -337,7 +337,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignOutcome, String> {
             t.moved_mb,
             t.bytes_lost,
             t.retries_used,
-            budget_cap as usize * cfg.seeds.len(),
+            RETRY_BUDGET_CAP as usize * cfg.seeds.len(),
         ));
         totals.push(t);
     }

@@ -33,7 +33,7 @@
 
 use std::cell::OnceCell;
 
-use crate::fleet::FleetConfig;
+use crate::fleet::{FleetConfig, MAX_MATCH_DISTANCE, NOISE_SIGMA, SHED_AFTER_S};
 use crate::job::{JobId, JobSpec, Workload};
 use crate::policy::Policy;
 use crate::route::JobRoute;
@@ -111,10 +111,12 @@ impl CheckpointWriter {
             o.f64("epoch_s", c.epoch_s);
             o.raw("budget", c.link_budget);
             o.raw("warm", c.warm_start);
-            o.f64("max_match_distance", c.max_match_distance);
-            o.f64("noise_sigma", c.noise_sigma);
-            o.raw("audit", c.audit);
-            o.f64("shed_after_s", c.shed_after_s);
+            // Fleet constants, kept in the version-1 header so journals
+            // keep their bytes; `parse` refuses any other value.
+            o.f64("max_match_distance", MAX_MATCH_DISTANCE);
+            o.f64("noise_sigma", NOISE_SIGMA);
+            o.raw("audit", true);
+            o.f64("shed_after_s", SHED_AFTER_S);
             if let Some(p) = c.faults {
                 o.str("faults", p.name());
             }
@@ -358,6 +360,24 @@ impl Checkpoint {
             }
             None => None,
         };
+        for (key, want) in [
+            ("max_match_distance", MAX_MATCH_DISTANCE),
+            ("noise_sigma", NOISE_SIGMA),
+            ("shed_after_s", SHED_AFTER_S),
+        ] {
+            let got = num(key)?;
+            if got != want {
+                return Err(format!(
+                    "invalid config in checkpoint header: '{key}' is {got}, but fleets run at {want}"
+                ));
+            }
+        }
+        if !flag("audit")? {
+            return Err(
+                "invalid config in checkpoint header: 'audit' is false, but fleets always audit"
+                    .to_string(),
+            );
+        }
         let config = FleetConfig {
             policy,
             seed: num("seed")? as u64,
@@ -366,13 +386,8 @@ impl Checkpoint {
             epoch_s: num("epoch_s")?,
             link_budget: num("budget")? as u32,
             warm_start: flag("warm")?,
-            max_match_distance: num("max_match_distance")?,
-            noise_sigma: num("noise_sigma")?,
-            audit: flag("audit")?,
             faults,
-            shed_after_s: num("shed_after_s")?,
             topo,
-            ..FleetConfig::default()
         };
         config
             .validate()
@@ -738,6 +753,15 @@ mod tests {
                 "\"shed_after_s\":300,\"topo\":\"mesh\",\"topo_k\":3,\"multipath\":1,\"reroute\":true,\"outage_region\":99",
                 "out of range",
             ),
+            // The fleet constants the version-1 header still carries.
+            ("\"noise_sigma\":0.05", "\"noise_sigma\":0.1", "'noise_sigma'"),
+            ("\"shed_after_s\":300", "\"shed_after_s\":0", "'shed_after_s'"),
+            (
+                "\"max_match_distance\":2",
+                "\"max_match_distance\":NaN",
+                "'max_match_distance'",
+            ),
+            ("\"audit\":true", "\"audit\":false", "'audit'"),
         ] {
             let text = missing_digest.replace(from, to) + digest;
             let err = Checkpoint::parse(&text).unwrap_err();

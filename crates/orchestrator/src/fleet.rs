@@ -43,9 +43,11 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::admission::{AdmissionController, Reservation, DEFAULT_LINK_BUDGET};
-use crate::breaker::{BreakerBoard, BreakerConfig};
+use crate::breaker::BreakerBoard;
+use crate::govern::Governor;
 use crate::health::{
-    HealthConfig, HealthMonitor, HealthVerdict, SupervisionEvent, SupervisionSummary,
+    HealthMonitor, HealthVerdict, SupervisionEvent, SupervisionSummary, MAX_ATTEMPTS,
+    ZERO_FLOOR_MBS,
 };
 use crate::history::{warm_seed, HistoryRecord, HistoryStore};
 use crate::job::{JobId, JobSpec, JobState, Workload};
@@ -61,7 +63,7 @@ use xferopt_topo::{
     campaign_plan, outage_plan_multi, refine_placement, search_routes, PlacementTable, Planet,
     PlanetWorld, RouteCatalog, SearchConfig, CAMPAIGNS,
 };
-use xferopt_transfer::{EpochReport, EpochStart, StreamParams, TransferId, World};
+use xferopt_transfer::{EpochReport, EpochStart, RetryPolicy, StreamParams, TransferId, World};
 use xferopt_tuners::{Domain, OnlineTuner, Point, WarmStart};
 
 /// Planet-topology fleet settings. `None` runs the classic single-pipe
@@ -133,31 +135,26 @@ pub struct FleetConfig {
     /// Query the history store to warm-start tuners. When false the run is
     /// cold (but still appends history), so a later warm run can be compared.
     pub warm_start: bool,
-    /// Maximum history-match distance accepted for a warm start.
-    pub max_match_distance: f64,
-    /// Log-std of per-epoch throughput noise on each transfer.
-    pub noise_sigma: f64,
-    /// Enable per-job tuner audit logs (namespaced by job id).
-    pub audit: bool,
     /// Fleet-scoped chaos plan (see [`FaultProfile::fleet_plan`]); `None`
     /// keeps the world fault-free and draws nothing extra from the seed
     /// stream, so no-fault runs stay byte-identical to pre-supervision ones.
     pub faults: Option<FaultProfile>,
-    /// Per-job health-watchdog thresholds and the requeue attempt budget.
-    pub health: HealthConfig,
-    /// Route circuit-breaker thresholds.
-    pub breaker: BreakerConfig,
-    /// Shed the lowest-priority queued job on a link whose breaker has been
-    /// continuously non-closed for this long (and at most once per interval).
-    pub shed_after_s: f64,
     /// Planet-topology settings; `None` keeps the classic paper world (and
     /// its byte-identical goldens).
     pub topo: Option<TopoFleetConfig>,
-    /// Self-healing control-plane knobs (active only when
-    /// `topo.selfheal`). Like `health` and `breaker`, not serialized into
-    /// checkpoints: resume rebuilds the same governor from the same config.
-    pub govern: crate::govern::GovernConfig,
 }
+
+/// Largest history-match distance accepted for a warm start.
+pub(crate) const MAX_MATCH_DISTANCE: f64 = 2.0;
+
+/// Log-std of the per-epoch throughput noise on every transfer a fleet or
+/// tournament drives.
+pub(crate) const NOISE_SIGMA: f64 = 0.05;
+
+/// Shed the lowest-priority queued job on a link whose breaker has been
+/// continuously non-closed for this long, seconds (and at most once per
+/// interval).
+pub(crate) const SHED_AFTER_S: f64 = 300.0;
 
 impl Default for FleetConfig {
     fn default() -> Self {
@@ -169,15 +166,8 @@ impl Default for FleetConfig {
             epoch_s: 30.0,
             link_budget: DEFAULT_LINK_BUDGET,
             warm_start: true,
-            max_match_distance: 2.0,
-            noise_sigma: 0.05,
-            audit: true,
             faults: None,
-            health: HealthConfig::default(),
-            breaker: BreakerConfig::default(),
-            shed_after_s: 300.0,
             topo: None,
-            govern: crate::govern::GovernConfig::default(),
         }
     }
 }
@@ -538,7 +528,7 @@ impl FleetReport {
         let mut out = String::with_capacity(256 * (self.outcomes.len() + 2));
         let _ = write!(
             out,
-            "fleet policy={} seed={} jobs={} horizon_s={:.0} tick_s={:.0} epoch_s={:.0} budget={} warm={} audit={}",
+            "fleet policy={} seed={} jobs={} horizon_s={:.0} tick_s={:.0} epoch_s={:.0} budget={} warm={} audit=true",
             self.config.policy,
             self.config.seed,
             self.submitted,
@@ -547,7 +537,6 @@ impl FleetReport {
             self.config.epoch_s,
             self.config.link_budget,
             self.config.warm_start,
-            self.config.audit,
         );
         if let Some(p) = self.config.faults {
             let _ = write!(out, " faults={}", p.name());
@@ -759,7 +748,6 @@ impl FleetWorld {
         route: &JobRoute,
         params: StreamParams,
         size_mb: f64,
-        noise_sigma: f64,
     ) -> TransferId {
         match self {
             FleetWorld::Classic(pw) => {
@@ -767,11 +755,11 @@ impl FleetWorld {
                     .name()
                     .parse()
                     .expect("classic fleet routes are paper routes");
-                pw.start_sized_transfer(r, params, size_mb, noise_sigma)
+                pw.start_sized_transfer(r, params, size_mb, NOISE_SIGMA)
             }
             FleetWorld::Planet(pf) => {
                 pf.pw
-                    .start_sized_transfer(route.path_index(), params, size_mb, noise_sigma)
+                    .start_sized_transfer(route.path_index(), params, size_mb, NOISE_SIGMA)
             }
         }
     }
@@ -958,8 +946,7 @@ impl<'h> FleetSim<'h> {
                 if let Some(profile) = config.faults {
                     let plan =
                         profile.fleet_plan(world_seed, config.horizon_s, workload.len() as u64);
-                    pw.world
-                        .enable_faults_with_policy(plan, config.health.retry);
+                    pw.world.enable_faults(plan);
                 }
                 FleetWorld::Classic(Box::new(pw))
             }
@@ -979,8 +966,7 @@ impl<'h> FleetSim<'h> {
                 if let Some(name) = &tc.campaign {
                     let plan = campaign_plan(&planet, name, world_seed, config.horizon_s)
                         .expect("validate checked the campaign name");
-                    pw.world
-                        .enable_faults_with_policy(plan, config.health.retry);
+                    pw.world.enable_faults(plan);
                 } else if !tc.outage_regions.is_empty() {
                     let plan = outage_plan_multi(
                         &planet,
@@ -988,8 +974,7 @@ impl<'h> FleetSim<'h> {
                         world_seed,
                         config.horizon_s,
                     );
-                    pw.world
-                        .enable_faults_with_policy(plan, config.health.retry);
+                    pw.world.enable_faults(plan);
                 }
                 FleetWorld::Planet(Box::new(PlanetFleet { pw, placement }))
             }
@@ -999,7 +984,7 @@ impl<'h> FleetSim<'h> {
             .topo
             .as_ref()
             .filter(|tc| tc.selfheal)
-            .map(|_| crate::govern::Governor::new(nlinks, &config.govern));
+            .map(|_| Governor::new(nlinks));
         let mut metrics = MetricsRegistry::new();
         if history.skipped() > 0 {
             metrics
@@ -1016,7 +1001,7 @@ impl<'h> FleetSim<'h> {
             quarantined: BTreeMap::new(),
             carry: BTreeMap::new(),
             admission: AdmissionController::uniform(nlinks, config.link_budget),
-            breakers: BreakerBoard::new(nlinks, config.breaker),
+            breakers: BreakerBoard::new(nlinks),
             admitted_by_class: Vec::new(),
             outcomes: Vec::new(),
             decisions: Vec::new(),
@@ -1275,7 +1260,7 @@ impl<'h> FleetSim<'h> {
             // crosses saw the epoch's goodput. A zero-goodput epoch is a
             // "bad" observation; state transitions become `slo` events.
             if self.governor.is_some() {
-                let bad = observed <= self.config.health.zero_floor_mbs;
+                let bad = observed <= ZERO_FLOOR_MBS;
                 for &l in route.links() {
                     let tr = self
                         .governor
@@ -1478,7 +1463,7 @@ impl<'h> FleetSim<'h> {
 
     /// Brownout: with the retry budget dry under sustained degradation, the
     /// lowest-priority queued job crossing a degraded link is dropped (the
-    /// same victim rule as `shed`, cooldown-gated per the governor config).
+    /// same victim rule as `shed`, gated by the governor's brownout cooldown).
     fn brownout(&mut self, degraded: &std::collections::BTreeSet<usize>) {
         let hit = |j: &JobSpec| j.route.links().iter().any(|l| degraded.contains(l));
         if self.drop_queued("brownout", None, hit) {
@@ -1571,16 +1556,15 @@ impl<'h> FleetSim<'h> {
                 self.history
                     .nearest(spec.route.name(), spec.tuner, ext_streams, 0.0, "fleet"),
                 cold.clone(),
-                self.config.max_match_distance,
+                MAX_MATCH_DISTANCE,
             ),
             _ => WarmStart::cold(cold.clone()),
         };
         let mut tuner = spec.tuner.build_seeded(domain, &seed);
-        if self.config.audit {
-            tuner.enable_audit();
-            if let Some(log) = tuner.audit_log_mut() {
-                log.set_namespace(spec.id.to_string());
-            }
+        // Every job's tuner keeps an audit log, namespaced by its job id.
+        tuner.enable_audit();
+        if let Some(log) = tuner.audit_log_mut() {
+            log.set_namespace(spec.id.to_string());
         }
         let x0 = tuner.initial();
         let restart = carried.is_some();
@@ -1595,7 +1579,6 @@ impl<'h> FleetSim<'h> {
                         &spec.route,
                         StreamParams::new(1, 1),
                         (spec.size_mb - p.moved_base).max(0.0),
-                        self.config.noise_sigma,
                     );
                     p.route_name = spec.route.name().to_string();
                 }
@@ -1608,7 +1591,6 @@ impl<'h> FleetSim<'h> {
                     &spec.route,
                     StreamParams::new(1, 1), // placeholder; epoch sets real params
                     spec.size_mb - extra_mb,
-                    self.config.noise_sigma,
                 );
                 JobProgress {
                     tid,
@@ -1633,7 +1615,7 @@ impl<'h> FleetSim<'h> {
             current: x0,
             next_epoch_end_s: self.t + self.config.epoch_s,
             ext_streams,
-            monitor: HealthMonitor::new(self.config.health),
+            monitor: HealthMonitor::new(),
             degraded: false,
             spec,
         };
@@ -1713,12 +1695,7 @@ impl<'h> FleetSim<'h> {
             // Conservation by construction: the primary runs
             // `size_mb - extra_mb`, so the slices always sum to size_mb.
             let slice = spec.size_mb * w / total_w;
-            tids.push(self.world.start_sized_transfer(
-                route,
-                params,
-                slice,
-                self.config.noise_sigma,
-            ));
+            tids.push(self.world.start_sized_transfer(route, params, slice));
             extra_mb += slice;
         }
         (tids, extra_mb)
@@ -1768,7 +1745,6 @@ impl<'h> FleetSim<'h> {
                 &spec.route,
                 idle,
                 (spec.size_mb - p.moved_base).max(0.0),
-                self.config.noise_sigma,
             );
             self.world.world_mut().set_transfer_tag(p.tid, Some(id.0));
         }
@@ -1802,7 +1778,7 @@ impl<'h> FleetSim<'h> {
                 self.push_event(tr, None, Some(l), String::new());
             }
         }
-        if attempts >= self.config.health.max_attempts {
+        if attempts >= MAX_ATTEMPTS {
             self.supervision.failed += 1;
             self.push_event(
                 "job-failed",
@@ -1822,7 +1798,7 @@ impl<'h> FleetSim<'h> {
                 ^ id.0.wrapping_mul(0x9e37_79b9_7f4a_7c15)
                 ^ ((attempts as u64) << 32),
         );
-        let delay = self.config.health.retry.delay_s(attempts, &mut rng);
+        let delay = RetryPolicy::default().delay_s(attempts, &mut rng);
         let resume_at_s = self.t + delay;
         self.quarantined.insert(
             id,
@@ -1835,14 +1811,14 @@ impl<'h> FleetSim<'h> {
     }
 
     /// Shed the lowest-priority queued job crossing a link whose breaker has
-    /// been continuously unhealthy for `shed_after_s` (at most one job per
+    /// been continuously unhealthy for [`SHED_AFTER_S`] (at most one job per
     /// link per interval) — graceful degradation under sustained pressure.
     fn shed(&mut self) {
         for link in 0..self.breakers.len() {
-            if self.breakers.breaker(link).unhealthy_for_s(self.t) < self.config.shed_after_s {
+            if self.breakers.breaker(link).unhealthy_for_s(self.t) < SHED_AFTER_S {
                 continue;
             }
-            if self.t - self.last_shed_s[link] < self.config.shed_after_s {
+            if self.t - self.last_shed_s[link] < SHED_AFTER_S {
                 continue;
             }
             let hit = |j: &JobSpec| j.route.links().contains(&link);

@@ -18,46 +18,27 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-/// Tuning knobs for the control plane. Like `HealthConfig` and
-/// `BreakerConfig`, this is a compile-time/default-constructed config that
-/// is *not* serialized into checkpoints: resume reconstructs the same
-/// governor from the same defaults, which is exactly what replay needs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GovernConfig {
-    /// Sliding-window length (in per-link epoch observations) for the SLO
-    /// monitor.
-    pub window: usize,
-    /// Bad observations within the window to declare `Strained`.
-    pub strain_bad: usize,
-    /// Bad observations within the window to declare `Degraded`.
-    pub degrade_bad: usize,
-    /// Consecutive good observations required to step back toward
-    /// `Healthy` (hysteresis: one good epoch does not clear an outage).
-    pub recover_good: usize,
-    /// Token-bucket capacity for the fleet-wide retry budget.
-    pub budget_cap: u64,
-    /// Ticks between single-token refills.
-    pub refill_ticks: u64,
-    /// Minimum seconds between online placement re-searches.
-    pub replan_cooldown_s: f64,
-    /// Minimum seconds between brownout sheds.
-    pub brownout_cooldown_s: f64,
-}
+// The control plane's constants. Resume rebuilds the same governor from
+// them, which is exactly what replay needs; checkpoints do not carry them.
 
-impl Default for GovernConfig {
-    fn default() -> Self {
-        GovernConfig {
-            window: 4,
-            strain_bad: 1,
-            degrade_bad: 2,
-            recover_good: 2,
-            budget_cap: 32,
-            refill_ticks: 2,
-            replan_cooldown_s: 300.0,
-            brownout_cooldown_s: 60.0,
-        }
-    }
-}
+/// Sliding-window length (in per-link epoch observations) for the SLO
+/// monitor.
+const SLO_WINDOW: usize = 4;
+/// Bad observations within the window to declare `Strained`.
+const STRAIN_BAD: usize = 1;
+/// Bad observations within the window to declare `Degraded`.
+const DEGRADE_BAD: usize = 2;
+/// Consecutive good observations required to step back toward `Healthy`
+/// (hysteresis: one good epoch does not clear an outage).
+const RECOVER_GOOD: usize = 2;
+/// Token-bucket capacity of the fleet-wide retry budget.
+pub const RETRY_BUDGET_CAP: u64 = 32;
+/// Ticks between single-token refills of the retry budget.
+const REFILL_TICKS: u64 = 2;
+/// Minimum seconds between online placement re-searches.
+const REPLAN_COOLDOWN_S: f64 = 300.0;
+/// Minimum seconds between brownout sheds.
+const BROWNOUT_COOLDOWN_S: f64 = 60.0;
 
 /// Fleet-level health of one link as seen by the SLO monitor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -85,10 +66,10 @@ impl fmt::Display for SloState {
 #[derive(Debug, Clone)]
 struct LinkSlo {
     /// Ring of recent observations, `true` = bad (zero goodput).
-    ring: Vec<bool>,
+    ring: [bool; SLO_WINDOW],
     /// Next ring slot to overwrite.
     head: usize,
-    /// Observations seen so far (saturates at `ring.len()`).
+    /// Observations seen so far (saturates at [`SLO_WINDOW`]).
     filled: usize,
     /// Consecutive good observations since the last bad one.
     good_run: usize,
@@ -96,9 +77,9 @@ struct LinkSlo {
 }
 
 impl LinkSlo {
-    fn new(window: usize) -> LinkSlo {
+    fn new() -> LinkSlo {
         LinkSlo {
-            ring: vec![false; window.max(1)],
+            ring: [false; SLO_WINDOW],
             head: 0,
             filled: 0,
             good_run: 0,
@@ -115,20 +96,18 @@ impl LinkSlo {
 ///
 /// Escalation is immediate (bad observations push `Healthy → Strained →
 /// Degraded` as soon as the window holds enough of them); recovery is
-/// hysteretic (each step back down requires `recover_good` consecutive good
+/// hysteretic (each step back down requires `RECOVER_GOOD` consecutive good
 /// observations, so a flapping link does not oscillate the governor).
 #[derive(Debug, Clone)]
 pub struct SloMonitor {
     links: Vec<LinkSlo>,
-    cfg: GovernConfig,
 }
 
 impl SloMonitor {
-    /// Monitor for `nlinks` links under `cfg`.
-    pub fn new(nlinks: usize, cfg: &GovernConfig) -> SloMonitor {
+    /// Monitor for `nlinks` links.
+    pub fn new(nlinks: usize) -> SloMonitor {
         SloMonitor {
-            links: (0..nlinks).map(|_| LinkSlo::new(cfg.window)).collect(),
-            cfg: cfg.clone(),
+            links: vec![LinkSlo::new(); nlinks],
         }
     }
 
@@ -138,14 +117,14 @@ impl SloMonitor {
     pub fn observe(&mut self, link: usize, bad: bool) -> Option<(SloState, SloState)> {
         let l = &mut self.links[link];
         l.ring[l.head] = bad;
-        l.head = (l.head + 1) % l.ring.len();
-        l.filled = (l.filled + 1).min(l.ring.len());
+        l.head = (l.head + 1) % SLO_WINDOW;
+        l.filled = (l.filled + 1).min(SLO_WINDOW);
         l.good_run = if bad { 0 } else { l.good_run + 1 };
         let bad_count = l.bad_count();
         let from = l.state;
-        let to = if bad_count >= self.cfg.degrade_bad {
+        let to = if bad_count >= DEGRADE_BAD {
             SloState::Degraded
-        } else if bad_count >= self.cfg.strain_bad {
+        } else if bad_count >= STRAIN_BAD {
             // Never escalate on a *good* observation: a stale bad sample
             // aging through the ring should only hold state, not raise it.
             if bad {
@@ -153,7 +132,7 @@ impl SloMonitor {
             } else {
                 l.state.min(SloState::Strained)
             }
-        } else if l.good_run >= self.cfg.recover_good {
+        } else if l.good_run >= RECOVER_GOOD {
             match l.state {
                 SloState::Degraded => SloState::Strained,
                 _ => SloState::Healthy,
@@ -162,7 +141,7 @@ impl SloMonitor {
             l.state
         };
         // Stepping down resets the run so Degraded → Strained → Healthy
-        // takes `recover_good` *more* good epochs, not the same ones twice.
+        // takes `RECOVER_GOOD` *more* good epochs, not the same ones twice.
         if to < from {
             l.good_run = 0;
         }
@@ -297,30 +276,27 @@ pub struct Governor {
     pub last_replan_s: f64,
     /// Simulation time of the last brownout shed.
     pub last_brownout_s: f64,
-    /// Config the governor was built from.
-    pub cfg: GovernConfig,
 }
 
 impl Governor {
-    /// Governor over `nlinks` links under `cfg`.
-    pub fn new(nlinks: usize, cfg: &GovernConfig) -> Governor {
+    /// Governor over `nlinks` links.
+    pub fn new(nlinks: usize) -> Governor {
         Governor {
-            slo: SloMonitor::new(nlinks, cfg),
-            budget: RetryBudget::new(cfg.budget_cap, cfg.refill_ticks),
+            slo: SloMonitor::new(nlinks),
+            budget: RetryBudget::new(RETRY_BUDGET_CAP, REFILL_TICKS),
             last_replan_s: f64::NEG_INFINITY,
             last_brownout_s: f64::NEG_INFINITY,
-            cfg: cfg.clone(),
         }
     }
 
     /// True when a placement re-search is allowed at time `t`.
     pub fn replan_ready(&self, t: f64) -> bool {
-        t - self.last_replan_s >= self.cfg.replan_cooldown_s
+        t - self.last_replan_s >= REPLAN_COOLDOWN_S
     }
 
     /// True when a brownout shed is allowed at time `t`.
     pub fn brownout_ready(&self, t: f64) -> bool {
-        t - self.last_brownout_s >= self.cfg.brownout_cooldown_s
+        t - self.last_brownout_s >= BROWNOUT_COOLDOWN_S
     }
 
     /// Compact digest: budget state plus the non-healthy SLO links.
@@ -340,8 +316,7 @@ mod tests {
 
     #[test]
     fn slo_escalates_and_recovers_with_hysteresis() {
-        let cfg = GovernConfig::default();
-        let mut m = SloMonitor::new(2, &cfg);
+        let mut m = SloMonitor::new(2);
         assert_eq!(m.state(0), SloState::Healthy);
         // One bad epoch: Strained.
         assert_eq!(
@@ -377,8 +352,7 @@ mod tests {
 
     #[test]
     fn slo_digest_lists_only_unhealthy_links() {
-        let cfg = GovernConfig::default();
-        let mut m = SloMonitor::new(3, &cfg);
+        let mut m = SloMonitor::new(3);
         assert_eq!(m.digest(), "");
         m.observe(2, true);
         assert_eq!(m.digest(), "2:strained");
@@ -412,29 +386,32 @@ mod tests {
 
     #[test]
     fn governor_cooldowns_pace_actions() {
-        let cfg = GovernConfig {
-            replan_cooldown_s: 300.0,
-            brownout_cooldown_s: 60.0,
-            ..GovernConfig::default()
-        };
-        let mut g = Governor::new(1, &cfg);
+        let mut g = Governor::new(1);
         assert!(g.replan_ready(0.0));
         g.last_replan_s = 100.0;
-        assert!(!g.replan_ready(399.0));
-        assert!(g.replan_ready(400.0));
+        assert!(!g.replan_ready(99.0 + REPLAN_COOLDOWN_S));
+        assert!(g.replan_ready(100.0 + REPLAN_COOLDOWN_S));
         assert!(g.brownout_ready(0.0));
         g.last_brownout_s = 100.0;
-        assert!(!g.brownout_ready(159.0));
-        assert!(g.brownout_ready(160.0));
+        assert!(!g.brownout_ready(99.0 + BROWNOUT_COOLDOWN_S));
+        assert!(g.brownout_ready(100.0 + BROWNOUT_COOLDOWN_S));
     }
 
     #[test]
     fn governor_digest_combines_budget_and_slo() {
-        let cfg = GovernConfig::default();
-        let mut g = Governor::new(2, &cfg);
-        assert_eq!(g.digest(), "tok32:cd2:used0");
+        let mut g = Governor::new(2);
+        assert_eq!(
+            g.digest(),
+            format!("tok{RETRY_BUDGET_CAP}:cd{REFILL_TICKS}:used0")
+        );
         g.slo.observe(1, true);
         assert!(g.budget.try_take());
-        assert_eq!(g.digest(), "tok31:cd2:used1 slo[1:strained]");
+        assert_eq!(
+            g.digest(),
+            format!(
+                "tok{}:cd{REFILL_TICKS}:used1 slo[1:strained]",
+                RETRY_BUDGET_CAP - 1
+            )
+        );
     }
 }

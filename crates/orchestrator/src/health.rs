@@ -28,44 +28,21 @@
 //! (enforced by the golden snapshots).
 
 use xferopt_simcore::json::object;
-use xferopt_transfer::RetryPolicy;
 
-/// Thresholds for the per-job watchdog and the requeue budget.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HealthConfig {
-    /// Consecutive zero-throughput epochs before quarantine.
-    pub zero_epoch_limit: u32,
-    /// An epoch below `collapse_ratio × trailing_mean` counts as collapsed.
-    pub collapse_ratio: f64,
-    /// Consecutive collapsed epochs before quarantine.
-    pub collapse_epoch_limit: u32,
-    /// Trailing-mean window, in epochs.
-    pub window: usize,
-    /// Throughput below this absolute floor (MB/s) counts as zero.
-    pub zero_floor_mbs: f64,
-    /// Requeue attempts allowed before the job is failed outright.
-    pub max_attempts: u32,
-    /// Backoff between quarantine and requeue (shared with the transfer
-    /// layer's abort retries — see `xferopt_transfer::retry`).
-    pub retry: RetryPolicy,
-}
-
-impl Default for HealthConfig {
-    /// Conservative defaults: two whole epochs of silence or three epochs
-    /// below 5 % of the trailing mean quarantine a job; three requeue
-    /// attempts; the transfer layer's default exponential backoff.
-    fn default() -> Self {
-        HealthConfig {
-            zero_epoch_limit: 2,
-            collapse_ratio: 0.05,
-            collapse_epoch_limit: 3,
-            window: 4,
-            zero_floor_mbs: 1e-6,
-            max_attempts: 3,
-            retry: RetryPolicy::default(),
-        }
-    }
-}
+/// Consecutive zero-throughput epochs before quarantine.
+const ZERO_EPOCH_LIMIT: u32 = 2;
+/// An epoch below `COLLAPSE_RATIO × trailing mean` counts as collapsed.
+const COLLAPSE_RATIO: f64 = 0.05;
+/// Consecutive collapsed epochs before quarantine.
+const COLLAPSE_EPOCH_LIMIT: u32 = 3;
+/// Trailing-mean window, in epochs.
+const TRAILING_WINDOW: usize = 4;
+/// Throughput at or below this absolute floor (MB/s) counts as zero.
+pub(crate) const ZERO_FLOOR_MBS: f64 = 1e-6;
+/// Requeue attempts allowed before a quarantined job is failed outright.
+/// The backoff between quarantine and requeue is the transfer layer's
+/// default [`xferopt_transfer::RetryPolicy`].
+pub(crate) const MAX_ATTEMPTS: u32 = 3;
 
 /// Watchdog health state of a running job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,8 +68,8 @@ pub enum HealthVerdict {
 /// epoch via [`HealthMonitor::observe`]; it answers with a [`HealthVerdict`].
 #[derive(Debug, Clone)]
 pub struct HealthMonitor {
-    cfg: HealthConfig,
-    /// Trailing window of healthy observations (ring, `cfg.window` long).
+    /// Trailing window of healthy observations (ring, [`TRAILING_WINDOW`]
+    /// long).
     trailing: Vec<f64>,
     /// Next slot to overwrite once the ring is full.
     cursor: usize,
@@ -101,13 +78,18 @@ pub struct HealthMonitor {
     state: HealthState,
 }
 
+impl Default for HealthMonitor {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl HealthMonitor {
     /// A fresh monitor (also used when a requeued job is re-admitted — the
     /// old trailing mean belongs to pre-quarantine conditions).
-    pub fn new(cfg: HealthConfig) -> Self {
+    pub fn new() -> Self {
         HealthMonitor {
-            cfg,
-            trailing: Vec::with_capacity(cfg.window),
+            trailing: Vec::with_capacity(TRAILING_WINDOW),
             cursor: 0,
             zero_run: 0,
             collapse_run: 0,
@@ -141,11 +123,11 @@ impl HealthMonitor {
 
     /// Feed one closed epoch's observed throughput; returns the verdict.
     pub fn observe(&mut self, observed_mbs: f64) -> HealthVerdict {
-        if observed_mbs <= self.cfg.zero_floor_mbs {
+        if observed_mbs <= ZERO_FLOOR_MBS {
             self.zero_run += 1;
             self.collapse_run = 0;
             self.state = HealthState::Degraded;
-            return if self.zero_run >= self.cfg.zero_epoch_limit {
+            return if self.zero_run >= ZERO_EPOCH_LIMIT {
                 HealthVerdict::Quarantine
             } else {
                 HealthVerdict::Degraded
@@ -153,12 +135,12 @@ impl HealthMonitor {
         }
         let collapsed = self
             .trailing_mean()
-            .is_some_and(|m| observed_mbs < self.cfg.collapse_ratio * m);
+            .is_some_and(|m| observed_mbs < COLLAPSE_RATIO * m);
         if collapsed {
             self.zero_run = 0;
             self.collapse_run += 1;
             self.state = HealthState::Degraded;
-            return if self.collapse_run >= self.cfg.collapse_epoch_limit {
+            return if self.collapse_run >= COLLAPSE_EPOCH_LIMIT {
                 HealthVerdict::Quarantine
             } else {
                 HealthVerdict::Degraded
@@ -168,11 +150,11 @@ impl HealthMonitor {
         self.zero_run = 0;
         self.collapse_run = 0;
         self.state = HealthState::Healthy;
-        if self.trailing.len() < self.cfg.window {
+        if self.trailing.len() < TRAILING_WINDOW {
             self.trailing.push(observed_mbs);
         } else {
             self.trailing[self.cursor] = observed_mbs;
-            self.cursor = (self.cursor + 1) % self.cfg.window;
+            self.cursor = (self.cursor + 1) % TRAILING_WINDOW;
         }
         HealthVerdict::Healthy
     }
@@ -280,7 +262,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn monitor() -> HealthMonitor {
-        HealthMonitor::new(HealthConfig::default())
+        HealthMonitor::new()
     }
 
     #[test]
@@ -406,12 +388,11 @@ mod tests {
         fn quarantine_is_bounded_and_sound(
             obs in prop::collection::vec(0f64..4000.0, 1..200),
         ) {
-            let cfg = HealthConfig::default();
-            let mut m = HealthMonitor::new(cfg);
+            let mut m = HealthMonitor::new();
             let mut bad_run = 0u32;
             for &x in &obs {
                 let v = m.observe(x);
-                if x <= cfg.zero_floor_mbs
+                if x <= ZERO_FLOOR_MBS
                     || m.state() == HealthState::Degraded && v != HealthVerdict::Healthy
                 {
                     bad_run += 1;
@@ -420,11 +401,11 @@ mod tests {
                 }
                 match v {
                     HealthVerdict::Quarantine => {
-                        // Quarantine only after at least zero_epoch_limit bad
+                        // Quarantine only after at least ZERO_EPOCH_LIMIT bad
                         // epochs in a row.
-                        prop_assert!(bad_run >= cfg.zero_epoch_limit);
+                        prop_assert!(bad_run >= ZERO_EPOCH_LIMIT);
                         // Reset as the supervisor would.
-                        m = HealthMonitor::new(cfg);
+                        m = HealthMonitor::new();
                         bad_run = 0;
                     }
                     HealthVerdict::Degraded => prop_assert_eq!(m.state(), HealthState::Degraded),

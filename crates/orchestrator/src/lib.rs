@@ -41,17 +41,15 @@ pub mod shard;
 pub mod tournament;
 
 pub use admission::{AdmissionController, Reservation, DEFAULT_LINK_BUDGET};
-pub use breaker::{BreakerBoard, BreakerConfig, BreakerState, RouteBreaker};
+pub use breaker::{BreakerBoard, BreakerState, RouteBreaker};
 pub use chaos::{run_campaign, CampaignConfig, CampaignOutcome, MAX_SEEDS};
 pub use checkpoint::{parse_journal, Checkpoint, JournalRead};
 pub use fleet::{
     check_job_count, topo_workload, ConfigError, FleetConfig, FleetOutcome, FleetReport, FleetSim,
     JobOutcome, TopoFleetConfig,
 };
-pub use govern::{GovernConfig, Governor, RetryBudget, SloMonitor, SloState};
-pub use health::{
-    HealthConfig, HealthMonitor, HealthState, HealthVerdict, SupervisionEvent, SupervisionSummary,
-};
+pub use govern::{Governor, RetryBudget, SloMonitor, SloState, RETRY_BUDGET_CAP};
+pub use health::{HealthMonitor, HealthState, HealthVerdict, SupervisionEvent, SupervisionSummary};
 pub use history::{HistoryRecord, HistoryStore};
 pub use job::{JobId, JobSpec, JobState, Workload};
 pub use policy::Policy;

@@ -27,6 +27,7 @@
 //! Completed cells feed the [`HistoryStore`] (tagged with the preset name),
 //! which is how the `history` tuner earns its warm start on reruns.
 
+use crate::fleet::NOISE_SIGMA;
 use crate::history::{HistoryRecord, HistoryStore};
 use xferopt_scenarios::{
     throughput_surface, ExternalLoad, FaultProfile, PaperWorld, Route, TuneDims,
@@ -117,8 +118,6 @@ pub struct TournamentConfig {
     pub epoch_s: f64,
     /// Root seed: worlds, fault plans, and oracle sweeps all derive from it.
     pub seed: u64,
-    /// Throughput noise log-std for the driven transfers.
-    pub noise_sigma: f64,
     /// Steady measurement window per oracle sweep cell, seconds.
     pub oracle_secs: f64,
 }
@@ -144,7 +143,6 @@ impl Default for TournamentConfig {
             epochs: 40,
             epoch_s: 30.0,
             seed: 7,
-            noise_sigma: 0.05,
             oracle_secs: 150.0,
         }
     }
@@ -555,12 +553,12 @@ fn run_cell(
     // External transfer rides the same route, as in drive_transfer.
     let ext_cfg = TransferConfig::memory_to_memory(source, pw.path(route))
         .with_params(StreamParams::new(load.tfr, 1))
-        .with_noise(cfg.noise_sigma, 45.0);
+        .with_noise(NOISE_SIGMA, 45.0);
     let _ext = pw.world.add_transfer(ext_cfg);
     pw.world.set_compute_jobs(source, load.cmp);
     let main_cfg = TransferConfig::memory_to_memory(source, pw.path(route))
         .with_params(x0)
-        .with_noise(cfg.noise_sigma, 45.0);
+        .with_noise(NOISE_SIGMA, 45.0);
     let tid = pw.world.add_transfer(main_cfg);
     if let Some(p) = fault {
         pw.world

@@ -14,7 +14,9 @@
 use crate::load::LoadSchedule;
 use crate::topology::{PaperWorld, Route};
 use xferopt_simcore::{FaultPlan, SimDuration};
-use xferopt_transfer::{StreamParams, TransferConfig, TransferId, TransferLog, World};
+use xferopt_transfer::{
+    StreamParams, TransferConfig, TransferId, TransferLog, World, WorldTelemetry,
+};
 use xferopt_tuners::{Domain, OnlineTuner, Point, TunerKind};
 
 /// Which parameters are tuned, and how points map to [`StreamParams`].
@@ -131,6 +133,24 @@ impl DriveConfig {
         Ok(())
     }
 
+    /// Refuse a fixed `np` whose product with the domain's largest `nc`
+    /// overflows the `u32` stream count `nc × np`.
+    ///
+    /// # Errors
+    /// A message naming `np` and the largest `nc`.
+    pub fn check_streams(&self) -> Result<(), String> {
+        let TuneDims::NcOnly { np } = self.dims else {
+            return Ok(());
+        };
+        let top = self.dims.domain().hi()[0];
+        match u32::try_from(top).ok().and_then(|nc| nc.checked_mul(np)) {
+            Some(_) => Ok(()),
+            None => Err(format!(
+                "np {np} overflows the stream count at the largest nc={top}"
+            )),
+        }
+    }
+
     /// Inject a fault plan (see [`crate::faults::FaultProfile::plan`]).
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
@@ -196,6 +216,19 @@ pub(crate) fn step_through(
 
 /// Run one tuned transfer to completion and return its full log.
 pub fn drive_transfer(cfg: &DriveConfig) -> TransferLog {
+    drive(cfg, false).0
+}
+
+/// The control loop behind [`drive_transfer`] and
+/// [`crate::telemetry::drive_transfer_with_telemetry`]. With `record`, the
+/// world's flight recorder and the tuner's audit log are switched on (both
+/// are observational) and returned with the log: the recorder, taken right
+/// after the last epoch closes, so the network gauges it exports show the
+/// network at that close, and the tuner's decision records as JSONL.
+pub(crate) fn drive(
+    cfg: &DriveConfig,
+    record: bool,
+) -> (TransferLog, Option<(WorldTelemetry, String)>) {
     let mut pw = PaperWorld::new(cfg.seed);
     let source = pw.source;
     // External transfer rides the same route, as in the paper's setup.
@@ -213,10 +246,16 @@ pub fn drive_transfer(cfg: &DriveConfig) -> TransferLog {
     if let Some(plan) = &cfg.faults {
         pw.world.enable_faults(plan.clone());
     }
+    if record {
+        pw.world.enable_telemetry();
+    }
 
     let mut tuner = cfg
         .tuner
         .build(cfg.dims.domain(), cfg.dims.to_point(cfg.x0));
+    if record {
+        tuner.enable_audit();
+    }
     let restarts = cfg.tuner != TunerKind::Default;
 
     let mut log = TransferLog::new();
@@ -230,7 +269,11 @@ pub fn drive_transfer(cfg: &DriveConfig) -> TransferLog {
         log.push(r);
         x = tuner.observe(&x, r.observed_mbs);
     }
-    log
+    let recording = pw.world.take_telemetry().map(|tel| {
+        let decisions = tuner.audit_log().map(|l| l.to_jsonl()).unwrap_or_default();
+        (tel, decisions)
+    });
+    (log, recording)
 }
 
 /// One transfer's spec in a simultaneous-tuning run.
@@ -665,5 +708,20 @@ mod tests {
         let d = TuneDims::NcNp;
         assert_eq!(d.to_params(&vec![5, 3]), StreamParams::new(5, 3));
         assert_eq!(d.to_point(StreamParams::new(5, 3)), vec![5, 3]);
+    }
+
+    #[test]
+    fn np_that_overflows_the_largest_nc_is_refused() {
+        let with_np = |np| {
+            let mut cfg = quiet(Route::UChicago, TunerKind::Nm, ExternalLoad::NONE);
+            cfg.dims = TuneDims::NcOnly { np };
+            cfg.check_streams()
+        };
+        // The NcOnly domain reaches nc = 512, and 512 × 2^23 = 2^32.
+        assert!(with_np(8).is_ok());
+        assert!(with_np((1 << 23) - 1).is_ok());
+        let err = with_np(1 << 23).unwrap_err();
+        assert!(err.contains("8388608") && err.contains("512"), "{err}");
+        assert!(with_np(u32::MAX).is_err());
     }
 }

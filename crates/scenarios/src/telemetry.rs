@@ -17,11 +17,9 @@
 //! [`crate::driver::drive_transfer`] for the same config.
 
 use crate::driver::DriveConfig;
-use crate::topology::PaperWorld;
 use xferopt_simcore::json::{object, Fields};
 use xferopt_simcore::MetricsSnapshot;
-use xferopt_transfer::{StreamParams, TransferConfig, TransferLog};
-use xferopt_tuners::TunerKind;
+use xferopt_transfer::TransferLog;
 
 /// The full telemetry output of one driven transfer.
 #[derive(Debug, Clone)]
@@ -89,59 +87,18 @@ impl RunTelemetry {
 /// [`crate::driver::drive_transfer`] with the flight recorder on: returns
 /// the identical [`TransferLog`] plus the run's [`RunTelemetry`].
 ///
-/// The implementation mirrors `drive_transfer` step for step; the only
-/// differences are `World::enable_telemetry` and `OnlineTuner::enable_audit`,
-/// both of which are observational (checked by the determinism tests).
+/// Both run the same control loop; this one also switches on
+/// `World::enable_telemetry` and `OnlineTuner::enable_audit`, both of which
+/// are observational (checked by the determinism tests).
 pub fn drive_transfer_with_telemetry(cfg: &DriveConfig) -> (TransferLog, RunTelemetry) {
-    let mut pw = PaperWorld::new(cfg.seed);
-    let source = pw.source;
-    let ext_cfg = TransferConfig::memory_to_memory(source, pw.path(cfg.route))
-        .with_params(StreamParams::new(cfg.schedule.load_at(0.0).tfr, 1))
-        .with_noise(cfg.noise_sigma, 45.0);
-    let ext = pw.world.add_transfer(ext_cfg);
-    pw.world
-        .set_compute_jobs(source, cfg.schedule.load_at(0.0).cmp);
-
-    let main_cfg = TransferConfig::memory_to_memory(source, pw.path(cfg.route))
-        .with_params(cfg.x0)
-        .with_noise(cfg.noise_sigma, 45.0);
-    let tid = pw.world.add_transfer(main_cfg);
-    if let Some(plan) = &cfg.faults {
-        pw.world.enable_faults(plan.clone());
-    }
-    pw.world.enable_telemetry();
-
-    let mut tuner = cfg
-        .tuner
-        .build(cfg.dims.domain(), cfg.dims.to_point(cfg.x0));
-    tuner.enable_audit();
-    let restarts = cfg.tuner != TunerKind::Default;
-
-    let mut log = TransferLog::new();
-    let mut x = tuner.initial();
-    let epochs = (cfg.duration_s / cfg.epoch_s).round() as usize;
-    for _ in 0..epochs {
-        let params = cfg.dims.to_params(&x);
-        let es = pw.world.begin_epoch(tid, params, restarts);
-        crate::driver::step_through(&mut pw.world, source, ext, &cfg.schedule, cfg.epoch_s);
-        let r = pw.world.end_epoch(es);
-        log.push(r);
-        x = tuner.observe(&x, r.observed_mbs);
-    }
-
-    // Taken right after the last epoch closes, so the network gauges the
-    // recorder exports show the network at that close.
-    let tel = pw
-        .world
-        .take_telemetry()
-        .expect("telemetry was enabled above");
-    let decisions_jsonl = tuner.audit_log().map(|l| l.to_jsonl()).unwrap_or_default();
+    let (log, recording) = crate::driver::drive(cfg, true);
+    let (tel, decisions_jsonl) = recording.expect("the loop records when asked to");
     let bundle = RunTelemetry {
         header: RunHeader {
             route: cfg.route.name().to_string(),
             tuner: cfg.tuner.name().to_string(),
             seed: cfg.seed,
-            epochs,
+            epochs: log.epochs.len(),
             epoch_s: cfg.epoch_s,
         },
         epochs_jsonl: tel.epochs_jsonl(),
@@ -265,6 +222,7 @@ mod tests {
     use crate::driver::{drive_transfer, TuneDims};
     use crate::load::{ExternalLoad, LoadSchedule};
     use crate::topology::Route;
+    use xferopt_tuners::TunerKind;
 
     fn cfg(tuner: TunerKind) -> DriveConfig {
         DriveConfig::paper(

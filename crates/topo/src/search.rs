@@ -235,6 +235,71 @@ fn touches(route_links: &[usize], region_link_set: &BTreeSet<usize>) -> bool {
     route_links.iter().any(|l| region_link_set.contains(l))
 }
 
+/// Coordinate descent from `assign`: in each of up to `cfg.passes` passes,
+/// every `(pair index, candidate routes)` of `scope`, in order, greedily
+/// takes the best (route × nc) in the context of everyone else's current
+/// choice. The descent state is `(assign, best_score)` alone, so a pass
+/// that accepts no move leaves it unchanged and every later pass would
+/// repeat it exactly: the descent stops there. Returns the allocated
+/// per-pair rates and the score of the final assignment.
+fn descend<'a>(
+    catalog: &RouteCatalog,
+    assign: &mut [(usize, u32)],
+    scope: impl Iterator<Item = (usize, &'a [usize])> + Clone,
+    cfg: &SearchConfig,
+) -> (Vec<f64>, f64) {
+    let (_, mut best_score) = evaluate(catalog, assign, cfg.np);
+    for _ in 0..cfg.passes {
+        let mut moved = false;
+        for (p, routes) in scope.clone() {
+            for &route in routes {
+                for &nc in &cfg.nc_grid {
+                    let prev = assign[p];
+                    if prev == (route, nc) {
+                        continue;
+                    }
+                    assign[p] = (route, nc);
+                    let (_, score) = evaluate(catalog, assign, cfg.np);
+                    if score > best_score {
+                        best_score = score;
+                        moved = true;
+                    } else {
+                        assign[p] = prev;
+                    }
+                }
+            }
+        }
+        if !moved {
+            break;
+        }
+    }
+    evaluate(catalog, assign, cfg.np)
+}
+
+/// A placement entry's ranked routes, as names and link lists: `chosen`
+/// first, then the pair's other candidates in catalog order.
+fn ranked_routes(
+    catalog: &RouteCatalog,
+    (src, dst): (usize, usize),
+    chosen: usize,
+) -> (Vec<String>, Vec<Vec<usize>>) {
+    std::iter::once(chosen)
+        .chain(
+            catalog
+                .candidates(src, dst)
+                .iter()
+                .copied()
+                .filter(|&c| c != chosen),
+        )
+        .map(|c| {
+            (
+                catalog.routes[c].name.clone(),
+                catalog.routes[c].links.clone(),
+            )
+        })
+        .unzip()
+}
+
 /// Deterministic offline route/config search. One job class per ordered
 /// region pair; see the module docs for the objective and the
 /// fault-tolerance filter.
@@ -251,7 +316,7 @@ pub fn search_routes(planet: &Planet, cfg: &SearchConfig) -> Result<PlacementTab
 
     // Fault-tolerance filter: a candidate survives when every transit
     // region it touches leaves some other candidate untouched. Pairs keep
-    // only surviving candidates when any exist.
+    // only surviving candidates (as route indices) when any exist.
     let mut allowed: Vec<Vec<usize>> = Vec::new();
     let mut ft_covered: Vec<bool> = Vec::new();
     for &(src, dst) in &pairs {
@@ -266,58 +331,26 @@ pub fn search_routes(planet: &Planet, cfg: &SearchConfig) -> Result<PlacementTab
                             .any(|&c| !touches(&catalog.routes[c].links, &region_sets[r]))
                 })
         };
-        let surviving: Vec<usize> = (0..cands.len()).filter(|&i| survives(i)).collect();
+        let surviving: Vec<usize> = (0..cands.len())
+            .filter(|&i| survives(i))
+            .map(|i| cands[i])
+            .collect();
         ft_covered.push(!surviving.is_empty());
         allowed.push(if surviving.is_empty() {
-            (0..cands.len()).collect()
+            cands.to_vec()
         } else {
             surviving
         });
     }
 
-    // Coordinate descent: everyone starts on rank 0 at the middle of the
-    // nc grid, then each pair in order greedily picks the best
-    // (candidate × nc) in the context of everyone else's current choice.
-    let mut assign: Vec<(usize, u32)> = pairs
+    // Coordinate descent over every pair: everyone starts on its first
+    // allowed candidate at the middle of the nc grid.
+    let mut assign: Vec<(usize, u32)> = allowed
         .iter()
-        .zip(&allowed)
-        .map(|(&(src, dst), ok)| {
-            (
-                catalog.candidates(src, dst)[ok[0]],
-                cfg.nc_grid[cfg.nc_grid.len() / 2],
-            )
-        })
+        .map(|ok| (ok[0], cfg.nc_grid[cfg.nc_grid.len() / 2]))
         .collect();
-    // The descent state is `(assign, best_score)` alone, so a pass that
-    // accepts no move leaves it unchanged and every later pass would repeat
-    // it exactly: stop there.
-    let (_, mut best_score) = evaluate(&catalog, &assign, cfg.np);
-    for _ in 0..cfg.passes {
-        let mut moved = false;
-        for (p, &(src, dst)) in pairs.iter().enumerate() {
-            let cands = catalog.candidates(src, dst);
-            for &ci in &allowed[p] {
-                for &nc in &cfg.nc_grid {
-                    let prev = assign[p];
-                    if prev == (cands[ci], nc) {
-                        continue;
-                    }
-                    assign[p] = (cands[ci], nc);
-                    let (_, score) = evaluate(&catalog, &assign, cfg.np);
-                    if score > best_score {
-                        best_score = score;
-                        moved = true;
-                    } else {
-                        assign[p] = prev;
-                    }
-                }
-            }
-        }
-        if !moved {
-            break;
-        }
-    }
-    let (rates, score) = evaluate(&catalog, &assign, cfg.np);
+    let scope = allowed.iter().map(Vec::as_slice).enumerate();
+    let (rates, score) = descend(&catalog, &mut assign, scope, cfg);
     let total_mbs: f64 = rates.iter().sum();
     let jain = jain_index(&rates);
 
@@ -357,26 +390,13 @@ pub fn search_routes(planet: &Planet, cfg: &SearchConfig) -> Result<PlacementTab
         .enumerate()
         .map(|(p, &(src, dst))| {
             let (chosen, nc) = assign[p];
-            let mut ranked = vec![chosen];
-            ranked.extend(
-                catalog
-                    .candidates(src, dst)
-                    .iter()
-                    .copied()
-                    .filter(|&c| c != chosen),
-            );
+            let (routes, links) = ranked_routes(&catalog, (src, dst), chosen);
             PlacementEntry {
                 pair: format!("{}->{}", planet.regions[src], planet.regions[dst]),
                 src,
                 dst,
-                routes: ranked
-                    .iter()
-                    .map(|&c| catalog.routes[c].name.clone())
-                    .collect(),
-                links: ranked
-                    .iter()
-                    .map(|&c| catalog.routes[c].links.clone())
-                    .collect(),
+                routes,
+                links,
                 nc,
                 np: cfg.np,
                 mbs: rates[p],
@@ -438,37 +458,14 @@ pub fn refine_placement(
         assign.push((idx, e.nc));
     }
 
-    // Coordinate descent over the affected pairs only, in pair order. No
-    // fault-tolerance filter here: the live topology already *is* the
-    // outage, and the point is to escape it. Like `search_routes`, it stops
-    // at its fixed point.
-    let (_, mut best_score) = evaluate(&catalog, &assign, cfg.np);
-    for _ in 0..cfg.passes {
-        let mut moved = false;
-        for &p in affected {
-            let (src, dst) = pairs[p];
-            for &ci in catalog.candidates(src, dst) {
-                for &nc in &cfg.nc_grid {
-                    let prev_assign = assign[p];
-                    if prev_assign == (ci, nc) {
-                        continue;
-                    }
-                    assign[p] = (ci, nc);
-                    let (_, score) = evaluate(&catalog, &assign, cfg.np);
-                    if score > best_score {
-                        best_score = score;
-                        moved = true;
-                    } else {
-                        assign[p] = prev_assign;
-                    }
-                }
-            }
-        }
-        if !moved {
-            break;
-        }
-    }
-    let (rates, score) = evaluate(&catalog, &assign, cfg.np);
+    // Coordinate descent over the affected pairs only, in the given order.
+    // No fault-tolerance filter here: the live topology already *is* the
+    // outage, and the point is to escape it.
+    let scope = affected.iter().map(|&p| {
+        let (src, dst) = pairs[p];
+        (p, catalog.candidates(src, dst))
+    });
+    let (rates, score) = descend(&catalog, &mut assign, scope, cfg);
     let total_mbs: f64 = rates.iter().sum();
     let jain = jain_index(&rates);
 
@@ -481,23 +478,7 @@ pub fn refine_placement(
             let (chosen, nc) = assign[p];
             let mut e = old.clone();
             if affected_set.contains(&p) {
-                let (src, dst) = pairs[p];
-                let mut ranked = vec![chosen];
-                ranked.extend(
-                    catalog
-                        .candidates(src, dst)
-                        .iter()
-                        .copied()
-                        .filter(|&c| c != chosen),
-                );
-                e.routes = ranked
-                    .iter()
-                    .map(|&c| catalog.routes[c].name.clone())
-                    .collect();
-                e.links = ranked
-                    .iter()
-                    .map(|&c| catalog.routes[c].links.clone())
-                    .collect();
+                (e.routes, e.links) = ranked_routes(&catalog, pairs[p], chosen);
                 e.nc = nc;
             }
             e.mbs = rates[p];

@@ -15,7 +15,7 @@
 //! 1. the transfer layer itself, for abort retries of a single transfer
 //!    (`World::enable_faults` / `enable_faults_with_policy`); and
 //! 2. the fleet orchestrator's supervision loop, which reuses the same
-//!    policy (via `HealthConfig::retry`) to space out requeues of
+//!    policy (`RetryPolicy::default()`) to space out requeues of
 //!    quarantined jobs (see `xferopt-orchestrator`'s `fleet::FleetSim` and
 //!    DESIGN.md §12).
 //!

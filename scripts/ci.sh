@@ -298,6 +298,13 @@ echo "==> tuner domain-safety proptests (new tuner kinds)"
 cargo test -q -p xferopt-tuners fuzz_new_tuner_kinds_respect_restricted_domains
 cargo test -q -p xferopt-tuners fuzz_every_tuner_domain_safety
 
+echo "==> perfbench builds against this tree and reproduces its recorded digests (release)"
+# perfbench is a workspace of its own whose lock file cargo rewrites when
+# it resolves; keep the committed lock as it is, whatever this step does.
+cp perfbench/Cargo.lock "$FLEET_TMP/perfbench-Cargo.lock"
+trap 'cp "$FLEET_TMP/perfbench-Cargo.lock" perfbench/Cargo.lock; rm -rf "$FLEET_TMP"' EXIT
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -204,6 +204,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         ));
     }
     cfg.check_epochs()?;
+    cfg.check_streams().map_err(|e| format!("--{e}"))?;
     let faults = match args.get("faults") {
         None => None,
         Some(v) => {
@@ -546,7 +547,6 @@ fn cmd_fleet_run(args: &Args) -> Result<(), String> {
         warm_start: !args.has_flag("cold"),
         faults,
         topo,
-        ..FleetConfig::default()
     };
     config.validate().map_err(|e| e.to_string())?;
     let workload = match (args.get("workload").unwrap_or("synthetic"), &config.topo) {

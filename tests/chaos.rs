@@ -15,7 +15,8 @@
 use proptest::prelude::*;
 use xferopt::orchestrator::{
     parse_journal, resume_fleet_sharded, run_campaign, run_fleet_sharded, CampaignConfig,
-    FleetConfig, FleetSim, GovernConfig, HistoryStore, ShardedFleetSim, TopoFleetConfig, Workload,
+    FleetConfig, FleetSim, HistoryStore, ShardedFleetSim, TopoFleetConfig, Workload,
+    RETRY_BUDGET_CAP,
 };
 use xferopt::simcore::json::{escape, Fields};
 
@@ -80,7 +81,7 @@ fn selfheal_beats_both_baselines_and_loses_no_bytes() {
         "SLO monitor never fired:\n{}",
         out.scorecard
     );
-    let budget = GovernConfig::default().budget_cap * cfg.seeds.len() as u64;
+    let budget = RETRY_BUDGET_CAP * cfg.seeds.len() as u64;
     for t in &out.totals {
         assert_eq!(
             t.bytes_lost, 0.0,
@@ -156,7 +157,7 @@ fn retry_budget_invariant_holds_at_every_tick() {
     // end, the consumed count equals the supervision counters it funds.
     let cfg = selfheal_cfg();
     let wl = mesh_campaign_wl(20);
-    let cap = cfg.govern.budget_cap;
+    let cap = RETRY_BUDGET_CAP;
     let mut h = HistoryStore::in_memory();
     let mut sim = FleetSim::new(&wl, &cfg, &mut h);
     let mut last_consumed = 0;

@@ -87,6 +87,9 @@ fn bad_flag_values_exit_1_with_an_error_line() {
         &["sweep", "--duration", "-1"],
         &["sweep", "--duration", "1e-300"],
         &["run", "--np", "0", "--duration", "60"],
+        &["run", "--np", "8388608", "--duration", "60"],
+        &["run", "--np", "1000000000", "--duration", "60"],
+        &["run", "--np", "4294967295", "--duration", "60"],
         &["sweep", "--np", "0"],
         &["sweep", "--np", "16777216"],
         &["sweep", "--np", "4000000000"],
@@ -299,6 +302,10 @@ fn checkpoints_with_an_invalid_config_exit_1() {
             "jobs1e15.ckpt",
             header.replace("\"jobs\":0", "\"jobs\":1e15"),
         ),
+        (
+            "noise_sigma.ckpt",
+            header.replace("\"noise_sigma\":0.05", "\"noise_sigma\":0.1"),
+        ),
     ];
     for (name, text) in &cases {
         let path = dir.join(name);
@@ -309,6 +316,12 @@ fn checkpoints_with_an_invalid_config_exit_1() {
             assert!(
                 stderr.contains("over the cap"),
                 "{name} must be refused by a cap:\n{stderr}"
+            );
+        }
+        if name.starts_with("noise_sigma") {
+            assert!(
+                stderr.contains("'noise_sigma'"),
+                "{name} must name the field:\n{stderr}"
             );
         }
     }

@@ -13,7 +13,6 @@ fn cfg(policy: Policy, seed: u64) -> FleetConfig {
         policy,
         seed,
         horizon_s: 3600.0,
-        audit: true,
         ..FleetConfig::default()
     }
 }

@@ -38,7 +38,6 @@ fn cfg(policy: Policy, seed: u64, faults: Option<FaultProfile>) -> FleetConfig {
         seed,
         horizon_s: 3600.0,
         faults,
-        audit: true,
         ..FleetConfig::default()
     }
 }
