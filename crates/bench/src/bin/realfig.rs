@@ -7,7 +7,7 @@
 //! Usage: `realfig [--epochs N]` (default 12).
 
 use std::time::Duration;
-use xferopt_loopback::{CpuHogs, LoopbackHarness, ShaperConfig};
+use xferopt_gridftp::loopback::{CpuHogs, LoopbackHarness, ShaperConfig};
 use xferopt_scenarios::Table;
 use xferopt_tuners::{CompassTuner, Domain, OnlineTuner, StaticTuner};
 

@@ -12,11 +12,12 @@ use crate::block::{self, Block, DEFAULT_BLOCK_BYTES, HEADER_LEN};
 use crate::checksum::StripeDigest;
 use crate::rangeset::RangeSet;
 use crate::session::Session;
+use crate::shaper::{ShaperConfig, TokenBucket};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use xferopt_loopback::{join_threads, TokenBucket};
+use std::thread::ScopedJoinHandle;
 
 /// Deterministic synthetic payload byte at `offset`.
 pub fn payload_byte(offset: u64) -> u8 {
@@ -172,9 +173,10 @@ pub fn put(addr: SocketAddr, cfg: PutConfig) -> Result<PutReport, PutError> {
 /// Send the blocks `block_at(0), block_at(1), …` (until `None`) of a
 /// `size`-byte synthetic file cut into `block_bytes` blocks, one thread per
 /// channel of `conns`. Each thread claims the next unsent block, frames it,
-/// waits on `bucket` and writes it, until the blocks run out or `stop()`,
-/// then ends its channel with EOD. Returns the payload bytes sent. The one
-/// sender of both directions: a put's and the server's `RETR`.
+/// waits on its own `channel_cap` bucket and on the shared `bucket`, and
+/// writes it, until the blocks run out or `stop()`, then ends its channel
+/// with EOD. Returns the payload bytes sent. The one sender of both
+/// directions: a put's and the server's `RETR`.
 ///
 /// # Errors
 /// The first channel's write error, or an `Other` error if a channel
@@ -185,6 +187,7 @@ pub(crate) fn send_blocks(
     size: u64,
     block_bytes: usize,
     bucket: Option<&TokenBucket>,
+    channel_cap: Option<ShaperConfig>,
     stop: impl Fn() -> bool + Sync,
 ) -> io::Result<u64> {
     let (cursor, sent) = (&AtomicUsize::new(0), &AtomicU64::new(0));
@@ -194,6 +197,7 @@ pub(crate) fn send_blocks(
             .iter_mut()
             .map(|conn| {
                 scope.spawn(move || -> io::Result<()> {
+                    let own = channel_cap.map(TokenBucket::new);
                     let mut frame = Vec::new();
                     while !stop() {
                         let Some(idx) = block_at(cursor.fetch_add(1, Ordering::Relaxed)) else {
@@ -202,6 +206,9 @@ pub(crate) fn send_blocks(
                         let offset = idx * block_bytes as u64;
                         let len = ((size - offset) as usize).min(block_bytes);
                         payload_frame(&mut frame, offset, len);
+                        if let Some(b) = &own {
+                            b.acquire(len);
+                        }
                         if let Some(b) = bucket {
                             b.acquire(len);
                         }
@@ -216,6 +223,23 @@ pub(crate) fn send_blocks(
         join_threads(handles, "send channel")
     })?;
     Ok(sent.load(Ordering::Relaxed))
+}
+
+/// Join every thread of a scope, then return their results in spawn order
+/// or the first error. A panicked thread becomes an `Other` error naming
+/// its `role`; joining them all first keeps the scope from re-raising it.
+///
+/// # Errors
+/// The first thread's error, in spawn order.
+pub(crate) fn join_threads<T>(
+    handles: Vec<ScopedJoinHandle<'_, io::Result<T>>>,
+    role: &str,
+) -> io::Result<Vec<T>> {
+    let joined: Vec<_> = handles.into_iter().map(ScopedJoinHandle::join).collect();
+    joined
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|_| Err(io::Error::other(format!("{role} thread panicked")))))
+        .collect()
 }
 
 /// Outcome of one `get` (download).
@@ -251,7 +275,6 @@ pub fn get(
 mod tests {
     use super::*;
     use crate::server::GridFtpServer;
-    use xferopt_loopback::ShaperConfig;
 
     #[test]
     fn single_channel_put_verifies() {
@@ -617,6 +640,22 @@ mod tests {
             let block = Block::data(offset, payload_block(offset, len)).encode();
             assert_eq!(frame[..], block[..], "offset {offset} len {len}");
         }
+    }
+
+    /// A thread that panics surfaces as an error naming its role, after
+    /// the other threads are joined, not as a process abort.
+    #[test]
+    fn a_panicked_thread_is_an_io_error() {
+        let err = std::thread::scope(|s| {
+            let handles = vec![
+                s.spawn(|| -> io::Result<u32> { panic!("stream fault") }),
+                s.spawn(|| Ok(2)),
+            ];
+            join_threads(handles, "put channel")
+        })
+        .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::Other);
+        assert_eq!(err.to_string(), "put channel thread panicked");
     }
 
     #[test]

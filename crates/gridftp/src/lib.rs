@@ -23,11 +23,16 @@
 //!   through the client's sender loop.
 //! * [`client`] — the synthetic payload and the one striped sender loop of
 //!   both directions: blocks round-robined over `np` channels, optional
-//!   token-bucket shaping (from `xferopt-loopback`), resume from restart
-//!   markers. [`put`] and [`get`] are one-shot wrappers over a [`Session`].
+//!   token-bucket shaping, resume from restart markers. [`put`] and [`get`]
+//!   are one-shot wrappers over a [`Session`].
 //! * [`session`] — the one client of the control protocol: a persistent
 //!   session whose put and get share one negotiation step and whose data
 //!   channels are cached across transfers in both directions.
+//! * [`loopback`] — the tuners' real-socket objective: one epoch of `nc`
+//!   sessions × `np` channels putting through a shared token bucket until
+//!   the epoch's deadline, with the bucket ([`loopback::TokenBucket`], the
+//!   emulated WAN bottleneck, also what shapes a put) and synthetic dgemm
+//!   hogs ([`loopback::CpuHogs`], the paper's `ext.cmp` load).
 //!
 //! Concurrency (the paper's `nc`) is modelled the same way `globus-url-copy`
 //! does it: run several independent client sessions.
@@ -52,11 +57,14 @@
 pub mod block;
 pub mod checksum;
 pub mod client;
+mod cpuload;
+pub mod loopback;
 pub mod proto;
 pub mod rangeset;
 mod recv;
 pub mod server;
 pub mod session;
+mod shaper;
 
 pub use block::{Block, BlockDecoder, FLAG_EOD};
 pub use checksum::StripeDigest;

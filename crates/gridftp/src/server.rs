@@ -13,7 +13,7 @@
 
 use crate::block::DEFAULT_BLOCK_BYTES as BLOCK;
 use crate::checksum::StripeDigest;
-use crate::client::{expected_digest, send_blocks};
+use crate::client::{expected_digest, join_threads, send_blocks};
 use crate::proto::{Command, Reply};
 use crate::rangeset::RangeSet;
 use crate::recv::{End, StripeFold};
@@ -23,7 +23,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
-use xferopt_loopback::join_threads;
 
 /// Accumulated state of one named logical file (persists across sessions so
 /// transfers can resume).
@@ -118,6 +117,11 @@ impl GridFtpServer {
     /// Snapshot of a named transfer's state, if any blocks have arrived.
     pub fn transfer_state(&self, name: &str) -> Option<TransferState> {
         lock(&self.registry).get(name).cloned()
+    }
+
+    /// Payload bytes received over every transfer's finished data phases.
+    pub(crate) fn bytes_received(&self) -> u64 {
+        lock(&self.registry).values().map(|s| s.bytes).sum()
     }
 }
 
@@ -224,6 +228,7 @@ fn serve_session(
                     |i| Some(i as u64).filter(|&b| b < n_blocks),
                     size,
                     BLOCK,
+                    None,
                     None,
                     || stop.load(Ordering::Relaxed),
                 )?;

@@ -18,14 +18,16 @@
 
 use crate::block::{Block, DEFAULT_BLOCK_BYTES};
 use crate::checksum::StripeDigest;
-use crate::client::{expected_digest, send_blocks, GetReport, PutConfig, PutError, PutReport};
+use crate::client::{
+    expected_digest, join_threads, send_blocks, GetReport, PutConfig, PutError, PutReport,
+};
 use crate::proto::{Command, ParseError, Reply};
 use crate::rangeset::RangeSet;
 use crate::recv::{End, StripeFold};
+use crate::shaper::ShaperConfig;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Instant;
-use xferopt_loopback::join_threads;
 
 /// A persistent control-channel session with cached data channels.
 #[derive(Debug)]
@@ -158,25 +160,47 @@ impl Session {
     /// [`PutError::Protocol`] for a zero parallelism or block size, before
     /// any command is sent; otherwise a socket or protocol failure.
     pub fn put(&mut self, cfg: &PutConfig) -> Result<PutReport, PutError> {
+        self.put_until(cfg, None, || false)
+    }
+
+    /// [`Session::put`] with every channel also shaped by its own
+    /// `channel_cap` bucket, and cut short once `stop()` holds: the data
+    /// phase ends with EOD on every channel, and the server answers a put
+    /// that left part of the file unsent with a `111` marker.
+    pub(crate) fn put_until(
+        &mut self,
+        cfg: &PutConfig,
+        channel_cap: Option<ShaperConfig>,
+        stop: impl Fn() -> bool + Sync,
+    ) -> Result<PutReport, PutError> {
         let stor = Command::Stor {
             name: cfg.name.clone(),
             size: cfg.size,
         };
         let start = self.open(&stor, cfg.parallelism, cfg.block_bytes)?;
         let block = cfg.block_bytes as u64;
-        let todo: Vec<u64> = (0..cfg.size.div_ceil(block))
-            .filter(|&i| {
-                !cfg.resume_from
-                    .covers(i * block, (i * block + block).min(cfg.size))
-            })
-            .collect();
+        let blocks = cfg.size.div_ceil(block);
+        // Only a restart marker needs the list of blocks left to send;
+        // without one, the `i`th block to send is block `i`.
+        let todo: Option<Vec<u64>> = (!cfg.resume_from.is_empty()).then(|| {
+            (0..blocks)
+                .filter(|&i| {
+                    !cfg.resume_from
+                        .covers(i * block, (i * block + block).min(cfg.size))
+                })
+                .collect()
+        });
         let bytes_sent = send_blocks(
             &mut self.data_conns,
-            |i| todo.get(i).copied(),
+            |i| match &todo {
+                Some(todo) => todo.get(i).copied(),
+                None => Some(i as u64).filter(|&b| b < blocks),
+            },
             cfg.size,
             cfg.block_bytes,
             cfg.bucket.as_deref(),
-            || false,
+            channel_cap,
+            stop,
         )?;
         let elapsed_s = start.elapsed().as_secs_f64();
 

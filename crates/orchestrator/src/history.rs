@@ -302,6 +302,33 @@ impl HistoryStore {
         self.records.truncate(len);
     }
 
+    /// Cut the backing file back to its first `records` records, so that
+    /// a checkpoint resume does not append a second time what the file
+    /// already holds from past the checkpoint. Malformed lines before the
+    /// first record cut keep their place. A file holding no more than
+    /// `records` records, and a store without a file, are left as they are.
+    ///
+    /// # Errors
+    /// Returns any I/O error from reading or shortening the file.
+    pub(crate) fn truncate_file(&self, records: usize) -> std::io::Result<()> {
+        let Some(path) = self.path.as_deref().filter(|p| p.exists()) else {
+            return Ok(());
+        };
+        let text = std::fs::read_to_string(path)?;
+        let (mut kept, mut end) = (0, 0);
+        for line in text.split_inclusive('\n') {
+            if HistoryRecord::from_json(line.trim()).is_some() {
+                if kept == records {
+                    let file = std::fs::OpenOptions::new().write(true).open(path)?;
+                    return file.set_len(end as u64);
+                }
+                kept += 1;
+            }
+            end += line.len();
+        }
+        Ok(())
+    }
+
     /// Number of records.
     pub fn len(&self) -> usize {
         self.records.len()

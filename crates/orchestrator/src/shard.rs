@@ -377,16 +377,19 @@ pub fn run_fleet_sharded(
 /// Resume a killed run from `ck`: rewind the in-memory history store to the
 /// run's starting length (the backing file already holds the pre-checkpoint
 /// appends), replay ticks `0..ck.tick` (plus the closing tick of a finished
-/// run) with history persistence off, verify the state digest, then run to
-/// completion with persistence back on. Byte-identical to the uninterrupted
-/// run. The checkpoint format and digest are shard-count independent, so
-/// `shards` may differ from the killed run's. The replay to `ck.tick` is one
-/// batch, then the run continues in batches.
+/// run) with history persistence off, verify the state digest, cut the
+/// backing file back to the checkpoint's records (the killed run, or an
+/// earlier resume, may have written past it), then run to completion with
+/// persistence back on. Byte-identical to the uninterrupted run, in the
+/// report and in the history file. The checkpoint format and digest are
+/// shard-count independent, so `shards` may differ from the killed run's.
+/// The replay to `ck.tick` is one batch, then the run continues in batches.
 ///
 /// # Errors
 /// Returns an error when the replay finishes early (checkpoint from a
 /// different workload/config) or the digest or append count mismatches
-/// (corrupt checkpoint, or writer/reader drift).
+/// (corrupt checkpoint, or writer/reader drift), or when the history file
+/// cannot be cut back.
 pub fn resume_fleet_sharded(
     ck: &Checkpoint,
     history: &mut HistoryStore,
@@ -405,6 +408,9 @@ pub fn resume_fleet_sharded(
         sim.digest_hash(),
         sim.history_appended(),
     )?;
+    sim.history
+        .truncate_file(ck.history_start_len + ck.history_appended)
+        .map_err(|e| format!("cannot cut the history file back to the checkpoint: {e}"))?;
     sim.set_history_persist(true);
     while sim.run_ticks(BATCH) > 0 {}
     Ok(sim.finish())

@@ -48,6 +48,10 @@ if grep -q 'verified=false' <<< "$GRIDFTP_OUT"; then
   echo "a GridFTP transfer did not verify"; exit 1
 fi
 
+echo "==> real-socket tuner loops (compass tuner over the loopback harness, realfig)"
+cargo run -q --release --example loopback_transfer
+cargo run -q --release -p xferopt-bench --bin realfig -- --epochs 2
+
 echo "==> telemetry suite (golden snapshots + determinism)"
 cargo test -q --test telemetry
 cargo test -q -p xferopt-tuners --test audit_sequences
@@ -121,6 +125,14 @@ diff "$FLEET_TMP/full.txt" "$FLEET_TMP/resumed.txt" \
   || { echo "resume diverged from the uninterrupted run"; exit 1; }
 diff "$FLEET_TMP/hist-crash/history.jsonl" "$FLEET_TMP/hist-full/history.jsonl" \
   || { echo "resume diverged in the history file"; exit 1; }
+# A second resume onto the same history cuts the first resume's records
+# past the checkpoint instead of appending them twice.
+./target/release/xferopt fleet resume --checkpoint "$FLEET_TMP/ck.jsonl" \
+  --history "$FLEET_TMP/hist-crash" --report-out "$FLEET_TMP/resumed-again.txt"
+diff "$FLEET_TMP/full.txt" "$FLEET_TMP/resumed-again.txt" \
+  || { echo "a second resume diverged from the uninterrupted run"; exit 1; }
+diff "$FLEET_TMP/hist-crash/history.jsonl" "$FLEET_TMP/hist-full/history.jsonl" \
+  || { echo "a second resume diverged in the history file"; exit 1; }
 
 echo "==> multi-site crash/resume gate (kill under --shards 2, resume under --shards 1)"
 ./target/release/xferopt fleet run --jobs 12 --seed 7 --sites 3 --shards 2 \

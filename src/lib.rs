@@ -33,8 +33,12 @@
 //!   enumeration, and a deterministic offline route/config search emitting
 //!   byte-stable placement tables the fleet consumes (`xferopt routes
 //!   search`, `xferopt fleet run --topo`).
-//! * [`loopback`] — a real-TCP localhost harness (shaped sockets + CPU hogs)
-//!   so the same tuners can run against a non-simulated objective.
+//! * [`gridftp`] — a striped GridFTP-style protocol over real sockets:
+//!   control channel, EBLOCK framing, restart markers, persistent sessions.
+//! * [`loopback`] — the real-TCP localhost harness on top of it: each epoch
+//!   puts over `nc` GridFTP sessions × `np` channels through a shared token
+//!   bucket, with CPU hogs, so the same tuners can run against a
+//!   non-simulated objective.
 //! * [`simcore`] — the simulation substrate: simulated time, splittable
 //!   RNG streams, online statistics, deterministic fault-injection plans
 //!   ([`simcore::FaultPlan`]) with retry/backoff handling in the transfer
@@ -82,8 +86,8 @@
 
 pub use xferopt_dataset as dataset;
 pub use xferopt_gridftp as gridftp;
+pub use xferopt_gridftp::loopback;
 pub use xferopt_host as host;
-pub use xferopt_loopback as loopback;
 pub use xferopt_net as net;
 pub use xferopt_orchestrator as orchestrator;
 pub use xferopt_scenarios as scenarios;

@@ -257,6 +257,53 @@ fn kill_under_shards_4_resume_under_other_counts() {
     }
 }
 
+/// Resuming twice onto one history directory, the way a repeated
+/// `xferopt fleet resume` does, leaves the file the uninterrupted run
+/// writes. The killed run appended past its checkpoint, and so does the
+/// first resume; each resume cuts those records before it appends them
+/// again.
+#[test]
+fn resuming_twice_onto_one_history_file_matches_the_uninterrupted_run() {
+    let wl = Workload::synthetic_sites(12, 9, 3);
+    let config = cfg(Policy::Sjf, 9, Some(FaultProfile::FlakyLink));
+    let base = std::env::temp_dir().join(format!("xferopt-resume-hist-{}", std::process::id()));
+    std::fs::remove_dir_all(&base).ok();
+    let (full_dir, crash_dir) = (base.join("full"), base.join("crash"));
+    let lines = |dir: &std::path::Path| {
+        std::fs::read_to_string(dir.join("history.jsonl")).expect("history file written")
+    };
+
+    let full = {
+        let mut h = HistoryStore::open(&full_dir).expect("open history dir");
+        run_fleet_sharded(&wl, &config, &mut h, 1)
+    };
+    let ck = {
+        let mut h = HistoryStore::open(&crash_dir).expect("open history dir");
+        let mut sim = ShardedFleetSim::new(&wl, &config, &mut h, 2);
+        while sim.tick_index() < 37 {
+            assert!(sim.tick(), "run ended before the checkpoint");
+        }
+        let ck = Checkpoint::parse(&sim.checkpoint()).expect("checkpoint parses");
+        while sim.history_appended() == ck.history_appended {
+            assert!(sim.tick(), "run appended nothing past the checkpoint");
+        }
+        ck
+    };
+    assert!(lines(&crash_dir).lines().count() > ck.history_appended);
+
+    for pass in 1..=2 {
+        let mut h = HistoryStore::open(&crash_dir).expect("reopen history dir");
+        let resumed = resume_fleet_sharded(&ck, &mut h, 1).expect("resume verifies");
+        assert_identical(&full, &resumed, &format!("resume {pass}"));
+        assert_eq!(
+            lines(&full_dir),
+            lines(&crash_dir),
+            "resume {pass}: history file"
+        );
+    }
+    std::fs::remove_dir_all(&base).ok();
+}
+
 /// Regression for the concurrent-shard history ordering fix: with a
 /// file-backed store, the on-disk `history.jsonl` must be byte-identical
 /// whether the fleet ran monolithic or sharded — appends are buffered per
