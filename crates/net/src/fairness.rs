@@ -52,7 +52,7 @@ pub struct FlowDemand {
 /// mask, per-link `remaining` headroom, and the link→flows adjacency
 /// (`flows_on_link`). Allocating them per solve dominates the cost of small
 /// problems; a scratch lets hot callers (the [`crate::Network`] allocation
-/// cache, [`crate::DynamicSim`]) amortize the allocations to zero.
+/// cache, [`crate::dynamic::DynamicSim`]) amortize the allocations to zero.
 ///
 /// The adjacency is the only piece whose *contents* survive between solves:
 /// it depends only on the flow membership and link count, not on weights or

@@ -99,7 +99,6 @@ pub struct Network {
     /// `(id, slot)` pairs sorted by id — the iteration order.
     order: Vec<(FlowId, u32)>,
     next_flow: u64,
-    mss_bytes: f64,
     /// Multiplicative capacity factor per link (fault injection); 1.0 = healthy.
     link_factor: Vec<f64>,
     /// Multiplicative RTT factor per path (fault injection); 1.0 = nominal.
@@ -132,12 +131,9 @@ pub struct Network {
 }
 
 impl Network {
-    /// An empty network with the default MSS.
+    /// An empty network.
     pub fn new() -> Self {
-        Network {
-            mss_bytes: DEFAULT_MSS_BYTES,
-            ..Network::default()
-        }
+        Network::default()
     }
 
     /// Record a mutation that can change allocation results.
@@ -182,22 +178,9 @@ impl Network {
             .expect("arena invariant: ordered slot must be occupied")
     }
 
-    /// Override the TCP maximum segment size in bytes (e.g. 8960 for jumbo
-    /// frames, common on data-transfer nodes).
-    ///
-    /// # Panics
-    /// Panics if `mss` is not strictly positive.
-    pub fn set_mss_bytes(&mut self, mss: f64) {
-        assert!(mss > 0.0, "MSS must be positive");
-        self.mss_bytes = mss;
-        // The MSS feeds every flow's demand cap: all components are stale.
-        self.dirty_all.set(true);
-        self.touch();
-    }
-
-    /// The configured MSS in bytes.
+    /// The TCP maximum segment size in bytes, [`DEFAULT_MSS_BYTES`].
     pub fn mss_bytes(&self) -> f64 {
-        self.mss_bytes
+        DEFAULT_MSS_BYTES
     }
 
     /// Register a link and return its id.
@@ -485,7 +468,7 @@ impl Network {
             self.effective_rtt_s(f.path),
             p.loss,
             p.wmax_bytes,
-            self.mss_bytes,
+            DEFAULT_MSS_BYTES,
         )
     }
 
@@ -676,7 +659,7 @@ impl Network {
                     self.effective_rtt_s(f.path),
                     p.loss,
                     p.wmax_bytes,
-                    self.mss_bytes,
+                    DEFAULT_MSS_BYTES,
                 );
             }
             max_min_allocate_into(sub_caps, &comp_demands[c], &mut comp_scratch[c], sub_rates);
@@ -781,7 +764,7 @@ impl Network {
                             self.effective_rtt_s(f.path),
                             p.loss,
                             p.wmax_bytes,
-                            self.mss_bytes,
+                            DEFAULT_MSS_BYTES,
                         ),
                         links: p.links.iter().map(|l| part.link_local[l.0]).collect(),
                     }

@@ -495,23 +495,25 @@ impl JournalRead {
 /// Returns an error when the journal holds no parseable checkpoint at all
 /// (every block torn, or the file is not a checkpoint journal).
 pub fn parse_journal(text: &str) -> Result<JournalRead, String> {
-    let mut blocks: Vec<Vec<&str>> = Vec::new();
-    for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
-        if first_field(line, "kind").as_deref() == Some("fleet-checkpoint") {
-            blocks.push(vec![line]);
-        } else if let Some(cur) = blocks.last_mut() {
-            cur.push(line);
+    // Byte offset of each block's header line; a block runs to the next
+    // header or the end of the text. Garbage before the first header is
+    // ignored: it cannot belong to any checkpoint block.
+    let mut starts = Vec::new();
+    let mut at = 0;
+    for line in text.split_inclusive('\n') {
+        if first_field(line.trim(), "kind").as_deref() == Some("fleet-checkpoint") {
+            starts.push(at);
         }
-        // Garbage before the first header is ignored: it cannot belong to
-        // any checkpoint block.
+        at += line.len();
     }
-    if blocks.is_empty() {
+    if starts.is_empty() {
         return Err("journal holds no fleet-checkpoint block".to_string());
     }
-    let total = blocks.len();
+    let total = starts.len();
     let mut last_err = String::new();
-    for (dropped, block) in blocks.iter().rev().enumerate() {
-        match Checkpoint::parse(&block.join("\n")) {
+    let mut end = text.len();
+    for (dropped, &start) in starts.iter().rev().enumerate() {
+        match Checkpoint::parse(&text[start..end]) {
             Ok(checkpoint) => {
                 return Ok(JournalRead {
                     checkpoint,
@@ -521,6 +523,7 @@ pub fn parse_journal(text: &str) -> Result<JournalRead, String> {
             }
             Err(e) => last_err = e,
         }
+        end = start;
     }
     Err(format!(
         "journal holds {total} checkpoint block(s) but none parse; newest error: {last_err}"

@@ -17,12 +17,11 @@
 //! 5. completions — finished jobs close their epoch, release their
 //!    reservation, feed breaker successes, and append a [`HistoryRecord`];
 //! 6. epoch boundaries — running jobs whose control epoch elapsed report the
-//!    observed throughput to their tuner *and* their
-//!    [`HealthMonitor`](crate::health::HealthMonitor); a `Quarantine` verdict
-//!    pulls the job off the wire, releases its grant, feeds the route's
-//!    breakers a failure, and schedules a requeue after the shared
-//!    [`xferopt_transfer::RetryPolicy`] backoff (or fails the job once its
-//!    attempt budget is spent).
+//!    observed throughput to their tuner *and* their [`HealthMonitor`]; a
+//!    `Quarantine` verdict pulls the job off the wire, releases its grant,
+//!    feeds the route's breakers a failure, and schedules a requeue after
+//!    the shared [`xferopt_transfer::RetryPolicy`] backoff (or fails the job
+//!    once its attempt budget is spent).
 //!
 //! Every step iterates in job-id order, so a fleet run is a pure function of
 //! `(workload, config)`: two runs with the same seed produce byte-identical
@@ -872,7 +871,6 @@ pub struct FleetSim<'h> {
     outcomes: Vec<JobOutcome>,
     decisions: Vec<(JobId, String)>,
     events: Vec<SupervisionEvent>,
-    supervision: SupervisionSummary,
     metrics: MetricsRegistry,
     history: HistoryHandle<'h>,
     history_appended: usize,
@@ -1006,7 +1004,6 @@ impl<'h> FleetSim<'h> {
             outcomes: Vec::new(),
             decisions: Vec::new(),
             events: Vec::new(),
-            supervision: SupervisionSummary::default(),
             metrics,
             history,
             history_appended: 0,
@@ -1048,9 +1045,6 @@ impl<'h> FleetSim<'h> {
         link: Option<usize>,
         detail: String,
     ) {
-        self.metrics
-            .counter("fleet_supervision_total", &[("event", kind)])
-            .inc();
         self.events.push(SupervisionEvent {
             t_s: self.t,
             kind,
@@ -1098,7 +1092,6 @@ impl<'h> FleetSim<'h> {
                 }
             }
             let q = self.quarantined.remove(&id).expect("job is quarantined");
-            self.supervision.requeues += 1;
             self.push_event(
                 "requeue",
                 Some(id.to_string()),
@@ -1147,7 +1140,6 @@ impl<'h> FleetSim<'h> {
                 let j = self.queued.get(seq);
                 let id = j.id;
                 let detail = format!("{}=>{}", j.route.name(), next.name());
-                self.supervision.reroutes += 1;
                 self.push_event("reroute", Some(id.to_string()), None, detail);
                 self.queued.set_route(seq, next);
                 self.admission_dirty = true;
@@ -1449,7 +1441,6 @@ impl<'h> FleetSim<'h> {
     /// breaker-aware re-route uses — byte conservation for free.
     fn migrate(&mut self, id: JobId, next: JobRoute) {
         let (mut spec, progress) = self.park(id);
-        self.supervision.replans += 1;
         self.push_event(
             "replan",
             Some(id.to_string()),
@@ -1467,7 +1458,6 @@ impl<'h> FleetSim<'h> {
     fn brownout(&mut self, degraded: &std::collections::BTreeSet<usize>) {
         let hit = |j: &JobSpec| j.route.links().iter().any(|l| degraded.contains(l));
         if self.drop_queued("brownout", None, hit) {
-            self.supervision.brownouts += 1;
             self.governor
                 .as_mut()
                 .expect("governor present")
@@ -1763,7 +1753,6 @@ impl<'h> FleetSim<'h> {
         let (spec, mut progress) = self.park(id);
         progress.attempts += 1;
         let attempts = progress.attempts;
-        self.supervision.quarantines += 1;
         self.push_event(
             "quarantine",
             Some(id.to_string()),
@@ -1772,14 +1761,10 @@ impl<'h> FleetSim<'h> {
         );
         for &l in spec.route.links() {
             if let Some(tr) = self.breakers.on_failure(l, self.t) {
-                if tr == "breaker-open" {
-                    self.supervision.breaker_trips += 1;
-                }
                 self.push_event(tr, None, Some(l), String::new());
             }
         }
         if attempts >= MAX_ATTEMPTS {
-            self.supervision.failed += 1;
             self.push_event(
                 "job-failed",
                 Some(id.to_string()),
@@ -1823,7 +1808,6 @@ impl<'h> FleetSim<'h> {
             }
             let hit = |j: &JobSpec| j.route.links().contains(&link);
             if self.drop_queued("shed", Some(link), hit) {
-                self.supervision.shed += 1;
                 self.last_shed_s[link] = self.t;
             }
         }
@@ -1951,7 +1935,7 @@ impl<'h> FleetSim<'h> {
             self.decisions.len(),
             self.events.len(),
             self.history_appended,
-            self.supervision.render(),
+            SupervisionSummary::from_events(&self.events).render(),
         ));
         s
     }
@@ -2008,6 +1992,11 @@ impl<'h> FleetSim<'h> {
                     .collect()
             })
             .unwrap_or_default();
+        for e in &self.events {
+            self.metrics
+                .counter("fleet_supervision_total", &[("event", e.kind)])
+                .inc();
+        }
         let metrics = if self.metrics.is_empty() {
             None
         } else {
@@ -2021,7 +2010,6 @@ impl<'h> FleetSim<'h> {
             decisions: self.decisions,
             telemetry,
             events: self.events,
-            supervision: self.supervision,
             metrics,
             history_appended: self.history_appended,
         }
@@ -2042,7 +2030,6 @@ pub(crate) struct FleetParts {
     /// `(epoch start_s, rendered JSON line)` in the world's recording order.
     pub(crate) telemetry: Vec<(f64, String)>,
     pub(crate) events: Vec<SupervisionEvent>,
-    pub(crate) supervision: SupervisionSummary,
     pub(crate) metrics: Option<xferopt_simcore::metrics::MetricsSnapshot>,
     pub(crate) history_appended: usize,
 }
@@ -2065,7 +2052,7 @@ impl FleetParts {
                 config: self.config,
                 submitted: self.submitted,
                 outcomes: self.outcomes,
-                supervision: self.supervision,
+                supervision: SupervisionSummary::from_events(&self.events),
             },
             decisions_jsonl: self.decisions.into_iter().map(|(_, s)| s).collect(),
             telemetry_jsonl,

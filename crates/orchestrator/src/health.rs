@@ -167,9 +167,9 @@ impl HealthMonitor {
 pub struct SupervisionEvent {
     /// Fleet time, seconds.
     pub t_s: f64,
-    /// Event kind (stable label: `quarantine`, `requeue`, `failed`,
-    /// `breaker-open`, `breaker-half-open`, `breaker-close`, `shed`,
-    /// `checkpoint`, `resume`).
+    /// Event kind (stable label: `degrade`, `quarantine`, `requeue`,
+    /// `job-failed`, `breaker-open`, `breaker-half-open`, `breaker-close`,
+    /// `shed`, `reroute`, `replan`, `brownout`, `slo`).
     pub kind: &'static str,
     /// Job namespace (`jobN`), when the event concerns one job.
     pub ns: Option<String>,
@@ -216,8 +216,6 @@ pub struct SupervisionSummary {
     pub shed: u64,
     /// Closed→open breaker transitions.
     pub breaker_trips: u64,
-    /// Checkpoints written during the run.
-    pub checkpoints: u64,
     /// Breaker-aware route hops of requeued jobs (planet fleets only).
     pub reroutes: u64,
     /// Running jobs migrated onto a re-searched placement by the
@@ -229,6 +227,27 @@ pub struct SupervisionSummary {
 }
 
 impl SupervisionSummary {
+    /// Count `events` by kind. Kinds without a counter (`degrade`, breaker
+    /// half-open and close, `slo`) are not counted.
+    pub(crate) fn from_events(events: &[SupervisionEvent]) -> Self {
+        let mut s = SupervisionSummary::default();
+        for e in events {
+            let n = match e.kind {
+                "quarantine" => &mut s.quarantines,
+                "requeue" => &mut s.requeues,
+                "job-failed" => &mut s.failed,
+                "shed" => &mut s.shed,
+                "breaker-open" => &mut s.breaker_trips,
+                "reroute" => &mut s.reroutes,
+                "replan" => &mut s.replans,
+                "brownout" => &mut s.brownouts,
+                _ => continue,
+            };
+            *n += 1;
+        }
+        s
+    }
+
     /// True when no supervision event fired.
     pub fn is_quiet(&self) -> bool {
         *self == SupervisionSummary::default()
@@ -238,10 +257,11 @@ impl SupervisionSummary {
     /// The reroute counter only renders when a reroute happened, so classic
     /// fleets keep their exact pre-topology bytes.
     pub fn render(&self) -> String {
+        // `checkpoints=0` is kept for the report's bytes: no run counts
+        // checkpoints as supervision events.
         let mut s = format!(
-            "supervision quarantines={} requeues={} failed={} shed={} breaker_trips={} checkpoints={}",
+            "supervision quarantines={} requeues={} failed={} shed={} breaker_trips={} checkpoints=0",
             self.quarantines, self.requeues, self.failed, self.shed, self.breaker_trips,
-            self.checkpoints,
         );
         if self.reroutes > 0 {
             s.push_str(&format!(" reroutes={}", self.reroutes));

@@ -330,15 +330,6 @@ fn merge_parts(submitted: usize, history_appended: usize, parts: Vec<FleetParts>
         merged.decisions.extend(p.decisions);
         merged.telemetry.extend(p.telemetry);
         merged.events.extend(p.events);
-        merged.supervision.quarantines += p.supervision.quarantines;
-        merged.supervision.requeues += p.supervision.requeues;
-        merged.supervision.failed += p.supervision.failed;
-        merged.supervision.shed += p.supervision.shed;
-        merged.supervision.breaker_trips += p.supervision.breaker_trips;
-        merged.supervision.checkpoints += p.supervision.checkpoints;
-        merged.supervision.reroutes += p.supervision.reroutes;
-        merged.supervision.replans += p.supervision.replans;
-        merged.supervision.brownouts += p.supervision.brownouts;
         match (&mut merged.metrics, p.metrics) {
             (Some(m), Some(o)) => m.merge(&o),
             (m @ None, Some(o)) => *m = Some(o),

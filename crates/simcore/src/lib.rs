@@ -9,8 +9,8 @@
 //! * [`rng`] — deterministic, *splittable* random-number streams so that each
 //!   simulated entity (flow, process, repeat) owns an independent stream
 //!   derived from a single root seed.
-//! * [`stats`] — allocation-light online statistics: mean/variance, P²
-//!   streaming quantiles, five-number boxplot summaries, and histograms.
+//! * [`stats`] — five-number boxplot summaries and a `+0.0`-based float
+//!   sum.
 //! * [`series`] — time-series recording with time-weighted integration and
 //!   uniform resampling, used to produce the paper's figures.
 //! * [`faults`] — deterministic fault-injection plans (link degradations and
@@ -43,6 +43,6 @@ pub use metrics::{
 };
 pub use rng::{RngFactory, SeedStream};
 pub use series::{StepSeries, TimeSeries};
-pub use stats::{BoxplotStats, Histogram, OnlineStats, P2Quantile};
+pub use stats::BoxplotStats;
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceEvent, Tracer};

@@ -147,11 +147,6 @@ impl SimDuration {
     pub fn max(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.max(other.0))
     }
-
-    /// Multiply by a float factor (e.g. scaling a timeout). Rounds.
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        SimDuration((self.0 as f64 * factor).round() as i64)
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -270,7 +265,6 @@ mod tests {
     #[test]
     fn duration_scaling() {
         let d = SimDuration::from_secs(4);
-        assert_eq!(d.mul_f64(0.25), SimDuration::from_secs(1));
         assert_eq!(d * 3, SimDuration::from_secs(12));
         assert_eq!(d / 2, SimDuration::from_secs(2));
     }

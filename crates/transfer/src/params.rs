@@ -35,14 +35,6 @@ impl StreamParams {
     pub fn is_idle(&self) -> bool {
         self.nc == 0 || self.np == 0
     }
-}
-
-impl StreamParams {
-    /// Compact `ncxnp` rendering (`"2x8"`) used by CLI flags and
-    /// history-store records. Round-trips through [`StreamParams::from_str`].
-    pub fn compact(&self) -> String {
-        format!("{}x{}", self.nc, self.np)
-    }
 
     /// Reduce the configuration so `nc × np ≤ cap` total streams, first by
     /// lowering `nc`, then `np`, never below `1×1`. Used by fleet admission
@@ -139,8 +131,6 @@ mod tests {
         ] {
             let via_display: StreamParams = p.to_string().parse().unwrap();
             assert_eq!(via_display, p, "Display round trip for {p}");
-            let via_compact: StreamParams = p.compact().parse().unwrap();
-            assert_eq!(via_compact, p, "compact round trip for {}", p.compact());
         }
     }
 
@@ -164,11 +154,6 @@ mod tests {
         assert!("nc=2".parse::<StreamParams>().is_err());
         assert!("2*8".parse::<StreamParams>().is_err());
         assert!("-2x8".parse::<StreamParams>().is_err());
-    }
-
-    #[test]
-    fn compact_is_ncxnp() {
-        assert_eq!(StreamParams::new(2, 8).compact(), "2x8");
     }
 
     #[test]

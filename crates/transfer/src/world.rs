@@ -730,8 +730,7 @@ impl World {
     /// (up-time only) throughput.
     ///
     /// With telemetry enabled ([`World::enable_telemetry`]) the epoch is also
-    /// appended to the flight recorder as an
-    /// [`EpochTelemetry`](crate::telemetry::EpochTelemetry) record. The
+    /// appended to the flight recorder as an [`EpochTelemetry`] record. The
     /// network's per-flow fair-share/loss gauges are not exported here but
     /// when the recorder is read ([`World::telemetry`],
     /// [`World::take_telemetry`]). Collection is purely observational: the

@@ -21,16 +21,6 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-/// Where a re-triggered search restarts from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RestartPolicy {
-    /// From the current incumbent (default: cheapest in wasted bandwidth).
-    Incumbent,
-    /// From the original starting point `x0` (the literal reading of
-    /// Algorithm 2 line 22).
-    Initial,
-}
-
 #[derive(Debug, Clone)]
 enum Phase {
     /// Evaluating the incumbent itself (line 3 of COMPASS-SEARCH).
@@ -53,7 +43,6 @@ pub struct CompassTuner {
     x0: Point,
     lambda0: f64,
     lambda: f64,
-    restart_policy: RestartPolicy,
     incumbent: Point,
     f_incumbent: f64,
     phase: Phase,
@@ -79,7 +68,6 @@ impl CompassTuner {
             x0,
             lambda0: lambda,
             lambda,
-            restart_policy: RestartPolicy::Incumbent,
             f_incumbent: f64::NEG_INFINITY,
             phase: Phase::EvalIncumbent,
             monitor: SignificanceMonitor::new(eps_pct),
@@ -87,12 +75,6 @@ impl CompassTuner {
             searches_started: 1,
             audit: AuditLog::new(),
         }
-    }
-
-    /// Choose where re-triggered searches restart from.
-    pub fn with_restart_policy(mut self, policy: RestartPolicy) -> Self {
-        self.restart_policy = policy;
-        self
     }
 
     /// Reseed the direction-shuffling RNG (for repeat determinism).
@@ -299,10 +281,9 @@ impl OnlineTuner for CompassTuner {
             Phase::Monitor => {
                 let delta_pct = self.monitor.peek_delta_pct(throughput);
                 if self.monitor.observe(throughput) {
-                    let from = match self.restart_policy {
-                        RestartPolicy::Incumbent => self.incumbent.clone(),
-                        RestartPolicy::Initial => self.x0.clone(),
-                    };
+                    // Restart from the incumbent, not from `x0` as Algorithm 2
+                    // line 22 reads literally: it wastes less bandwidth.
+                    let from = self.incumbent.clone();
                     let cause = match delta_pct {
                         Some(d) if d == f64::INFINITY => RetriggerCause::ZeroRecovery,
                         Some(d) => RetriggerCause::SignificantDelta {
@@ -479,21 +460,6 @@ mod tests {
             (last[0] - 24).abs() <= 8 && (last[1] - 6).abs() <= 4,
             "2-D compass should end near (24, 6): {last:?}"
         );
-    }
-
-    #[test]
-    fn restart_policy_initial_returns_to_x0() {
-        let mut t = CompassTuner::new(Domain::paper_nc(), vec![2], 8.0, 5.0)
-            .with_restart_policy(RestartPolicy::Initial);
-        // Converge on a quiet objective...
-        let mut x = t.initial();
-        for _ in 0..40 {
-            let fx = concave_1d(30)(&x);
-            x = t.observe(&x.clone(), fx);
-        }
-        // ...then inject a shock. The next proposed point must be x0 itself.
-        let next = t.observe(&x.clone(), 10_000.0);
-        assert_eq!(next, vec![2], "Initial policy restarts from x0");
     }
 
     #[test]

@@ -53,7 +53,6 @@ pub mod baselines;
 pub mod cd;
 pub mod compass;
 pub mod domain;
-pub mod extra;
 pub mod heuristic;
 pub mod neldermead;
 pub mod offline;
@@ -69,7 +68,6 @@ pub use baselines::{Heur1Tuner, Heur2Tuner, StaticTuner};
 pub use cd::CdTuner;
 pub use compass::CompassTuner;
 pub use domain::{Domain, Point};
-pub use extra::{GoldenSectionTuner, RandomSearchTuner, RecordingTuner};
 pub use heuristic::HeuristicTuner;
 pub use neldermead::NelderMeadTuner;
 pub use online::{run_online, OnlineStep, OnlineTrajectory};

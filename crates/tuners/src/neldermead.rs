@@ -26,7 +26,7 @@ pub const C_COEFF: f64 = 0.5;
 /// Shrink coefficient (paper: 0.5).
 pub const S_COEFF: f64 = 0.5;
 
-/// Default initial-simplex edge length (matches the compass λ = 8 scale).
+/// Initial-simplex edge length (matches the compass λ = 8 scale).
 const DEFAULT_INIT_EDGE: i64 = 8;
 
 /// Cap on evaluations within one simplex search, per dimension, so integer
@@ -66,7 +66,6 @@ enum Phase {
 pub struct NelderMeadTuner {
     domain: Domain,
     x0: Point,
-    init_edge: i64,
     /// Vertices and their observed throughputs (NaN = not yet evaluated).
     vertices: Vec<(Point, f64)>,
     phase: Phase,
@@ -90,7 +89,6 @@ impl NelderMeadTuner {
         let mut t = NelderMeadTuner {
             domain,
             x0: x0.clone(),
-            init_edge: DEFAULT_INIT_EDGE,
             vertices: Vec::new(),
             phase: Phase::Monitor,
             monitor: SignificanceMonitor::new(eps_pct),
@@ -101,23 +99,6 @@ impl NelderMeadTuner {
         };
         t.start_search(x0);
         t
-    }
-
-    /// Override the initial simplex edge length.
-    ///
-    /// # Panics
-    /// Panics if `edge` is not positive.
-    pub fn with_init_edge(mut self, edge: i64) -> Self {
-        assert!(edge > 0, "edge must be positive");
-        self.init_edge = edge;
-        let from = self
-            .vertices
-            .first()
-            .map(|v| v.0.clone())
-            .unwrap_or_else(|| self.x0.clone());
-        self.searches_started -= 1;
-        self.start_search(from);
-        self
     }
 
     /// Number of search invocations so far (1 initial + re-triggers).
@@ -136,11 +117,11 @@ impl NelderMeadTuner {
         let mut vertices = vec![(from.clone(), f64::NAN)];
         for axis in 0..m {
             let mut v: Vec<f64> = from.iter().map(|&c| c as f64).collect();
-            v[axis] += self.init_edge as f64;
+            v[axis] += DEFAULT_INIT_EDGE as f64;
             let mut p = self.domain.fbnd(&v);
             if p == from {
                 // Offset clipped at the bound; go the other way.
-                v[axis] -= 2.0 * self.init_edge as f64;
+                v[axis] -= 2.0 * DEFAULT_INIT_EDGE as f64;
                 p = self.domain.fbnd(&v);
             }
             vertices.push((p, f64::NAN));
@@ -603,17 +584,6 @@ mod tests {
             traj.iter().any(|p| p[0] == 56),
             "inward initial vertex expected: {traj:?}"
         );
-    }
-
-    #[test]
-    fn with_init_edge_changes_spread() {
-        let mut t = NelderMeadTuner::new(Domain::paper_nc(), vec![2], 5.0).with_init_edge(32);
-        let traj = drive(&mut t, 3, |x| x[0] as f64);
-        assert!(
-            traj.iter().any(|p| p[0] == 34),
-            "edge-32 initial vertex expected: {traj:?}"
-        );
-        assert_eq!(t.searches_started(), 1);
     }
 
     #[test]

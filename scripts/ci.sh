@@ -25,6 +25,10 @@ cargo build --workspace --release --locked
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps --locked"
+# A deleted item must not leave a dangling intra-doc link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --locked
+
 echo "==> stripe digest wire compatibility at the full 256 MiB put size (release)"
 cargo test -q --release -p xferopt-gridftp --lib -- --ignored \
   expected_digest_matches_scalar_fold_at_full_size

@@ -313,6 +313,66 @@ fn route_names_cannot_forge_journal_headers() {
     assert_eq!(resumed.report.render(), full_render);
 }
 
+/// A journal that went through a CRLF editor, picked up blank and
+/// whitespace-padded lines and garbage before its first header, and whose
+/// newest block was torn mid-write, salvages the same checkpoint as a clean
+/// journal of its intact blocks.
+#[test]
+fn crlf_padded_and_torn_journals_salvage_the_intact_block() {
+    let cfg = FleetConfig {
+        horizon_s: 1800.0,
+        ..FleetConfig::default()
+    };
+    let w = Workload::synthetic(4, 5);
+    let full = run_fleet_sharded(&w, &cfg, &mut HistoryStore::in_memory(), 1);
+    let mut h = HistoryStore::in_memory();
+    let mut sim = ShardedFleetSim::new(&w, &cfg, &mut h, 1);
+    let mut blocks = Vec::new();
+    for _ in 0..3 {
+        for _ in 0..10 {
+            assert!(sim.tick());
+        }
+        blocks.push(sim.checkpoint());
+    }
+    let clean = parse_journal(&blocks[..2].concat()).expect("clean journal parses");
+    assert_eq!(clean.checkpoint.tick, 20);
+
+    let mut text = String::from("garbage before any header\r\n{\"kind\":\"history\"}\r\n \t\r\n");
+    for (b, block) in blocks.iter().enumerate() {
+        let mut lines: Vec<String> = block
+            .lines()
+            .enumerate()
+            .map(|(i, l)| match i % 3 {
+                0 => format!("{l}\r\n"),
+                1 => format!("  \t{l}  \r\n\r\n"),
+                _ => format!("{l}\t\r\n   \r\n"),
+            })
+            .collect();
+        if b == 2 {
+            // Torn write: the newest block loses its digest line and the
+            // tail of its last job line.
+            lines.pop();
+            let last = lines.pop().expect("a job line");
+            lines.push(last[..last.len() / 2].to_string());
+        }
+        text.extend(lines);
+    }
+    let read = parse_journal(&text).expect("the intact block is salvaged");
+    assert_eq!(read.blocks_total, 3);
+    assert_eq!(read.blocks_dropped, 1);
+    assert!(read.salvaged());
+    assert_eq!(read.checkpoint.tick, clean.checkpoint.tick);
+    assert_eq!(read.checkpoint.digest, clean.checkpoint.digest);
+    assert_eq!(
+        read.checkpoint.history_appended,
+        clean.checkpoint.history_appended
+    );
+    assert_eq!(read.checkpoint.workload.len(), w.len());
+    let resumed = resume_fleet_sharded(&read.checkpoint, &mut HistoryStore::in_memory(), 1)
+        .expect("salvaged block resumes");
+    assert_eq!(resumed.report.render(), full.report.render());
+}
+
 proptest! {
     /// Truncating the journal anywhere must either salvage a checkpoint
     /// that resumes byte-identically to the uninterrupted run, or refuse —

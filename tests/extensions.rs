@@ -160,29 +160,6 @@ fn destination_extension_through_presets() {
     );
 }
 
-/// The extra optimizers slot into the same experiments as the paper's.
-#[test]
-fn extra_tuners_are_drop_in() {
-    use xferopt::tuners::{GoldenSectionTuner, RandomSearchTuner, RecordingTuner};
-    let f = |x: &Point| 4000.0 - ((x[0] - 33) as f64).powi(2);
-    let mut golden = GoldenSectionTuner::new(Domain::new(&[(1, 256)]), vec![2], 5.0);
-    let r = maximize(&mut golden, 100, f);
-    assert!((r.best[0] - 33).abs() <= 6, "golden: {:?}", r.best);
-
-    let mut random = RecordingTuner::new(RandomSearchTuner::new(
-        Domain::new(&[(1, 256)]),
-        vec![2],
-        25,
-        5.0,
-    ));
-    let r = maximize(&mut random, 100, f);
-    assert!(
-        r.best_value > f(&vec![2]),
-        "random must improve on the start"
-    );
-    assert!(!random.history().is_empty());
-}
-
 /// Modern hardware still wants tuning: on a 64-core DTN behind a 100 Gb/s
 /// NIC, restarts are cheap and CPU rarely binds, but the Globus default's
 /// 16 streams still cannot saturate an AIMD-derated long path — adaptive
