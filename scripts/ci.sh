@@ -218,6 +218,19 @@ diff "$FLEET_TMP/routes-a.txt" tests/golden/routes/leaderboard.txt \
   || { echo "routes search leaderboard drifted from golden"; exit 1; }
 diff "$FLEET_TMP/placement-a.jsonl" tests/golden/routes/placement.jsonl \
   || { echo "routes search placement drifted from golden"; exit 1; }
+for planet in hub-spoke asymmetric ring5; do
+  if [ "$planet" = ring5 ]; then
+    source_args=(--dat tests/golden/routes/ring5.dat)
+  else
+    source_args=(--preset "$planet")
+  fi
+  ./target/release/xferopt routes search "${source_args[@]}" \
+    --out "$FLEET_TMP/placement-$planet.jsonl" > "$FLEET_TMP/routes-$planet.txt"
+  diff "$FLEET_TMP/routes-$planet.txt" "tests/golden/routes/$planet.leaderboard.txt" \
+    || { echo "routes search $planet leaderboard drifted from golden"; exit 1; }
+  diff "$FLEET_TMP/placement-$planet.jsonl" "tests/golden/routes/$planet.placement.jsonl" \
+    || { echo "routes search $planet placement drifted from golden"; exit 1; }
+done
 timeout 60 ./target/release/xferopt routes search --preset mesh --passes 100000000 \
   > "$FLEET_TMP/routes-passes.txt" \
   || { echo "routes search did not stop at its fixed point"; exit 1; }

@@ -80,6 +80,33 @@ fn golden_routes_leaderboard_and_placement_match_snapshots() {
     );
 }
 
+/// The other two presets and the committed five-region `.dat` planet are
+/// pinned too, each as `{planet}.leaderboard.txt` and
+/// `{planet}.placement.jsonl`.
+#[test]
+fn golden_routes_of_every_preset_and_a_dat_planet_match_snapshots() {
+    let dat = std::fs::read_to_string("tests/golden/routes/ring5.dat").expect("ring5.dat");
+    let planets = [
+        Planet::preset("hub-spoke").expect("hub-spoke preset"),
+        Planet::preset("asymmetric").expect("asymmetric preset"),
+        Planet::from_dat(&dat).expect("ring5.dat parses"),
+    ];
+    for planet in planets {
+        let table = search_routes(&planet, &SearchConfig::default()).expect("search succeeds");
+        let name = &planet.name;
+        check_golden(
+            &format!("tests/golden/routes/{name}.leaderboard.txt"),
+            &table.render(),
+            &format!("{name} route-search leaderboard"),
+        );
+        check_golden(
+            &format!("tests/golden/routes/{name}.placement.jsonl"),
+            &table.to_jsonl(),
+            &format!("{name} placement table"),
+        );
+    }
+}
+
 #[test]
 fn route_search_is_byte_deterministic_on_every_preset() {
     for preset in PRESETS {
