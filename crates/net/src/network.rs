@@ -104,13 +104,14 @@ pub struct Network {
     /// Multiplicative RTT factor per path (fault injection); 1.0 = nominal.
     rtt_factor: Vec<f64>,
     /// Total stream weight per link, maintained incrementally on
-    /// `add_flow`/`remove_flow`/`set_streams`. Stream counts are integers,
-    /// so the running f64 sums are exact and order-independent.
+    /// `add_flow`/`remove_flow`/`set_streams`/`set_flow_path`. Stream counts
+    /// are integers, so the running f64 sums are exact and order-independent.
     link_weight: Vec<f64>,
     /// Bumped by every mutation that can change the allocation.
     generation: u64,
     /// Bumped by mutations that change flow membership or topology
-    /// (add/remove flow, add link/path) — these also invalidate adjacency.
+    /// (add/remove flow, a flow's path, add link/path) — these also
+    /// invalidate adjacency.
     membership_gen: u64,
     /// Lazily rebuilt allocation state; interior mutability keeps
     /// [`Network::allocate`] a `&self` read.
@@ -262,6 +263,40 @@ impl Network {
         }
         self.mark_path_dirty(path);
         self.touch();
+    }
+
+    /// Move an existing flow group onto another path, keeping its id — and
+    /// so its place in the solve order — and its stream count. The result
+    /// is the allocation of a network built with the flow on `path` from
+    /// the start, where a remove-then-add would append the flow last.
+    ///
+    /// Moving a flow onto the path it already has is a no-op and does
+    /// **not** invalidate the cached allocation.
+    ///
+    /// # Panics
+    /// Panics if the flow or path id is unknown.
+    pub fn set_flow_path(&mut self, flow: FlowId, path: PathId) {
+        assert!(path.0 < self.paths.len(), "unknown path {path:?}");
+        let slot = self.slot_of(flow) as usize;
+        let group = self.slots[slot].as_mut().expect("occupied slot");
+        let old = group.path;
+        if old == path {
+            return;
+        }
+        group.path = path;
+        // Exact for the same reason as in `set_streams`.
+        let weight = group.streams as f64;
+        for &l in &self.paths[old.0].links {
+            self.link_weight[l.0] -= weight;
+        }
+        for &l in &self.paths[path.0].links {
+            self.link_weight[l.0] += weight;
+        }
+        // The flow leaves the old path's component(s) and joins the new
+        // path's, which may merge or split components.
+        self.mark_path_dirty(old);
+        self.mark_path_dirty(path);
+        self.touch_membership();
     }
 
     /// Remove a flow group. Removing an unknown id is a no-op (idempotent
@@ -1022,6 +1057,30 @@ mod tests {
         // Builder form attaches the tag at construction.
         let g = crate::flow::FlowGroup::new(p_uc, 4, CongestionControl::HTcp).with_tag(3);
         assert_eq!(g.tag, Some(3));
+    }
+
+    #[test]
+    fn set_flow_path_moves_the_flow_and_its_weight() {
+        let (mut net, p_uc, p_tacc) = anl_topology();
+        let f = net.add_flow(p_uc, 64, CongestionControl::HTcp);
+        let g = net.add_flow(p_tacc, 16, CongestionControl::HTcp);
+        net.set_flow_path(f, p_tacc);
+        assert_eq!(net.flow(f).map(|fl| fl.path), Some(p_tacc));
+        assert_eq!(net.flow_ids(), vec![f, g], "the flow keeps its id");
+        assert_eq!(net.streams_per_link(), vec![80.0, 0.0, 80.0]);
+        let a = net.allocate();
+        assert!(
+            (a[&f] - 4.0 * a[&g]).abs() < 1e-6,
+            "shares by weight: {a:?}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown path")]
+    fn set_flow_path_unknown_path_panics() {
+        let (mut net, p_uc, _) = anl_topology();
+        let f = net.add_flow(p_uc, 4, CongestionControl::HTcp);
+        net.set_flow_path(f, PathId(9));
     }
 
     #[test]

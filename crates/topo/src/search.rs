@@ -15,7 +15,7 @@
 use crate::planet::{Planet, PlanetError};
 use crate::world::{region_links, RouteCatalog};
 use std::collections::BTreeSet;
-use xferopt_net::{jain_index, CongestionControl};
+use xferopt_net::{jain_index, CongestionControl, FlowId, Network, PathId};
 use xferopt_simcore::json::{json_f64, object, push_line};
 
 /// Search knobs. The defaults match the CI smoke gate.
@@ -212,22 +212,67 @@ fn t90_proxy_s(rtt_ms: f64, nc: u32, np: u32) -> f64 {
     (rtt_ms / 1000.0) * (1.0 + f64::from(nc * np) / 16.0)
 }
 
-/// Evaluate one full assignment: allocated per-pair rates and the scalar
-/// objective.
+/// The network a descent runs on: the catalog's links and paths with one
+/// `nc × np`-stream flow per pair on its assigned route, in pair order. A
+/// move changes only its pair's flow, keeping the flow's id, so each score
+/// re-solves only the components that flow left or joined (DESIGN.md §13)
+/// and reads the same bits as a network built fresh for the assignment.
+struct LiveNetwork<'a> {
+    catalog: &'a RouteCatalog,
+    net: Network,
+    /// Path per catalog route.
+    paths: Vec<PathId>,
+    /// Flow per pair.
+    flows: Vec<FlowId>,
+    /// The placed `(route, nc)` per pair.
+    assign: Vec<(usize, u32)>,
+    np: u32,
+}
+
+impl<'a> LiveNetwork<'a> {
+    fn new(catalog: &'a RouteCatalog, assign: &[(usize, u32)], np: u32) -> Self {
+        let (mut net, paths) = catalog.build_network();
+        let flows = assign
+            .iter()
+            .map(|&(route, nc)| net.add_flow(paths[route], nc * np, CongestionControl::HTcp))
+            .collect();
+        LiveNetwork {
+            catalog,
+            net,
+            paths,
+            flows,
+            assign: assign.to_vec(),
+            np,
+        }
+    }
+
+    /// Put pair `p`'s flow on `route` with `nc × np` streams.
+    fn place(&mut self, p: usize, (route, nc): (usize, u32)) {
+        self.net.set_flow_path(self.flows[p], self.paths[route]);
+        self.net.set_streams(self.flows[p], nc * self.np);
+        self.assign[p] = (route, nc);
+    }
+
+    /// Allocated per-pair rates and the scalar objective of the placed
+    /// assignment.
+    fn score(&self) -> (Vec<f64>, f64) {
+        let rates: Vec<f64> = self.flows.iter().map(|&f| self.net.flow_rate(f)).collect();
+        let proxies: Vec<f64> = self
+            .assign
+            .iter()
+            .map(|&(route, nc)| t90_proxy_s(self.catalog.routes[route].rtt_ms, nc, self.np))
+            .collect();
+        let score = objective(&rates, &proxies);
+        (rates, score)
+    }
+}
+
+/// Reference evaluation of one full assignment: a network built from the
+/// catalog for it alone and solved from scratch. The descent's live network
+/// must score every assignment bit for bit like this.
+#[cfg(test)]
 fn evaluate(catalog: &RouteCatalog, assign: &[(usize, u32)], np: u32) -> (Vec<f64>, f64) {
-    let (mut net, paths) = catalog.build_network();
-    let flows: Vec<_> = assign
-        .iter()
-        .map(|&(route_idx, nc)| net.add_flow(paths[route_idx], nc * np, CongestionControl::HTcp))
-        .collect();
-    let alloc = net.allocate();
-    let rates: Vec<f64> = flows.iter().map(|f| alloc[f]).collect();
-    let proxies: Vec<f64> = assign
-        .iter()
-        .map(|&(route_idx, nc)| t90_proxy_s(catalog.routes[route_idx].rtt_ms, nc, np))
-        .collect();
-    let score = objective(&rates, &proxies);
-    (rates, score)
+    LiveNetwork::new(catalog, assign, np).score()
 }
 
 /// Whether a route touches any link incident to `region`.
@@ -242,29 +287,33 @@ fn touches(route_links: &[usize], region_link_set: &BTreeSet<usize>) -> bool {
 /// that accepts no move leaves it unchanged and every later pass would
 /// repeat it exactly: the descent stops there. Returns the allocated
 /// per-pair rates and the score of the final assignment.
+///
+/// The descent runs on one [`LiveNetwork`]: a move changes only its pair's
+/// flow, and a rejected move puts that flow back.
 fn descend<'a>(
     catalog: &RouteCatalog,
     assign: &mut [(usize, u32)],
     scope: impl Iterator<Item = (usize, &'a [usize])> + Clone,
     cfg: &SearchConfig,
 ) -> (Vec<f64>, f64) {
-    let (_, mut best_score) = evaluate(catalog, assign, cfg.np);
+    let mut live = LiveNetwork::new(catalog, assign, cfg.np);
+    let (_, mut best_score) = live.score();
     for _ in 0..cfg.passes {
         let mut moved = false;
         for (p, routes) in scope.clone() {
             for &route in routes {
                 for &nc in &cfg.nc_grid {
-                    let prev = assign[p];
+                    let prev = live.assign[p];
                     if prev == (route, nc) {
                         continue;
                     }
-                    assign[p] = (route, nc);
-                    let (_, score) = evaluate(catalog, assign, cfg.np);
+                    live.place(p, (route, nc));
+                    let (_, score) = live.score();
                     if score > best_score {
                         best_score = score;
                         moved = true;
                     } else {
-                        assign[p] = prev;
+                        live.place(p, prev);
                     }
                 }
             }
@@ -273,7 +322,8 @@ fn descend<'a>(
             break;
         }
     }
-    evaluate(catalog, assign, cfg.np)
+    assign.copy_from_slice(&live.assign);
+    live.score()
 }
 
 /// A placement entry's ranked routes, as names and link lists: `chosen`
@@ -499,6 +549,7 @@ pub fn refine_placement(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn quick_cfg() -> SearchConfig {
         SearchConfig {
@@ -506,6 +557,56 @@ mod tests {
             nc_grid: vec![8, 32],
             np: 8,
             passes: 1,
+        }
+    }
+
+    /// The live network's per-pair rates and score equal, bit for bit,
+    /// those of a network rebuilt from the catalog for the same assignment.
+    fn assert_live_matches_rebuild(live: &LiveNetwork, step: usize) {
+        let (rates, score) = live.score();
+        let (want_rates, want_score) = evaluate(live.catalog, &live.assign, live.np);
+        let bits = |v: &[f64]| v.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&rates), bits(&want_rates), "step {step}: rates");
+        assert_eq!(score.to_bits(), want_score.to_bits(), "step {step}: score");
+    }
+
+    proptest! {
+        /// Random move-and-revert tapes on every preset: each move puts one
+        /// pair on a random candidate route and concurrency, and is
+        /// sometimes put back at once, as a rejected descent move is.
+        #[test]
+        fn live_network_matches_the_rebuild_reference_bit_for_bit(
+            preset in 0usize..3,
+            tape in prop::collection::vec(
+                (any::<usize>(), any::<usize>(), any::<usize>(), any::<bool>()),
+                1..24,
+            ),
+        ) {
+            let planet = Planet::preset(Planet::PRESETS[preset]).unwrap();
+            let cfg = SearchConfig::default();
+            let catalog = RouteCatalog::enumerate(&planet, cfg.k).unwrap();
+            let pairs: Vec<(usize, usize)> = catalog.by_pair.keys().copied().collect();
+            let start: Vec<(usize, u32)> = pairs
+                .iter()
+                .map(|&(s, d)| (catalog.candidates(s, d)[0], cfg.nc_grid[0]))
+                .collect();
+            let mut live = LiveNetwork::new(&catalog, &start, cfg.np);
+            assert_live_matches_rebuild(&live, 0);
+            for (step, (pair, route, nc, revert)) in tape.into_iter().enumerate() {
+                let p = pair % pairs.len();
+                let candidates = catalog.candidates(pairs[p].0, pairs[p].1);
+                let prev = live.assign[p];
+                let choice = (
+                    candidates[route % candidates.len()],
+                    cfg.nc_grid[nc % cfg.nc_grid.len()],
+                );
+                live.place(p, choice);
+                assert_live_matches_rebuild(&live, step + 1);
+                if revert {
+                    live.place(p, prev);
+                    assert_live_matches_rebuild(&live, step + 1);
+                }
+            }
         }
     }
 

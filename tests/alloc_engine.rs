@@ -85,6 +85,7 @@ enum Op {
     SetLinkFactor { link: usize, factor: f64 },
     SetRttFactor { path: usize, factor: f64 },
     SetTag { flow: usize, tag: u64 },
+    SetFlowPath { flow: usize, path: usize },
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -96,6 +97,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
             .prop_map(|(link, factor)| Op::SetLinkFactor { link, factor }),
         (0usize..8, 1.0f64..8.0).prop_map(|(path, factor)| Op::SetRttFactor { path, factor }),
         (0usize..16, 0u64..4).prop_map(|(flow, tag)| Op::SetTag { flow, tag }),
+        (0usize..16, 0usize..8).prop_map(|(flow, path)| Op::SetFlowPath { flow, path }),
     ]
 }
 
@@ -191,6 +193,9 @@ proptest! {
                 Op::SetTag { flow, tag } if !live.is_empty() => {
                     net.set_flow_tag(live[flow % live.len()], Some(*tag));
                 }
+                Op::SetFlowPath { flow, path } if !live.is_empty() => {
+                    net.set_flow_path(live[flow % live.len()], PathId(path % npaths));
+                }
                 _ => {}
             }
             assert_matches_reference(&net, 1e-9);
@@ -234,6 +239,9 @@ proptest! {
                 }
                 Op::SetStreams { flow, streams } if !live.is_empty() => {
                     net.set_streams(live[flow % live.len()], *streams);
+                }
+                Op::SetFlowPath { flow, path } if !live.is_empty() => {
+                    net.set_flow_path(live[flow % live.len()], PathId(path % npaths));
                 }
                 _ => {}
             }
@@ -434,11 +442,75 @@ proptest! {
                 Op::SetTag { flow, tag } if !live.is_empty() => {
                     net.set_flow_tag(live[flow % live.len()], Some(*tag));
                 }
+                Op::SetFlowPath { flow, path } if !live.is_empty() => {
+                    net.set_flow_path(live[flow % live.len()], paths[path % npaths]);
+                }
                 _ => {}
             }
             assert_bits_match(&net, "after op");
         }
     }
+}
+
+/// Path swaps keep each flow's id, and so its place in the solve order:
+/// after every swap the cached allocation equals, bit for bit, that of a
+/// network built fresh with the same flows added in the same order on
+/// their new paths. A swap onto the flow's own path changes nothing.
+#[test]
+fn path_swaps_match_a_fresh_build_bit_for_bit() {
+    let (mut net, _, paths) = cluster_net(3);
+    let seeds = [(0, 16u32), (1, 64), (2, 32), (3, 8), (4, 128), (5, 24)];
+    let flows: Vec<FlowId> = seeds
+        .iter()
+        .map(|&(p, s)| net.add_flow(paths[p], s, CongestionControl::HTcp))
+        .collect();
+    let mut on: Vec<usize> = seeds.iter().map(|&(p, _)| p).collect();
+    let _ = net.allocate();
+    // Swaps within a cluster, across clusters, and ones that empty a
+    // cluster and fill it again, so components vanish and reappear.
+    let swaps = [
+        (0, 5),
+        (3, 0),
+        (5, 1),
+        (1, 4),
+        (2, 4),
+        (0, 2),
+        (3, 3),
+        (4, 0),
+    ];
+    for (i, &(f, p)) in swaps.iter().enumerate() {
+        net.set_flow_path(flows[f], paths[p]);
+        on[f] = p;
+        let (mut fresh, _, fresh_paths) = cluster_net(3);
+        for (f, &(_, streams)) in seeds.iter().enumerate() {
+            fresh.add_flow(fresh_paths[on[f]], streams, CongestionControl::HTcp);
+        }
+        let bits = |net: &Network| -> Vec<(FlowId, u64)> {
+            net.allocate()
+                .into_iter()
+                .map(|(id, r)| (id, r.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&net), bits(&fresh), "swap {i}: rates");
+        assert_eq!(
+            net.streams_per_link(),
+            fresh.streams_per_link(),
+            "swap {i}: link weights"
+        );
+        assert_eq!(net.component_count(), fresh.component_count(), "swap {i}");
+        assert_bits_match(&net, "swap");
+    }
+    let (epoch, solves) = (net.allocation_epoch(), net.allocation_solves());
+    for (&f, &p) in flows.iter().zip(&on) {
+        net.set_flow_path(f, paths[p]);
+    }
+    assert_eq!(
+        net.allocation_epoch(),
+        epoch,
+        "a swap onto the flow's own path must not invalidate"
+    );
+    let _ = net.allocate();
+    assert_eq!(net.allocation_solves(), solves);
 }
 
 /// Interleave reads and every kind of mutation: a read immediately after a
