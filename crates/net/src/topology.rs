@@ -336,6 +336,13 @@ impl TopologyBuilder {
         let mut edges = Vec::new();
         let mut cursor = to;
         while cursor != from {
+            // A shortest path visits each node at most once. A longer walk
+            // means the equal-cost tie-break linked two nodes to each other,
+            // which latencies too far apart for their sums to stay exact
+            // can make it do.
+            if edges.len() == n {
+                return None;
+            }
             let (prev, edge) = prev_edge[cursor]?;
             edges.push(edge);
             cursor = prev;

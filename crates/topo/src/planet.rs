@@ -8,6 +8,10 @@
 
 use std::fmt;
 
+/// One-way latency of the NIC hop between a region's hosts and the region,
+/// in milliseconds.
+pub(crate) const NIC_ONE_WAY_MS: f64 = 0.05;
+
 /// One bidirectional inter-region edge.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanetEdge {
@@ -266,11 +270,14 @@ impl Planet {
     }
 
     /// Check structural invariants: ≥ 2 regions, every edge in range,
-    /// positive capacities/latencies, loss in `[0, 1)`.
+    /// positive finite capacities and latencies, a finite non-negative
+    /// `half_streams`, loss in `[0, 1)`, and latencies that each still count
+    /// in the largest latency sum a route can reach.
     ///
     /// # Errors
     /// Returns a description of the first violated invariant.
     pub fn validate(&self) -> Result<(), PlanetError> {
+        let positive = |v: f64| v > 0.0 && v.is_finite();
         if self.regions.len() < 2 {
             return Err(PlanetError("need at least 2 regions".to_string()));
         }
@@ -279,25 +286,47 @@ impl Planet {
                 "region {r:?}: name contains '->' or ':'"
             )));
         }
-        if self.nic_mbs <= 0.0 || self.nic_mbs.is_nan() {
-            return Err(PlanetError("nic capacity must be positive".to_string()));
+        if !positive(self.nic_mbs) {
+            return Err(PlanetError(
+                "nic capacity must be positive and finite".to_string(),
+            ));
+        }
+        if !(self.half_streams >= 0.0 && self.half_streams.is_finite()) {
+            return Err(PlanetError(
+                "nic half_streams must be finite and >= 0".to_string(),
+            ));
         }
         for (i, e) in self.edges.iter().enumerate() {
             if e.a >= self.regions.len() || e.b >= self.regions.len() || e.a == e.b {
                 return Err(PlanetError(format!("edge {i}: bad endpoints")));
             }
-            if e.capacity_mbs <= 0.0
-                || e.capacity_mbs.is_nan()
-                || e.one_way_ms <= 0.0
-                || e.one_way_ms.is_nan()
-            {
+            if !positive(e.capacity_mbs) || !positive(e.one_way_ms) {
                 return Err(PlanetError(format!(
-                    "edge {i}: capacity and latency must be positive"
+                    "edge {i}: capacity and latency must be positive and finite"
                 )));
             }
             if !(0.0..1.0).contains(&e.loss) {
                 return Err(PlanetError(format!("edge {i}: loss must be in [0, 1)")));
             }
+        }
+        // No route is longer than every edge plus both NIC hops. Route
+        // search compares latency sums, so each hop must still change the
+        // largest of them: a lost hop makes two routes tie, and the
+        // shortest-route tie-break can then link two nodes to each other.
+        let most_ms = 2.0 * NIC_ONE_WAY_MS + self.edges.iter().map(|e| e.one_way_ms).sum::<f64>();
+        let lost = |ms: f64| most_ms + ms == most_ms;
+        if lost(NIC_ONE_WAY_MS) {
+            return Err(PlanetError(format!(
+                "edge latencies sum to {most_ms} ms, too large for the \
+                 {NIC_ONE_WAY_MS} ms NIC hop to count"
+            )));
+        }
+        if let Some(i) = self.edges.iter().position(|e| lost(e.one_way_ms)) {
+            return Err(PlanetError(format!(
+                "edge {i}: latency {} ms is too small to count next to the \
+                 {most_ms} ms the edges sum to",
+                self.edges[i].one_way_ms
+            )));
         }
         Ok(())
     }
@@ -356,6 +385,36 @@ edge left right 1000 20 0.00001
             let err = Planet::from_dat(&format!("region c\nregion {name}\n")).unwrap_err();
             assert!(err.0.starts_with("line 2: region name"), "{err}");
         }
+    }
+
+    #[test]
+    fn validate_refuses_numbers_route_search_cannot_use() {
+        let mesh = Planet::preset("mesh").unwrap();
+        let refused = |edit: &dyn Fn(&mut Planet), names: &str| {
+            let mut p = mesh.clone();
+            edit(&mut p);
+            let err = p.validate().unwrap_err();
+            assert!(err.0.contains(names), "{err}");
+        };
+        for v in [f64::INFINITY, f64::NAN, 0.0, -1.0] {
+            refused(&|p| p.edges[0].capacity_mbs = v, "edge 0: capacity");
+            refused(
+                &|p| p.edges[0].one_way_ms = v,
+                "edge 0: capacity and latency",
+            );
+            refused(&|p| p.nic_mbs = v, "nic capacity");
+        }
+        for v in [f64::INFINITY, f64::NAN, -1.0] {
+            refused(&|p| p.half_streams = v, "half_streams");
+        }
+        // A hop lost in the largest latency sum, at either end of the scale.
+        refused(&|p| p.edges[2].one_way_ms = 1e16, "NIC hop");
+        refused(&|p| p.edges[2].one_way_ms = 1e-14, "edge 2: latency");
+        // Large and small latencies that every sum still sees pass.
+        let mut p = mesh.clone();
+        p.edges[2].one_way_ms = 1e9;
+        p.edges[3].one_way_ms = 1e-3;
+        p.validate().unwrap();
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! with the endpoint NIC links, exactly like the paper testbed's
 //! `anl-nic` → WAN shape.
 
-use crate::planet::{Planet, PlanetError};
+use crate::planet::{Planet, PlanetError, NIC_ONE_WAY_MS};
 use std::collections::BTreeMap;
 use xferopt_host::nehalem;
 use xferopt_net::{CongestionControl, Network, PathId, TopologyBuilder};
@@ -77,7 +77,7 @@ impl RouteCatalog {
         }
         // NIC edges first: NIC edge index == region index.
         for r in &planet.regions {
-            b.try_connect(&host_site(r), r, planet.nic_mbs, 0.05, 0.0)
+            b.try_connect(&host_site(r), r, planet.nic_mbs, NIC_ONE_WAY_MS, 0.0)
                 .map_err(|e| PlanetError(e.to_string()))?;
         }
         for e in &planet.edges {

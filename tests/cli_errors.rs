@@ -327,3 +327,51 @@ fn checkpoints_with_an_invalid_config_exit_1() {
     }
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
+
+#[test]
+fn dat_planets_with_unusable_numbers_exit_1() {
+    let dir = std::env::temp_dir().join(format!("xferopt-cli-dat-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let planet =
+        |nic: &str, edge: &str| format!("planet x\n{nic}region a\nregion b\nedge a b {edge}\n");
+    // (file, text, what stderr must name)
+    let cases = [
+        // Used to panic in `Link::new`.
+        (
+            "capacity-inf.dat",
+            planet("", "inf 10 0"),
+            "positive and finite",
+        ),
+        (
+            "nic-inf.dat",
+            planet("nic inf\n", "10 10 0"),
+            "nic capacity",
+        ),
+        // Used to panic in `TopologyBuilder::with_half_streams`.
+        (
+            "half-streams-negative.dat",
+            planet("nic 100 -1\n", "10 10 0"),
+            "half_streams",
+        ),
+        // Used to grow the route walk until memory ran out: the 0.05 ms
+        // NIC hop is lost next to 1e16 ms.
+        ("latency-1e16.dat", planet("", "10 1e16 0"), "NIC hop"),
+        // Used to report `no route from h:a to h:b`.
+        (
+            "latency-inf.dat",
+            planet("", "10 inf 0"),
+            "positive and finite",
+        ),
+    ];
+    for (name, text, names) in &cases {
+        let path = dir.join(name);
+        std::fs::write(&path, text).expect("write .dat");
+        let path = path.to_str().expect("temp path is UTF-8");
+        let stderr = assert_rejected(&["routes", "search", "--dat", path]);
+        assert!(
+            stderr.contains(names),
+            "{name} must be refused for {names:?}:\n{stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
