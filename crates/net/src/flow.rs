@@ -24,27 +24,12 @@ pub struct FlowGroup {
     pub streams: u32,
     /// Congestion-control variant the streams run.
     pub cc: CongestionControl,
-    /// Opaque owner tag: fleet orchestrators label each job's flows with the
-    /// job id so per-job shares can be read back out of a shared allocation
-    /// (see [`crate::Network::tag_allocation_mbs`]). `None` = untagged.
-    pub tag: Option<u64>,
 }
 
 impl FlowGroup {
     /// A flow group of `streams` parallel streams on `path`.
     pub fn new(path: PathId, streams: u32, cc: CongestionControl) -> Self {
-        FlowGroup {
-            path,
-            streams,
-            cc,
-            tag: None,
-        }
-    }
-
-    /// Attach an owner tag (builder style).
-    pub fn with_tag(mut self, tag: u64) -> Self {
-        self.tag = Some(tag);
-        self
+        FlowGroup { path, streams, cc }
     }
 
     /// Aggregate demand cap in MB/s: streams × min(loss-limited steady rate,

@@ -84,10 +84,9 @@ struct AllocCache {
 /// and are never reused, so a new flow always appends to `order`.
 ///
 /// The max–min allocation is computed lazily and cached: every read
-/// ([`Network::allocate`], [`Network::flow_rate`],
-/// [`Network::tag_allocation_mbs`], …) reuses one solve until a mutation
-/// bumps the generation counter. See `DESIGN.md` §13 for the invalidation
-/// rules.
+/// ([`Network::allocate`], [`Network::flow_rate`], …) reuses one solve
+/// until a mutation bumps the generation counter. See `DESIGN.md` §13 for
+/// the invalidation rules.
 #[derive(Debug, Clone, Default)]
 pub struct Network {
     links: Vec<Link>,
@@ -315,50 +314,6 @@ impl Network {
         self.mark_path_dirty(group.path);
         self.free.push(slot);
         self.touch_membership();
-    }
-
-    /// Set (or clear) the owner tag of a flow group. Fleet orchestrators tag
-    /// each job's flow with the job id so a shared allocation can be read
-    /// back per job.
-    ///
-    /// Tags do not affect the allocation, so this never invalidates the
-    /// cached solve.
-    ///
-    /// # Panics
-    /// Panics if the flow id is unknown.
-    pub fn set_flow_tag(&mut self, flow: FlowId, tag: Option<u64>) {
-        let slot = self.slot_of(flow) as usize;
-        self.slots[slot].as_mut().expect("occupied slot").tag = tag;
-    }
-
-    /// Ids of all flow groups carrying `tag`, in id order.
-    pub fn flows_with_tag(&self, tag: u64) -> Vec<FlowId> {
-        self.flows()
-            .filter(|(_, f)| f.tag == Some(tag))
-            .map(|(id, _)| id)
-            .collect()
-    }
-
-    /// Total TCP streams currently registered under `tag`.
-    pub fn tag_streams(&self, tag: u64) -> u32 {
-        self.flows()
-            .filter(|(_, f)| f.tag == Some(tag))
-            .map(|(_, f)| f.streams)
-            .sum()
-    }
-
-    /// Aggregate max–min fair goodput of every flow group carrying `tag`, in
-    /// MB/s (zero when no flow carries the tag). Reads the cached
-    /// allocation, so looping over many tags costs one (amortized) solve.
-    pub fn tag_allocation_mbs(&self, tag: u64) -> f64 {
-        self.ensure_solved();
-        let cache = self.cache.borrow();
-        self.order
-            .iter()
-            .enumerate()
-            .filter(|(_, &(_, slot))| self.group(slot).tag == Some(tag))
-            .map(|(i, _)| cache.rates[i])
-            .sum()
     }
 
     /// Access a link.
@@ -1030,36 +985,6 @@ mod tests {
     }
 
     #[test]
-    fn flow_tags_group_per_job_shares() {
-        let (mut net, p_uc, p_tacc) = anl_topology();
-        // Job 7 runs two flow groups (one per route); job 9 runs one.
-        let a = net.add_flow(p_uc, 16, CongestionControl::HTcp);
-        let b = net.add_flow(p_tacc, 16, CongestionControl::HTcp);
-        let c = net.add_flow(p_uc, 32, CongestionControl::HTcp);
-        net.set_flow_tag(a, Some(7));
-        net.set_flow_tag(b, Some(7));
-        net.set_flow_tag(c, Some(9));
-        assert_eq!(net.flows_with_tag(7), vec![a, b]);
-        assert_eq!(net.flows_with_tag(9), vec![c]);
-        assert_eq!(net.tag_streams(7), 32);
-        assert_eq!(net.tag_streams(9), 32);
-        let alloc = net.allocate();
-        let want = alloc[&a] + alloc[&b];
-        assert!((net.tag_allocation_mbs(7) - want).abs() < 1e-9);
-        assert!((net.tag_allocation_mbs(9) - alloc[&c]).abs() < 1e-9);
-        // Unknown tags read as empty/zero.
-        assert!(net.flows_with_tag(1).is_empty());
-        assert_eq!(net.tag_streams(1), 0);
-        assert_eq!(net.tag_allocation_mbs(1), 0.0);
-        // Clearing a tag removes the grouping.
-        net.set_flow_tag(b, None);
-        assert_eq!(net.flows_with_tag(7), vec![a]);
-        // Builder form attaches the tag at construction.
-        let g = crate::flow::FlowGroup::new(p_uc, 4, CongestionControl::HTcp).with_tag(3);
-        assert_eq!(g.tag, Some(3));
-    }
-
-    #[test]
     fn set_flow_path_moves_the_flow_and_its_weight() {
         let (mut net, p_uc, p_tacc) = anl_topology();
         let f = net.add_flow(p_uc, 64, CongestionControl::HTcp);
@@ -1081,13 +1006,6 @@ mod tests {
         let (mut net, p_uc, _) = anl_topology();
         let f = net.add_flow(p_uc, 4, CongestionControl::HTcp);
         net.set_flow_path(f, PathId(9));
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown flow")]
-    fn set_flow_tag_unknown_flow_panics() {
-        let (mut net, _, _) = anl_topology();
-        net.set_flow_tag(FlowId(99), Some(1));
     }
 
     #[test]

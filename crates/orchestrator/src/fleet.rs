@@ -1609,13 +1609,8 @@ impl<'h> FleetSim<'h> {
             degraded: false,
             spec,
         };
-        let w = self.world.world_mut();
-        let tag = Some(job.spec.id.0);
-        w.set_transfer_tag(job.progress.tid, tag);
-        for &e in &job.progress.extra_tids {
-            w.set_transfer_tag(e, tag);
-        }
         let params = job.params_for(&job.current.clone());
+        let w = self.world.world_mut();
         job.epoch = Some(w.begin_epoch(job.progress.tid, params, restart));
         self.running.insert(job.spec.id, job);
     }
@@ -1736,7 +1731,6 @@ impl<'h> FleetSim<'h> {
                 idle,
                 (spec.size_mb - p.moved_base).max(0.0),
             );
-            self.world.world_mut().set_transfer_tag(p.tid, Some(id.0));
         }
         (spec, progress)
     }

@@ -7,7 +7,7 @@
 # The workspace vendors all external dependencies under vendor/, so the
 # entire pipeline must succeed with the network disabled. Golden snapshots
 # (tests/golden/) are compared byte-for-byte; re-bless with
-#   UPDATE_GOLDEN=1 cargo test --test determinism golden_fault_trace
+#   UPDATE_GOLDEN=1 cargo test --test determinism golden_fault_world
 #   UPDATE_GOLDEN=1 cargo test --test telemetry
 #   UPDATE_GOLDEN=1 cargo test --test tournament
 #   UPDATE_GOLDEN=1 cargo test --test supervision golden_lifecycle_paths_match_snapshot

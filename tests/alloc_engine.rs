@@ -47,8 +47,8 @@ fn anl_net() -> (Network, Vec<PathId>) {
 }
 
 /// Assert the cached engine agrees with the uncached reference within
-/// `tol` (relative) for the whole allocation, plus the single-flow and
-/// per-tag readouts.
+/// `tol` (relative) for the whole allocation, plus the single-flow
+/// readouts.
 fn assert_matches_reference(net: &Network, tol: f64) {
     let cached = net.allocate();
     let reference = net.allocate_uncached();
@@ -84,7 +84,6 @@ enum Op {
     SetStreams { flow: usize, streams: u32 },
     SetLinkFactor { link: usize, factor: f64 },
     SetRttFactor { path: usize, factor: f64 },
-    SetTag { flow: usize, tag: u64 },
     SetFlowPath { flow: usize, path: usize },
 }
 
@@ -96,7 +95,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (0usize..8, prop_oneof![Just(1.0f64), 0.0f64..1.0])
             .prop_map(|(link, factor)| Op::SetLinkFactor { link, factor }),
         (0usize..8, 1.0f64..8.0).prop_map(|(path, factor)| Op::SetRttFactor { path, factor }),
-        (0usize..16, 0u64..4).prop_map(|(flow, tag)| Op::SetTag { flow, tag }),
         (0usize..16, 0usize..8).prop_map(|(flow, path)| Op::SetFlowPath { flow, path }),
     ]
 }
@@ -190,27 +188,12 @@ proptest! {
                 Op::SetRttFactor { path, factor } => {
                     net.set_rtt_factor(PathId(path % npaths), *factor);
                 }
-                Op::SetTag { flow, tag } if !live.is_empty() => {
-                    net.set_flow_tag(live[flow % live.len()], Some(*tag));
-                }
                 Op::SetFlowPath { flow, path } if !live.is_empty() => {
                     net.set_flow_path(live[flow % live.len()], PathId(path % npaths));
                 }
                 _ => {}
             }
             assert_matches_reference(&net, 1e-9);
-        }
-        // Per-tag readout agrees with an id-ordered sum over the reference.
-        let reference = net.allocate_uncached();
-        for tag in 0..4u64 {
-            let want: f64 = net
-                .flows_with_tag(tag)
-                .into_iter()
-                .map(|id| reference[&id])
-                .sum();
-            let got = net.tag_allocation_mbs(tag);
-            prop_assert!((got - want).abs() <= 1e-9 * (1.0 + want.abs()),
-                "tag {tag}: {got} vs {want}");
         }
     }
 
@@ -439,9 +422,6 @@ proptest! {
                 Op::SetRttFactor { path, factor } => {
                     net.set_rtt_factor(paths[path % npaths], *factor);
                 }
-                Op::SetTag { flow, tag } if !live.is_empty() => {
-                    net.set_flow_tag(live[flow % live.len()], Some(*tag));
-                }
                 Op::SetFlowPath { flow, path } if !live.is_empty() => {
                     net.set_flow_path(live[flow % live.len()], paths[path % npaths]);
                 }
@@ -528,7 +508,6 @@ fn dirty_flag_cache_never_serves_stale_allocations() {
     for _ in 0..100 {
         assert_eq!(net.flow_rate(a).to_bits(), r1.to_bits());
         let _ = net.allocate();
-        let _ = net.tag_allocation_mbs(0);
     }
     assert_eq!(
         net.allocation_solves(),
@@ -558,11 +537,6 @@ fn dirty_flag_cache_never_serves_stale_allocations() {
         "same-value set_streams must not invalidate"
     );
     assert_eq!(net.allocation_solves(), solves);
-
-    // Tags never affect the allocation, so they never invalidate.
-    net.set_flow_tag(a, Some(7));
-    assert_eq!(net.allocation_epoch(), epoch, "tagging must not invalidate");
-    assert_eq!(net.flow_rate(a).to_bits(), r2.to_bits());
 
     // Fault factors invalidate; clearing them restores the original rates.
     net.set_link_factor(LinkId(0), 0.5);

@@ -10,6 +10,7 @@
 
 use proptest::prelude::*;
 use xferopt::prelude::*;
+use xferopt::simcore::SampleValue;
 
 /// The fixed scenario behind the golden snapshots: the cs-tuner under heavy
 /// compute load on the UChicago route, 10 control epochs, seed 7. Chosen so
@@ -29,8 +30,11 @@ fn golden_cfg() -> DriveConfig {
 /// A fault-laced variant used by the perturbation tests: retries, stalls,
 /// and fault-factor changes must all flow through telemetry without changing
 /// the transfer.
+fn faulty_plan() -> FaultPlan {
+    FaultProfile::FlakyLink.plan(Route::UChicago, 3, 600.0)
+}
+
 fn faulty_cfg(tuner: TunerKind) -> DriveConfig {
-    let plan = FaultProfile::FlakyLink.plan(Route::UChicago, 3, 600.0);
     DriveConfig::paper(
         Route::UChicago,
         tuner,
@@ -39,7 +43,7 @@ fn faulty_cfg(tuner: TunerKind) -> DriveConfig {
     )
     .with_duration_s(600.0)
     .with_seed(4)
-    .with_faults(plan)
+    .with_faults(faulty_plan())
 }
 
 fn check_golden(path: &str, actual: &str, what: &str) {
@@ -119,7 +123,21 @@ fn telemetry_does_not_perturb_any_tuner_run() {
 #[test]
 fn telemetry_does_not_perturb_faulty_runs() {
     // Retry/backoff paths draw from the world's seed stream; the recorder
-    // must not shift those draws either.
+    // must not shift those draws either. The plan flaps the UChicago WAN
+    // (link 1) down and back up and aborts the tuned transfer (id 1); the
+    // recorder must count every one of those events.
+    let plan = faulty_plan();
+    let flaps = plan
+        .events()
+        .iter()
+        .filter(|e| e.kind == FaultKind::LinkFlap { link: 1 })
+        .count() as u64;
+    let aborts = plan
+        .events()
+        .iter()
+        .filter(|e| e.kind == FaultKind::TransferAbort { transfer: 1 })
+        .count() as u64;
+    assert!(flaps > 0 && aborts > 0, "the plan must schedule both");
     for kind in [TunerKind::Nm, TunerKind::Cs, TunerKind::Default] {
         let cfg = faulty_cfg(kind);
         let plain = drive_transfer(&cfg);
@@ -130,13 +148,20 @@ fn telemetry_does_not_perturb_faulty_runs() {
             "{}: telemetry perturbed the faulty run",
             kind.name()
         );
-        // The fault machinery must actually have been exercised & recorded.
-        let doc = tel.to_jsonl();
-        assert!(
-            doc.contains("transfer_fault_factor_changes_total")
-                || doc.contains("transfer_retries_total")
-                || doc.contains("transfer_restarts_total"),
-            "{}: fault-era counters missing from telemetry",
+        let snap = &tel.snapshot;
+        assert_eq!(
+            snap.get(
+                "net_fault_factor_changes_total",
+                &[("kind", "link"), ("index", "1")]
+            ),
+            Some(&SampleValue::Counter(2 * flaps)),
+            "{}: link-flap transitions",
+            kind.name()
+        );
+        assert_eq!(
+            snap.get("transfer_aborts_total", &[("transfer", "1")]),
+            Some(&SampleValue::Counter(aborts)),
+            "{}: aborts of the tuned transfer",
             kind.name()
         );
     }
