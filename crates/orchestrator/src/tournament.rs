@@ -30,11 +30,11 @@
 use crate::fleet::NOISE_SIGMA;
 use crate::history::{HistoryRecord, HistoryStore};
 use xferopt_scenarios::{
-    throughput_surface, ExternalLoad, FaultProfile, PaperWorld, Route, TuneDims,
+    drive_tuner, throughput_surface, DriveConfig, ExternalLoad, FaultProfile, LoadSchedule, Route,
+    TuneDims,
 };
 use xferopt_simcore::json::{json_f64, object, push_line, Fields};
-use xferopt_simcore::SimDuration;
-use xferopt_transfer::{StreamParams, TransferConfig};
+use xferopt_transfer::StreamParams;
 use xferopt_tuners::online::{OnlineStep, OnlineTrajectory};
 use xferopt_tuners::{summarize_regret, DecisionAction, HistoryTuner, OnlineTuner, TunerKind};
 
@@ -548,23 +548,6 @@ fn run_cell(
     let dims = TuneDims::NcOnly { np: 8 };
     let x0 = StreamParams::globus_default();
 
-    let mut pw = PaperWorld::new(cfg.seed);
-    let source = pw.source;
-    // External transfer rides the same route, as in drive_transfer.
-    let ext_cfg = TransferConfig::memory_to_memory(source, pw.path(route))
-        .with_params(StreamParams::new(load.tfr, 1))
-        .with_noise(NOISE_SIGMA, 45.0);
-    let _ext = pw.world.add_transfer(ext_cfg);
-    pw.world.set_compute_jobs(source, load.cmp);
-    let main_cfg = TransferConfig::memory_to_memory(source, pw.path(route))
-        .with_params(x0)
-        .with_noise(NOISE_SIGMA, 45.0);
-    let tid = pw.world.add_transfer(main_cfg);
-    if let Some(p) = fault {
-        pw.world
-            .enable_faults(p.plan(route, cfg.seed, cfg.horizon_s()));
-    }
-
     // The history kind reads its stored observations for this route+preset;
     // every other kind builds cold from the factory.
     let mut tuner: Box<dyn OnlineTuner + Send> = if kind == TunerKind::History {
@@ -587,28 +570,33 @@ fn run_cell(
             fault_label(fault)
         ));
     }
-    let restarts = kind != TunerKind::Default;
+    let drive = DriveConfig {
+        duration_s: cfg.horizon_s(),
+        epoch_s: cfg.epoch_s,
+        seed: cfg.seed,
+        x0,
+        noise_sigma: NOISE_SIGMA,
+        faults: fault.map(|p| p.plan(route, cfg.seed, cfg.horizon_s())),
+        ..DriveConfig::paper(route, kind, dims, LoadSchedule::constant(load))
+    };
+    let (log, moved_mb, _) = drive_tuner(&drive, tuner.as_mut(), false);
 
-    let mut x = tuner.initial();
     let mut traj = OnlineTrajectory::default();
     let mut best_mbs = 0.0f64;
-    let mut best_x = x.clone();
+    let mut best_x = Vec::new();
     let mut t90_s = None;
     let mut epochs_to_90 = None;
-    for e in 0..cfg.epochs {
-        let params = dims.to_params(&x);
-        let es = pw.world.begin_epoch(tid, params, restarts);
-        pw.world.step(SimDuration::from_secs_f64(cfg.epoch_s));
-        let r = pw.world.end_epoch(es);
-        traj.steps.push(OnlineStep {
-            epoch: e,
-            x: x.clone(),
-            value: r.observed_mbs,
-        });
+    for (e, r) in log.epochs.iter().enumerate() {
+        let x = dims.to_point(r.params);
         if r.observed_mbs > best_mbs {
             best_mbs = r.observed_mbs;
             best_x = x.clone();
         }
+        traj.steps.push(OnlineStep {
+            epoch: e,
+            x,
+            value: r.observed_mbs,
+        });
         // Convergence is judged on up-time throughput (startup excluded):
         // restart overhead is a cost the regret column already charges, not
         // evidence the tuner found the wrong operating point.
@@ -616,7 +604,6 @@ fn run_cell(
             t90_s = Some((e + 1) as f64 * cfg.epoch_s);
             epochs_to_90 = Some(e);
         }
-        x = tuner.observe(&x, r.observed_mbs);
     }
 
     let regret = summarize_regret(&traj, oracle, NEAR_OPT_FRAC, cfg.epoch_s);
@@ -638,7 +625,7 @@ fn run_cell(
         regret_mb: regret.wasted,
         epochs_to_90,
         decisions_to_converge,
-        moved_mb: pw.world.moved_mb(tid),
+        moved_mb,
     };
     // Fault-free cells contribute to the warm-start store (faulty epochs
     // would poison the surrogate with outage artifacts).

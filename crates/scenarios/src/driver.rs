@@ -229,6 +229,31 @@ pub(crate) fn drive(
     cfg: &DriveConfig,
     record: bool,
 ) -> (TransferLog, Option<(WorldTelemetry, String)>) {
+    let mut tuner = cfg
+        .tuner
+        .build(cfg.dims.domain(), cfg.dims.to_point(cfg.x0));
+    if record {
+        tuner.enable_audit();
+    }
+    let (log, _, tel) = drive_tuner(cfg, tuner.as_mut(), record);
+    let recording = tel.map(|tel| {
+        let decisions = tuner.audit_log().map(|l| l.to_jsonl()).unwrap_or_default();
+        (tel, decisions)
+    });
+    (log, recording)
+}
+
+/// Run one tuned transfer under a tuner the caller built (one that carries
+/// stored samples or a namespaced audit log, say) and return its log and
+/// the megabytes it moved. `tuner` stands in for `cfg.tuner`, which still
+/// decides whether epochs restart the transfer. With `record`, the world's
+/// flight recorder is on and is returned too, taken right after the last
+/// epoch closes.
+pub fn drive_tuner(
+    cfg: &DriveConfig,
+    tuner: &mut dyn OnlineTuner,
+    record: bool,
+) -> (TransferLog, f64, Option<WorldTelemetry>) {
     let mut pw = PaperWorld::new(cfg.seed);
     let source = pw.source;
     // External transfer rides the same route, as in the paper's setup.
@@ -249,13 +274,6 @@ pub(crate) fn drive(
     if record {
         pw.world.enable_telemetry();
     }
-
-    let mut tuner = cfg
-        .tuner
-        .build(cfg.dims.domain(), cfg.dims.to_point(cfg.x0));
-    if record {
-        tuner.enable_audit();
-    }
     let restarts = cfg.tuner != TunerKind::Default;
 
     let mut log = TransferLog::new();
@@ -269,11 +287,8 @@ pub(crate) fn drive(
         log.push(r);
         x = tuner.observe(&x, r.observed_mbs);
     }
-    let recording = pw.world.take_telemetry().map(|tel| {
-        let decisions = tuner.audit_log().map(|l| l.to_jsonl()).unwrap_or_default();
-        (tel, decisions)
-    });
-    (log, recording)
+    let moved_mb = pw.world.moved_mb(tid);
+    (log, moved_mb, pw.world.take_telemetry())
 }
 
 /// One transfer's spec in a simultaneous-tuning run.

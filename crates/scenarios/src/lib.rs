@@ -42,7 +42,7 @@ pub mod telemetry;
 pub mod topology;
 pub mod validation;
 
-pub use driver::{drive_transfer, DriveConfig, MultiDriver, TuneDims};
+pub use driver::{drive_transfer, drive_tuner, DriveConfig, MultiDriver, TuneDims};
 pub use faults::FaultProfile;
 pub use load::{ExternalLoad, LoadSchedule};
 pub use report::Table;
