@@ -17,7 +17,14 @@
 //!   streams imply a larger share of a congested bottleneck* (the paper's
 //!   second observation).
 //! * [`network`] — the assembled quasi-static model: register flows, get the
-//!   per-flow goodput allocation.
+//!   per-flow goodput allocation (solved lazily and cached until a mutation
+//!   changes it).
+//! * [`components`] — connected components of the link-sharing graph, so a
+//!   mutation re-solves only the flows it can affect.
+//! * [`topology`] — named sites and shortest-path routing on top of the
+//!   index-level network.
+//! * [`metrics`] — read-only export of the network's state into a metrics
+//!   registry.
 //! * [`dynamic`] — optional higher-fidelity mode evolving per-stream
 //!   congestion windows (slow start, variant-specific increase, Poisson
 //!   loss) on a fixed time step, for ramp-up transients.

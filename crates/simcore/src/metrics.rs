@@ -1,9 +1,8 @@
 //! Structured metrics: counters, gauges, log-bucket histograms, and a
 //! labelled registry with deterministic, mergeable snapshots.
 //!
-//! This is the workspace's flight recorder. Where [`crate::trace`] records
-//! free-form strings, this module records **typed** quantities that experiment
-//! harnesses can aggregate, diff, and snapshot byte-for-byte:
+//! This is the workspace's flight recorder: it records **typed** quantities
+//! that experiment harnesses can aggregate, diff, and snapshot byte-for-byte:
 //!
 //! * [`Counter`] — monotonically non-decreasing `u64` (events, retries,
 //!   restarts, faults fired).

@@ -65,8 +65,8 @@ impl std::str::FromStr for StreamParams {
     type Err = String;
 
     /// Parse either the compact `ncxnp` form (`"2x8"`) or the [`fmt::Display`]
-    /// form (`"nc=2 np=8"`), so CLI flags, trace lines, and history-store
-    /// records all round-trip through the same parser.
+    /// form (`"nc=2 np=8"`), so CLI flags and history-store records
+    /// round-trip through the same parser.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let s = s.trim();
         let parse_u32 = |v: &str, what: &str| {

@@ -4,8 +4,9 @@
 //! throughput per 30 s control epoch, restart overhead (17–50 %), how often
 //! the ε-monitor re-triggers a search. [`WorldTelemetry`] captures those
 //! quantities as typed records ([`EpochTelemetry`]) plus a
-//! [`MetricsRegistry`] of counters/gauges/histograms, instead of ad-hoc
-//! trace strings.
+//! [`MetricsRegistry`] of counters/gauges/histograms. It is the world's
+//! only observer: restarts, fault transitions and aborts are counted here
+//! and nowhere else.
 //!
 //! Two invariants, both enforced by tests:
 //!
