@@ -66,7 +66,7 @@ pub use components::{connected_groups, UnionFind};
 pub use fairness::{jain_index, max_min_allocate, max_min_allocate_into, AllocScratch, FlowDemand};
 pub use flow::{FlowGroup, FlowId};
 pub use link::{Link, LinkId, Path, PathId};
-pub use metrics::{export_alloc_stats, export_dynamic, export_network};
+pub use metrics::{export_dynamic, export_network};
 pub use network::Network;
 pub use tcp::CongestionControl;
 pub use topology::{TopologyBuilder, TopologyError};

@@ -12,8 +12,9 @@
 //!   dynamic simulation (`net_flow_losses_total`, `net_flow_cwnd_bytes`).
 //!
 //! Each export shows the network as it is at the call. The world's flight
-//! recorder calls these when it is read, not at every epoch close, so its
-//! gauges show the network at that read.
+//! recorder keeps none of these gauges: its metrics snapshot replays its
+//! rows into a fresh registry and then calls these once, so the gauges show
+//! the network when the snapshot is taken.
 //!
 //! All label values are derived from stable integer ids, so two exports of
 //! the same state produce identical snapshots (the registry orders samples
@@ -85,31 +86,6 @@ pub fn export_dynamic(reg: &mut MetricsRegistry, net: &Network, sim: &DynamicSim
             reg.gauge("net_flow_cwnd_bytes", &labels).set(cwnd);
         }
     }
-}
-
-/// Export allocation-engine statistics of `net` into `reg`.
-///
-/// Emits:
-///
-/// * `net_alloc_solves_total` — cumulative max–min solves actually performed
-///   (cache misses; a monotone counter, repeated exports advance it),
-/// * `net_alloc_epoch` — current allocation generation (bumped by every
-///   allocation-affecting mutation),
-/// * `net_alloc_flows` — registered flow-group count.
-///
-/// Deliberately **not** part of [`export_network`]: the standard telemetry
-/// stream must stay byte-identical across engine changes, so perf
-/// instrumentation is opt-in (benchmarks and the fleet perf gate call this).
-pub fn export_alloc_stats(reg: &mut MetricsRegistry, net: &Network) {
-    let c = reg.counter("net_alloc_solves_total", &[]);
-    let cur = c.get();
-    let total = net.allocation_solves();
-    debug_assert!(total >= cur, "solve counter went backwards");
-    c.add(total.saturating_sub(cur));
-    reg.gauge("net_alloc_epoch", &[])
-        .set(net.allocation_epoch() as f64);
-    reg.gauge("net_alloc_flows", &[])
-        .set(net.flow_count() as f64);
 }
 
 #[cfg(test)]

@@ -628,8 +628,9 @@ pub struct FleetOutcome {
     /// Supervision events (quarantines, requeues, breaker transitions,
     /// sheds) as JSONL, in occurrence order. Empty in a quiet run.
     pub supervision_jsonl: String,
-    /// Supervision counters from the telemetry registry as JSONL (empty when
-    /// no supervision metric was touched).
+    /// Supervision event counts and the history store's skipped-line count
+    /// as metric JSONL, derived from the run's events (empty in a quiet run
+    /// over a clean store).
     pub metrics_jsonl: String,
     /// History records appended during this run.
     pub history_appended: usize,
@@ -871,7 +872,6 @@ pub struct FleetSim<'h> {
     outcomes: Vec<JobOutcome>,
     decisions: Vec<(JobId, String)>,
     events: Vec<SupervisionEvent>,
-    metrics: MetricsRegistry,
     history: HistoryHandle<'h>,
     history_appended: usize,
     /// Records appended during the current tick, drained by the sharded
@@ -983,12 +983,6 @@ impl<'h> FleetSim<'h> {
             .as_ref()
             .filter(|tc| tc.selfheal)
             .map(|_| Governor::new(nlinks));
-        let mut metrics = MetricsRegistry::new();
-        if history.skipped() > 0 {
-            metrics
-                .gauge("history_lines_skipped", &[])
-                .set(history.skipped() as f64);
-        }
         FleetSim {
             config: config.clone(),
             submitted: workload.len(),
@@ -1004,7 +998,6 @@ impl<'h> FleetSim<'h> {
             outcomes: Vec::new(),
             decisions: Vec::new(),
             events: Vec::new(),
-            metrics,
             history,
             history_appended: 0,
             tick_appends: Vec::new(),
@@ -1986,16 +1979,6 @@ impl<'h> FleetSim<'h> {
                     .collect()
             })
             .unwrap_or_default();
-        for e in &self.events {
-            self.metrics
-                .counter("fleet_supervision_total", &[("event", e.kind)])
-                .inc();
-        }
-        let metrics = if self.metrics.is_empty() {
-            None
-        } else {
-            Some(self.metrics.snapshot())
-        };
 
         FleetParts {
             config: self.config,
@@ -2004,7 +1987,7 @@ impl<'h> FleetSim<'h> {
             decisions: self.decisions,
             telemetry,
             events: self.events,
-            metrics,
+            history_skipped: self.history.skipped(),
             history_appended: self.history_appended,
         }
     }
@@ -2024,7 +2007,9 @@ pub(crate) struct FleetParts {
     /// `(epoch start_s, rendered JSON line)` in the world's recording order.
     pub(crate) telemetry: Vec<(f64, String)>,
     pub(crate) events: Vec<SupervisionEvent>,
-    pub(crate) metrics: Option<xferopt_simcore::metrics::MetricsSnapshot>,
+    /// Malformed lines skipped when the history store was loaded (every
+    /// component of a sharded run works on a snapshot of the same store).
+    pub(crate) history_skipped: usize,
     pub(crate) history_appended: usize,
 }
 
@@ -2041,6 +2026,7 @@ impl FleetParts {
             supervision_jsonl.push_str(&e.to_json());
             supervision_jsonl.push('\n');
         }
+        let metrics_jsonl = metrics_jsonl(&self.events, self.history_skipped);
         FleetOutcome {
             report: FleetReport {
                 config: self.config,
@@ -2051,10 +2037,27 @@ impl FleetParts {
             decisions_jsonl: self.decisions.into_iter().map(|(_, s)| s).collect(),
             telemetry_jsonl,
             supervision_jsonl,
-            metrics_jsonl: self.metrics.map(|m| m.to_jsonl()).unwrap_or_default(),
+            metrics_jsonl,
             history_appended: self.history_appended,
         }
     }
+}
+
+/// The fleet's metrics, derived from its supervision events and its
+/// history store's skipped-line count: one `fleet_supervision_total`
+/// counter per event kind and a `history_lines_skipped` gauge, each present
+/// only when non-zero. Empty in a quiet run.
+fn metrics_jsonl(events: &[SupervisionEvent], history_skipped: usize) -> String {
+    let mut reg = MetricsRegistry::new();
+    for e in events {
+        reg.counter("fleet_supervision_total", &[("event", e.kind)])
+            .inc();
+    }
+    if history_skipped > 0 {
+        reg.gauge("history_lines_skipped", &[])
+            .set(history_skipped as f64);
+    }
+    reg.snapshot().to_jsonl()
 }
 
 /// A deterministic planet workload: `n` jobs round-robin over the

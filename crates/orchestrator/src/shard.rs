@@ -13,8 +13,9 @@
 //! * telemetry epochs stable-merge by epoch start time (component order
 //!   breaks ties);
 //! * supervision events stable-merge by event time;
-//! * summary counters add; metrics snapshots merge (counters add, identical
-//!   gauges are right-biased no-ops);
+//! * summary counters add; the metrics are rendered after the merge, from
+//!   the merged supervision events and the history store's skipped-line
+//!   count;
 //! * per-tick history appends flush to the backing store sorted by job id.
 //!
 //! The decomposition and every merge key are pure functions of the
@@ -330,11 +331,6 @@ fn merge_parts(submitted: usize, history_appended: usize, parts: Vec<FleetParts>
         merged.decisions.extend(p.decisions);
         merged.telemetry.extend(p.telemetry);
         merged.events.extend(p.events);
-        match (&mut merged.metrics, p.metrics) {
-            (Some(m), Some(o)) => m.merge(&o),
-            (m @ None, Some(o)) => *m = Some(o),
-            (_, None) => {}
-        }
         merged.outcomes.sort_by_key(|o| o.id);
         merged.decisions.sort_by_key(|(id, _)| *id);
         // Stable sorts: ties keep component order (concat order above).

@@ -13,7 +13,7 @@
 
 use crate::load::LoadSchedule;
 use crate::topology::{PaperWorld, Route};
-use xferopt_simcore::{FaultPlan, SimDuration};
+use xferopt_simcore::{FaultPlan, MetricsSnapshot, SimDuration};
 use xferopt_transfer::{
     StreamParams, TransferConfig, TransferId, TransferLog, World, WorldTelemetry,
 };
@@ -222,13 +222,15 @@ pub fn drive_transfer(cfg: &DriveConfig) -> TransferLog {
 /// The control loop behind [`drive_transfer`] and
 /// [`crate::telemetry::drive_transfer_with_telemetry`]. With `record`, the
 /// world's flight recorder and the tuner's audit log are switched on (both
-/// are observational) and returned with the log: the recorder, taken right
-/// after the last epoch closes, so the network gauges it exports show the
-/// network at that close, and the tuner's decision records as JSONL.
+/// are observational) and returned with the log: the recorder and metrics
+/// of [`drive_tuner`], and the tuner's decision records as JSONL.
 pub(crate) fn drive(
     cfg: &DriveConfig,
     record: bool,
-) -> (TransferLog, Option<(WorldTelemetry, String)>) {
+) -> (
+    TransferLog,
+    Option<(WorldTelemetry, MetricsSnapshot, String)>,
+) {
     let mut tuner = cfg
         .tuner
         .build(cfg.dims.domain(), cfg.dims.to_point(cfg.x0));
@@ -236,9 +238,9 @@ pub(crate) fn drive(
         tuner.enable_audit();
     }
     let (log, _, tel) = drive_tuner(cfg, tuner.as_mut(), record);
-    let recording = tel.map(|tel| {
+    let recording = tel.map(|(tel, snapshot)| {
         let decisions = tuner.audit_log().map(|l| l.to_jsonl()).unwrap_or_default();
-        (tel, decisions)
+        (tel, snapshot, decisions)
     });
     (log, recording)
 }
@@ -247,13 +249,13 @@ pub(crate) fn drive(
 /// stored samples or a namespaced audit log, say) and return its log and
 /// the megabytes it moved. `tuner` stands in for `cfg.tuner`, which still
 /// decides whether epochs restart the transfer. With `record`, the world's
-/// flight recorder is on and is returned too, taken right after the last
-/// epoch closes.
+/// flight recorder is on and is returned too, with the metrics derived
+/// from its rows and from the network right after the last epoch closes.
 pub fn drive_tuner(
     cfg: &DriveConfig,
     tuner: &mut dyn OnlineTuner,
     record: bool,
-) -> (TransferLog, f64, Option<WorldTelemetry>) {
+) -> (TransferLog, f64, Option<(WorldTelemetry, MetricsSnapshot)>) {
     let mut pw = PaperWorld::new(cfg.seed);
     let source = pw.source;
     // External transfer rides the same route, as in the paper's setup.
@@ -288,7 +290,9 @@ pub fn drive_tuner(
         x = tuner.observe(&x, r.observed_mbs);
     }
     let moved_mb = pw.world.moved_mb(tid);
-    (log, moved_mb, pw.world.take_telemetry())
+    let snapshot = pw.world.metrics_snapshot();
+    let recording = pw.world.take_telemetry().zip(snapshot);
+    (log, moved_mb, recording)
 }
 
 /// One transfer's spec in a simultaneous-tuning run.

@@ -92,7 +92,7 @@ impl RunTelemetry {
 /// are observational (checked by the determinism tests).
 pub fn drive_transfer_with_telemetry(cfg: &DriveConfig) -> (TransferLog, RunTelemetry) {
     let (log, recording) = crate::driver::drive(cfg, true);
-    let (tel, decisions_jsonl) = recording.expect("the loop records when asked to");
+    let (tel, snapshot, decisions_jsonl) = recording.expect("the loop records when asked to");
     let bundle = RunTelemetry {
         header: RunHeader {
             route: cfg.route.name().to_string(),
@@ -103,7 +103,7 @@ pub fn drive_transfer_with_telemetry(cfg: &DriveConfig) -> (TransferLog, RunTele
         },
         epochs_jsonl: tel.epochs_jsonl(),
         decisions_jsonl,
-        snapshot: tel.snapshot(),
+        snapshot,
     };
     (log, bundle)
 }

@@ -1,23 +1,23 @@
 //! Structured metrics: counters, gauges, log-bucket histograms, and a
-//! labelled registry with deterministic, mergeable snapshots.
+//! labelled registry with deterministic snapshots.
 //!
-//! This is the workspace's flight recorder: it records **typed** quantities
-//! that experiment harnesses can aggregate, diff, and snapshot byte-for-byte:
+//! This is the workspace's metrics substrate: typed quantities that
+//! experiment harnesses render and diff byte-for-byte. Callers build a
+//! registry when they render metrics, from rows they recorded (the world's
+//! flight recorder, the fleet's supervision events):
 //!
 //! * [`Counter`] — monotonically non-decreasing `u64` (events, retries,
 //!   restarts, faults fired).
 //! * [`Gauge`] — a `f64` level (current fair share, link capacity factor,
 //!   congestion-window sum).
 //! * [`LogHistogram`] — fixed **logarithmic** bucket bounds chosen at
-//!   construction, so merges across runs/shards are exact on the counts and
-//!   quantile estimates are always bracketed by bucket edges.
+//!   construction, with the count, sum, min and max of what it observed.
 //! * [`MetricsRegistry`] — owns metrics keyed by `(name, labels)`; label sets
 //!   are normalized (sorted, deduplicated) so the same logical series always
 //!   lands in the same slot.
 //! * [`MetricsSnapshot`] — an ordered, immutable view that renders to JSONL
 //!   ([`MetricsSnapshot::to_jsonl`]) and Prometheus text exposition
-//!   ([`MetricsSnapshot::to_prometheus`]), and merges with other snapshots
-//!   (counters add, gauges right-bias, histograms add bucket-wise).
+//!   ([`MetricsSnapshot::to_prometheus`]).
 //!
 //! Everything is plain data over [`std::collections::BTreeMap`], so two runs
 //! of the same seeded simulation produce **bit-identical** snapshots — the
@@ -103,8 +103,6 @@ impl Gauge {
 ///
 /// Bucket `i` counts observations `x <= bounds[i]` that no earlier bucket
 /// took; the final implicit bucket takes everything above the last bound.
-/// Because the bounds are fixed at construction, merging two histograms with
-/// the same bounds is exact on every count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LogHistogram {
     bounds: Vec<f64>,
@@ -211,65 +209,6 @@ impl LogHistogram {
     /// Largest observation (`-inf` when empty).
     pub fn max(&self) -> f64 {
         self.max
-    }
-
-    /// Mean observation (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Estimate quantile `q ∈ [0, 1]` as the **upper edge** of the bucket
-    /// holding the `⌈q·count⌉`-th observation, clamped to the observed
-    /// `[min, max]`. By construction the estimate is always bracketed by the
-    /// bucket edges around the true value. Returns `None` when empty.
-    ///
-    /// # Panics
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        assert!(
-            (0.0..=1.0).contains(&q),
-            "quantile must be in [0,1], got {q}"
-        );
-        if self.count == 0 {
-            return None;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                let edge = if i < self.bounds.len() {
-                    self.bounds[i]
-                } else {
-                    // Overflow bucket: the max is the only upper bracket.
-                    self.max
-                };
-                return Some(edge.clamp(self.min, self.max));
-            }
-        }
-        Some(self.max)
-    }
-
-    /// Merge another histogram into this one.
-    ///
-    /// # Panics
-    /// Panics if the bucket bounds differ.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        assert_eq!(
-            self.bounds, other.bounds,
-            "cannot merge histograms with different bounds"
-        );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -477,7 +416,7 @@ pub struct MetricSample {
     pub value: SampleValue,
 }
 
-/// An ordered, mergeable, serializable view of a registry.
+/// An ordered, serializable view of a registry.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Samples sorted by `(name, labels)`.
@@ -520,51 +459,6 @@ impl MetricsSnapshot {
             .iter()
             .find(|s| s.name == name && s.labels == want)
             .map(|s| &s.value)
-    }
-
-    /// Merge `other` into this snapshot: counters add, gauges take `other`'s
-    /// level (right-biased — the later shard wins), histograms add
-    /// bucket-wise. Series missing on one side are carried over.
-    ///
-    /// # Panics
-    /// Panics if the same series has different kinds or histogram bounds.
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        let mut map: BTreeMap<(String, Labels), SampleValue> = self
-            .samples
-            .drain(..)
-            .map(|s| ((s.name, s.labels), s.value))
-            .collect();
-        for s in &other.samples {
-            let key = (s.name.clone(), s.labels.clone());
-            match map.entry(key) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(s.value.clone());
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    match (e.get_mut(), &s.value) {
-                        (SampleValue::Counter(a), SampleValue::Counter(b)) => {
-                            *a = a.saturating_add(*b)
-                        }
-                        (SampleValue::Gauge(a), SampleValue::Gauge(b)) => *a = *b,
-                        (SampleValue::Histogram(a), SampleValue::Histogram(b)) => a.merge(b),
-                        (a, b) => panic!(
-                            "kind mismatch merging {:?}: {:?} vs {:?}",
-                            s.name,
-                            a.kind(),
-                            b.kind()
-                        ),
-                    }
-                }
-            }
-        }
-        self.samples = map
-            .into_iter()
-            .map(|((name, labels), value)| MetricSample {
-                name,
-                labels,
-                value,
-            })
-            .collect();
     }
 
     /// Render as JSON Lines: one flat object per sample, fields in a fixed
@@ -708,48 +602,6 @@ mod tests {
         assert_eq!(h.min(), 0.5);
         assert_eq!(h.max(), 1000.0);
         assert!((h.sum() - 1106.5).abs() < 1e-12);
-        assert!((h.mean() - 221.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_quantiles_bracketed() {
-        let mut h = LogHistogram::new(LogHistogram::log_bounds(1.0, 2.0, 10));
-        for x in [3.0, 3.5, 7.0, 30.0, 100.0] {
-            h.observe(x);
-        }
-        let med = h.quantile(0.5).unwrap();
-        // Median observation is 7.0 → bucket (4, 8]: estimate must be 8,
-        // clamped inside [min, max].
-        assert_eq!(med, 8.0);
-        assert_eq!(h.quantile(0.0).unwrap(), 4.0_f64.clamp(h.min(), h.max()));
-        assert!(h.quantile(1.0).unwrap() <= h.max());
-        assert!(LogHistogram::new(vec![1.0]).quantile(0.5).is_none());
-    }
-
-    #[test]
-    fn histogram_merge_conserves_counts() {
-        let bounds = LogHistogram::log_bounds(1.0, 4.0, 5);
-        let mut a = LogHistogram::new(bounds.clone());
-        let mut b = LogHistogram::new(bounds);
-        for x in [0.5, 2.0, 900.0] {
-            a.observe(x);
-        }
-        for x in [3.0, 5000.0] {
-            b.observe(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 5);
-        assert_eq!(a.counts().iter().sum::<u64>(), 5);
-        assert_eq!(a.min(), 0.5);
-        assert_eq!(a.max(), 5000.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "different bounds")]
-    fn histogram_merge_rejects_different_bounds() {
-        let mut a = LogHistogram::new(vec![1.0, 2.0]);
-        let b = LogHistogram::new(vec![1.0, 3.0]);
-        a.merge(&b);
     }
 
     #[test]
@@ -803,32 +655,6 @@ mod tests {
         assert_eq!(a.samples[0].labels, normalize_labels(&[("x", "1")]));
         assert_eq!(a.to_jsonl(), build().to_jsonl());
         assert_eq!(a.to_prometheus(), build().to_prometheus());
-    }
-
-    #[test]
-    fn snapshot_merge_semantics() {
-        let mut r1 = MetricsRegistry::new();
-        r1.counter("c", &[]).add(2);
-        r1.gauge("g", &[]).set(1.0);
-        r1.histogram("h", &[], vec![1.0, 10.0]).observe(5.0);
-        let mut r2 = MetricsRegistry::new();
-        r2.counter("c", &[]).add(3);
-        r2.gauge("g", &[]).set(9.0);
-        r2.histogram("h", &[], vec![1.0, 10.0]).observe(50.0);
-        r2.counter("only2", &[]).inc();
-
-        let mut snap = r1.snapshot();
-        snap.merge(&r2.snapshot());
-        assert_eq!(snap.get("c", &[]), Some(&SampleValue::Counter(5)));
-        assert_eq!(snap.get("g", &[]), Some(&SampleValue::Gauge(9.0)));
-        assert_eq!(snap.get("only2", &[]), Some(&SampleValue::Counter(1)));
-        match snap.get("h", &[]).unwrap() {
-            SampleValue::Histogram(h) => {
-                assert_eq!(h.count(), 2);
-                assert_eq!(h.counts(), &[0, 1, 1]);
-            }
-            other => panic!("expected histogram, got {other:?}"),
-        }
     }
 
     #[test]
@@ -887,96 +713,12 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Integer-valued observations so float sums are exact and merge-order
-    /// comparisons can assert bitwise equality.
+    /// Integer-valued observations.
     fn arb_obs() -> impl Strategy<Value = Vec<f64>> {
         prop::collection::vec((0i64..100_000).prop_map(|v| v as f64), 0..60)
     }
 
-    fn hist_of(bounds: &[f64], obs: &[f64]) -> LogHistogram {
-        let mut h = LogHistogram::new(bounds.to_vec());
-        for &x in obs {
-            h.observe(x);
-        }
-        h
-    }
-
     proptest! {
-        /// merge(a, b) == merge(b, a) on counts/count/min/max, and sums agree
-        /// exactly for integer-valued observations.
-        #[test]
-        fn histogram_merge_commutative(a in arb_obs(), b in arb_obs()) {
-            let bounds = LogHistogram::log_bounds(1.0, 2.0, 12);
-            let mut ab = hist_of(&bounds, &a);
-            ab.merge(&hist_of(&bounds, &b));
-            let mut ba = hist_of(&bounds, &b);
-            ba.merge(&hist_of(&bounds, &a));
-            prop_assert_eq!(ab.counts(), ba.counts());
-            prop_assert_eq!(ab.count(), ba.count());
-            prop_assert_eq!(ab.sum(), ba.sum());
-            prop_assert_eq!(ab.min(), ba.min());
-            prop_assert_eq!(ab.max(), ba.max());
-        }
-
-        /// (a ∪ b) ∪ c == a ∪ (b ∪ c).
-        #[test]
-        fn histogram_merge_associative(a in arb_obs(), b in arb_obs(), c in arb_obs()) {
-            let bounds = LogHistogram::log_bounds(1.0, 2.0, 12);
-            let mut left = hist_of(&bounds, &a);
-            left.merge(&hist_of(&bounds, &b));
-            left.merge(&hist_of(&bounds, &c));
-            let mut bc = hist_of(&bounds, &b);
-            bc.merge(&hist_of(&bounds, &c));
-            let mut right = hist_of(&bounds, &a);
-            right.merge(&bc);
-            prop_assert_eq!(left.counts(), right.counts());
-            prop_assert_eq!(left.count(), right.count());
-            prop_assert_eq!(left.sum(), right.sum());
-        }
-
-        /// Splitting a stream at any point and merging the halves conserves
-        /// every count and equals observing the whole stream directly.
-        #[test]
-        fn histogram_split_merge_conserves(obs in arb_obs(), split in 0usize..60) {
-            let bounds = LogHistogram::log_bounds(1.0, 2.0, 12);
-            let cut = split.min(obs.len());
-            let mut merged = hist_of(&bounds, &obs[..cut]);
-            merged.merge(&hist_of(&bounds, &obs[cut..]));
-            let whole = hist_of(&bounds, &obs);
-            prop_assert_eq!(merged.counts(), whole.counts());
-            prop_assert_eq!(merged.count(), whole.count());
-            prop_assert_eq!(merged.count(), obs.len() as u64);
-            prop_assert_eq!(merged.sum(), whole.sum());
-        }
-
-        /// Quantile estimates are always within [min, max] and within the
-        /// bucket edges bracketing the true order statistic.
-        #[test]
-        fn histogram_quantiles_bounded(obs in arb_obs(), qq in 0u32..=100) {
-            let bounds = LogHistogram::log_bounds(1.0, 2.0, 16);
-            let h = hist_of(&bounds, &obs);
-            let q = qq as f64 / 100.0;
-            match h.quantile(q) {
-                None => prop_assert!(obs.is_empty()),
-                Some(est) => {
-                    prop_assert!(est >= h.min(), "est {est} < min {}", h.min());
-                    prop_assert!(est <= h.max(), "est {est} > max {}", h.max());
-                    // Bracketing: the true order statistic's bucket upper
-                    // edge is >= the true value's lower bucket edge.
-                    let mut sorted = obs.clone();
-                    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                    let rank = ((q * sorted.len() as f64).ceil() as usize).max(1) - 1;
-                    let truth = sorted[rank];
-                    // The estimate is the upper edge of truth's bucket (or
-                    // clamped): it can never undershoot truth's lower edge.
-                    let lower_edge = bounds.iter().rev().find(|&&b| b < truth).copied()
-                        .unwrap_or(f64::NEG_INFINITY);
-                    prop_assert!(est >= lower_edge.min(h.max()).max(h.min()) || est >= truth.min(h.max()),
-                        "est {est} below bucket floor {lower_edge} of truth {truth}");
-                }
-            }
-        }
-
         /// Any permutation/duplication of a label list lands in the same
         /// registry slot (normalization dedups and sorts).
         #[test]

@@ -23,8 +23,9 @@
 //! * [`retry::RetryPolicy`] — exponential backoff for transfers aborted by a
 //!   fault plan ([`world::World::enable_faults`]).
 //! * [`telemetry::WorldTelemetry`] — the opt-in flight recorder: typed
-//!   per-epoch records and a metrics registry fed by the instrumented hot
-//!   paths ([`world::World::enable_telemetry`]); strictly observational.
+//!   per-epoch and event rows recorded by the instrumented hot paths
+//!   ([`world::World::enable_telemetry`]), with metrics derived from them
+//!   on read ([`world::World::metrics_snapshot`]); strictly observational.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -3,10 +3,18 @@
 //! The paper's entire argument is carried by per-epoch observations —
 //! throughput per 30 s control epoch, restart overhead (17–50 %), how often
 //! the ε-monitor re-triggers a search. [`WorldTelemetry`] captures those
-//! quantities as typed records ([`EpochTelemetry`]) plus a
-//! [`MetricsRegistry`] of counters/gauges/histograms. It is the world's
-//! only observer: restarts, fault transitions and aborts are counted here
-//! and nowhere else.
+//! quantities as typed rows and nothing else: one [`EpochTelemetry`] per
+//! closed epoch, plus one row per restart, abort, stall transition and
+//! fault factor change. It is the world's only observer: those events are
+//! recorded here and nowhere else.
+//!
+//! Metrics are derived on read. [`WorldTelemetry::snapshot`] replays the
+//! rows, in record order, into a fresh [`MetricsRegistry`] and then exports
+//! the network's gauges as they are at the call
+//! ([`World::metrics_snapshot`] supplies the world's network). Each
+//! registry series is fed by one row kind, so the replay gives the bytes an
+//! incrementally fed registry would; a caller that never renders metrics
+//! (the fleet reads only the epoch rows) never builds one.
 //!
 //! Two invariants, both enforced by tests:
 //!
@@ -18,7 +26,10 @@
 //!    produce byte-identical snapshots and JSONL.
 //!
 //! [`World`]: crate::world::World
+//! [`World::metrics_snapshot`]: crate::world::World::metrics_snapshot
 
+use xferopt_net::dynamic::DynamicSim;
+use xferopt_net::Network;
 use xferopt_simcore::json::object;
 use xferopt_simcore::{LogHistogram, MetricsRegistry, MetricsSnapshot};
 
@@ -27,7 +38,8 @@ use xferopt_simcore::{LogHistogram, MetricsRegistry, MetricsSnapshot};
 /// retry counters accumulated by the world up to the epoch's end.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpochTelemetry {
-    /// Zero-based epoch sequence number (per world, across all transfers).
+    /// Zero-based epoch sequence number (per world, across all transfers):
+    /// the record's position in [`WorldTelemetry::epochs`].
     pub epoch: u64,
     /// Transfer this epoch belongs to.
     pub transfer: u64,
@@ -78,14 +90,19 @@ impl EpochTelemetry {
     }
 }
 
-/// Telemetry collected by a [`World`](crate::world::World): a metrics
-/// registry fed by the instrumented hot paths, plus the ordered list of
-/// per-epoch records.
+/// Telemetry collected by a [`World`](crate::world::World): typed rows, in
+/// record order, one list per kind of event.
 #[derive(Debug, Default)]
 pub struct WorldTelemetry {
-    registry: MetricsRegistry,
     epochs: Vec<EpochTelemetry>,
-    epoch_seq: u64,
+    /// `(transfer, startup_s)` per tuner-driven restart.
+    restarts: Vec<(u64, f64)>,
+    /// `(transfer, backoff_s)` per fault-plan abort.
+    aborts: Vec<(u64, f64)>,
+    /// `(transfer, stalled)` per stall-window transition.
+    stall_transitions: Vec<(u64, bool)>,
+    /// `(kind, index)` per fault-driven link or path factor change.
+    factor_changes: Vec<(&'static str, usize)>,
 }
 
 impl WorldTelemetry {
@@ -99,115 +116,111 @@ impl WorldTelemetry {
         &self.epochs
     }
 
-    /// A deterministic snapshot of every metric collected so far.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        self.registry.snapshot()
+    /// Record one closed control epoch. Its sequence number is its position.
+    pub fn record_epoch(&mut self, mut t: EpochTelemetry) {
+        t.epoch = self.epochs.len() as u64;
+        self.epochs.push(t);
     }
 
-    /// Mutable access to the registry for callers that want to fold in
-    /// additional samples (the scenario driver adds tuner audit metrics).
-    pub fn registry_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.registry
+    /// Record one tuner-driven restart (called from `World::set_params`).
+    pub fn record_restart(&mut self, transfer: u64, startup_s: f64) {
+        self.restarts.push((transfer, startup_s));
     }
 
-    /// Record one closed control epoch: appends the typed record and updates
-    /// the epoch metrics. Returns the sequence number assigned.
-    pub fn record_epoch(&mut self, mut t: EpochTelemetry) -> u64 {
-        let seq = self.epoch_seq;
-        self.epoch_seq += 1;
-        t.epoch = seq;
-        let id = t.transfer.to_string();
-        let labels = [("transfer", id.as_str())];
-        self.registry
-            .counter("transfer_epochs_total", &labels)
-            .inc();
-        self.registry
-            .gauge("transfer_moved_mb_total", &labels)
-            .add(t.bytes_mb);
-        self.registry
-            .gauge("transfer_startup_seconds_total", &labels)
-            .add(t.startup_s);
-        self.registry
-            .histogram(
+    /// Record one fault-plan abort fired against `transfer`.
+    pub fn record_abort(&mut self, transfer: u64, backoff_s: f64) {
+        self.aborts.push((transfer, backoff_s));
+    }
+
+    /// Record one stall-window transition (entering or leaving a stall).
+    pub fn record_stall_transition(&mut self, transfer: u64, stalled: bool) {
+        self.stall_transitions.push((transfer, stalled));
+    }
+
+    /// Record one fault-driven link or path factor change.
+    pub fn record_fault_factor_change(&mut self, kind: &'static str, index: usize) {
+        self.factor_changes.push((kind, index));
+    }
+
+    /// Every metric of the run: the rows replayed, in record order, into a
+    /// fresh registry, then the state of `net` (and of `dynamic`, the
+    /// world's window simulation when it runs one) as it is now.
+    pub fn snapshot(&self, net: &Network, dynamic: Option<&DynamicSim>) -> MetricsSnapshot {
+        let mut reg = MetricsRegistry::new();
+        for t in &self.epochs {
+            let id = t.transfer.to_string();
+            let labels = [("transfer", id.as_str())];
+            reg.counter("transfer_epochs_total", &labels).inc();
+            reg.gauge("transfer_moved_mb_total", &labels)
+                .add(t.bytes_mb);
+            reg.gauge("transfer_startup_seconds_total", &labels)
+                .add(t.startup_s);
+            reg.histogram(
                 "transfer_epoch_observed_mbs",
                 &labels,
                 LogHistogram::throughput_bounds(),
             )
             .observe(t.observed_mbs);
-        self.registry
-            .histogram(
+            reg.histogram(
                 "transfer_epoch_bestcase_mbs",
                 &labels,
                 LogHistogram::throughput_bounds(),
             )
             .observe(t.bestcase_mbs);
-        self.registry
-            .histogram(
+            reg.histogram(
                 "transfer_epoch_overhead_fraction",
                 &labels,
                 overhead_bounds(),
             )
             .observe(t.overhead_fraction);
-        let retries = self.registry.counter("transfer_retries_total", &labels);
-        let cur = retries.get();
-        retries.add(t.retries_total.saturating_sub(cur));
-        self.epochs.push(t);
-        seq
-    }
-
-    /// Count one tuner-driven restart (called from `World::set_params`).
-    pub fn record_restart(&mut self, transfer: u64, startup_s: f64) {
-        let id = transfer.to_string();
-        let labels = [("transfer", id.as_str())];
-        self.registry
-            .counter("transfer_restarts_total", &labels)
-            .inc();
-        self.registry
-            .histogram(
+            let retries = reg.counter("transfer_retries_total", &labels);
+            let cur = retries.get();
+            retries.add(t.retries_total.saturating_sub(cur));
+        }
+        for &(transfer, startup_s) in &self.restarts {
+            let id = transfer.to_string();
+            let labels = [("transfer", id.as_str())];
+            reg.counter("transfer_restarts_total", &labels).inc();
+            reg.histogram(
                 "transfer_restart_startup_s",
                 &labels,
                 LogHistogram::duration_bounds(),
             )
             .observe(startup_s);
-    }
-
-    /// Count one fault-plan abort fired against `transfer`.
-    pub fn record_abort(&mut self, transfer: u64, backoff_s: f64) {
-        let id = transfer.to_string();
-        let labels = [("transfer", id.as_str())];
-        self.registry
-            .counter("transfer_aborts_total", &labels)
-            .inc();
-        self.registry
-            .histogram(
+        }
+        for &(transfer, backoff_s) in &self.aborts {
+            let id = transfer.to_string();
+            let labels = [("transfer", id.as_str())];
+            reg.counter("transfer_aborts_total", &labels).inc();
+            reg.histogram(
                 "transfer_abort_backoff_s",
                 &labels,
                 LogHistogram::duration_bounds(),
             )
             .observe(backoff_s);
-    }
-
-    /// Count one stall-window transition (entering or leaving a stall).
-    pub fn record_stall_transition(&mut self, transfer: u64, stalled: bool) {
-        let id = transfer.to_string();
-        let state = if stalled { "enter" } else { "exit" };
-        self.registry
-            .counter(
+        }
+        for &(transfer, stalled) in &self.stall_transitions {
+            let id = transfer.to_string();
+            let state = if stalled { "enter" } else { "exit" };
+            reg.counter(
                 "transfer_stall_transitions_total",
                 &[("transfer", id.as_str()), ("state", state)],
             )
             .inc();
-    }
-
-    /// Count one fault-driven link or path factor change.
-    pub fn record_fault_factor_change(&mut self, kind: &str, index: usize) {
-        let id = index.to_string();
-        self.registry
-            .counter(
+        }
+        for &(kind, index) in &self.factor_changes {
+            let id = index.to_string();
+            reg.counter(
                 "net_fault_factor_changes_total",
                 &[("kind", kind), ("index", id.as_str())],
             )
             .inc();
+        }
+        xferopt_net::export_network(&mut reg, net);
+        if let Some(sim) = dynamic {
+            xferopt_net::export_dynamic(&mut reg, net, sim);
+        }
+        reg.snapshot()
     }
 
     /// Render every per-epoch record as JSONL (one object per line, trailing
@@ -261,9 +274,10 @@ mod tests {
     #[test]
     fn record_epoch_assigns_sequence_numbers() {
         let mut t = WorldTelemetry::new();
-        assert_eq!(t.record_epoch(sample_epoch(0, 100.0)), 0);
-        assert_eq!(t.record_epoch(sample_epoch(1, 200.0)), 1);
-        assert_eq!(t.epochs()[1].epoch, 1);
+        t.record_epoch(sample_epoch(0, 100.0));
+        t.record_epoch(sample_epoch(1, 200.0));
+        let seqs: Vec<u64> = t.epochs().iter().map(|e| e.epoch).collect();
+        assert_eq!(seqs, [0, 1]);
     }
 
     #[test]
@@ -274,7 +288,7 @@ mod tests {
         t.record_epoch(e.clone());
         e.retries_total = 5;
         t.record_epoch(e);
-        let snap = t.snapshot();
+        let snap = t.snapshot(&Network::new(), None);
         match snap.get("transfer_retries_total", &[("transfer", "0")]) {
             Some(xferopt_simcore::SampleValue::Counter(n)) => assert_eq!(*n, 5),
             other => panic!("missing retries counter: {other:?}"),
@@ -291,11 +305,8 @@ mod tests {
             t.record_abort(0, 2.0);
             t.record_stall_transition(0, true);
             t.record_fault_factor_change("link", 1);
-            (
-                t.epochs_jsonl(),
-                t.snapshot().to_jsonl(),
-                t.snapshot().to_prometheus(),
-            )
+            let snap = t.snapshot(&Network::new(), None);
+            (t.epochs_jsonl(), snap.to_jsonl(), snap.to_prometheus())
         };
         assert_eq!(build(), build());
     }

@@ -25,7 +25,7 @@ use xferopt_host::{AppId, AppLoad, Host, HostSpec};
 use xferopt_net::dynamic::DynamicSim;
 use xferopt_net::{CongestionControl, FlowId, LinkId, Network, PathId};
 use xferopt_simcore::rng::SeedStream;
-use xferopt_simcore::{FaultKind, FaultPlan, SimDuration, SimTime};
+use xferopt_simcore::{FaultKind, FaultPlan, MetricsSnapshot, SimDuration, SimTime};
 
 /// Identifier of a host within a [`World`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -221,32 +221,26 @@ impl World {
         }
     }
 
-    /// The flight recorder, if enabled, with its network gauges brought up
-    /// to date: they show the network as it is now, not as it was at the
-    /// last epoch close.
-    pub fn telemetry(&mut self) -> Option<&WorldTelemetry> {
-        self.export_network_state();
+    /// The flight recorder, if enabled.
+    pub fn telemetry(&self) -> Option<&WorldTelemetry> {
         self.telemetry.as_ref()
     }
 
     /// Detach and return the flight recorder, leaving telemetry disabled.
-    /// Its network gauges show the network as it is when taken.
     pub fn take_telemetry(&mut self) -> Option<WorldTelemetry> {
-        self.export_network_state();
         self.telemetry.take()
     }
 
-    /// Export the network's per-flow, per-link and per-path state (and the
-    /// dynamic window state under [`Fidelity::Dynamic`]) into the recorder.
-    /// Runs only when the recorder is read, so a caller that never reads
-    /// the gauges never pays for them.
-    fn export_network_state(&mut self) {
-        if let Some(tel) = self.telemetry.as_mut() {
-            xferopt_net::export_network(tel.registry_mut(), &self.net);
-            if let Fidelity::Dynamic { sim, .. } = &self.fidelity {
-                xferopt_net::export_dynamic(tel.registry_mut(), &self.net, sim);
-            }
-        }
+    /// The flight recorder's metrics, if it is enabled
+    /// ([`WorldTelemetry::snapshot`]): its rows, then the network's
+    /// per-flow, per-link and per-path gauges (and the window state under
+    /// [`World::enable_dynamic_network`]) as they are now.
+    pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
+        let dynamic = match &self.fidelity {
+            Fidelity::Dynamic { sim, .. } => Some(&**sim),
+            Fidelity::QuasiStatic => None,
+        };
+        Some(self.telemetry.as_ref()?.snapshot(&self.net, dynamic))
     }
 
     /// Inject a deterministic fault plan with the default [`RetryPolicy`].
@@ -696,7 +690,7 @@ impl World {
         if let Some(tel) = self.telemetry.as_mut() {
             let (retries, stalled) = (e.retries, e.stalled);
             tel.record_epoch(EpochTelemetry {
-                epoch: 0, // assigned by the recorder
+                epoch: 0, // the recorder numbers epochs by position
                 transfer: start.tid.0,
                 start_s: start.t0.as_secs_f64(),
                 duration_s: dur_s,
@@ -1042,7 +1036,7 @@ mod tests {
         let startup = world.set_params(tid, StreamParams::new(5, 8), true);
         world.step(SimDuration::from_secs(120));
         assert!(world.is_done(tid));
-        let snap = world.telemetry().expect("telemetry enabled").snapshot();
+        let snap = world.metrics_snapshot().expect("telemetry enabled");
         let labels = [("transfer", "0")];
         assert_eq!(
             snap.get("transfer_restarts_total", &labels),
@@ -1259,7 +1253,7 @@ mod tests {
         world.enable_faults_with_policy(plan, RetryPolicy::fixed(5.0));
         world.step(SimDuration::from_secs(60));
         assert_eq!(world.retries(tid), 1);
-        let snap = world.telemetry().expect("telemetry enabled").snapshot();
+        let snap = world.metrics_snapshot().expect("telemetry enabled");
         // Degraded at 20 s, restored at 30 s.
         assert_eq!(
             snap.get(
@@ -1298,12 +1292,12 @@ mod tests {
         assert_eq!((e.nc, e.np), (5, 8));
         assert_eq!(e.observed_mbs, r.observed_mbs);
         assert_eq!(e.bestcase_mbs, r.bestcase_mbs);
-        let snap = tel.snapshot();
+        let snap = world.metrics_snapshot().expect("telemetry enabled");
         match snap.get("transfer_restarts_total", &[("transfer", "0")]) {
             Some(xferopt_simcore::metrics::SampleValue::Counter(n)) => assert_eq!(*n, 1),
             other => panic!("missing restart counter: {other:?}"),
         }
-        // Reading the recorder exports the per-flow network gauges.
+        // The snapshot carries the per-flow network gauges.
         assert!(snap
             .get("net_flow_fair_share_mbs", &[("flow", "0")])
             .is_some());
@@ -1312,9 +1306,10 @@ mod tests {
     #[test]
     fn network_gauges_show_the_network_when_the_recorder_is_read() {
         use xferopt_simcore::metrics::SampleValue;
-        let gauge = |tel: &WorldTelemetry, name: &str, flow: FlowId| {
+        let gauge = |world: &World, name: &str, flow: FlowId| {
             let id = flow.0.to_string();
-            tel.snapshot().get(name, &[("flow", id.as_str())]).cloned()
+            let snap = world.metrics_snapshot().expect("telemetry enabled");
+            snap.get(name, &[("flow", id.as_str())]).cloned()
         };
         for dynamic in [false, true] {
             let (mut world, path) = uc_world(false);
@@ -1328,22 +1323,20 @@ mod tests {
             let es = world.begin_epoch(tid, StreamParams::new(5, 8), false);
             world.step(SimDuration::from_secs(30));
             world.end_epoch(es);
-            let tel = world.telemetry().expect("telemetry enabled");
             assert_eq!(
-                gauge(tel, "net_flow_streams", flow),
+                gauge(&world, "net_flow_streams", flow),
                 Some(SampleValue::Gauge(40.0))
             );
             // The next epoch changes the streams and runs, but does not
-            // close: the recorder still shows the network as it is now.
+            // close: the snapshot still shows the network as it is now.
             world.begin_epoch(tid, StreamParams::new(2, 4), false);
             world.step(SimDuration::from_secs(30));
-            let tel = world.take_telemetry().expect("telemetry enabled");
-            assert_eq!(tel.epochs().len(), 1);
+            assert_eq!(world.telemetry().expect("enabled").epochs().len(), 1);
             assert_eq!(
-                gauge(&tel, "net_flow_streams", flow),
+                gauge(&world, "net_flow_streams", flow),
                 Some(SampleValue::Gauge(8.0))
             );
-            let losses = gauge(&tel, "net_flow_losses_total", flow);
+            let losses = gauge(&world, "net_flow_losses_total", flow);
             match &world.fidelity {
                 Fidelity::Dynamic { sim, .. } => {
                     let total = sim.total_losses(flow);
@@ -1352,6 +1345,8 @@ mod tests {
                 }
                 Fidelity::QuasiStatic => assert_eq!(losses, None),
             }
+            world.take_telemetry().expect("telemetry enabled");
+            assert!(world.metrics_snapshot().is_none());
         }
     }
 

@@ -95,12 +95,15 @@ diff "$FLEET_TMP/s4a.txt" "$FLEET_TMP/s4b.txt" \
   || { echo "sharded fleet run is not deterministic"; exit 1; }
 diff "$FLEET_TMP/a.txt" "$FLEET_TMP/s4a.txt" \
   || { echo "--shards 4 diverged from the single-threaded reference"; exit 1; }
-./target/release/xferopt fleet run --jobs 9 --seed 7 --policy sjf \
-  --sites 3 --shards 1 --report-out "$FLEET_TMP/m1.txt"
-./target/release/xferopt fleet run --jobs 9 --seed 7 --policy sjf \
-  --sites 3 --shards 8 --report-out "$FLEET_TMP/m8.txt"
-diff "$FLEET_TMP/m1.txt" "$FLEET_TMP/m8.txt" \
-  || { echo "multi-site --shards 8 diverged from --shards 1"; exit 1; }
+for n in 1 8; do
+  ./target/release/xferopt fleet run --jobs 9 --seed 7 --policy sjf \
+    --sites 3 --shards "$n" --faults flaky-link --report-out "$FLEET_TMP/m$n.txt" \
+    --telemetry-out "$FLEET_TMP/m$n-tel.jsonl" --supervision-out "$FLEET_TMP/m$n-sup.jsonl"
+done
+for f in .txt -tel.jsonl -sup.jsonl; do
+  diff "$FLEET_TMP/m1$f" "$FLEET_TMP/m8$f" \
+    || { echo "multi-site --shards 8 diverged from --shards 1 (m*$f)"; exit 1; }
+done
 
 echo "==> timing-ratio gates (release): cached reads, churn re-solve, admission vs queue depth"
 cargo test -q --release --test perf_gates -- --ignored --test-threads 1 --nocapture

@@ -44,10 +44,11 @@
 //!   ([`simcore::FaultPlan`]) with retry/backoff handling in the transfer
 //!   world, and the structured metrics layer
 //!   ([`simcore::MetricsRegistry`]: counters, gauges, log-bucket histograms
-//!   with mergeable, byte-deterministic snapshots).
+//!   with byte-deterministic snapshots).
 //!
-//! The workspace ships a flight recorder on top: per-epoch telemetry in the
-//! transfer [`transfer::World`] ([`transfer::WorldTelemetry`]), a typed
+//! The workspace ships a flight recorder on top: typed per-epoch and event
+//! rows in the transfer [`transfer::World`] ([`transfer::WorldTelemetry`]),
+//! from which metrics are derived when they are rendered, a typed
 //! decision audit log in the tuners ([`tuners::AuditLog`]), and the
 //! scenario-level bundle ([`scenarios::RunTelemetry`]) that the `xferopt run
 //! --telemetry-out` CLI writes as JSONL + Prometheus text (digestible with

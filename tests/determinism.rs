@@ -140,11 +140,12 @@ fn golden_fault_world_telemetry_matches_snapshot() {
             pw.world.end_epoch(es);
         }
         let retries = pw.world.retries(tid);
-        let tel = pw.world.take_telemetry().expect("telemetry enabled");
+        let snap = pw.world.metrics_snapshot().expect("telemetry enabled");
+        let tel = pw.world.telemetry().expect("telemetry enabled");
         format!(
             "{}{}{{\"kind\":\"final\",\"retries\":{retries}}}\n",
             tel.epochs_jsonl(),
-            tel.snapshot().to_jsonl()
+            snap.to_jsonl()
         )
     };
     let doc = run();

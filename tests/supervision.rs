@@ -215,33 +215,51 @@ fn supervision_is_observational_by_default() {
 
 #[test]
 fn history_store_counts_malformed_lines_and_surfaces_a_metric() {
-    let dir = std::env::temp_dir().join(format!("xferopt-sup-hist-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create dir");
-    std::fs::write(
-        dir.join("history.jsonl"),
-        "{\"kind\":\"history\",\"route\":\"anl->uchicago\",\"tuner\":\"cs-tuner\",\
-         \"ext_streams\":0,\"cmp_jobs\":0,\"best\":[8],\"achieved_mbs\":3000}\n\
-         this line is garbage\n\
-         {\"kind\":\"history\",\"route\":\"mars\"}\n",
-    )
-    .expect("seed history file");
-    let mut h = HistoryStore::open(&dir).expect("open");
-    assert_eq!(h.len(), 1, "one valid record");
-    assert_eq!(h.skipped(), 2, "two malformed lines counted");
-    let cfg = FleetConfig {
-        horizon_s: 1800.0,
-        ..FleetConfig::default()
-    };
-    let out = run_fleet_sharded(&Workload::contended(1), &cfg, &mut h, 1);
-    assert!(
-        out.metrics_jsonl
-            .contains("\"name\":\"history_lines_skipped\""),
-        "metric must surface the skipped count:\n{}",
-        out.metrics_jsonl
+    // A three-site flaky-link fleet over a store with two malformed lines:
+    // every component works on a snapshot of that store, and the
+    // supervision counters come from events in several components, so the
+    // metrics must not depend on how the components are sharded.
+    let workload = Workload::new(
+        (0..6)
+            .map(|i| JobSpec::new(i, (i / 3) as f64 * 60.0, 1_200_000.0).with_site(i as u32 % 3))
+            .collect(),
     );
-    assert!(out.metrics_jsonl.contains("\"value\":2"));
-    std::fs::remove_dir_all(&dir).expect("cleanup");
+    let cfg = FleetConfig {
+        horizon_s: 2.0 * 3600.0,
+        ..chaos_cfg()
+    };
+    let run = |shards: usize| {
+        let dir =
+            std::env::temp_dir().join(format!("xferopt-sup-hist-{}-{shards}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create dir");
+        std::fs::write(
+            dir.join("history.jsonl"),
+            "{\"kind\":\"history\",\"route\":\"anl->uchicago\",\"tuner\":\"cs-tuner\",\
+             \"ext_streams\":0,\"cmp_jobs\":0,\"best\":[8],\"achieved_mbs\":3000}\n\
+             this line is garbage\n\
+             {\"kind\":\"history\",\"route\":\"mars\"}\n",
+        )
+        .expect("seed history file");
+        let mut h = HistoryStore::open(&dir).expect("open");
+        assert_eq!(h.len(), 1, "one valid record");
+        assert_eq!(h.skipped(), 2, "two malformed lines counted");
+        let out = run_fleet_sharded(&workload, &cfg, &mut h, shards);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+        out.metrics_jsonl
+    };
+    let one = run(1);
+    assert_eq!(one, run(4), "metrics must not depend on the shard count");
+    let skipped: Vec<&str> = one
+        .lines()
+        .filter(|l| l.contains("\"name\":\"history_lines_skipped\""))
+        .collect();
+    assert_eq!(skipped.len(), 1, "one skipped-lines gauge:\n{one}");
+    assert!(skipped[0].ends_with("\"value\":2}"), "{}", skipped[0]);
+    assert!(
+        one.contains("\"name\":\"fleet_supervision_total\""),
+        "the flaky links must raise supervision events:\n{one}"
+    );
 }
 
 /// Component partitioning under supervision (DESIGN.md §15): fault-plan link

@@ -90,7 +90,7 @@ fn golden_telemetry_prometheus_matches_snapshot() {
 #[test]
 fn telemetry_is_byte_deterministic_across_runs() {
     // Two in-process seeded runs: identical JSONL and Prometheus text, byte
-    // for byte (the snapshot-merge layer and JSON float formatting must not
+    // for byte (the row replay and JSON float formatting must not
     // depend on iteration order or allocation).
     let run = || drive_transfer_with_telemetry(&golden_cfg()).1;
     let (a, b) = (run(), run());
@@ -183,27 +183,6 @@ fn decision_records_align_with_epochs() {
             "dense sequence numbers: {line}"
         );
     }
-}
-
-#[test]
-fn snapshots_merge_across_runs_conserving_counts() {
-    // Fleet-style aggregation: merging the snapshots of two seeded runs sums
-    // counters and histogram mass exactly.
-    let (log_a, tel_a) = drive_transfer_with_telemetry(&golden_cfg());
-    let (log_b, tel_b) = drive_transfer_with_telemetry(&golden_cfg().with_seed(8));
-    // The tuned transfer is the second one added to the world (id 1).
-    let get_epochs =
-        |s: &MetricsSnapshot| match s.get("transfer_epochs_total", &[("transfer", "1")]) {
-            Some(xferopt::simcore::SampleValue::Counter(v)) => *v,
-            other => panic!("transfer_epochs_total missing: {other:?}"),
-        };
-    let mut merged = tel_a.snapshot.clone();
-    merged.merge(&tel_b.snapshot);
-    assert_eq!(
-        get_epochs(&merged),
-        (log_a.epochs.len() + log_b.epochs.len()) as u64,
-        "merged epoch counter must equal the sum of both runs"
-    );
 }
 
 #[test]
