@@ -36,7 +36,7 @@
 //! `shard.rs` and `checkpoint.rs`).
 
 use std::collections::{BTreeMap, VecDeque};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -1866,65 +1866,76 @@ impl<'h> FleetSim<'h> {
 
     /// Deterministic digest of the live state (checkpoint verification).
     pub(crate) fn state_digest(&self) -> String {
-        fn ids<'a>(it: impl Iterator<Item = &'a JobSpec>) -> String {
-            it.map(|j| j.id.0.to_string()).collect::<Vec<_>>().join(",")
+        let mut s = String::new();
+        self.write_digest(&mut s)
+            .expect("writing to a String cannot fail");
+        s
+    }
+
+    /// Write [`FleetSim::state_digest`]'s bytes to `out`, so a hash sink can
+    /// take them without the `String`.
+    pub(crate) fn write_digest(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        /// Write `items` to `out` with `sep` between each two.
+        fn join(
+            out: &mut impl fmt::Write,
+            items: impl IntoIterator<Item = impl fmt::Display>,
+            sep: char,
+        ) -> fmt::Result {
+            for (i, v) in items.into_iter().enumerate() {
+                if i > 0 {
+                    out.write_char(sep)?;
+                }
+                write!(out, "{v}")?;
+            }
+            Ok(())
         }
-        let mut s = format!("tick={};t={};", self.tick, json_f64(self.t));
-        s.push_str(&format!(
-            "pending={};queued={};",
-            ids(self.pending.iter()),
-            ids(self.queued.iter().map(|(_, j)| j))
-        ));
+        write!(out, "tick={};t={};pending=", self.tick, json_f64(self.t))?;
+        join(out, self.pending.iter().map(|j| j.id.0), ',')?;
+        out.write_str(";queued=")?;
+        join(out, self.queued.iter().map(|(_, j)| j.id.0), ',')?;
+        out.write_char(';')?;
         for (id, j) in &self.running {
-            s.push_str(&format!(
-                "r{}:e{}:m{}:x{}:g{};",
+            write!(
+                out,
+                "r{}:e{}:m{}:x",
                 id.0,
                 j.progress.epochs_done,
                 json_f64(j.progress.moved_mb(self.world.world())),
-                j.current
-                    .iter()
-                    .map(|v| v.to_string())
-                    .collect::<Vec<_>>()
-                    .join("/"),
-                j.progress.granted_streams,
-            ));
+            )?;
+            join(out, j.current.iter(), '/')?;
+            write!(out, ":g{};", j.progress.granted_streams)?;
         }
         for (id, q) in &self.quarantined {
-            s.push_str(&format!(
+            write!(
+                out,
                 "q{}:a{}:u{};",
                 id.0,
                 q.progress.attempts,
                 json_f64(q.resume_at_s)
-            ));
+            )?;
         }
         for (id, c) in &self.carry {
-            s.push_str(&format!("c{}:a{};", id.0, c.attempts));
+            write!(out, "c{}:a{};", id.0, c.attempts)?;
         }
-        s.push_str("res=");
+        out.write_str("res=")?;
         let nlinks = self.breakers.len();
-        s.push_str(
-            &(0..nlinks)
-                .map(|l| self.admission.reserved(l).to_string())
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        s.push(';');
-        s.push_str(&format!("brk={};", self.breakers.digest()));
+        join(out, (0..nlinks).map(|l| self.admission.reserved(l)), ',')?;
+        write!(out, ";brk={};", self.breakers.digest())?;
         for (p, n) in &self.admitted_by_class {
-            s.push_str(&format!("cls{p}:{n};"));
+            write!(out, "cls{p}:{n};")?;
         }
         if let Some(g) = &self.governor {
-            s.push_str(&format!("gov={};", g.digest()));
+            write!(out, "gov={};", g.digest())?;
         }
-        s.push_str(&format!(
+        write!(
+            out,
             "out={};dec={};ev={};hist={};sup={}",
             self.outcomes.len(),
             self.decisions.len(),
             self.events.len(),
             self.history_appended,
             SupervisionSummary::from_events(&self.events).render(),
-        ));
-        s
+        )
     }
 
     /// Close out the run and assemble the outcome. Jobs still running are

@@ -22,6 +22,8 @@
 //!                                                              exhausted──▶ Failed
 //! ```
 
+use std::sync::Arc;
+
 use crate::route::JobRoute;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -192,10 +194,13 @@ impl JobSpec {
     }
 }
 
-/// A fixed list of jobs, sorted by `(arrival, id)`.
+/// A fixed list of jobs, sorted by `(arrival, id)`. The list is shared, so
+/// a clone (the checkpoint writer's, a parsed journal's) copies no job. It
+/// is an `Arc<Vec<_>>` rather than an `Arc<[_]>`, because moving a `Vec`
+/// into an `Arc<[_]>` copies every job once more.
 #[derive(Debug, Clone, Default)]
 pub struct Workload {
-    jobs: Vec<JobSpec>,
+    jobs: Arc<Vec<JobSpec>>,
 }
 
 impl Workload {
@@ -218,7 +223,9 @@ impl Workload {
         seen.sort_unstable();
         seen.dedup();
         assert!(seen.len() == jobs.len(), "duplicate job ids in workload");
-        Workload { jobs }
+        Workload {
+            jobs: Arc::new(jobs),
+        }
     }
 
     /// A deterministic synthetic workload: `n` jobs with seeded arrivals
@@ -226,31 +233,7 @@ impl Workload {
     /// (10–320 GB), priorities 1–4, a mix of tuners and routes, and
     /// deadlines on roughly a third of the jobs.
     pub fn synthetic(n: usize, seed: u64) -> Self {
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x6f72_6368); // "orch"
-        let tuners = [TunerKind::Cs, TunerKind::Nm, TunerKind::Cd, TunerKind::Cs];
-        let mut jobs = Vec::with_capacity(n);
-        for i in 0..n {
-            let arrival = rng.gen_range(0u32..120) as f64 * 5.0;
-            let size_mb = 10_000.0 * 2f64.powi(rng.gen_range(0i32..6));
-            let priority = rng.gen_range(1u32..=4);
-            let route = if rng.gen_range(0u32..10) < 7 {
-                Route::UChicago
-            } else {
-                Route::Tacc
-            };
-            let max_streams = [64u32, 128, 256][rng.gen_range(0usize..3)];
-            let mut spec = JobSpec::new(i as u64, arrival, size_mb)
-                .with_tuner(tuners[i % tuners.len()])
-                .with_priority(priority)
-                .with_route(route)
-                .with_max_streams(max_streams);
-            if rng.gen_range(0u32..3) == 0 {
-                // Generous deadline: arrival + size at a pessimistic 500 MB/s.
-                spec = spec.with_deadline_s(arrival + size_mb / 500.0 + 300.0);
-            }
-            jobs.push(spec);
-        }
-        Workload::new(jobs)
+        Workload::new(synthetic_jobs(n, seed))
     }
 
     /// [`Workload::synthetic`] spread round-robin over `sites` independent
@@ -259,7 +242,7 @@ impl Workload {
     /// (every job at site 0), so single-site callers see unchanged bytes.
     pub fn synthetic_sites(n: usize, seed: u64, sites: u32) -> Self {
         assert!(sites >= 1, "need at least one site");
-        let mut jobs = Workload::synthetic(n, seed).jobs;
+        let mut jobs = synthetic_jobs(n, seed);
         if sites > 1 {
             for j in &mut jobs {
                 j.site = (j.id.0 % sites as u64) as u32;
@@ -325,6 +308,35 @@ impl Workload {
     pub fn is_empty(&self) -> bool {
         self.jobs.is_empty()
     }
+}
+
+/// The jobs of [`Workload::synthetic`], in generation (id) order.
+fn synthetic_jobs(n: usize, seed: u64) -> Vec<JobSpec> {
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0x6f72_6368); // "orch"
+    let tuners = [TunerKind::Cs, TunerKind::Nm, TunerKind::Cd, TunerKind::Cs];
+    let mut jobs = Vec::with_capacity(n);
+    for i in 0..n {
+        let arrival = rng.gen_range(0u32..120) as f64 * 5.0;
+        let size_mb = 10_000.0 * 2f64.powi(rng.gen_range(0i32..6));
+        let priority = rng.gen_range(1u32..=4);
+        let route = if rng.gen_range(0u32..10) < 7 {
+            Route::UChicago
+        } else {
+            Route::Tacc
+        };
+        let max_streams = [64u32, 128, 256][rng.gen_range(0usize..3)];
+        let mut spec = JobSpec::new(i as u64, arrival, size_mb)
+            .with_tuner(tuners[i % tuners.len()])
+            .with_priority(priority)
+            .with_route(route)
+            .with_max_streams(max_streams);
+        if rng.gen_range(0u32..3) == 0 {
+            // Generous deadline: arrival + size at a pessimistic 500 MB/s.
+            spec = spec.with_deadline_s(arrival + size_mb / 500.0 + 300.0);
+        }
+        jobs.push(spec);
+    }
+    jobs
 }
 
 #[cfg(test)]

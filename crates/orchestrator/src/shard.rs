@@ -36,9 +36,10 @@
 //! chunk through the whole batch. Results are collected in component order,
 //! so parallelism never reorders anything observable.
 
+use std::fmt::Write as _;
 use std::{panic, thread};
 
-use crate::checkpoint::{fnv1a, verify_replay, Checkpoint, CheckpointWriter};
+use crate::checkpoint::{verify_replay, Checkpoint, CheckpointWriter, Fnv1a};
 use crate::fleet::{FleetConfig, FleetOutcome, FleetParts, FleetSim};
 use crate::history::{HistoryRecord, HistoryStore};
 use crate::job::{JobId, JobSpec, Workload};
@@ -206,7 +207,7 @@ impl<'h> ShardedFleetSim<'h> {
             .collect();
         ShardedFleetSim {
             config: config.clone(),
-            writer: CheckpointWriter::new(workload.jobs().to_vec(), history.len()),
+            writer: CheckpointWriter::new(workload.clone(), history.len()),
             history,
             workers: shards.min(sims.len()),
             sims,
@@ -290,16 +291,25 @@ impl<'h> ShardedFleetSim<'h> {
             .join("\n")
     }
 
-    /// FNV-1a hash of [`ShardedFleetSim::state_digest`]. Shard-count
-    /// independent, so a checkpoint resumes under any `--shards`.
+    /// FNV-1a hash of [`ShardedFleetSim::state_digest`], hashed as it is
+    /// formatted. Shard-count independent, so a checkpoint resumes under any
+    /// `--shards`.
     pub fn digest_hash(&self) -> u64 {
-        fnv1a(&self.state_digest())
+        let mut h = Fnv1a::default();
+        for (i, sim) in self.sims.iter().enumerate() {
+            if i > 0 {
+                h.write_char('\n').expect("hashing cannot fail");
+            }
+            sim.write_digest(&mut h).expect("hashing cannot fail");
+        }
+        h.finish()
     }
 
     /// Serialize a replay-based checkpoint at the current global tick
-    /// (DESIGN.md §12). It records the full workload, so resume recomputes
-    /// the shard plan from it.
-    pub fn checkpoint(&self) -> String {
+    /// (DESIGN.md §12), as text to append to the run's journal. The run's
+    /// first checkpoint also writes the workload block that later ones name
+    /// by hash, so resume recomputes the shard plan from it.
+    pub fn checkpoint(&mut self) -> String {
         self.writer.render(
             &self.config,
             self.tick,
@@ -322,25 +332,30 @@ impl<'h> ShardedFleetSim<'h> {
 /// through untouched, which is what keeps single-component sharded runs
 /// byte-identical to their one [`FleetSim`] stepped on its own.
 fn merge_parts(submitted: usize, history_appended: usize, parts: Vec<FleetParts>) -> FleetParts {
+    let several = parts.len() > 1;
     let mut it = parts.into_iter();
     let mut merged = it.next().expect("at least one component");
     merged.submitted = submitted;
     merged.history_appended = history_appended;
+    if !several {
+        return merged;
+    }
     for p in it {
         merged.outcomes.extend(p.outcomes);
         merged.decisions.extend(p.decisions);
         merged.telemetry.extend(p.telemetry);
         merged.events.extend(p.events);
-        merged.outcomes.sort_by_key(|o| o.id);
-        merged.decisions.sort_by_key(|(id, _)| *id);
-        // Stable sorts: ties keep component order (concat order above).
-        merged
-            .telemetry
-            .sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite epoch start"));
-        merged
-            .events
-            .sort_by(|a, b| a.t_s.partial_cmp(&b.t_s).expect("finite event time"));
     }
+    // Job ids are unique, so the outcome order needs no stability.
+    merged.outcomes.sort_unstable_by_key(|o| o.id);
+    // Stable sorts: ties keep component order (concat order above).
+    merged.decisions.sort_by_key(|(id, _)| *id);
+    merged
+        .telemetry
+        .sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite epoch start"));
+    merged
+        .events
+        .sort_by(|a, b| a.t_s.partial_cmp(&b.t_s).expect("finite event time"));
     merged
 }
 

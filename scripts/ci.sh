@@ -189,6 +189,18 @@ diff "$FLEET_TMP/end-full.txt" "$FLEET_TMP/end-resumed.txt" \
 diff "$FLEET_TMP/end-mesh-full.txt" "$FLEET_TMP/end-mesh-resumed.txt" \
   || { echo "end-of-run planet checkpoint resume diverged"; exit 1; }
 
+echo "==> version-1 journal gate (a journal written before the workload block resumes)"
+# tests/golden/fleet/v1_journal.jsonl was written by a binary that repeated
+# the workload in every block; its report is that binary's uninterrupted run.
+./target/release/xferopt fleet resume --checkpoint tests/golden/fleet/v1_journal.jsonl \
+  --report-out "$FLEET_TMP/v1-resumed.txt"
+./target/release/xferopt fleet run --jobs 6 --seed 7 --sites 2 --horizon 7200 \
+  --faults flaky-link --report-out "$FLEET_TMP/v1-full.txt"
+diff tests/golden/fleet/v1_journal_report.txt "$FLEET_TMP/v1-resumed.txt" \
+  || { echo "the version-1 journal resumed to a different report"; exit 1; }
+diff "$FLEET_TMP/v1-full.txt" "$FLEET_TMP/v1-resumed.txt" \
+  || { echo "the version-1 journal diverged from the uninterrupted run"; exit 1; }
+
 echo "==> tournament smoke (quick matrix, golden leaderboard diff)"
 cargo test -q --test tournament
 # Quick-mode matrix (capped epochs for the CI budget) must reproduce the
@@ -255,6 +267,7 @@ for path in sys.argv[1:]:
                 sys.exit(f"{path}:{n}: not JSON: {e}")
 ' "$FLEET_TMP/placement-a.jsonl" "$FLEET_TMP/placement-quoted.jsonl" "$FLEET_TMP/tour.jsonl" \
   "$FLEET_TMP/ck.jsonl" "$FLEET_TMP/ck-ms.jsonl" "$FLEET_TMP/ck-mp.jsonl" \
+  "$FLEET_TMP/ck-end.jsonl" "$FLEET_TMP/ck-end-mesh.jsonl" \
   "$FLEET_TMP"/hist-*/history.jsonl "$FLEET_TMP/chaos.jsonl" \
   || { echo "a JSONL output is not strict JSON"; exit 1; }
 
@@ -325,6 +338,12 @@ grep -q 'salvaged_ticks=' "$FLEET_TMP/salvage.err" \
   --report-out "$FLEET_TMP/journal-full.txt"
 diff "$FLEET_TMP/journal-full.txt" "$FLEET_TMP/salvaged.txt" \
   || { echo "salvaged resume diverged from the uninterrupted run"; exit 1; }
+
+echo "==> one workload block per journal (every checkpoint after the first names it)"
+for ck in "$FLEET_TMP"/ck*.jsonl; do
+  n="$(grep -c '^{"kind":"fleet-workload"' "$ck" || true)"
+  [ "$n" = 1 ] || { echo "$ck holds $n fleet-workload lines, want 1"; exit 1; }
+done
 
 echo "==> tuner domain-safety proptests (new tuner kinds)"
 cargo test -q -p xferopt-tuners fuzz_new_tuner_kinds_respect_restricted_domains

@@ -15,7 +15,7 @@
 use proptest::prelude::*;
 use xferopt::orchestrator::{
     parse_journal, resume_fleet_sharded, run_campaign, run_fleet_sharded, CampaignConfig,
-    FleetConfig, FleetSim, HistoryStore, ShardedFleetSim, TopoFleetConfig, Workload,
+    FleetConfig, FleetSim, HistoryStore, JobRoute, ShardedFleetSim, TopoFleetConfig, Workload,
     RETRY_BUDGET_CAP,
 };
 use xferopt::simcore::json::{escape, Fields};
@@ -260,10 +260,15 @@ fn journal_fixture() -> (String, String) {
         horizon_s: 1800.0,
         ..FleetConfig::default()
     };
-    let w = Workload::synthetic(4, 5);
-    let full = run_fleet_sharded(&w, &cfg, &mut HistoryStore::in_memory(), 1);
+    journal_of(&Workload::synthetic(4, 5), &cfg)
+}
+
+/// `w` run under `cfg` and checkpointed at ticks 10 and 20: the journal,
+/// and the uninterrupted run's report.
+fn journal_of(w: &Workload, cfg: &FleetConfig) -> (String, String) {
+    let full = run_fleet_sharded(w, cfg, &mut HistoryStore::in_memory(), 1);
     let mut h = HistoryStore::in_memory();
-    let mut sim = ShardedFleetSim::new(&w, &cfg, &mut h, 1);
+    let mut sim = ShardedFleetSim::new(w, cfg, &mut h, 1);
     let mut journal = String::new();
     for _ in 0..10 {
         assert!(sim.tick());
@@ -276,41 +281,85 @@ fn journal_fixture() -> (String, String) {
     (journal, full.report.render())
 }
 
-/// A route name that spells out a checkpoint header is only a name: with
-/// one in the older block's first job line, the journal still holds its two
-/// real blocks, and the newest resumes byte-identically.
-#[test]
-fn route_names_cannot_forge_journal_headers() {
-    let (journal, full_render) = journal_fixture();
-    let forged = "x\",\"kind\":\"fleet-checkpoint";
+/// A mesh fleet whose first job's route is renamed `name`: the same links
+/// and path (a planet fleet runs a route by its path), so only the name the
+/// journal writes differs.
+fn renamed_route(name: &str) -> (Workload, FleetConfig) {
+    let mut jobs = mesh_campaign_wl(6).jobs().to_vec();
+    let r = &jobs[0].route;
+    jobs[0].route = JobRoute::new(name, r.links().to_vec(), r.path_index());
+    let cfg = FleetConfig {
+        horizon_s: 1800.0,
+        topo: Some(TopoFleetConfig::preset("mesh")),
+        ..FleetConfig::default()
+    };
+    (Workload::new(jobs), cfg)
+}
+
+/// Parse a journal whose workload holds a forged route name: it must hold
+/// its two real checkpoint blocks, and the newest resumes byte-identically.
+fn assert_forgery_is_only_a_name(forged: &str) {
+    let (w, cfg) = renamed_route(forged);
+    let (journal, full_render) = journal_of(&w, &cfg);
     let job = journal
         .lines()
-        .position(|l| l.starts_with("{\"kind\":\"fleet-job\""))
+        .find(|l| l.starts_with("{\"kind\":\"fleet-job\""))
         .expect("a job line");
-    let text: String = journal
-        .lines()
-        .enumerate()
-        .map(|(i, l)| {
-            if i != job {
-                return format!("{l}\n");
-            }
-            let route = Fields::parse(l).and_then(|f| f.get("route").map(str::to_string));
-            let forged_line = l.replace(
-                &format!("\"route\":\"{}\"", route.expect("route")),
-                &format!("\"route\":\"{}\"", escape(forged)),
-            );
-            let f = Fields::parse(&forged_line).expect("forged line is one object");
-            assert_eq!(f.get("route"), Some(forged));
-            forged_line + "\n"
-        })
-        .collect();
-    let read = parse_journal(&text).expect("journal parses");
+    let f = Fields::parse(job).expect("the forged line is one object");
+    assert_eq!(f.get("route"), Some(forged));
+    assert!(job.contains(&escape(forged)));
+    let headers = |kind: &str| {
+        journal
+            .lines()
+            .filter(|l| l.starts_with(&format!("{{\"kind\":\"{kind}\"")))
+            .count()
+    };
+    assert_eq!(headers("fleet-workload"), 1);
+    assert_eq!(headers("fleet-checkpoint"), 2);
+    let read = parse_journal(&journal).expect("journal parses");
     assert_eq!(read.blocks_total, 2, "a job line was taken for a header");
     assert_eq!(read.blocks_dropped, 0);
     assert_eq!(read.checkpoint.tick, 20);
+    assert_eq!(read.checkpoint.workload.jobs()[0].route.name(), forged);
     let resumed = resume_fleet_sharded(&read.checkpoint, &mut HistoryStore::in_memory(), 1)
         .expect("newest block resumes");
     assert_eq!(resumed.report.render(), full_render);
+}
+
+/// A route name that spells out a checkpoint header is only a name: with
+/// one in the workload's first job line, the journal still holds its two
+/// real blocks, and the newest resumes byte-identically.
+#[test]
+fn route_names_cannot_forge_journal_headers() {
+    assert_forgery_is_only_a_name("x\",\"kind\":\"fleet-checkpoint");
+    assert_forgery_is_only_a_name("x\n{\"kind\":\"fleet-checkpoint\",\"version\":2,\"tick\":99}\n");
+}
+
+/// Nor can a route name open a second workload block, on its own line or
+/// inside its job line.
+#[test]
+fn route_names_cannot_forge_a_workload_block() {
+    assert_forgery_is_only_a_name("x\",\"kind\":\"fleet-workload");
+    assert_forgery_is_only_a_name("x\n{\"kind\":\"fleet-workload\",\"version\":2,\"jobs\":0}\n");
+}
+
+/// The committed version-1 journal, written before journals held their
+/// workload once (`xferopt fleet run --jobs 6 --seed 7 --sites 2 --horizon
+/// 7200 --faults flaky-link --checkpoint-every 20 --stop-at-tick 70`),
+/// still resumes to the uninterrupted run's report, byte for byte.
+#[test]
+fn version_1_journal_resumes_byte_identically() {
+    let text = std::fs::read_to_string("tests/golden/fleet/v1_journal.jsonl")
+        .expect("committed v1 journal");
+    assert!(text.starts_with("{\"kind\":\"fleet-checkpoint\",\"version\":1,"));
+    let read = parse_journal(&text).expect("v1 journal parses");
+    assert_eq!((read.blocks_total, read.blocks_dropped), (4, 0));
+    assert_eq!(read.checkpoint.tick, 70);
+    let resumed = resume_fleet_sharded(&read.checkpoint, &mut HistoryStore::in_memory(), 1)
+        .expect("v1 checkpoint resumes");
+    let want = std::fs::read_to_string("tests/golden/fleet/v1_journal_report.txt")
+        .expect("committed uninterrupted report");
+    assert_eq!(resumed.report.render(), want);
 }
 
 /// A journal that went through a CRLF editor, picked up blank and
@@ -349,11 +398,12 @@ fn crlf_padded_and_torn_journals_salvage_the_intact_block() {
             })
             .collect();
         if b == 2 {
-            // Torn write: the newest block loses its digest line and the
-            // tail of its last job line.
+            // Torn write: the newest block (a header and a digest line)
+            // loses its digest line and the tail of its header.
+            assert_eq!(lines.len(), 2, "a later block is header + digest");
             lines.pop();
-            let last = lines.pop().expect("a job line");
-            lines.push(last[..last.len() / 2].to_string());
+            let header = lines.pop().expect("a header line");
+            lines.push(header[..header.len() / 2].to_string());
         }
         text.extend(lines);
     }
@@ -388,6 +438,21 @@ proptest! {
                 .expect("a parseable salvaged block must replay cleanly");
             prop_assert_eq!(resumed.report.render(), full_render);
         }
+    }
+
+    /// A flipped bit inside the workload block is always caught, and it
+    /// leaves no checkpoint to resume: every block names that workload.
+    #[test]
+    fn bitflipped_workload_blocks_refuse_the_journal(pos in 0.0f64..1.0, bit in 0u8..7) {
+        let (journal, _) = journal_fixture();
+        let end = journal.find("{\"kind\":\"fleet-checkpoint\"").expect("a checkpoint block");
+        let idx = ((end - 1) as f64 * pos) as usize;
+        let mut bytes = journal.into_bytes();
+        bytes[idx] ^= 1 << bit;
+        let Ok(text) = String::from_utf8(bytes) else {
+            return; // non-UTF8 file: read_to_string refuses upstream
+        };
+        prop_assert!(parse_journal(&text).is_err(), "flip at byte {} bit {} was accepted", idx, bit);
     }
 
     /// Flipping one byte anywhere in the journal must either be caught

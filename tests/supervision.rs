@@ -162,6 +162,8 @@ fn kill_at_any_tick_then_resume_is_byte_identical() {
 
 #[test]
 fn resume_refuses_a_checkpoint_from_a_different_run() {
+    use xferopt::orchestrator::checkpoint::fnv1a;
+
     // Checkpoint from the chaos run, but doctored to claim a different seed:
     // the replay's digest cannot match and resume must refuse.
     let mut h = HistoryStore::in_memory();
@@ -174,17 +176,22 @@ fn resume_refuses_a_checkpoint_from_a_different_run() {
     // catches the edit at parse time.
     let err = Checkpoint::parse(&text).expect_err("content hash must catch the edit");
     assert!(err.contains("text corrupted"), "{err}");
-    // A doctored pre-journal checkpoint (no content hash) parses, but the
-    // replay digest still refuses it.
-    let stripped = text
+    // A doctored checkpoint whose content hash was recomputed to match
+    // parses, but the replay digest still refuses it.
+    let header = text
+        .lines()
+        .find(|l| l.starts_with("{\"kind\":\"fleet-checkpoint\""))
+        .expect("a checkpoint header");
+    let resigned_fnv = format!("{:016x}", fnv1a(&format!("{header}\n")));
+    let resigned = text
         .lines()
         .map(|l| match l.find(",\"text_fnv\"") {
-            Some(cut) => format!("{}}}", &l[..cut]),
+            Some(cut) => format!("{},\"text_fnv\":\"{resigned_fnv}\"}}", &l[..cut]),
             None => l.to_string(),
         })
         .collect::<Vec<_>>()
         .join("\n");
-    let ck = Checkpoint::parse(&stripped).expect("still parses without the hash");
+    let ck = Checkpoint::parse(&resigned).expect("parses with a recomputed hash");
     let err = resume_fleet_sharded(&ck, &mut HistoryStore::in_memory(), 1)
         .expect_err("digest must not match a different seed");
     assert!(err.contains("digest mismatch"), "{err}");
