@@ -204,32 +204,45 @@ fn tuning_still_pays_on_a_modern_dtn() {
 
 /// Loopback CPU hogs + shaped GridFTP puts: throughput under hogs is not
 /// higher than without (the qualitative `ext.cmp` effect on real sockets).
+/// One put alone is noise: the first put on a fresh server pays for page
+/// faults and socket buffers, so a warm-up put goes first and each side
+/// reads the median of 5.
 #[test]
 fn gridftp_under_cpu_hogs() {
     use xferopt::loopback::CpuHogs;
     let server = GridFtpServer::start().unwrap();
     let size = 4 * 1024 * 1024u64;
-    let quiet = client::put(
+    let median_mbs = |side: &str| {
+        let mut mbs: Vec<f64> = (0..5)
+            .map(|i| {
+                let r = client::put(
+                    server.control_addr(),
+                    client::PutConfig::new(format!("{side}{i}"), size).with_parallelism(2),
+                )
+                .unwrap();
+                assert!(r.complete, "{side} put {i}");
+                r.throughput_mbs
+            })
+            .collect();
+        mbs.sort_by(f64::total_cmp);
+        mbs[2]
+    };
+    let warm = client::put(
         server.control_addr(),
-        client::PutConfig::new("quiet", size).with_parallelism(2),
+        client::PutConfig::new("warm-up", size).with_parallelism(2),
     )
     .unwrap();
+    assert!(warm.complete);
+    let quiet = median_mbs("quiet");
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
     let hogs = CpuHogs::spawn((cores * 2) as u32);
-    let loaded = client::put(
-        server.control_addr(),
-        client::PutConfig::new("loaded", size).with_parallelism(2),
-    )
-    .unwrap();
+    let loaded = median_mbs("loaded");
     drop(hogs);
-    assert!(quiet.complete && loaded.complete);
     // Scheduling noise makes a strict inequality flaky; allow 30% slack.
     assert!(
-        loaded.throughput_mbs < quiet.throughput_mbs * 1.3,
-        "hogs should not make transfers faster: {:.0} vs {:.0}",
-        loaded.throughput_mbs,
-        quiet.throughput_mbs
+        loaded < quiet * 1.3,
+        "hogs should not make transfers faster: {loaded:.0} vs {quiet:.0}"
     );
 }
