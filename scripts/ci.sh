@@ -45,6 +45,10 @@ echo "==> staged receive fold equals the scalar fold over a full 256 MiB stream 
 cargo test -q --release -p xferopt-gridftp --lib -- --ignored \
   staged_fold_equals_scalar_fold_over_a_full_put_stream
 
+echo "==> the stripe digest misses none of the 504 faults of the flipped-byte grid (release)"
+cargo test -q --release --test regressions -- --ignored --nocapture \
+  the_full_fault_grid_misses_no_fault
+
 echo "==> GridFTP end to end (shaped put sweep, resume from a marker, RETR)"
 GRIDFTP_OUT="$(cargo run -q --release --example gridftp_transfer)"
 echo "$GRIDFTP_OUT"
