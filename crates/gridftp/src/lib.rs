@@ -14,8 +14,9 @@
 //!   marking, streaming encoder/decoder.
 //! * [`rangeset`] — coalescing byte-range sets: restart markers, completeness
 //!   checks.
-//! * [`checksum`] — an order-independent FNV-based digest so the receiver
-//!   can verify data that arrives out of order across channels.
+//! * [`checksum`] — an order-independent digest, hashed a word per
+//!   multiply, so the receiver can verify data that arrives out of order
+//!   across channels.
 //! * `recv` — the one receive path of a data channel: frames folded in
 //!   place from a fixed staging buffer, four at a time.
 //! * [`server`] — a striped receiver: control listener plus per-transfer
