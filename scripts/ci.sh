@@ -9,6 +9,7 @@
 # (tests/golden/) are compared byte-for-byte; re-bless with
 #   UPDATE_GOLDEN=1 cargo test --test determinism golden_fault_world
 #   UPDATE_GOLDEN=1 cargo test --test telemetry
+#   UPDATE_GOLDEN=1 cargo test --test decisions
 #   UPDATE_GOLDEN=1 cargo test --test tournament
 #   UPDATE_GOLDEN=1 cargo test --test supervision golden_lifecycle_paths_match_snapshot
 set -euo pipefail
@@ -88,6 +89,10 @@ diff "$FLEET_TMP/golden.txt" tests/golden/fleet/report.txt \
   --report-out "$FLEET_TMP/golden.csv"
 diff "$FLEET_TMP/golden.csv" tests/golden/fleet/report.csv \
   || { echo "fleet run CSV drifted from golden"; exit 1; }
+./target/release/xferopt fleet run --jobs 12 --seed 7 --horizon 7200 --faults flaky-link \
+  --report-out "$FLEET_TMP/chaos-decisions.txt" --decisions-out "$FLEET_TMP/chaos-decisions.jsonl"
+cmp "$FLEET_TMP/chaos-decisions.jsonl" tests/golden/decisions/fleet_chaos.jsonl \
+  || { echo "chaos fleet decisions drifted from golden"; exit 1; }
 
 echo "==> shard-determinism smoke (--shards N is a byte-level no-op)"
 cargo test -q --test shard_equiv
