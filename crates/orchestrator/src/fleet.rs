@@ -1543,12 +1543,7 @@ impl<'h> FleetSim<'h> {
             ),
             _ => WarmStart::cold(cold.clone()),
         };
-        let mut tuner = spec.tuner.build_seeded(domain, &seed);
-        // Every job's tuner keeps an audit log, namespaced by its job id.
-        tuner.enable_audit();
-        if let Some(log) = tuner.audit_log_mut() {
-            log.set_namespace(spec.id.to_string());
-        }
+        let tuner = spec.tuner.build_seeded(domain, &seed);
         let x0 = tuner.initial();
         let restart = carried.is_some();
         let progress = match carried {
@@ -1680,8 +1675,8 @@ impl<'h> FleetSim<'h> {
     }
 
     /// Take a running job off the wire: close its open epoch, release its
-    /// grant, and flush this attempt's audit log (a fresh tuner, and log, is
-    /// built on any re-admission).
+    /// grant, and flush this attempt's audit log, namespaced by the job id
+    /// (a fresh tuner, and log, is built on any re-admission).
     fn unwire(&mut self, id: JobId) -> RunningJob {
         let mut job = self.running.remove(&id).expect("job is running");
         if let Some(es) = job.epoch.take() {
@@ -1692,7 +1687,8 @@ impl<'h> FleetSim<'h> {
         self.admission_dirty = true;
         if let Some(log) = job.tuner.audit_log() {
             if !log.is_empty() {
-                self.decisions.push((id, log.to_jsonl()));
+                self.decisions
+                    .push((id, log.to_jsonl(Some(&id.to_string()))));
             }
         }
         job

@@ -561,15 +561,6 @@ fn run_cell(
     } else {
         kind.build(dims.domain(), dims.to_point(x0))
     };
-    tuner.enable_audit();
-    if let Some(log) = tuner.audit_log_mut() {
-        log.set_namespace(format!(
-            "{}/{}/{}",
-            kind.name(),
-            preset.name(),
-            fault_label(fault)
-        ));
-    }
     let drive = DriveConfig {
         duration_s: cfg.horizon_s(),
         epoch_s: cfg.epoch_s,
@@ -613,7 +604,10 @@ fn run_cell(
             .position(|ev| ev.action == DecisionAction::Converged)
             .map_or(log.len(), |i| i + 1)
     });
-    let decisions_jsonl = tuner.audit_log().map_or(String::new(), |l| l.to_jsonl());
+    let ns = format!("{}/{}/{}", kind.name(), preset.name(), fault_label(fault));
+    let decisions_jsonl = tuner
+        .audit_log()
+        .map_or(String::new(), |l| l.to_jsonl(Some(&ns)));
 
     let cell = CellResult {
         tuner: kind.name().to_string(),

@@ -221,9 +221,9 @@ pub fn drive_transfer(cfg: &DriveConfig) -> TransferLog {
 
 /// The control loop behind [`drive_transfer`] and
 /// [`crate::telemetry::drive_transfer_with_telemetry`]. With `record`, the
-/// world's flight recorder and the tuner's audit log are switched on (both
-/// are observational) and returned with the log: the recorder and metrics
-/// of [`drive_tuner`], and the tuner's decision records as JSONL.
+/// world's flight recorder is switched on (it is observational) and returned
+/// with the log: the recorder and metrics of [`drive_tuner`], and the
+/// tuner's decision records, which it always keeps, as JSONL.
 pub(crate) fn drive(
     cfg: &DriveConfig,
     record: bool,
@@ -234,23 +234,23 @@ pub(crate) fn drive(
     let mut tuner = cfg
         .tuner
         .build(cfg.dims.domain(), cfg.dims.to_point(cfg.x0));
-    if record {
-        tuner.enable_audit();
-    }
     let (log, _, tel) = drive_tuner(cfg, tuner.as_mut(), record);
     let recording = tel.map(|(tel, snapshot)| {
-        let decisions = tuner.audit_log().map(|l| l.to_jsonl()).unwrap_or_default();
+        let decisions = tuner
+            .audit_log()
+            .map(|l| l.to_jsonl(None))
+            .unwrap_or_default();
         (tel, snapshot, decisions)
     });
     (log, recording)
 }
 
 /// Run one tuned transfer under a tuner the caller built (one that carries
-/// stored samples or a namespaced audit log, say) and return its log and
-/// the megabytes it moved. `tuner` stands in for `cfg.tuner`, which still
-/// decides whether epochs restart the transfer. With `record`, the world's
-/// flight recorder is on and is returned too, with the metrics derived
-/// from its rows and from the network right after the last epoch closes.
+/// stored samples, say) and return its log and the megabytes it moved.
+/// `tuner` stands in for `cfg.tuner`, which still decides whether epochs
+/// restart the transfer. With `record`, the world's flight recorder is on
+/// and is returned too, with the metrics derived from its rows and from the
+/// network right after the last epoch closes.
 pub fn drive_tuner(
     cfg: &DriveConfig,
     tuner: &mut dyn OnlineTuner,

@@ -88,8 +88,8 @@ impl RunTelemetry {
 /// the identical [`TransferLog`] plus the run's [`RunTelemetry`].
 ///
 /// Both run the same control loop; this one also switches on
-/// `World::enable_telemetry` and `OnlineTuner::enable_audit`, both of which
-/// are observational (checked by the determinism tests).
+/// `World::enable_telemetry`, which is observational (checked by the
+/// determinism tests), and renders the tuner's audit log.
 pub fn drive_transfer_with_telemetry(cfg: &DriveConfig) -> (TransferLog, RunTelemetry) {
     let (log, recording) = crate::driver::drive(cfg, true);
     let (tel, snapshot, decisions_jsonl) = recording.expect("the loop records when asked to");

@@ -6,9 +6,9 @@
 //! so a run can be audited move-by-move against Algorithms 1–3, instead of
 //! reverse-engineering the decisions from the parameter time series.
 //!
-//! Auditing is opt-in per tuner (`enable_audit`) and strictly observational:
-//! the log never feeds back into the tuner's state, so an audited run
-//! proposes exactly the same trajectory as an unaudited one.
+//! Every direct-search tuner records one event per observed epoch, always,
+//! and strictly observationally: the log never feeds back into the tuner's
+//! state. A namespace label is chosen when the log is rendered, not stored.
 
 use crate::domain::Point;
 use xferopt_simcore::json::{json_f64, object, Obj};
@@ -125,17 +125,12 @@ pub struct DecisionEvent {
 
 impl DecisionEvent {
     /// Render as one flat JSON object with a fixed key order (the JSONL
-    /// `"kind":"decision"` record of the telemetry schema).
-    pub fn to_json(&self) -> String {
-        self.to_json_ns(None)
-    }
-
-    /// [`DecisionEvent::to_json`] with an optional namespace label injected
-    /// as a `"ns"` field right after `"kind"`. Fleet orchestrators namespace
-    /// each job's audit log (`"job3"`) so the merged fleet-wide decision
-    /// stream stays attributable. `None` renders the exact single-transfer
-    /// schema (no `"ns"` key), keeping existing golden snapshots stable.
-    pub fn to_json_ns(&self, ns: Option<&str>) -> String {
+    /// `"kind":"decision"` record of the telemetry schema). A namespace label
+    /// goes into a `"ns"` field right after `"kind"`: fleet orchestrators
+    /// label each job's decisions (`"job3"`) so the merged fleet-wide stream
+    /// stays attributable. `None` renders the single-transfer schema, with
+    /// no `"ns"` key.
+    pub fn to_json(&self, ns: Option<&str>) -> String {
         // A non-finite λ or Δc keeps its historical spelling: the strings
         // `"inf"` / `"-inf"`, or `null` for NaN.
         fn opt_f64(o: &mut Obj, key: &str, v: Option<f64>) {
@@ -168,51 +163,21 @@ impl DecisionEvent {
     }
 }
 
-/// An append-only log of [`DecisionEvent`]s. Disabled by default so the
-/// unaudited hot path pays one branch per epoch and allocates nothing.
+/// An append-only log of [`DecisionEvent`]s. Each recorded epoch costs its
+/// event: two cloned points and one push.
 #[derive(Debug, Clone, Default)]
 pub struct AuditLog {
     events: Vec<DecisionEvent>,
-    enabled: bool,
-    /// Optional namespace label rendered into every JSONL record (fleet
-    /// orchestrators set the job id, e.g. `"job3"`). `None` renders the
-    /// single-transfer schema unchanged.
-    namespace: Option<String>,
 }
 
 impl AuditLog {
-    /// A disabled log (records nothing).
+    /// An empty log.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Turn recording on.
-    pub fn enable(&mut self) {
-        self.enabled = true;
-    }
-
-    /// Label every rendered record with `ns` (see
-    /// [`DecisionEvent::to_json_ns`]). Observational: affects only JSONL
-    /// rendering, never what is recorded.
-    pub fn set_namespace(&mut self, ns: impl Into<String>) {
-        self.namespace = Some(ns.into());
-    }
-
-    /// The namespace label, if set.
-    pub fn namespace(&self) -> Option<&str> {
-        self.namespace.as_deref()
-    }
-
-    /// Whether recording is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Append `event` (assigning its sequence number) when enabled.
+    /// Append `event`, assigning its sequence number.
     pub fn record(&mut self, mut event: DecisionEvent) {
-        if !self.enabled {
-            return;
-        }
         event.seq = self.events.len() as u64;
         self.events.push(event);
     }
@@ -247,12 +212,11 @@ impl AuditLog {
     }
 
     /// Render every event as JSONL (one object per line, trailing newline
-    /// when non-empty).
-    pub fn to_jsonl(&self) -> String {
-        let ns = self.namespace.as_deref();
+    /// when non-empty), each labelled `ns` (see [`DecisionEvent::to_json`]).
+    pub fn to_jsonl(&self, ns: Option<&str>) -> String {
         let mut out = String::new();
         for e in &self.events {
-            out.push_str(&e.to_json_ns(ns));
+            out.push_str(&e.to_json(ns));
             out.push('\n');
         }
         out
@@ -280,19 +244,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_log_records_nothing() {
-        let mut log = AuditLog::new();
-        log.record(sample(DecisionAction::Probe));
-        assert!(log.is_empty());
-        log.enable();
-        log.record(sample(DecisionAction::Probe));
-        assert_eq!(log.len(), 1);
-    }
-
-    #[test]
     fn sequence_numbers_are_assigned_in_order() {
         let mut log = AuditLog::new();
-        log.enable();
         for _ in 0..3 {
             log.record(sample(DecisionAction::Step));
         }
@@ -307,7 +260,7 @@ mod tests {
             delta_pct: 25.0,
             eps_pct: 5.0,
         });
-        let j = e.to_json();
+        let j = e.to_json(None);
         assert!(j.starts_with("{\"kind\":\"decision\",\"seq\":0,\"tuner\":\"cd-tuner\","));
         assert!(j.contains("\"action\":\"retrigger\""));
         assert!(j.contains("\"retrigger\":\"significant_delta\""));
@@ -318,25 +271,21 @@ mod tests {
     fn infinite_delta_serializes_as_string() {
         let mut e = sample(DecisionAction::Probe);
         e.delta_pct = Some(f64::INFINITY);
-        assert!(e.to_json().contains("\"delta_pct\":\"inf\""));
+        assert!(e.to_json(None).contains("\"delta_pct\":\"inf\""));
     }
 
     #[test]
     fn namespaced_jsonl_labels_every_record() {
         let mut log = AuditLog::new();
-        log.enable();
         log.record(sample(DecisionAction::Probe));
         log.record(sample(DecisionAction::Step));
         // Without a namespace: the exact single-transfer schema.
-        assert!(log.namespace().is_none());
-        for line in log.to_jsonl().lines() {
+        for line in log.to_jsonl(None).lines() {
             assert!(line.starts_with("{\"kind\":\"decision\",\"seq\":"));
             assert!(!line.contains("\"ns\":"));
         }
         // With a namespace: "ns" right after "kind", on every line.
-        log.set_namespace("job3");
-        assert_eq!(log.namespace(), Some("job3"));
-        let jsonl = log.to_jsonl();
+        let jsonl = log.to_jsonl(Some("job3"));
         assert_eq!(jsonl.lines().count(), 2);
         for line in jsonl.lines() {
             assert!(
@@ -351,7 +300,6 @@ mod tests {
     #[test]
     fn retrigger_count_counts_only_retriggers() {
         let mut log = AuditLog::new();
-        log.enable();
         log.record(sample(DecisionAction::Hold));
         log.record(sample(DecisionAction::Retrigger));
         log.record(sample(DecisionAction::Monitor));

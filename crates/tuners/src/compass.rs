@@ -49,7 +49,7 @@ pub struct CompassTuner {
     monitor: SignificanceMonitor,
     rng: SmallRng,
     searches_started: u64,
-    /// Opt-in decision audit log (disabled by default; purely observational).
+    /// Decision audit log (purely observational).
     audit: AuditLog,
 }
 
@@ -131,7 +131,7 @@ impl CompassTuner {
         }
     }
 
-    /// Record one audited decision (no-op while the log is disabled).
+    /// Record one audited decision.
     #[allow(clippy::too_many_arguments)]
     fn record(
         &mut self,
@@ -279,63 +279,31 @@ impl OnlineTuner for CompassTuner {
                 }
             }
             Phase::Monitor => {
-                let delta_pct = self.monitor.peek_delta_pct(throughput);
-                if self.monitor.observe(throughput) {
+                let shift = self.monitor.observe(throughput);
+                if shift.retrigger.is_some() {
                     // Restart from the incumbent, not from `x0` as Algorithm 2
-                    // line 22 reads literally: it wastes less bandwidth.
-                    let from = self.incumbent.clone();
-                    let cause = match delta_pct {
-                        Some(d) if d == f64::INFINITY => RetriggerCause::ZeroRecovery,
-                        Some(d) => RetriggerCause::SignificantDelta {
-                            delta_pct: d,
-                            eps_pct: self.monitor.eps_pct(),
-                        },
-                        None => RetriggerCause::ZeroRecovery,
-                    };
-                    self.start_search(from);
-                    // The first epoch of the new search evaluates the
-                    // starting point itself.
-                    let next = self.incumbent.clone();
-                    self.record(
-                        x,
-                        throughput,
-                        DecisionAction::Retrigger,
-                        None,
-                        &next,
-                        delta_pct,
-                        false,
-                        Some(cause),
-                    );
-                    next
-                } else {
-                    self.phase = Phase::Monitor;
-                    let next = self.incumbent.clone();
-                    self.record(
-                        x,
-                        throughput,
-                        DecisionAction::Monitor,
-                        None,
-                        &next,
-                        delta_pct,
-                        false,
-                        None,
-                    );
-                    next
+                    // line 22 reads literally: it wastes less bandwidth. The
+                    // first epoch of the new search evaluates it again.
+                    self.start_search(self.incumbent.clone());
                 }
+                let next = self.incumbent.clone();
+                self.record(
+                    x,
+                    throughput,
+                    shift.action(),
+                    None,
+                    &next,
+                    shift.delta_pct,
+                    false,
+                    shift.retrigger,
+                );
+                next
             }
         }
     }
 
-    fn enable_audit(&mut self) {
-        self.audit.enable();
-    }
-
     fn audit_log(&self) -> Option<&AuditLog> {
         Some(&self.audit)
-    }
-
-    fn audit_log_mut(&mut self) -> Option<&mut AuditLog> {
-        Some(&mut self.audit)
     }
 }
 
@@ -419,6 +387,28 @@ mod tests {
             (x[0] - 60).abs() <= 8,
             "should track the moved peak: ended at {x:?}"
         );
+    }
+
+    #[test]
+    fn tracks_a_moving_peak() {
+        let mut t = CompassTuner::new(Domain::new(&[(1, 128)]), vec![2], 8.0, 5.0);
+        let mut epoch = 0;
+        let hist = drive(&mut t, 120, |x| {
+            let peak = if epoch < 60 { 20 } else { 90 };
+            epoch += 1;
+            4000.0 - ((x[0] - peak) as f64).powi(2)
+        });
+        let mean = |from: usize, to: usize| {
+            hist[from..to].iter().map(|(_, f)| f).sum::<f64>() / (to - from) as f64
+        };
+        let (early, late) = (mean(40, 60), mean(100, 120));
+        assert!(
+            early > 3900.0,
+            "should have converged near the first peak: {early}"
+        );
+        assert!(late > 3700.0, "should have re-found the moved peak: {late}");
+        let last = &hist.last().unwrap().0;
+        assert!((last[0] - 90).abs() <= 10, "final point {last:?}");
     }
 
     #[test]

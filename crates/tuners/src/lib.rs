@@ -20,6 +20,9 @@
 //! * [`neldermead::NelderMeadTuner`] — Algorithm 3, Nelder–Mead simplex with
 //!   rounded/bounded reflect, expand, contract, and shrink, plus the same
 //!   monitor/re-trigger loop.
+//! * [`HistoryTuner`], [`HeuristicTuner`] and [`BanditTuner`] — the
+//!   tournament's additions (a warm-start surrogate, a closed-form midpoint
+//!   guess, a UCB1 bandit), each holding its answer under the same monitor.
 //! * [`baselines`] — the comparison points from the paper's evaluation:
 //!   the static Globus `default`, Balman's additive `heur1`, and Yildirim's
 //!   exponential-increase `heur2`.
@@ -27,7 +30,9 @@
 //! All tuners implement [`OnlineTuner`], a pull-style state machine that is
 //! agnostic to what the objective is; [`offline`] drives the same tuners
 //! against a *static* black-box function, turning them into a general
-//! bounded-integer direct-search library.
+//! bounded-integer direct-search library. The re-triggering tuners share
+//! one ε-monitor step, [`SignificanceMonitor::observe`], and every
+//! direct-search tuner records each decision in its [`AuditLog`].
 //!
 //! # Example: offline black-box maximization
 //!
@@ -70,7 +75,7 @@ pub use compass::CompassTuner;
 pub use domain::{Domain, Point};
 pub use heuristic::HeuristicTuner;
 pub use neldermead::NelderMeadTuner;
-pub use online::{run_online, OnlineStep, OnlineTrajectory};
+pub use online::{OnlineStep, OnlineTrajectory};
 pub use regret::{summarize_regret, RegretSummary};
 pub use surrogate::HistoryTuner;
 pub use trigger::SignificanceMonitor;

@@ -75,7 +75,7 @@ pub struct NelderMeadTuner {
     /// Whether the most recent `fBnd` pass projected the generated point off
     /// its nominal (rounded) target. Reset at the top of every `observe`.
     last_projected: bool,
-    /// Opt-in decision audit log (disabled by default; purely observational).
+    /// Decision audit log (purely observational).
     audit: AuditLog,
 }
 
@@ -171,7 +171,7 @@ impl NelderMeadTuner {
         p
     }
 
-    /// Record one audited decision (no-op while the log is disabled).
+    /// Record one audited decision.
     #[allow(clippy::too_many_arguments)]
     fn record(
         &mut self,
@@ -397,59 +397,29 @@ impl OnlineTuner for NelderMeadTuner {
                 nxt
             }
             Phase::Monitor => {
-                let delta_pct = self.monitor.peek_delta_pct(throughput);
-                if self.monitor.observe(throughput) {
+                let shift = self.monitor.observe(throughput);
+                if shift.retrigger.is_some() {
                     // Significant change: re-run Nelder–Mead from the held
                     // point (Algorithm 3 line 37).
-                    let cause = match delta_pct {
-                        Some(d) if d == f64::INFINITY => RetriggerCause::ZeroRecovery,
-                        Some(d) => RetriggerCause::SignificantDelta {
-                            delta_pct: d,
-                            eps_pct: self.monitor.eps_pct(),
-                        },
-                        None => RetriggerCause::ZeroRecovery,
-                    };
-                    let from = self.vertices[0].0.clone();
-                    self.start_search(from);
-                    let nxt = self.vertices[0].0.clone();
-                    self.record(
-                        x,
-                        throughput,
-                        DecisionAction::Retrigger,
-                        None,
-                        &nxt,
-                        delta_pct,
-                        Some(cause),
-                    );
-                    nxt
-                } else {
-                    self.phase = Phase::Monitor;
-                    let nxt = self.vertices[0].0.clone();
-                    self.record(
-                        x,
-                        throughput,
-                        DecisionAction::Monitor,
-                        None,
-                        &nxt,
-                        delta_pct,
-                        None,
-                    );
-                    nxt
+                    self.start_search(self.vertices[0].0.clone());
                 }
+                let nxt = self.vertices[0].0.clone();
+                self.record(
+                    x,
+                    throughput,
+                    shift.action(),
+                    None,
+                    &nxt,
+                    shift.delta_pct,
+                    shift.retrigger,
+                );
+                nxt
             }
         }
     }
 
-    fn enable_audit(&mut self) {
-        self.audit.enable();
-    }
-
     fn audit_log(&self) -> Option<&AuditLog> {
         Some(&self.audit)
-    }
-
-    fn audit_log_mut(&mut self) -> Option<&mut AuditLog> {
-        Some(&mut self.audit)
     }
 }
 

@@ -1,13 +1,8 @@
-//! Online driver utility: run a tuner against a *time-varying* black-box
-//! objective for a fixed number of control epochs.
-//!
-//! This is the skeleton every experiment driver in the workspace follows
-//! (the paper's `while s' > 0` loop), extracted so downstream users can
-//! point a tuner at any `FnMut(epoch, &Point) -> f64` — a live measurement,
-//! a simulator, a replayed trace — without writing the loop themselves.
+//! The record of an online run: the point evaluated and the value observed
+//! in each control epoch, as [`crate::regret::summarize_regret`] reads it.
+//! Drivers fill it from their own epoch loops (the tournament, `fig10`).
 
 use crate::domain::Point;
-use crate::tuner::OnlineTuner;
 
 /// One step of an online run.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,123 +20,4 @@ pub struct OnlineStep {
 pub struct OnlineTrajectory {
     /// Every step in order.
     pub steps: Vec<OnlineStep>,
-}
-
-impl OnlineTrajectory {
-    /// The step with the best observed value, if any.
-    pub fn best(&self) -> Option<&OnlineStep> {
-        self.steps.iter().max_by(|a, b| {
-            a.value
-                .partial_cmp(&b.value)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
-    }
-
-    /// Mean value over epochs in `[from, to)`.
-    pub fn mean_between(&self, from: usize, to: usize) -> Option<f64> {
-        let v: Vec<f64> = self
-            .steps
-            .iter()
-            .filter(|s| s.epoch >= from && s.epoch < to)
-            .map(|s| s.value)
-            .collect();
-        if v.is_empty() {
-            None
-        } else {
-            Some(v.iter().sum::<f64>() / v.len() as f64)
-        }
-    }
-
-    /// The final point.
-    pub fn final_point(&self) -> Option<&Point> {
-        self.steps.last().map(|s| &s.x)
-    }
-
-    /// Distinct points visited, in first-seen order.
-    pub fn distinct_points(&self) -> Vec<Point> {
-        let mut seen = Vec::new();
-        for s in &self.steps {
-            if !seen.contains(&s.x) {
-                seen.push(s.x.clone());
-            }
-        }
-        seen
-    }
-}
-
-/// Drive `tuner` for `epochs` control epochs against `objective(epoch, x)`.
-///
-/// Unlike [`crate::offline::maximize`], nothing is memoized — the objective
-/// may change between epochs (that is the point), so every epoch costs one
-/// evaluation.
-///
-/// # Panics
-/// Panics if `epochs` is zero.
-pub fn run_online<F>(
-    tuner: &mut dyn OnlineTuner,
-    epochs: usize,
-    mut objective: F,
-) -> OnlineTrajectory
-where
-    F: FnMut(usize, &Point) -> f64,
-{
-    assert!(epochs > 0, "need at least one epoch");
-    let mut traj = OnlineTrajectory::default();
-    let mut x = tuner.initial();
-    for epoch in 0..epochs {
-        let value = objective(epoch, &x);
-        traj.steps.push(OnlineStep {
-            epoch,
-            x: x.clone(),
-            value,
-        });
-        x = tuner.observe(&x, value);
-    }
-    traj
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::compass::CompassTuner;
-    use crate::domain::Domain;
-
-    #[test]
-    fn tracks_a_moving_peak() {
-        let mut t = CompassTuner::new(Domain::new(&[(1, 128)]), vec![2], 8.0, 5.0);
-        let traj = run_online(&mut t, 120, |epoch, x| {
-            let peak = if epoch < 60 { 20 } else { 90 };
-            4000.0 - ((x[0] - peak) as f64).powi(2)
-        });
-        assert_eq!(traj.steps.len(), 120);
-        let early = traj.mean_between(40, 60).unwrap();
-        let late = traj.mean_between(100, 120).unwrap();
-        assert!(
-            early > 3900.0,
-            "should have converged near the first peak: {early}"
-        );
-        assert!(late > 3700.0, "should have re-found the moved peak: {late}");
-        assert!(
-            (traj.final_point().unwrap()[0] - 90).abs() <= 10,
-            "final point {:?}",
-            traj.final_point()
-        );
-    }
-
-    #[test]
-    fn trajectory_helpers() {
-        let mut t = CompassTuner::new(Domain::new(&[(1, 64)]), vec![2], 8.0, 5.0);
-        let traj = run_online(&mut t, 40, |_, x| -((x[0] - 10) as f64).abs());
-        let best = traj.best().unwrap();
-        assert!((best.x[0] - 10).abs() <= 1, "best {:?}", best);
-        assert!(traj.distinct_points().len() > 1);
-        assert!(traj.mean_between(100, 200).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one epoch")]
-    fn zero_epochs_rejected() {
-        let mut t = CompassTuner::new(Domain::new(&[(1, 4)]), vec![1], 2.0, 5.0);
-        run_online(&mut t, 0, |_, _| 0.0);
-    }
 }

@@ -71,18 +71,32 @@ mod tests {
     use super::*;
     use crate::baselines::Heur1Tuner;
     use crate::compass::CompassTuner;
-    use crate::domain::{Domain, Point};
-    use crate::online::run_online;
+    use crate::domain::Domain;
+    use crate::online::OnlineStep;
+    use crate::tuner::OnlineTuner;
 
-    fn concave(peak: i64) -> impl Fn(usize, &Point) -> f64 {
-        move |_, x: &Point| 4000.0 - ((x[0] - peak) as f64).powi(2)
+    /// `epochs` control epochs of `tuner` on a concave objective that peaks
+    /// at `peak`.
+    fn concave_run(tuner: &mut dyn OnlineTuner, epochs: usize, peak: i64) -> OnlineTrajectory {
+        let mut traj = OnlineTrajectory::default();
+        let mut x = tuner.initial();
+        for epoch in 0..epochs {
+            let value = 4000.0 - ((x[0] - peak) as f64).powi(2);
+            traj.steps.push(OnlineStep {
+                epoch,
+                x: x.clone(),
+                value,
+            });
+            x = tuner.observe(&x, value);
+        }
+        traj
     }
 
     #[test]
     fn perfect_run_has_zero_regret() {
         let mut traj = OnlineTrajectory::default();
         for epoch in 0..10 {
-            traj.steps.push(crate::online::OnlineStep {
+            traj.steps.push(OnlineStep {
                 epoch,
                 x: vec![5],
                 value: 1000.0,
@@ -97,12 +111,12 @@ mod tests {
     #[test]
     fn overshoot_counts_zero_not_negative() {
         let mut traj = OnlineTrajectory::default();
-        traj.steps.push(crate::online::OnlineStep {
+        traj.steps.push(OnlineStep {
             epoch: 0,
             x: vec![1],
             value: 1200.0, // above the reference optimum (noise)
         });
-        traj.steps.push(crate::online::OnlineStep {
+        traj.steps.push(OnlineStep {
             epoch: 1,
             x: vec![1],
             value: 800.0,
@@ -117,11 +131,11 @@ mod tests {
         // regret; compass jumps pay much less when the optimum is far.
         let opt = 4000.0;
         let mut additive = Heur1Tuner::new(Domain::new(&[(1, 256)]), vec![2], 0.1);
-        let add_traj = run_online(&mut additive, 80, concave(100));
+        let add_traj = concave_run(&mut additive, 80, 100);
         let add = summarize_regret(&add_traj, opt, 0.95, 30.0);
 
         let mut compass = CompassTuner::new(Domain::new(&[(1, 256)]), vec![2], 16.0, 5.0);
-        let cs_traj = run_online(&mut compass, 80, concave(100));
+        let cs_traj = concave_run(&mut compass, 80, 100);
         let cs = summarize_regret(&cs_traj, opt, 0.95, 30.0);
 
         assert!(
@@ -139,7 +153,7 @@ mod tests {
     #[test]
     fn never_reaching_opt_reports_none() {
         let mut traj = OnlineTrajectory::default();
-        traj.steps.push(crate::online::OnlineStep {
+        traj.steps.push(OnlineStep {
             epoch: 0,
             x: vec![1],
             value: 10.0,

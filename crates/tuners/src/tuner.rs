@@ -32,25 +32,11 @@ pub trait OnlineTuner {
     /// The search domain.
     fn domain(&self) -> &Domain;
 
-    /// Turn on the decision audit log ([`AuditLog`]), if this tuner supports
-    /// auditing. Auditing is strictly observational: an audited tuner
-    /// proposes exactly the same trajectory as an unaudited one. The default
-    /// implementation is a no-op (the static/heuristic baselines make no
-    /// direct-search decisions worth auditing).
-    fn enable_audit(&mut self) {}
-
-    /// The decision audit log, when this tuner supports auditing. Returns
-    /// `None` for tuners without one; an enabled log may still be empty if
-    /// no epoch has been observed yet.
+    /// The decision audit log ([`AuditLog`]): one event per observed epoch,
+    /// recorded by every direct-search tuner and never read back by it.
+    /// `None` for the static and additive/exponential baselines, which make
+    /// no direct-search decisions worth auditing.
     fn audit_log(&self) -> Option<&AuditLog> {
-        None
-    }
-
-    /// Mutable access to the audit log, when this tuner has one. Fleet
-    /// drivers use it to namespace per-job logs
-    /// ([`AuditLog::set_namespace`]); mutating the log never feeds back into
-    /// tuning decisions.
-    fn audit_log_mut(&mut self) -> Option<&mut AuditLog> {
         None
     }
 }
@@ -258,32 +244,38 @@ mod tests {
     }
 
     #[test]
-    fn audited_tuners_expose_mutable_logs_for_namespacing() {
-        for kind in [
-            TunerKind::Cd,
-            TunerKind::Cs,
-            TunerKind::Nm,
-            TunerKind::History,
-            TunerKind::Heuristic,
-            TunerKind::Bandit,
-        ] {
+    fn built_tuners_record_every_observation() {
+        // No set-up call: a tuner from the factory audits from its first
+        // observation, one event per epoch, `seq` dense from 0.
+        const N: u64 = 25;
+        for kind in TunerKind::ALL {
             let mut t = kind.build(Domain::paper_nc(), vec![2]);
-            t.enable_audit();
-            t.audit_log_mut()
-                .expect("audited tuner must expose a mutable log")
-                .set_namespace("job1");
-            let x = t.initial();
-            t.observe(&x, 1000.0);
-            let jsonl = t.audit_log().unwrap().to_jsonl();
+            let mut x = t.initial();
+            for i in 0..N {
+                x = t.observe(&x.clone(), 1000.0 + (i % 4) as f64 * 300.0);
+            }
+            let Some(log) = t.audit_log() else {
+                assert!(
+                    matches!(
+                        kind,
+                        TunerKind::Default | TunerKind::Heur1 | TunerKind::Heur2
+                    ),
+                    "{} keeps no audit log",
+                    kind.name()
+                );
+                continue;
+            };
+            let seqs: Vec<u64> = log.events().iter().map(|e| e.seq).collect();
+            assert_eq!(seqs, (0..N).collect::<Vec<_>>(), "{}", kind.name());
+            // The namespace is a rendering argument, on every line.
+            let jsonl = log.to_jsonl(Some("job1"));
+            assert_eq!(jsonl.lines().count() as u64, N, "{}", kind.name());
             assert!(
-                jsonl.contains("\"ns\":\"job1\""),
+                jsonl.lines().all(|l| l.contains("\"ns\":\"job1\"")),
                 "{}: {jsonl}",
                 kind.name()
             );
         }
-        // Baselines have no log to namespace.
-        let mut t = TunerKind::Default.build(Domain::paper_nc(), vec![2]);
-        assert!(t.audit_log_mut().is_none());
     }
 
     #[test]

@@ -41,7 +41,6 @@ fn cd_exact_sequence_on_unimodal_walk() {
     // toward the peak is significant and the at-peak step is not. Algorithm 1
     // must emit exactly: probe, step, step, then holds.
     let mut t = CdTuner::new(Domain::paper_nc(), vec![2], 5.0);
-    t.enable_audit();
     let traj = drive(&mut t, 10, |x: &Point| {
         4000.0 - ((x[0] - 5) as f64).powi(2) * 100.0
     });
@@ -66,7 +65,6 @@ fn cd_records_projection_at_bound() {
     // Start at the upper bound with rising feedback: the +1 probe is clamped
     // back onto the bound, which the audit log must flag as projected.
     let mut t = CdTuner::new(Domain::new(&[(1, 4)]), vec![4], 0.01);
-    t.enable_audit();
     let mut x = t.initial();
     for i in 0..3 {
         x = t.observe(&x.clone(), 1000.0 + i as f64 * 500.0);
@@ -82,7 +80,6 @@ fn cd_records_projection_at_bound() {
 #[test]
 fn cd_retrigger_carries_significant_delta_cause() {
     let mut t = CdTuner::new(Domain::paper_nc(), vec![10], 5.0);
-    t.enable_audit();
     let mut x = t.initial();
     for _ in 0..6 {
         x = t.observe(&x.clone(), 1000.0);
@@ -108,7 +105,6 @@ fn cd_retrigger_carries_significant_delta_cause() {
 #[test]
 fn cd_zero_recovery_cause() {
     let mut t = CdTuner::new(Domain::paper_nc(), vec![5], 5.0);
-    t.enable_audit();
     let mut x = t.initial();
     x = t.observe(&x.clone(), 0.0);
     x = t.observe(&x.clone(), 0.0);
@@ -129,7 +125,6 @@ fn cd_zero_recovery_cause() {
 #[test]
 fn cs_sequence_structure_on_unimodal_surface() {
     let mut t = CompassTuner::new(Domain::paper_nc(), vec![2], 8.0, 5.0).with_seed(11);
-    t.enable_audit();
     drive(&mut t, 60, concave(20));
     let log = t.audit_log().unwrap();
     let names = log.action_names();
@@ -174,7 +169,6 @@ fn cs_sequence_structure_on_unimodal_surface() {
 #[test]
 fn cs_retrigger_cause_and_lambda_reset() {
     let mut t = CompassTuner::new(Domain::paper_nc(), vec![2], 8.0, 5.0).with_seed(3);
-    t.enable_audit();
     let mut x = t.initial();
     for epoch in 0..120 {
         let peak = if epoch < 40 { 10 } else { 60 };
@@ -202,7 +196,6 @@ fn cs_retrigger_cause_and_lambda_reset() {
 fn cs_projection_flag_fires_near_bounds() {
     // Incumbent near the upper bound: λ=8 probes overshoot and are projected.
     let mut t = CompassTuner::new(Domain::new(&[(1, 12)]), vec![10], 8.0, 5.0).with_seed(5);
-    t.enable_audit();
     drive(&mut t, 20, |x| x[0] as f64 * 10.0);
     let log = t.audit_log().unwrap();
     assert!(
@@ -219,7 +212,6 @@ fn cs_projection_flag_fires_near_bounds() {
 #[test]
 fn nm_sequence_structure_on_unimodal_surface() {
     let mut t = NelderMeadTuner::new(Domain::paper_nc(), vec![2], 5.0);
-    t.enable_audit();
     drive(&mut t, 80, concave(20));
     let log = t.audit_log().unwrap();
     let names = log.action_names();
@@ -258,7 +250,6 @@ fn nm_expansion_audited_on_distant_peak() {
     // Paper: nm "can rapidly move to the critical point using reflection and
     // expansion" — a distant peak must produce audited expand moves.
     let mut t = NelderMeadTuner::new(Domain::paper_nc(), vec![2], 5.0);
-    t.enable_audit();
     drive(&mut t, 30, concave(100));
     let log = t.audit_log().unwrap();
     assert!(
@@ -271,7 +262,6 @@ fn nm_expansion_audited_on_distant_peak() {
 #[test]
 fn nm_retrigger_on_environment_shift() {
     let mut t = NelderMeadTuner::new(Domain::paper_nc(), vec![2], 5.0);
-    t.enable_audit();
     let mut x = t.initial();
     for epoch in 0..160 {
         let peak = if epoch < 70 { 12 } else { 70 };
@@ -301,7 +291,6 @@ fn audited_run_proposes_identical_trajectory() {
     for kind in TunerKind::ALL {
         let mut plain = kind.build(Domain::paper_nc(), vec![2]);
         let mut audited = kind.build(Domain::paper_nc(), vec![2]);
-        audited.enable_audit();
         let a = drive(plain.as_mut(), 50, objective);
         let b = drive(audited.as_mut(), 50, objective);
         assert_eq!(a, b, "{}: audit must be observational", kind.name());
@@ -311,10 +300,9 @@ fn audited_run_proposes_identical_trajectory() {
 #[test]
 fn audit_jsonl_is_well_formed() {
     let mut t = CompassTuner::new(Domain::paper_nc(), vec![2], 8.0, 5.0).with_seed(1);
-    t.enable_audit();
     drive(&mut t, 25, concave(30));
     let log = t.audit_log().unwrap();
-    let jsonl = log.to_jsonl();
+    let jsonl = log.to_jsonl(None);
     let lines: Vec<&str> = jsonl.lines().collect();
     assert_eq!(lines.len(), log.len(), "one line per decision");
     for (i, line) in lines.iter().enumerate() {
@@ -330,7 +318,6 @@ fn audit_jsonl_is_well_formed() {
 fn baselines_have_no_audit_log() {
     for kind in [TunerKind::Default, TunerKind::Heur1, TunerKind::Heur2] {
         let mut t = kind.build(Domain::paper_nc(), vec![2]);
-        t.enable_audit(); // default no-op
         drive(t.as_mut(), 10, concave(10));
         assert!(
             t.audit_log().is_none(),

@@ -32,7 +32,7 @@ fn monitor_significance_with_negative_values() {
     let mut m = SignificanceMonitor::new(5.0);
     m.observe(-1000.0);
     // -1000 → -900 is a 10% move; must trigger regardless of sign.
-    assert!(m.observe(-900.0));
+    assert!(m.observe(-900.0).retrigger.is_some());
 }
 
 /// REGRESSION: `LoadSchedule::changes_between` was exclusive at the window
