@@ -593,25 +593,35 @@ mod tests {
             start.elapsed().as_secs_f64()
         };
         // Best of 7 interleaved rounds, so a burst of load on a shared
-        // machine hits both sides alike.
-        let (mut one, mut all) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..7 {
-            one = one.min(secs(&|| {
-                StripeDigest::of_generated_on(size, block, fill_payload, 1).value()
-            }));
-            all = all.min(secs(&|| expected_digest(size, block)));
+        // machine hits both sides alike. A neighbour that holds the second
+        // core for a whole attempt (about a second) defeats that, so up to
+        // 3 attempts run, about a second apart, and one reaching the bound
+        // passes.
+        let mut ratios = Vec::new();
+        for attempt in 1..=3 {
+            if attempt > 1 {
+                std::thread::sleep(std::time::Duration::from_secs(1));
+            }
+            let (mut one, mut all) = (f64::INFINITY, f64::INFINITY);
+            for _ in 0..7 {
+                one = one.min(secs(&|| {
+                    StripeDigest::of_generated_on(size, block, fill_payload, 1).value()
+                }));
+                all = all.min(secs(&|| expected_digest(size, block)));
+            }
+            println!(
+                "expected_digest at 256 MiB, attempt {attempt}: 1 thread {:.1} ms, \
+                 {cores} cores {:.1} ms ({:.2}x)",
+                one * 1e3,
+                all * 1e3,
+                one / all
+            );
+            ratios.push(one / all);
+            if one / all >= 1.4 {
+                return;
+            }
         }
-        println!(
-            "expected_digest at 256 MiB: 1 thread {:.1} ms, {cores} cores {:.1} ms ({:.2}x)",
-            one * 1e3,
-            all * 1e3,
-            one / all
-        );
-        assert!(
-            one / all >= 1.4,
-            "all-core oracle only {:.2}x the 1-thread path",
-            one / all
-        );
+        panic!("all-core oracle below 1.4x the 1-thread path in every attempt: {ratios:.2?}");
     }
 
     #[test]
