@@ -15,18 +15,24 @@
 //! On a 2-core 2.1 GHz Xeon VM it hashes ~17 GB/s on one thread, against
 //! ~4.3 GB/s for one scalar chain (the per-byte FNV-1a this replaced read
 //! ~2.8 and ~0.75 GB/s).
-//! It serves the expected digest of a generated payload
+//! It serves the expected digest of the synthetic payload
 //! (`StripeDigest::of_generated`) and the receiver's in-place fold of
 //! staged frames (both STOR and RETR receive through `recv::StripeFold`).
-//! The expected digest splits its groups of blocks into contiguous ranges,
-//! one per core, each thread getting at least 8 MiB of blocks, and adds up
-//! the per-thread sums; smaller digests stay on the caller thread.
+//! The synthetic payload repeats every 2048 bytes, so the expected digest
+//! generates nothing: each lane reads its block's words straight from the
+//! payload table in `client`, and only the hashing costs time. It splits
+//! its groups of blocks into contiguous ranges, one per core, each thread
+//! getting at least 8 MiB of blocks, and adds up the per-thread sums;
+//! smaller digests stay on the caller thread. At 256 MiB it takes ~15 ms
+//! on one thread and ~8 ms on 2 cores.
 //! Senders fold nothing: a put checks the server's digest against the
 //! expected one, and the server's `RETR` reply carries the expected digest
 //! of the file it was asked to send. Folding on the sender threads between
 //! writes would take CPU from a data phase that is already CPU-bound. The
 //! sum does not depend on how blocks are grouped or split, so every value
 //! is the scalar fold's exactly.
+
+use crate::client::{fill_payload, payload_period, PERIOD};
 
 /// Order-independent digest of a set of `(offset, payload)` blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -44,8 +50,8 @@ const ROT: u32 = 31;
 pub(crate) const LANES: usize = 4;
 
 /// The least payload [`StripeDigest::of_generated`] gives one thread: a
-/// spawn costs tens of microseconds, and 8 MiB takes ~1.5 ms to fold,
-/// most of it generating the payload.
+/// spawn costs tens of microseconds, and 8 MiB takes ~0.5 ms to fold,
+/// all of it hashing.
 const MIN_THREAD_BYTES: u64 = 8 << 20;
 
 /// One hash step over one word. A bijection of `h ^ w`, so one changed
@@ -209,13 +215,12 @@ impl StripeDigest {
         d
     }
 
-    /// Digest of `size` generated bytes split at `block` boundaries from
-    /// offset 0, where `fill(o, buf)` writes the bytes at file offsets
-    /// `o..o + buf.len()`: what [`of_buffer`](Self::of_buffer) gives over
-    /// the materialized bytes, without materializing them. Whole groups of
-    /// [`LANES`] full blocks are split into contiguous ranges, each folded
-    /// on its own thread by [`fold_groups`](Self::fold_groups), on up to
-    /// `available_parallelism()` threads and with at least
+    /// Digest of `size` bytes of the synthetic payload split at `block`
+    /// boundaries from offset 0: what [`of_buffer`](Self::of_buffer) gives
+    /// over the materialized bytes, without materializing them. Whole
+    /// groups of [`LANES`] full blocks are split into contiguous ranges,
+    /// each folded on its own thread by [`fold_groups`](Self::fold_groups),
+    /// on up to `available_parallelism()` threads and with at least
     /// [`MIN_THREAD_BYTES`] of blocks per thread, so a digest under twice
     /// that stays on the caller thread and spawns nothing. The remaining
     /// blocks and the short tail go through the scalar
@@ -223,11 +228,7 @@ impl StripeDigest {
     ///
     /// # Panics
     /// Panics if `block` is zero.
-    pub(crate) fn of_generated(
-        size: u64,
-        block: usize,
-        fill: impl Fn(u64, &mut [u8]) + Sync,
-    ) -> StripeDigest {
+    pub(crate) fn of_generated(size: u64, block: usize) -> StripeDigest {
         assert!(block > 0, "block size must be positive");
         // `available_parallelism` reads the cgroup quota on Linux, so a
         // digest too small to split does not ask.
@@ -238,7 +239,7 @@ impl StripeDigest {
                 n.min(cores as u64) as usize
             }
         };
-        Self::of_generated_on(size, block, fill, threads)
+        Self::of_generated_on(size, block, threads)
     }
 
     /// [`of_generated`](Self::of_generated) on exactly `threads` threads
@@ -248,12 +249,7 @@ impl StripeDigest {
     ///
     /// # Panics
     /// Panics if `block` or `threads` is zero.
-    pub(crate) fn of_generated_on(
-        size: u64,
-        block: usize,
-        fill: impl Fn(u64, &mut [u8]) + Sync,
-        threads: usize,
-    ) -> StripeDigest {
+    pub(crate) fn of_generated_on(size: u64, block: usize, threads: usize) -> StripeDigest {
         assert!(block > 0, "block size must be positive");
         assert!(threads > 0, "thread count must be positive");
         let groups = size / block as u64 / LANES as u64;
@@ -262,12 +258,11 @@ impl StripeDigest {
         // product exact for any size.
         let cut = |t: u64| (groups as u128 * t as u128 / threads as u128) as u64;
         let range = move |t: u64| cut(t)..cut(t + 1);
-        let fill = &fill;
         let mut d = std::thread::scope(|s| {
             let others: Vec<_> = (1..threads)
-                .map(|t| s.spawn(move || Self::fold_groups(range(t), block, fill)))
+                .map(|t| s.spawn(move || Self::fold_groups(range(t), block)))
                 .collect();
-            let mut d = Self::fold_groups(range(0), block, fill);
+            let mut d = Self::fold_groups(range(0), block);
             for h in others {
                 d.merge(h.join().expect("a digest thread panicked"));
             }
@@ -277,7 +272,7 @@ impl StripeDigest {
         let mut buf = Vec::new();
         while off < size {
             buf.resize(((size - off) as usize).min(block), 0);
-            fill(off, &mut buf);
+            fill_payload(off, &mut buf);
             d.add_block(off, &buf);
             off += buf.len() as u64;
         }
@@ -286,29 +281,22 @@ impl StripeDigest {
 
     /// Fold the groups `groups` of [`LANES`] full blocks each: group `g`
     /// holds blocks `g * LANES..(g + 1) * LANES`. Each group's blocks are
-    /// hashed side by side ([`word_lanes`]), their bytes generated a
-    /// short chunk at a time into a stack buffer, which keeps the generator
-    /// vectorized and out of the multiply chains.
-    fn fold_groups(
-        groups: std::ops::Range<u64>,
-        block: usize,
-        fill: &impl Fn(u64, &mut [u8]),
-    ) -> StripeDigest {
+    /// hashed side by side ([`word_lanes`]) a period at a time, each lane
+    /// reading its block's bytes straight from the payload table: every
+    /// period of a block starts at the block's own phase, so one
+    /// [`payload_period`] slice per lane serves the whole block.
+    fn fold_groups(groups: std::ops::Range<u64>, block: usize) -> StripeDigest {
         let mut d = StripeDigest::new();
-        const CHUNK: usize = 1024;
-        let mut chunks = [[0u8; CHUNK]; LANES];
         for g in groups {
             let first = g * LANES as u64;
             let offsets: [u64; LANES] = std::array::from_fn(|k| (first + k as u64) * block as u64);
             let mut h = offsets.map(BlockHash::new);
-            let mut done = 0;
-            while done < block {
-                let n = CHUNK.min(block - done);
-                for (chunk, o) in chunks.iter_mut().zip(offsets) {
-                    fill(o.wrapping_add(done as u64), &mut chunk[..n]);
-                }
-                word_lanes(&mut h, chunks.each_ref().map(|c| &c[..n]));
-                done += n;
+            let periods = offsets.map(payload_period);
+            let mut left = block;
+            while left > 0 {
+                let n = left.min(PERIOD);
+                word_lanes(&mut h, periods.map(|p| &p[..n]));
+                left -= n;
             }
             for h in h {
                 d.add_hash(h);

@@ -20,19 +20,41 @@ use std::sync::Arc;
 use std::thread::ScopedJoinHandle;
 
 /// Deterministic synthetic payload byte at `offset`.
-pub fn payload_byte(offset: u64) -> u8 {
+pub const fn payload_byte(offset: u64) -> u8 {
     (offset.wrapping_mul(31).wrapping_add(7) >> 3) as u8
 }
 
+/// The synthetic payload's period. [`payload_byte`] keeps bits 3..10 of
+/// `offset * 31 + 7`, and those depend only on `offset mod 2048`.
+pub(crate) const PERIOD: usize = 2048;
+
+/// Two periods of the payload from offset 0, so that any period-long run
+/// of it starts somewhere in the first half: the one source of payload
+/// bytes in this crate.
+static PAYLOAD: [u8; 2 * PERIOD] = {
+    let mut table = [0; 2 * PERIOD];
+    let mut i = 0;
+    while i < table.len() {
+        table[i] = payload_byte(i as u64);
+        i += 1;
+    }
+    table
+};
+
+/// The [`PERIOD`] payload bytes from `offset` on. The payload from
+/// `offset + k * PERIOD` on is the same slice, so a longer run repeats it.
+pub(crate) fn payload_period(offset: u64) -> &'static [u8] {
+    let phase = (offset % PERIOD as u64) as usize;
+    &PAYLOAD[phase..phase + PERIOD]
+}
+
 /// Fill `buf` with the synthetic payload starting at `offset`: byte `i` is
-/// `payload_byte(offset.wrapping_add(i))`.
+/// `payload_byte(offset.wrapping_add(i))`. Copies [`payload_period`] a
+/// period at a time, so no byte is computed.
 pub(crate) fn fill_payload(offset: u64, buf: &mut [u8]) {
-    // `payload_byte` keeps bits 3..10 of `offset * 31 + 7`, and only the low
-    // 32 bits of the offset reach those, so 32-bit arithmetic gives the same
-    // bytes and lets the loop vectorize.
-    let base = offset as u32;
-    for (i, b) in buf.iter_mut().enumerate() {
-        *b = (base.wrapping_add(i as u32).wrapping_mul(31).wrapping_add(7) >> 3) as u8;
+    let period = payload_period(offset);
+    for chunk in buf.chunks_mut(PERIOD) {
+        chunk.copy_from_slice(&period[..chunk.len()]);
     }
 }
 
@@ -60,7 +82,7 @@ pub(crate) fn payload_frame(frame: &mut Vec<u8>, offset: u64, len: usize) {
 /// # Panics
 /// Panics if `block_bytes` is zero.
 pub fn expected_digest(size: u64, block_bytes: usize) -> u64 {
-    StripeDigest::of_generated(size, block_bytes, fill_payload).value()
+    StripeDigest::of_generated(size, block_bytes).value()
 }
 
 /// Configuration of one `put`.
@@ -269,6 +291,16 @@ pub fn get(
     let report = session.get(name, size, parallelism)?;
     let _ = session.quit();
     Ok(report)
+}
+
+/// The synthetic payload for `[offset, offset+len)` computed byte by byte
+/// from [`payload_byte`], not read from the table: the reference the
+/// table-fed oracle is checked against.
+#[cfg(test)]
+fn formula_block(offset: u64, len: usize) -> Vec<u8> {
+    (0..len as u64)
+        .map(|i| payload_byte(offset.wrapping_add(i)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -550,6 +582,26 @@ mod tests {
         assert_eq!(expected_digest(1000, 64), expected_digest(1000, 64));
     }
 
+    /// The table fill equals the formula at every phase, both near offset
+    /// 0 and where the offset wraps past `u64::MAX`, at lengths short of a
+    /// word, around one period and around two.
+    #[test]
+    fn fill_payload_is_payload_byte_at_every_phase() {
+        const LENS: [usize; 17] = [
+            0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 2047, 2048, 2049, 4095, 4096, 4097, 4100,
+        ];
+        let mut buf = [0u8; 4100];
+        for offset in (0..PERIOD as u64).chain(u64::MAX - (PERIOD as u64 - 1)..=u64::MAX) {
+            let want: Vec<u8> = (0..buf.len() as u64)
+                .map(|i| payload_byte(offset.wrapping_add(i)))
+                .collect();
+            for len in LENS {
+                fill_payload(offset, &mut buf[..len]);
+                assert_eq!(buf[..len], want[..len], "offset {offset} len {len}");
+            }
+        }
+    }
+
     /// Digests of the synthetic payload. A sender compares these against
     /// the receiver's per-block fold, so they change only with the digest
     /// definition, as a re-pin recorded in CHANGES.md.
@@ -561,15 +613,15 @@ mod tests {
         assert_eq!(expected_digest(0, 64), 0);
     }
 
-    /// The full 256 MiB put size against the scalar fold; too slow
-    /// unoptimized, so `scripts/ci.sh` runs it in release.
+    /// The full 256 MiB put size against the scalar fold of the formula's
+    /// bytes; too slow unoptimized, so `scripts/ci.sh` runs it in release.
     #[test]
     #[ignore = "256 MiB: run with --release --ignored"]
     fn expected_digest_matches_scalar_fold_at_full_size() {
         let (size, block) = (256 * 1024 * 1024, 256 * 1024);
         let mut scalar = StripeDigest::new();
         for off in (0..size).step_by(block) {
-            scalar.add_block(off, &payload_block(off, block));
+            scalar.add_block(off, &formula_block(off, block));
         }
         assert_eq!(scalar.value(), 0xba10_b4dd_cb65_4702);
         assert_eq!(expected_digest(size, block), scalar.value());
@@ -605,7 +657,7 @@ mod tests {
             let (mut one, mut all) = (f64::INFINITY, f64::INFINITY);
             for _ in 0..7 {
                 one = one.min(secs(&|| {
-                    StripeDigest::of_generated_on(size, block, fill_payload, 1).value()
+                    StripeDigest::of_generated_on(size, block, 1).value()
                 }));
                 all = all.min(secs(&|| expected_digest(size, block)));
             }
@@ -700,7 +752,7 @@ mod proptests {
 
     proptest! {
         /// Lanes, lane remainder and tail together equal the scalar fold of
-        /// the materialized blocks, for any block size and block count.
+        /// the formula's blocks, for any block size and block count.
         #[test]
         fn expected_digest_equals_scalar_fold(
             block in prop_oneof![1usize..64, 1usize..300 * 1024],
@@ -712,7 +764,7 @@ mod proptests {
             let mut off = 0u64;
             while off < size {
                 let len = ((size - off) as usize).min(block);
-                scalar.add_block(off, &payload_block(off, len));
+                scalar.add_block(off, &formula_block(off, len));
                 off += len as u64;
             }
             prop_assert_eq!(expected_digest(size, block), scalar.value(), "size {} block {}", size, block);
@@ -733,11 +785,11 @@ mod proptests {
             let mut off = 0u64;
             while off < size {
                 let len = ((size - off) as usize).min(block);
-                scalar.add_block(off, &payload_block(off, len));
+                scalar.add_block(off, &formula_block(off, len));
                 off += len as u64;
             }
             for threads in 1..=5 {
-                let split = StripeDigest::of_generated_on(size, block, fill_payload, threads);
+                let split = StripeDigest::of_generated_on(size, block, threads);
                 prop_assert_eq!(split, scalar, "size {} block {} threads {}", size, block, threads);
             }
         }

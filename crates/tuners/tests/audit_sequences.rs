@@ -3,7 +3,8 @@
 //!
 //! These tests pin down the *decision* semantics of the tuners — probe /
 //! accept / reject / halve λ / re-trigger — rather than just the parameter
-//! trajectories, and verify that auditing is purely observational.
+//! trajectories, and check that every tuner kind, rebuilt, repeats both
+//! its proposals and its log.
 
 use xferopt_tuners::{
     CdTuner, CompassTuner, DecisionAction, Domain, NelderMeadTuner, OnlineTuner, Point,
@@ -280,20 +281,26 @@ fn nm_retrigger_on_environment_shift() {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-cutting: auditing is observational, logs serialize as JSONL
+// Cross-cutting: tuners repeat themselves, logs serialize as JSONL
 // ---------------------------------------------------------------------------
 
 #[test]
-fn audited_run_proposes_identical_trajectory() {
-    // For every adaptive tuner kind: enabling the audit log must not change
-    // a single proposal.
+fn every_tuner_kind_rebuilt_proposes_the_same_trajectory() {
+    // For every tuner kind: two tuners built alike and observed alike
+    // propose the same points and record the same decisions.
     let objective = |x: &Point| 4000.0 - ((x[0] - 24) as f64).powi(2) * 3.0;
     for kind in TunerKind::ALL {
-        let mut plain = kind.build(Domain::paper_nc(), vec![2]);
-        let mut audited = kind.build(Domain::paper_nc(), vec![2]);
-        let a = drive(plain.as_mut(), 50, objective);
-        let b = drive(audited.as_mut(), 50, objective);
-        assert_eq!(a, b, "{}: audit must be observational", kind.name());
+        let mut first = kind.build(Domain::paper_nc(), vec![2]);
+        let mut second = kind.build(Domain::paper_nc(), vec![2]);
+        let a = drive(first.as_mut(), 50, objective);
+        let b = drive(second.as_mut(), 50, objective);
+        assert_eq!(a, b, "{}: a rebuilt tuner must repeat itself", kind.name());
+        assert_eq!(
+            first.audit_log().map(|log| log.to_jsonl(None)),
+            second.audit_log().map(|log| log.to_jsonl(None)),
+            "{}: a rebuilt tuner must log the same decisions",
+            kind.name()
+        );
     }
 }
 

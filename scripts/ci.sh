@@ -12,6 +12,7 @@
 #   UPDATE_GOLDEN=1 cargo test --test decisions
 #   UPDATE_GOLDEN=1 cargo test --test tournament
 #   UPDATE_GOLDEN=1 cargo test --test supervision golden_lifecycle_paths_match_snapshot
+#   UPDATE_GOLDEN=1 cargo test -p xferopt-bench --test paper_summary
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
